@@ -65,35 +65,47 @@ class ProductInfo:
 @dataclass
 class Product:
     id: EntityId
+    catalog: EntityId
     name: str
     price: Money
     status: ProductStatus
     similar: set[EntityId] = field(default_factory=set)
     info: ProductInfo | None = None
+    # customers notified of each change to this product
+    subscribers: set[EntityId] = field(default_factory=set)
+    # the lowest-id stock item tracking this product; None for services
+    stock_item: EntityId | None = None
 
     def clone(self) -> Product:
-        return Product(self.id, self.name, self.price, self.status,
-                       set(self.similar), self.info)
+        return Product(self.id, self.catalog, self.name, self.price, self.status,
+                       set(self.similar), self.info, set(self.subscribers),
+                       self.stock_item)
 
     def to_dict(self) -> dict:
         return {
             "id": str(self.id),
+            "catalog": str(self.catalog),
             "name": self.name,
             "price": self.price.to_dict(),
             "status": self.status.value,
             "similar": sorted(str(pid) for pid in self.similar),
             "info": self.info.to_dict() if self.info else None,
+            "subscribers": sorted(str(c) for c in self.subscribers),
+            "stock_item": str(self.stock_item) if self.stock_item else None,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> Product:
         return cls(
             id=EntityId.parse(data["id"]),
+            catalog=EntityId.parse(data["catalog"]),
             name=data["name"],
             price=Money.from_dict(data["price"]),
             status=ProductStatus(data["status"]),
             similar={EntityId.parse(p) for p in data["similar"]},
             info=ProductInfo.from_dict(data["info"]) if data["info"] else None,
+            subscribers={EntityId.parse(c) for c in data["subscribers"]},
+            stock_item=EntityId.parse(data["stock_item"]) if data["stock_item"] else None,
         )
 
 
@@ -101,37 +113,16 @@ class Product:
 class Catalog:
     id: EntityId
     name: str
-    products: set[EntityId] = field(default_factory=set)
-    # per-product subscriber sets; customers subscribe to individual products
-    subscribers: dict[EntityId, set[EntityId]] = field(default_factory=dict)
 
     def clone(self) -> Catalog:
-        return Catalog(self.id, self.name, set(self.products),
-                       {pid: set(subs) for pid, subs in self.subscribers.items()})
+        return Catalog(self.id, self.name)
 
     def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "name": self.name,
-            "products": sorted(str(p) for p in self.products),
-            "subscribers": {
-                str(pid): sorted(str(c) for c in subs)
-                for pid, subs in self.subscribers.items()
-                if subs
-            },
-        }
+        return {"id": str(self.id), "name": self.name}
 
     @classmethod
     def from_dict(cls, data: dict) -> Catalog:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            name=data["name"],
-            products={EntityId.parse(p) for p in data["products"]},
-            subscribers={
-                EntityId.parse(pid): {EntityId.parse(c) for c in subs}
-                for pid, subs in data["subscribers"].items()
-            },
-        )
+        return cls(EntityId.parse(data["id"]), data["name"])
 
 
 @dataclass
@@ -174,19 +165,6 @@ def create_catalog(txn, name: str) -> EntityId:
     return catalog_id
 
 
-def catalog_of(state, product_id: EntityId) -> Catalog:
-    """The catalog a product was added to. Every product belongs to one."""
-    for catalog in state.stores["catalogs"].values():
-        if product_id in catalog.products:
-            return catalog
-    raise UnknownProduct(f"product {product_id} is not in any catalog")
-
-
-def subscribers_of(state, product_id: EntityId) -> set[EntityId]:
-    catalog = catalog_of(state, product_id)
-    return set(catalog.subscribers.get(product_id, ()))
-
-
 def add_product(txn, catalog_id: EntityId, name: str, price: Money,
                 status: ProductStatus) -> EntityId:
     if catalog_id not in txn.state.stores["catalogs"]:
@@ -194,10 +172,8 @@ def add_product(txn, catalog_id: EntityId, name: str, price: Money,
     if price.amount < 0:
         raise NegativePrice(f"price must be >= 0, got {price.amount}")
     product_id = txn.next_id("product")
-    txn.create("products", Product(id=product_id, name=name, price=price,
-                                   status=status))
-    catalog = txn.get_mut("catalogs", catalog_id, UnknownCatalog)
-    catalog.products.add(product_id)
+    txn.create("products", Product(id=product_id, catalog=catalog_id, name=name,
+                                   price=price, status=status))
     return product_id
 
 
@@ -233,7 +209,7 @@ def update_product(txn, product_id: EntityId, changes: dict) -> list[EntityId]:
     summary = f"{product.name}: " + "; ".join(summary_parts)
 
     notification_ids = []
-    for customer_id in sorted(subscribers_of(txn.state, product_id)):
+    for customer_id in sorted(product.subscribers):
         notification_id = txn.next_id("notification")
         txn.create("notifications", Notification(
             id=notification_id,
@@ -266,11 +242,8 @@ def link_similar(txn, a: EntityId, b: EntityId) -> None:
 def subscribe(txn, customer_id: EntityId, product_id: EntityId) -> None:
     if customer_id not in txn.state.stores["customers"]:
         raise UnknownCustomer(f"no customer {customer_id}")
-    if product_id not in txn.state.stores["products"]:
-        raise UnknownProduct(f"no product {product_id}")
-    catalog = catalog_of(txn.state, product_id)
-    catalog = txn.get_mut("catalogs", catalog.id, UnknownCatalog)
-    catalog.subscribers.setdefault(product_id, set()).add(customer_id)
+    product = txn.get_mut("products", product_id, UnknownProduct)
+    product.subscribers.add(customer_id)
 
 
 def search(state, catalog_id: EntityId, name_substring: str | None = None,
@@ -281,13 +254,13 @@ def search(state, catalog_id: EntityId, name_substring: str | None = None,
     Name matching is a case-insensitive substring test; empty criteria
     return the whole catalog.
     """
-    catalog = state.stores["catalogs"].get(catalog_id)
-    if catalog is None:
+    if catalog_id not in state.stores["catalogs"]:
         raise UnknownCatalog(f"no catalog {catalog_id}")
     needle = name_substring.lower() if name_substring is not None else None
     matches = []
-    for product_id in catalog.products:
-        product = state.stores["products"][product_id]
+    for product in state.stores["products"].values():
+        if product.catalog != catalog_id:
+            continue
         if needle is not None and needle not in product.name.lower():
             continue
         if status is not None and product.status != status:

@@ -248,6 +248,6 @@ def read_log(path) -> list[EventRecord]:
                 continue
             try:
                 records.append(EventRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise SchemaError(f"{path}:{line_number}: bad event record: {exc}")
     return records

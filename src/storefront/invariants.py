@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .invoice import InvoiceState, PaymentState
-from .order_shipment import OrderState, shipped_coverage
+from .order_shipment import OrderState
 from .shopping_cart import CartState
 from .state import KIND_TO_STORE, STORES
 from .stock_manager import ShopOrderStage, StockKind
@@ -48,6 +48,10 @@ def _items_multiset(items) -> Counter:
     return Counter((i.product, i.quantity.value, i.unit_price.amount) for i in items)
 
 
+def _per_line(quantities: dict) -> str:
+    return ", ".join(f"{line} x{qty}" for line, qty in sorted(quantities.items())) or "nothing"
+
+
 def _resolve(state, entity_id) -> bool:
     store = KIND_TO_STORE.get(entity_id.kind)
     return store is not None and entity_id in state.stores[store]
@@ -67,16 +71,21 @@ class _Checker:
 
     def check_catalog_references(self):
         name = "catalog-references"
-        for cid, cat in self.state.stores["catalogs"].items():
-            for pid in cat.products:
-                if pid not in self.state.stores["products"]:
-                    self.flag(name, cid, f"product {pid} does not resolve")
-            for pid, subs in cat.subscribers.items():
-                if pid not in cat.products:
-                    self.flag(name, cid, f"subscription to non-member product {pid}")
-                for customer in subs:
-                    if customer not in self.state.stores["customers"]:
-                        self.flag(name, cid, f"subscriber {customer} does not resolve")
+        # the lowest-id stock item linked to each product, recomputed
+        first_item: dict = {}
+        for item_id, item in self.state.stores["stock_items"].items():
+            link = item.product_link
+            if link is not None and (link not in first_item or item_id < first_item[link]):
+                first_item[link] = item_id
+        for pid, product in self.state.stores["products"].items():
+            if product.catalog not in self.state.stores["catalogs"]:
+                self.flag(name, pid, f"catalog {product.catalog} does not resolve")
+            for customer in product.subscribers:
+                if customer not in self.state.stores["customers"]:
+                    self.flag(name, pid, f"subscriber {customer} does not resolve")
+            if product.stock_item != first_item.get(pid):
+                self.flag(name, pid, f"stored stock item {product.stock_item}, "
+                                     f"first linked item {first_item.get(pid)}")
         for nid, note in self.state.stores["notifications"].items():
             if note.customer not in self.state.stores["customers"]:
                 self.flag(name, nid, f"customer {note.customer} does not resolve")
@@ -188,6 +197,9 @@ class _Checker:
             if total < 0:
                 self.flag(name, iid, f"negative total {total}")
             paid = accepted.get(iid, 0)
+            if inv.accepted != paid:
+                self.flag(name, iid, f"stored accepted {inv.accepted}, "
+                                     f"accepted payments sum to {paid}")
             if paid > total:
                 self.flag(name, iid, f"accepted {paid} exceeds total {total}")
             expected_state = {
@@ -202,6 +214,7 @@ class _Checker:
 
     def check_shipment_coverage(self):
         name = "shipment-coverage"
+        shipped: dict = {}  # order -> line -> quantity, recomputed from shipments
         for sid, shipment in self.state.stores["shipments"].items():
             order = self.state.stores["orders"].get(shipment.order)
             if order is None:
@@ -210,11 +223,17 @@ class _Checker:
             if order.state is OrderState.CANCELLED:
                 self.flag(name, sid, "shipment against a cancelled order")
             lines = {line.product for line in order.line_items}
+            covered = shipped.setdefault(order.id, {})
             for item in shipment.items:
-                if item.charged_line() not in lines:
-                    self.flag(name, sid, f"{item.charged_line()} is not an order line")
+                line = item.charged_line()
+                if line not in lines:
+                    self.flag(name, sid, f"{line} is not an order line")
+                covered[line] = covered.get(line, 0) + item.quantity.value
         for oid, order in self.state.stores["orders"].items():
-            covered = shipped_coverage(self.state, order)
+            covered = shipped.get(oid, {})
+            if order.shipped != covered:
+                self.flag(name, oid, f"stored shipped {_per_line(order.shipped)}, "
+                                     f"shipments hold {_per_line(covered)}")
             full = True
             any_covered = False
             for line in order.line_items:

@@ -151,12 +151,14 @@ class Invoice:
     # provenance back-references for cross-subsystem audits
     source_cart: EntityId | None = None
     source_shipment: EntityId | None = None
+    # sum of accepted payments, in minor units of the engine currency
+    accepted: int = 0
 
     def clone(self) -> Invoice:
         return Invoice(self.id, self.customer, list(self.items), self.state,
                        self.created_by, self.validated_by,
                        list(self.applied_policies), list(self.adjustments),
-                       self.source_cart, self.source_shipment)
+                       self.source_cart, self.source_shipment, self.accepted)
 
     def subtotal(self, currency: str) -> Money:
         return money_sum((item.extended_price() for item in self.items), currency)
@@ -179,6 +181,7 @@ class Invoice:
             "adjustments": [[name, money.to_dict()] for name, money in self.adjustments],
             "source_cart": str(self.source_cart) if self.source_cart else None,
             "source_shipment": str(self.source_shipment) if self.source_shipment else None,
+            "accepted": self.accepted,
         }
 
     @classmethod
@@ -194,6 +197,7 @@ class Invoice:
             adjustments=[(name, Money.from_dict(m)) for name, m in data["adjustments"]],
             source_cart=EntityId.parse(data["source_cart"]) if data["source_cart"] else None,
             source_shipment=EntityId.parse(data["source_shipment"]) if data["source_shipment"] else None,
+            accepted=int(data["accepted"]),
         )
 
 
@@ -490,10 +494,7 @@ def validate_invoice(txn, rulebook: RuleBook, validator: EntityId,
 
 
 def accepted_sum(state, invoice_id: EntityId, currency: str) -> Money:
-    amounts = (payment.amount for payment in state.stores["payments"].values()
-               if payment.invoice == invoice_id
-               and payment.state is PaymentState.ACCEPTED)
-    return money_sum(amounts, currency)
+    return Money(_require_invoice(state, invoice_id).accepted, currency)
 
 
 def record_payment(txn, customer_id: EntityId, invoice_id: EntityId,
@@ -557,6 +558,7 @@ def validate_payment(txn, rulebook: RuleBook, validator: EntityId,
     payment.state = PaymentState.ACCEPTED
     invoice = txn.get_mut("invoices", invoice.id, UnknownInvoice)
     accepted_now = accepted_before.add(payment.amount)
+    invoice.accepted = accepted_now.amount
     if accepted_now.amount == total.amount:
         invoice.state = InvoiceState.PAID
     else:

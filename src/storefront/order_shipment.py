@@ -75,10 +75,12 @@ class Order:
     line_items: list[CartItem] = field(default_factory=list)
     state: OrderState = OrderState.PLACED
     source_cart: EntityId | None = None
+    # cumulative shipped quantity per order line, substitutes included
+    shipped: dict[EntityId, int] = field(default_factory=dict)
 
     def clone(self) -> Order:
         return Order(self.id, self.customer, list(self.line_items), self.state,
-                     self.source_cart)
+                     self.source_cart, dict(self.shipped))
 
     def line_for(self, product_id: EntityId) -> CartItem | None:
         for line in self.line_items:
@@ -93,6 +95,7 @@ class Order:
             "line_items": [line.to_dict() for line in self.line_items],
             "state": self.state.value,
             "source_cart": str(self.source_cart) if self.source_cart else None,
+            "shipped": {str(p): q for p, q in sorted(self.shipped.items())},
         }
 
     @classmethod
@@ -103,6 +106,7 @@ class Order:
             line_items=[CartItem.from_dict(i) for i in data["line_items"]],
             state=OrderState(data["state"]),
             source_cart=EntityId.parse(data["source_cart"]) if data["source_cart"] else None,
+            shipped={EntityId.parse(p): int(q) for p, q in data["shipped"].items()},
         )
 
 
@@ -216,13 +220,8 @@ def cancel_order(txn, order_id: EntityId) -> None:
 
 def shipped_coverage(state, order: Order) -> dict[EntityId, int]:
     """Cumulative shipped quantity per order line, substitutes included."""
-    covered = {line.product: 0 for line in order.line_items}
-    for shipment in state.stores["shipments"].values():
-        if shipment.order != order.id:
-            continue
-        for item in shipment.items:
-            covered[item.charged_line()] += item.quantity.value
-    return covered
+    return {line.product: order.shipped.get(line.product, 0)
+            for line in order.line_items}
 
 
 def create_shipment(txn, order_id: EntityId,
@@ -289,8 +288,10 @@ def create_shipment(txn, order_id: EntityId,
                                      invoice=invoice_id))
 
     order = txn.get_mut("orders", order_id, UnknownOrder)
-    fully_covered = all(covered[line.product] + adding.get(line.product, 0)
-                        == line.quantity.value for line in order.line_items)
+    for line, extra in adding.items():
+        order.shipped[line] = covered[line] + extra
+    fully_covered = all(order.shipped.get(line.product, 0) == line.quantity.value
+                        for line in order.line_items)
     order.state = OrderState.SHIPPED if fully_covered else OrderState.PARTIALLY_SHIPPED
     return shipment_id, invoice_id
 

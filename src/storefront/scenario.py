@@ -145,7 +145,7 @@ class _Resolver:
         if not sep or kind not in NAMED_STORES:
             raise UnresolvedReference(f"bad name reference @{ref}")
         store = self.engine.state.stores[NAMED_STORES[kind]]
-        matches = [eid for eid in sorted(store) if store[eid].name == name]
+        matches = sorted(eid for eid, entity in store.items() if entity.name == name)
         if not matches:
             raise UnresolvedReference(f"no {kind} named {name!r}")
         if len(matches) > 1:

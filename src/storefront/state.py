@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .foundation import DomainError, EntityId, Money, Quantity
+from .foundation import DomainError, EntityId, Money, Quantity, SchemaError
 
 # store name -> (entity kind, entity class)
 STORES = {
@@ -247,8 +247,12 @@ def replay(initial: EngineState, records: list[EventRecord]) -> EngineState:
             raise GapInSequence(
                 f"expected seq {expected_seq}, found {record.seq}")
         expected_seq += 1
-        for fact in record.deltas:
-            apply_fact(state, fact)
+        try:
+            for fact in record.deltas:
+                apply_fact(state, fact)
+        except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
+            raise SchemaError(f"seq {record.seq}: bad fact: "
+                              f"{type(exc).__name__}: {exc}") from exc
         state.clock = record.tick
         state.log.append(record)
     return state

@@ -209,16 +209,19 @@ def create_stock_item(txn, name: str, kind: StockKind,
     item_id = txn.next_id("stock_item")
     txn.create("stock_items", StockItem(id=item_id, name=name, kind=kind,
                                         product_link=product_link))
+    # ids only grow, so the first item linked to a product is its lowest-id one
+    if product_link is not None and txn.state.stores["products"][product_link].stock_item is None:
+        product = txn.get_mut("products", product_link, UnknownStockItem)
+        product.stock_item = item_id
     return item_id
 
 
 def item_for_product(state, product_id: EntityId):
     """The stock item tracking a catalog product, or None for services."""
-    for item_id in sorted(state.stores["stock_items"]):
-        item = state.stores["stock_items"][item_id]
-        if item.product_link == product_id:
-            return item
-    return None
+    product = state.stores["products"].get(product_id)
+    if product is None or product.stock_item is None:
+        return None
+    return state.stores["stock_items"][product.stock_item]
 
 
 def _require_item(state, item_id: EntityId) -> StockItem:
