@@ -18,13 +18,12 @@ from .foundation import (
 from .invoice import RuleBook, default_rulebook
 from .rbac import default_matrix, load_rbac_config, permissive_matrix
 from .scenario import Scenario, load_scenario, parse_scenario, run_scenario
-from .state import Command, EngineState, EventRecord, replay
+from .state import EngineState, EventRecord, replay
 
 __version__ = "0.2.0"
 
 __all__ = [
     "AccessDenied",
-    "Command",
     "DomainError",
     "Engine",
     "EngineState",

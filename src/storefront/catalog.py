@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .foundation import DomainError, EntityId, Money
+from .foundation import DomainError, EntityId, Money, Record
 
 
 class UnknownCatalog(DomainError):
@@ -45,25 +45,15 @@ class ProductStatus(str, Enum):
 
 
 @dataclass(frozen=True)
-class ProductInfo:
+class ProductInfo(Record):
     """Optional detail record; at most one per product by construction."""
 
     description: str
     comparison_notes: str
 
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "comparison_notes": self.comparison_notes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ProductInfo:
-        return cls(str(data["description"]), str(data["comparison_notes"]))
-
 
 @dataclass
-class Product:
+class Product(Record):
     id: EntityId
     catalog: EntityId
     name: str
@@ -76,57 +66,16 @@ class Product:
     # the lowest-id stock item tracking this product; None for services
     stock_item: EntityId | None = None
 
-    def clone(self) -> Product:
-        return Product(self.id, self.catalog, self.name, self.price, self.status,
-                       set(self.similar), self.info, set(self.subscribers),
-                       self.stock_item)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "catalog": str(self.catalog),
-            "name": self.name,
-            "price": self.price.to_dict(),
-            "status": self.status.value,
-            "similar": sorted(str(pid) for pid in self.similar),
-            "info": self.info.to_dict() if self.info else None,
-            "subscribers": sorted(str(c) for c in self.subscribers),
-            "stock_item": str(self.stock_item) if self.stock_item else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Product:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            catalog=EntityId.parse(data["catalog"]),
-            name=data["name"],
-            price=Money.from_dict(data["price"]),
-            status=ProductStatus(data["status"]),
-            similar={EntityId.parse(p) for p in data["similar"]},
-            info=ProductInfo.from_dict(data["info"]) if data["info"] else None,
-            subscribers={EntityId.parse(c) for c in data["subscribers"]},
-            stock_item=EntityId.parse(data["stock_item"]) if data["stock_item"] else None,
-        )
 
 
 @dataclass
-class Catalog:
+class Catalog(Record):
     id: EntityId
     name: str
 
-    def clone(self) -> Catalog:
-        return Catalog(self.id, self.name)
-
-    def to_dict(self) -> dict:
-        return {"id": str(self.id), "name": self.name}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Catalog:
-        return cls(EntityId.parse(data["id"]), data["name"])
-
 
 @dataclass
-class Notification:
+class Notification(Record):
     """One recorded product-change message to one subscriber. Append-only."""
 
     id: EntityId
@@ -134,29 +83,6 @@ class Notification:
     product: EntityId
     change_summary: str
     at: int
-
-    def clone(self) -> Notification:
-        return Notification(self.id, self.customer, self.product,
-                            self.change_summary, self.at)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "customer": str(self.customer),
-            "product": str(self.product),
-            "change_summary": self.change_summary,
-            "at": self.at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Notification:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            customer=EntityId.parse(data["customer"]),
-            product=EntityId.parse(data["product"]),
-            change_summary=data["change_summary"],
-            at=int(data["at"]),
-        )
 
 
 def create_catalog(txn, name: str) -> EntityId:

@@ -30,7 +30,7 @@ def _load_json(path, what: str):
 def build_engine(args) -> Engine:
     rulebook = None
     if args.policies:
-        rulebook = RuleBook.from_dict(_load_json(args.policies, "policy config"))
+        rulebook = RuleBook.from_config(_load_json(args.policies, "policy config"))
     matrix = None
     if getattr(args, "rbac", None):
         matrix = load_rbac_config(_load_json(args.rbac, "access config"))

@@ -155,12 +155,12 @@ def p_edit(value, ctx):
                        optional={"product"})(body, ctx)
         if fields["quantity"].value < 1:
             raise SchemaError("invoice item quantity must be at least 1")
-        return ("add", InvoiceItem(description=fields["description"],
+        return {"add": InvoiceItem(description=fields["description"],
                                    product=fields.get("product"),
                                    quantity=fields["quantity"],
-                                   unit_price=fields["unit_price"]))
+                                   unit_price=fields["unit_price"])}
     if action == "delete":
-        return ("delete", p_str(body, ctx))
+        return {"delete": p_str(body, ctx)}
     raise SchemaError(f"unknown edit action {action!r}")
 
 
@@ -207,12 +207,10 @@ class CommandSpec:
     schema: dict  # arg name -> (parser, required)
     owner: object  # callable(state, args) -> (owner id | None, target_missing)
     run: object  # callable(engine, txn, actor, args) -> jsonable result
-    reads_only: bool = False
 
 
-def _spec(name, kind, schema, run, owner=_owner_none, reads_only=False):
-    return CommandSpec(name=name, kind=kind, schema=schema, owner=owner,
-                       run=run, reads_only=reads_only)
+def _spec(name, kind, schema, run, owner=_owner_none):
+    return CommandSpec(name=name, kind=kind, schema=schema, owner=owner, run=run)
 
 
 def _run_create_customer(engine, txn, actor, args):
@@ -441,7 +439,7 @@ COMMANDS = {spec.name: spec for spec in [
     _spec("search", "catalog",
           {"catalog": _req(p_id("catalog")), "name_substring": _opt(p_str),
            "status": _opt(p_enum(ProductStatus)), "max_price": _opt(p_money)},
-          _run_search, reads_only=True),
+          _run_search),
 
     # shopping cart
     _spec("create_cart", "cart", {"customer": _req(p_id("customer"))},
@@ -454,8 +452,7 @@ COMMANDS = {spec.name: spec for spec in [
           {"cart": _req(p_id("cart")), "product": _req(p_id("product"))},
           _run_remove_item, owner=_owner_via("carts", "cart", "customer")),
     _spec("cart_total", "cart", {"cart": _req(p_id("cart"))},
-          _run_cart_total, owner=_owner_via("carts", "cart", "customer"),
-          reads_only=True),
+          _run_cart_total, owner=_owner_via("carts", "cart", "customer")),
     _spec("checkout", "cart", {"cart": _req(p_id("cart"))},
           _run_checkout, owner=_owner_via("carts", "cart", "customer")),
 
@@ -480,8 +477,7 @@ COMMANDS = {spec.name: spec for spec in [
            "rules": _opt(p_list(p_str))},
           _run_validate_payment),
     _spec("invoice_balance", "invoice", {"invoice": _req(p_id("invoice"))},
-          _run_invoice_balance, owner=_owner_via("invoices", "invoice", "customer"),
-          reads_only=True),
+          _run_invoice_balance, owner=_owner_via("invoices", "invoice", "customer")),
 
     # order and shipment
     _spec("place_order", "order",
@@ -548,19 +544,6 @@ def parse_args(spec: CommandSpec, raw_args: dict, ctx: ParseContext) -> dict:
     return parsed
 
 
-def _canonical_value(value):
-    if isinstance(value, (InvoiceItem, ShippedItem)):
-        return value.to_dict()
-    if isinstance(value, tuple) and len(value) == 2 and value[0] in ("add", "delete"):
-        action, body = value
-        return {action: _canonical_value(body)}
-    if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical_value(v) for k, v in value.items()}
-    return to_jsonable(value)
-
-
 def canonical_payload(args: dict) -> dict:
     """Parsed args rendered back to the JSON form recorded in the event log."""
-    return {name: _canonical_value(value) for name, value in sorted(args.items())}
+    return {name: to_jsonable(value) for name, value in sorted(args.items())}

@@ -30,7 +30,7 @@ from .foundation import (
 from .invoice import RuleBook, default_rulebook
 from .queries import run_query
 from .rbac import RbacMatrix, check_access, permissive_matrix
-from .state import Command, EngineState, EventRecord, Txn, replay, to_jsonable
+from .state import EngineState, EventRecord, Txn, replay, to_jsonable
 
 logger = logging.getLogger("storefront.engine")
 
@@ -200,10 +200,6 @@ class Engine:
         """Dispatch and return the command's result value."""
         return self.dispatch(actor, command, args).result
 
-    def submit(self, command: Command) -> EventRecord:
-        """Dispatch a prebuilt Command value."""
-        return self.dispatch(command.actor, command.name, dict(command.args))
-
     def _audit(self, seq, tick, actor, command, payload, outcome, error,
                access=None) -> EventRecord:
         record = EventRecord(
@@ -248,6 +244,6 @@ def read_log(path) -> list[EventRecord]:
                 continue
             try:
                 records.append(EventRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{line_number}: bad event record: {exc}")
     return records

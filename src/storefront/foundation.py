@@ -1,12 +1,17 @@
-"""Shared value types: money, discrete quantities, entity ids, and the error base.
+"""Shared value types: money, discrete quantities, entity ids, the error
+base, and the ``Record`` codec every entity and value dataclass derives.
 
-Everything here is immutable and freely shareable. Mutation happens only in
-the engine's entity stores, never inside these values.
+The values here are immutable and freely shareable. Mutation happens only
+in the engine's entity stores, never inside these values.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import types
+import typing
 from dataclasses import dataclass
+from enum import Enum
 
 
 class DomainError(Exception):
@@ -46,8 +51,22 @@ class AccessDenied(DomainError):
     code = "AccessDenied"
 
 
+class Record:
+    """Base of every entity and value dataclass.
+
+    ``derive_codec`` gives each subclass ``to_dict`` (its JSON form),
+    ``from_dict`` (the inverse, with every value-domain check) and
+    ``clone`` (a copy whose containers can change without touching the
+    original), generated from the field declarations. The engine derives
+    every stored entity class, and the records nested in it, when
+    ``state`` is imported.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class Money:
+class Money(Record):
     """An amount in integer minor units (cents) of a single currency.
 
     Negative amounts are legal only for adjustments and balance arithmetic;
@@ -80,21 +99,6 @@ class Money:
     @staticmethod
     def zero(currency: str) -> Money:
         return Money(0, currency)
-
-    def to_dict(self) -> dict:
-        return {"amount": self.amount, "currency": self.currency}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Money:
-        return cls(int(data["amount"]), str(data["currency"]))
-
-
-def money_add(a: Money, b: Money) -> Money:
-    return a.add(b)
-
-
-def money_scale(a: Money, q: Quantity) -> Money:
-    return a.scale(q)
 
 
 def money_sum(values, currency: str) -> Money:
@@ -168,3 +172,125 @@ def round_half_away(numerator: int, denominator: int) -> int:
     if 2 * r >= denominator:
         q += 1
     return sign * q
+
+
+# --- the Record codec ------------------------------------------------------------
+
+_SHARED: dict[type, bool] = {}
+"""Every derived Record class -> whether its ``clone`` returns the record
+itself (a frozen record with no mutable field)."""
+
+
+def derive_codec(cls: type) -> type:
+    """Generate ``to_dict``, ``from_dict`` and ``clone`` for a Record
+    dataclass from its field types, install them, and return the class.
+
+    Encoding per field type: ``EntityId`` -> ``kind:serial`` string;
+    ``Quantity`` -> bare int; enum -> its value; ``set`` -> list sorted by
+    encoded element; ``tuple`` (as a container element) -> list; ``list``
+    and ``dict`` -> element-wise; nested Record -> dict; ``X | None`` ->
+    ``null``; int, str and bool as they are. Decoding goes back through
+    each type's constructor (``EntityId.parse``, the enum, ``Quantity``,
+    ``int(...)``, the record's ``__post_init__``), so every value-domain
+    check runs. Any other field type raises ``TypeError`` naming the field.
+    The methods are generated once, like a dataclass ``__init__``; a second
+    call returns at once.
+    """
+    if cls in _SHARED:
+        return cls
+    _SHARED[cls] = False  # a record nested in itself is cloned, never shared
+    hints, source = typing.get_type_hints(cls), _CodecSource()
+    encoded, decoded, copied = [], [], []
+    for f in dataclasses.fields(cls):
+        try:
+            enc, dec, copy = source.expressions(hints[f.name], f"self.{f.name}",
+                                                f"data[{f.name!r}]")
+        except TypeError:
+            raise TypeError(f"{cls.__qualname__}.{f.name}: the record codec cannot "
+                            f"encode {hints[f.name]!r}") from None
+        encoded.append(f"{f.name!r}: {enc}")
+        decoded.append(dec)
+        copied.append(copy)
+    shared = cls.__dataclass_params__.frozen and copied == [
+        f"self.{f.name}" for f in dataclasses.fields(cls)]
+    clone = "self" if shared else f"_cls({', '.join(copied)})"
+    namespace = dict(source.names, _cls=cls)
+    exec(f"def to_dict(self):\n    return {{{', '.join(encoded)}}}\n"
+         f"def from_dict(cls, data):\n    return cls({', '.join(decoded)})\n"
+         f"def clone(self):\n    return {clone}\n", namespace)
+    cls.to_dict, cls.clone = namespace["to_dict"], namespace["clone"]
+    cls.from_dict = classmethod(namespace["from_dict"])
+    _SHARED[cls] = shared
+    return cls
+
+
+class _CodecSource:
+    """The expressions of one class's generated methods, and the names
+    those expressions use."""
+
+    def __init__(self):
+        self.names = {"Quantity": Quantity, "parse_id": EntityId.parse}
+        self._count = 0
+
+    def _name(self, value) -> str:
+        name = f"{value.__name__}_{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def _var(self) -> str:
+        self._count += 1
+        return f"v{self._count}"
+
+    def expressions(self, hint, x: str, d: str) -> tuple[str, str, str]:
+        """Encode ``x``, decode ``d`` and copy ``x``, a value of type
+        ``hint``; the copy is ``x`` itself when the value is immutable."""
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+            enc, dec, copy = self.expressions(args[args[0] is type(None)], x, d)
+            return (x if enc == x else f"(None if {x} is None else {enc})",
+                    f"(None if {d} is None else {dec})",
+                    x if copy == x else f"(None if {x} is None else {copy})")
+        if hint in (int, str, bool):
+            return x, f"{hint.__name__}({d})", x
+        if hint is EntityId:
+            return f"str({x})", f"parse_id({d})", x
+        if hint is Quantity:
+            return f"{x}.value", f"Quantity(int({d}))", x
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            return f"{x}.value", f"{self._name(hint)}({d})", x
+        if isinstance(hint, type) and issubclass(hint, Record):
+            derive_codec(hint)
+            return (f"{x}.to_dict()", f"{self._name(hint)}.from_dict({d})",
+                    x if _SHARED[hint] else f"{x}.clone()")
+        if origin in (list, set):
+            v, target, (enc, dec, copy) = self._element(args[0])
+            if origin is set:
+                return (f"sorted({x})" if enc == v else f"sorted([{enc} for {v} in {x}])",
+                        f"{{{dec} for {target} in {d}}}", f"set({x})")
+            return (f"list({x})" if enc == v else f"[{enc} for {v} in {x}]",
+                    f"[{dec} for {target} in {d}]",
+                    f"list({x})" if copy == v else f"[{copy} for {v} in {x}]")
+        if origin is dict:
+            k, key_target, (key_enc, key_dec, _) = self._element(args[0])
+            v, target, (enc, dec, copy) = self._element(args[1])
+            return (f"dict({x})" if (key_enc, enc) == (k, v)
+                    else f"{{{key_enc}: {enc} for {k}, {v} in {x}.items()}}",
+                    f"{{{key_dec}: {dec} for {key_target}, {target} in {d}.items()}}",
+                    f"dict({x})" if copy == v else f"{{{k}: {copy} for {k}, {v} in {x}.items()}}")
+        raise TypeError(hint)
+
+    def _element(self, hint):
+        """Loop variable, decode loop target, and expressions of one
+        container element. A tuple element unpacks in the target, which
+        rejects a list of the wrong length."""
+        v = self._var()
+        if typing.get_origin(hint) is not tuple or ... in typing.get_args(hint):
+            return v, v, self.expressions(hint, v, v)
+        names = [self._var() for _ in typing.get_args(hint)]
+        parts = [self.expressions(a, f"{v}[{i}]", n)
+                 for i, (a, n) in enumerate(zip(typing.get_args(hint), names))]
+        shared = all(copy == f"{v}[{i}]" for i, (_, _, copy) in enumerate(parts))
+        return v, f"({', '.join(names)},)", (
+            f"[{', '.join(enc for enc, _, _ in parts)}]",
+            f"({', '.join(dec for _, dec, _ in parts)},)",
+            v if shared else f"({', '.join(copy for _, _, copy in parts)},)")

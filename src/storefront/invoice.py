@@ -19,6 +19,7 @@ from .foundation import (
     EntityId,
     Money,
     Quantity,
+    Record,
     SchemaError,
     money_sum,
     round_half_away,
@@ -94,24 +95,14 @@ class PaymentState(str, Enum):
 
 
 @dataclass
-class Employee:
+class Employee(Record):
     id: EntityId
     name: str
     roles: set[str] = field(default_factory=set)
 
-    def clone(self) -> Employee:
-        return Employee(self.id, self.name, set(self.roles))
-
-    def to_dict(self) -> dict:
-        return {"id": str(self.id), "name": self.name, "roles": sorted(self.roles)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Employee:
-        return cls(EntityId.parse(data["id"]), data["name"], set(data["roles"]))
-
 
 @dataclass(frozen=True)
-class InvoiceItem:
+class InvoiceItem(Record):
     description: str
     product: EntityId | None
     quantity: Quantity
@@ -120,26 +111,9 @@ class InvoiceItem:
     def extended_price(self) -> Money:
         return self.unit_price.scale(self.quantity)
 
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "product": str(self.product) if self.product else None,
-            "quantity": self.quantity.value,
-            "unit_price": self.unit_price.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> InvoiceItem:
-        return cls(
-            description=data["description"],
-            product=EntityId.parse(data["product"]) if data["product"] else None,
-            quantity=Quantity(int(data["quantity"])),
-            unit_price=Money.from_dict(data["unit_price"]),
-        )
-
 
 @dataclass
-class Invoice:
+class Invoice(Record):
     id: EntityId
     customer: EntityId
     items: list[InvoiceItem] = field(default_factory=list)
@@ -154,12 +128,6 @@ class Invoice:
     # sum of accepted payments, in minor units of the engine currency
     accepted: int = 0
 
-    def clone(self) -> Invoice:
-        return Invoice(self.id, self.customer, list(self.items), self.state,
-                       self.created_by, self.validated_by,
-                       list(self.applied_policies), list(self.adjustments),
-                       self.source_cart, self.source_shipment, self.accepted)
-
     def subtotal(self, currency: str) -> Money:
         return money_sum((item.extended_price() for item in self.items), currency)
 
@@ -169,40 +137,9 @@ class Invoice:
             total = total.add(adjustment)
         return total
 
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "customer": str(self.customer),
-            "items": [item.to_dict() for item in self.items],
-            "state": self.state.value,
-            "created_by": str(self.created_by),
-            "validated_by": str(self.validated_by) if self.validated_by else None,
-            "applied_policies": list(self.applied_policies),
-            "adjustments": [[name, money.to_dict()] for name, money in self.adjustments],
-            "source_cart": str(self.source_cart) if self.source_cart else None,
-            "source_shipment": str(self.source_shipment) if self.source_shipment else None,
-            "accepted": self.accepted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Invoice:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            customer=EntityId.parse(data["customer"]),
-            items=[InvoiceItem.from_dict(i) for i in data["items"]],
-            state=InvoiceState(data["state"]),
-            created_by=EntityId.parse(data["created_by"]),
-            validated_by=EntityId.parse(data["validated_by"]) if data["validated_by"] else None,
-            applied_policies=list(data["applied_policies"]),
-            adjustments=[(name, Money.from_dict(m)) for name, m in data["adjustments"]],
-            source_cart=EntityId.parse(data["source_cart"]) if data["source_cart"] else None,
-            source_shipment=EntityId.parse(data["source_shipment"]) if data["source_shipment"] else None,
-            accepted=int(data["accepted"]),
-        )
-
 
 @dataclass
-class Payment:
+class Payment(Record):
     id: EntityId
     invoice: EntityId
     customer: EntityId
@@ -211,36 +148,6 @@ class Payment:
     state: PaymentState = PaymentState.RECEIVED
     validated_by: EntityId | None = None
     reasons: list[str] = field(default_factory=list)
-
-    def clone(self) -> Payment:
-        return Payment(self.id, self.invoice, self.customer, self.amount,
-                       self.method, self.state, self.validated_by,
-                       list(self.reasons))
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "invoice": str(self.invoice),
-            "customer": str(self.customer),
-            "amount": self.amount.to_dict(),
-            "method": self.method.value,
-            "state": self.state.value,
-            "validated_by": str(self.validated_by) if self.validated_by else None,
-            "reasons": list(self.reasons),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Payment:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            invoice=EntityId.parse(data["invoice"]),
-            customer=EntityId.parse(data["customer"]),
-            amount=Money.from_dict(data["amount"]),
-            method=PaymentMethod(data["method"]),
-            state=PaymentState(data["state"]),
-            validated_by=EntityId.parse(data["validated_by"]) if data["validated_by"] else None,
-            reasons=list(data["reasons"]),
-        )
 
 
 # --- declarative policies and rules -----------------------------------------
@@ -306,7 +213,7 @@ class RuleBook:
     rules: dict[str, ValidationRule]
 
     @classmethod
-    def from_dict(cls, data: dict) -> RuleBook:
+    def from_config(cls, data: dict) -> RuleBook:
         policies: dict[str, BillingPolicy] = {}
         for raw in data.get("billing_policies", []):
             name, kind = raw.get("name"), raw.get("kind")
@@ -374,7 +281,7 @@ DEFAULT_RULEBOOK_CONFIG = {
 
 
 def default_rulebook() -> RuleBook:
-    return RuleBook.from_dict(DEFAULT_RULEBOOK_CONFIG)
+    return RuleBook.from_config(DEFAULT_RULEBOOK_CONFIG)
 
 
 # --- operations --------------------------------------------------------------
@@ -435,7 +342,7 @@ def prepare_invoice(txn, rulebook: RuleBook, invoice_id: EntityId,
                     edits: list, policies: list[str], currency: str) -> Money:
     """Apply item edits in order, then the named policies once each.
 
-    Each edit is ``("add", InvoiceItem)`` or ``("delete", description)``;
+    Each edit is ``{"add": InvoiceItem}`` or ``{"delete": description}``;
     deletes remove the first item with that description. Returns the new
     total after the recorded adjustments.
     """
@@ -446,7 +353,8 @@ def prepare_invoice(txn, rulebook: RuleBook, invoice_id: EntityId,
         rulebook.policy(name)
 
     invoice = txn.get_mut("invoices", invoice_id, UnknownInvoice)
-    for action, value in edits:
+    for edit in edits:
+        action, value = next(iter(edit.items()))
         if action == "add":
             invoice.items.append(value)
         else:

@@ -15,7 +15,7 @@ from enum import Enum
 from . import invoice as invoice_mod
 from . import stock_manager
 from .catalog import UnknownCustomer, UnknownProduct
-from .foundation import DomainError, EntityId, Quantity
+from .foundation import DomainError, EntityId, Quantity, Record
 from .invoice import InvoiceItem
 from .shopping_cart import CartItem, ZeroQuantity
 
@@ -69,7 +69,7 @@ class ShipmentState(str, Enum):
 
 
 @dataclass
-class Order:
+class Order(Record):
     id: EntityId
     customer: EntityId
     line_items: list[CartItem] = field(default_factory=list)
@@ -78,40 +78,15 @@ class Order:
     # cumulative shipped quantity per order line, substitutes included
     shipped: dict[EntityId, int] = field(default_factory=dict)
 
-    def clone(self) -> Order:
-        return Order(self.id, self.customer, list(self.line_items), self.state,
-                     self.source_cart, dict(self.shipped))
-
     def line_for(self, product_id: EntityId) -> CartItem | None:
         for line in self.line_items:
             if line.product == product_id:
                 return line
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "customer": str(self.customer),
-            "line_items": [line.to_dict() for line in self.line_items],
-            "state": self.state.value,
-            "source_cart": str(self.source_cart) if self.source_cart else None,
-            "shipped": {str(p): q for p, q in sorted(self.shipped.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Order:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            customer=EntityId.parse(data["customer"]),
-            line_items=[CartItem.from_dict(i) for i in data["line_items"]],
-            state=OrderState(data["state"]),
-            source_cart=EntityId.parse(data["source_cart"]) if data["source_cart"] else None,
-            shipped={EntityId.parse(p): int(q) for p, q in data["shipped"].items()},
-        )
-
 
 @dataclass(frozen=True)
-class ShippedItem:
+class ShippedItem(Record):
     """One dispatched line; substituted goods name the order line they fill."""
 
     product: EntityId
@@ -121,55 +96,15 @@ class ShippedItem:
     def charged_line(self) -> EntityId:
         return self.substituted_for or self.product
 
-    def to_dict(self) -> dict:
-        return {
-            "product": str(self.product),
-            "quantity": self.quantity.value,
-            "substituted_for": str(self.substituted_for) if self.substituted_for else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ShippedItem:
-        return cls(
-            product=EntityId.parse(data["product"]),
-            quantity=Quantity(int(data["quantity"])),
-            substituted_for=EntityId.parse(data["substituted_for"]) if data["substituted_for"] else None,
-        )
-
 
 @dataclass
-class Shipment:
+class Shipment(Record):
     id: EntityId
     order: EntityId
     items: list[ShippedItem]
     receiver: EntityId
     invoice: EntityId
     state: ShipmentState = ShipmentState.DISPATCHED
-
-    def clone(self) -> Shipment:
-        return Shipment(self.id, self.order, list(self.items), self.receiver,
-                        self.invoice, self.state)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "order": str(self.order),
-            "items": [item.to_dict() for item in self.items],
-            "receiver": str(self.receiver),
-            "invoice": str(self.invoice),
-            "state": self.state.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Shipment:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            order=EntityId.parse(data["order"]),
-            items=[ShippedItem.from_dict(i) for i in data["items"]],
-            receiver=EntityId.parse(data["receiver"]),
-            invoice=EntityId.parse(data["invoice"]),
-            state=ShipmentState(data["state"]),
-        )
 
 
 def place_order_items(txn, customer_id: EntityId, items: list[CartItem],

@@ -155,7 +155,7 @@ def q_stock_level(engine, args):
     if item is None:
         raise SchemaError(f"no stock item {args['item']}")
     rooms = {engine.state.stores["stockrooms"][room].name: qty
-             for room, qty in sorted(item.inventory.by_room.items()) if qty}
+             for room, qty in sorted(item.inventory.by_room.items())}
     return {"on_hand": item.inventory.on_hand,
             "reserved": item.inventory.reserved,
             "rooms": rooms}

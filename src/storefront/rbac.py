@@ -9,8 +9,10 @@ acting customer, because a right alone cannot express "own cart".
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
+from . import bundled
 from .foundation import DomainError, EntityId
 
 
@@ -120,65 +122,6 @@ def check_access(matrix: RbacMatrix, user: EntityId, user_roles: set[str],
     return AccessDecision(DENY, None, "no role grants operation")
 
 
-DEFAULT_RBAC_CONFIG = {
-    "roles": [
-        {
-            "name": "Shopper",
-            "owner_only": True,
-            "rights": [
-                ["cart", "create_cart"], ["cart", "add_item"],
-                ["cart", "remove_item"], ["cart", "cart_total"],
-                ["cart", "checkout"],
-                ["order", "place_order"], ["order", "cancel_order"],
-                ["payment", "record_payment"],
-                ["invoice", "invoice_balance"],
-                ["product", "subscribe"],
-                ["catalog", "search"],
-                ["shipment", "record_receipt"],
-            ],
-        },
-        {
-            "name": "CatalogManager",
-            "rights": [
-                ["catalog", "create_catalog"], ["catalog", "search"],
-                ["product", "add_product"], ["product", "update_product"],
-                ["product", "link_similar"], ["product", "set_product_info"],
-            ],
-        },
-        {
-            "name": "InvoiceClerk",
-            "rights": [
-                ["invoice", "create_invoice"], ["invoice", "prepare_invoice"],
-                ["invoice", "invoice_balance"],
-            ],
-        },
-        {
-            "name": "InvoiceValidator",
-            "rights": [
-                ["invoice", "validate_invoice"], ["payment", "validate_payment"],
-                ["invoice", "invoice_balance"],
-            ],
-        },
-        {
-            "name": "ShippingClerk",
-            "rights": [
-                ["shipment", "create_shipment"], ["shipment", "record_receipt"],
-            ],
-        },
-        {
-            "name": "StockManager",
-            "rights": [
-                ["stock_item", "create_stock_item"], ["stock_item", "add_to_stock"],
-                ["stock_item", "remove_from_stock"], ["stock_item", "transfer"],
-                ["stockroom", "create_stockroom"],
-                ["shop_order", "create_shop_order"], ["shop_order", "cut_shop_order"],
-                ["shop_order", "pick_components"], ["shop_order", "finish_fabrication"],
-            ],
-        },
-    ],
-    "assignments": [],
-}
-
-
 def default_matrix() -> RbacMatrix:
-    return load_rbac_config(DEFAULT_RBAC_CONFIG)
+    """The access matrix declared in the bundled ``config/rbac.json``."""
+    return load_rbac_config(json.loads(bundled.rbac_config().read_text(encoding="utf-8")))

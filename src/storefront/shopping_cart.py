@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import UnknownCustomer, UnknownProduct
-from .foundation import DomainError, EntityId, Money, Quantity, money_sum
+from .foundation import DomainError, EntityId, Money, Quantity, Record, money_sum
 
 
 class CartClosed(DomainError):
@@ -41,32 +41,16 @@ class CartState(str, Enum):
 
 
 @dataclass
-class Customer:
+class Customer(Record):
     id: EntityId
     name: str
     loyalty_member: bool = False
     # role names granted at creation; read by the access check
     roles: set[str] = field(default_factory=set)
 
-    def clone(self) -> Customer:
-        return Customer(self.id, self.name, self.loyalty_member, set(self.roles))
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "name": self.name,
-            "loyalty_member": self.loyalty_member,
-            "roles": sorted(self.roles),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Customer:
-        return cls(EntityId.parse(data["id"]), data["name"],
-                   bool(data["loyalty_member"]), set(data["roles"]))
-
 
 @dataclass(frozen=True)
-class CartItem:
+class CartItem(Record):
     """One product line: quantity plus the unit price captured at add time.
 
     The price snapshot never changes when the catalog price does; that keeps
@@ -80,48 +64,19 @@ class CartItem:
     def extended_price(self) -> Money:
         return self.unit_price.scale(self.quantity)
 
-    def to_dict(self) -> dict:
-        return {
-            "product": str(self.product),
-            "quantity": self.quantity.value,
-            "unit_price": self.unit_price.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CartItem:
-        return cls(EntityId.parse(data["product"]), Quantity(int(data["quantity"])),
-                   Money.from_dict(data["unit_price"]))
-
 
 @dataclass
-class ShoppingCart:
+class ShoppingCart(Record):
     id: EntityId
     customer: EntityId
     items: list[CartItem] = field(default_factory=list)
     state: CartState = CartState.OPEN
-
-    def clone(self) -> ShoppingCart:
-        return ShoppingCart(self.id, self.customer, list(self.items), self.state)
 
     def item_for(self, product_id: EntityId) -> CartItem | None:
         for item in self.items:
             if item.product == product_id:
                 return item
         return None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "customer": str(self.customer),
-            "items": [item.to_dict() for item in self.items],
-            "state": self.state.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ShoppingCart:
-        return cls(EntityId.parse(data["id"]), EntityId.parse(data["customer"]),
-                   [CartItem.from_dict(i) for i in data["items"]],
-                   CartState(data["state"]))
 
 
 def create_customer(txn, name: str, loyalty_member: bool = False,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .foundation import DomainError, EntityId, Money, Quantity, SchemaError
+from .foundation import DomainError, EntityId, Quantity, Record, SchemaError, derive_codec
 
 # store name -> (entity kind, entity class)
 STORES = {
@@ -37,6 +37,11 @@ STORES = {
 
 KIND_TO_STORE = {kind: store for store, (kind, _) in STORES.items()}
 
+# generate every entity's codec now: a field type the codec cannot encode
+# fails at import, and no command pays the build cost
+for _, entity_class in STORES.values():
+    derive_codec(entity_class)
+
 
 class UnknownFactKind(DomainError):
     code = "UnknownFactKind"
@@ -52,7 +57,7 @@ def to_jsonable(value):
         return value
     if isinstance(value, EntityId):
         return str(value)
-    if isinstance(value, Money):
+    if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, Quantity):
         return value.value
@@ -66,13 +71,9 @@ def to_jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Command:
-    """One requested operation: who, what, and with which arguments."""
-
-    actor: EntityId
-    name: str
-    args: dict
+# record fields kept as raw JSON -> the JSON types each may hold
+_RAW_FIELD_TYPES = {"command": str, "payload": dict, "access": dict,
+                    "outcome": str, "error": (str, type(None)), "deltas": list}
 
 
 @dataclass
@@ -113,6 +114,10 @@ class EventRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> EventRecord:
+        for name, expected in _RAW_FIELD_TYPES.items():
+            if not isinstance(data[name], expected):
+                raise SchemaError(
+                    f"record field {name!r} has the wrong JSON type: {data[name]!r}")
         return cls(
             seq=int(data["seq"]),
             tick=int(data["tick"]),

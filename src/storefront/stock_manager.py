@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .foundation import DomainError, EntityId, NegativeQuantity, Quantity
+from .foundation import DomainError, EntityId, NegativeQuantity, Quantity, Record
 
 
 class UnknownStockItem(DomainError):
@@ -71,12 +71,28 @@ ADD_POLICIES = ("first-room", "round-robin")
 
 
 @dataclass
-class Inventory:
-    """Quantity triple for one item: aggregate, earmarked, and per-room."""
+class Inventory(Record):
+    """Quantity triple for one item: aggregate, earmarked, and per-room.
+
+    ``by_room`` holds only rooms with goods in them: ``shift`` is its one
+    writer and drops a room whose quantity reaches zero.
+    """
 
     on_hand: int = 0
     reserved: int = 0
     by_room: dict[EntityId, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.on_hand < 0 or self.reserved < 0 or any(q < 0 for q in self.by_room.values()):
+            raise NegativeQuantity("inventory quantities cannot be negative")
+
+    def shift(self, room_id: EntityId, delta: int) -> None:
+        """Add ``delta`` (negative to take) to one room's quantity."""
+        quantity = self.by_room.get(room_id, 0) + delta
+        if quantity:
+            self.by_room[room_id] = quantity
+        else:
+            self.by_room.pop(room_id, None)
 
     def available(self) -> int:
         return self.on_hand - self.reserved
@@ -84,73 +100,24 @@ class Inventory:
     def local(self, room_id: EntityId) -> int:
         return self.by_room.get(room_id, 0)
 
-    def to_dict(self) -> dict:
-        return {
-            "on_hand": self.on_hand,
-            "reserved": self.reserved,
-            "by_room": {str(r): q for r, q in sorted(self.by_room.items()) if q},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Inventory:
-        on_hand, reserved = int(data["on_hand"]), int(data["reserved"])
-        by_room = {EntityId.parse(r): int(q) for r, q in data["by_room"].items()}
-        if on_hand < 0 or reserved < 0 or any(q < 0 for q in by_room.values()):
-            raise NegativeQuantity("inventory quantities cannot be negative")
-        return cls(on_hand, reserved, by_room)
-
 
 @dataclass
-class StockItem:
+class StockItem(Record):
     id: EntityId
     name: str
     kind: StockKind
     product_link: EntityId | None = None
     inventory: Inventory = field(default_factory=Inventory)
 
-    def clone(self) -> StockItem:
-        inv = Inventory(self.inventory.on_hand, self.inventory.reserved,
-                        dict(self.inventory.by_room))
-        return StockItem(self.id, self.name, self.kind, self.product_link, inv)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "name": self.name,
-            "kind": self.kind.value,
-            "product_link": str(self.product_link) if self.product_link else None,
-            "inventory": self.inventory.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> StockItem:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            name=data["name"],
-            kind=StockKind(data["kind"]),
-            product_link=EntityId.parse(data["product_link"]) if data["product_link"] else None,
-            inventory=Inventory.from_dict(data["inventory"]),
-        )
-
 
 @dataclass
-class Stockroom:
+class Stockroom(Record):
     id: EntityId
     name: str
 
-    def clone(self) -> Stockroom:
-        return Stockroom(self.id, self.name)
-
-    def to_dict(self) -> dict:
-        return {"id": str(self.id), "name": self.name}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Stockroom:
-        return cls(EntityId.parse(data["id"]), data["name"])
-
 
 @dataclass
-class ShopOrder:
+class ShopOrder(Record):
     """A work order: which components, in what amounts, make how many units."""
 
     id: EntityId
@@ -159,32 +126,8 @@ class ShopOrder:
     bill_of_materials: dict[EntityId, int]
     stage: ShopOrderStage = ShopOrderStage.CREATED
 
-    def clone(self) -> ShopOrder:
-        return ShopOrder(self.id, self.product, self.output_qty,
-                         dict(self.bill_of_materials), self.stage)
-
     def need(self, component_id: EntityId) -> int:
         return self.bill_of_materials[component_id] * self.output_qty
-
-    def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "product": str(self.product),
-            "output_qty": self.output_qty,
-            "bill_of_materials": {str(c): q for c, q in sorted(self.bill_of_materials.items())},
-            "stage": self.stage.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ShopOrder:
-        return cls(
-            id=EntityId.parse(data["id"]),
-            product=EntityId.parse(data["product"]),
-            output_qty=int(data["output_qty"]),
-            bill_of_materials={EntityId.parse(c): int(q)
-                               for c, q in data["bill_of_materials"].items()},
-            stage=ShopOrderStage(data["stage"]),
-        )
 
 
 def create_stockroom(txn, name: str) -> EntityId:
@@ -270,8 +213,7 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
     item = txn.get_mut("stock_items", item_id, UnknownStockItem)
     item.inventory.on_hand += amount
     for room_id, quantity in placement.items():
-        if quantity:
-            item.inventory.by_room[room_id] = item.inventory.local(room_id) + quantity
+        item.inventory.shift(room_id, quantity)
 
 
 def _drain_default(inventory: Inventory, amount: int) -> None:
@@ -282,7 +224,7 @@ def _drain_default(inventory: Inventory, amount: int) -> None:
         if remaining == 0:
             break
         take = min(inventory.by_room[room_id], remaining)
-        inventory.by_room[room_id] -= take
+        inventory.shift(room_id, -take)
         remaining -= take
 
 
@@ -304,7 +246,7 @@ def remove_from_stock(txn, item_id: EntityId, qty: Quantity,
     item = txn.get_mut("stock_items", item_id, UnknownStockItem)
     item.inventory.on_hand -= amount
     if room_id is not None:
-        item.inventory.by_room[room_id] = item.inventory.local(room_id) - amount
+        item.inventory.shift(room_id, -amount)
     else:
         _drain_default(item.inventory, amount)
 
@@ -323,8 +265,8 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
         raise InsufficientLocalStock(
             f"{item.name}: room {from_room} holds {item.inventory.local(from_room)}, need {amount}")
     item = txn.get_mut("stock_items", item_id, UnknownStockItem)
-    item.inventory.by_room[from_room] = item.inventory.local(from_room) - amount
-    item.inventory.by_room[to_room] = item.inventory.local(to_room) + amount
+    item.inventory.shift(from_room, -amount)
+    item.inventory.shift(to_room, amount)
 
 
 def create_shop_order(txn, product_item: EntityId, output_qty: int,
@@ -411,7 +353,7 @@ def pick_components(txn, order_id: EntityId,
         component.inventory.on_hand -= need
         if component_id in drains:
             for room_id, quantity in drains[component_id].items():
-                component.inventory.by_room[room_id] -= quantity
+                component.inventory.shift(room_id, -quantity)
         else:
             _drain_default(component.inventory, need)
     order = txn.get_mut("shop_orders", order_id, UnknownShopOrder)
@@ -427,7 +369,6 @@ def finish_fabrication(txn, order_id: EntityId, product_room: EntityId) -> None:
         raise UnknownRoom(f"no stockroom {product_room}")
     product = txn.get_mut("stock_items", order.product, UnknownStockItem)
     product.inventory.on_hand += order.output_qty
-    product.inventory.by_room[product_room] = (
-        product.inventory.local(product_room) + order.output_qty)
+    product.inventory.shift(product_room, order.output_qty)
     order = txn.get_mut("shop_orders", order_id, UnknownShopOrder)
     order.stage = ShopOrderStage.FABRICATED

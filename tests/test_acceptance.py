@@ -24,9 +24,12 @@ from storefront import (
 )
 from storefront.cli import main as cli_main
 from storefront.commands import COMMANDS
-from storefront.rbac import DEFAULT_RBAC_CONFIG, default_matrix
+from storefront.rbac import default_matrix
 
 from conftest import fresh_engine
+
+
+BUNDLED_RBAC_CONFIG = json.loads(bundled.rbac_config().read_text(encoding="utf-8"))
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str = ""):
@@ -378,9 +381,9 @@ def test_c7_rbac_need_to_know():
     config, with owner and non-owner targets both exercised."""
     engine = fresh_engine(rbac=default_matrix())
     declared = {role["name"]: {tuple(r) for r in role["rights"]}
-                for role in DEFAULT_RBAC_CONFIG["roles"]}
+                for role in BUNDLED_RBAC_CONFIG["roles"]}
     owner_only = {role["name"]: role.get("owner_only", False)
-                  for role in DEFAULT_RBAC_CONFIG["roles"]}
+                  for role in BUNDLED_RBAC_CONFIG["roles"]}
 
     # fixed "other" targets owned by an unrelated customer
     stranger = new_customer(engine, name="stranger")

@@ -10,7 +10,6 @@ from helpers import new_customer, new_employee, product_id, stock_item_id
 from storefront import (
     SYSTEM,
     AccessDenied,
-    Command,
     DomainError,
     EntityId,
     EventRecord,
@@ -141,13 +140,6 @@ def test_planted_fault_separation_of_duty(eng):
     report = eng.check_invariants()
     assert any(v.invariant == "invoice-separation-of-duty"
                for v in report.violations)
-
-
-def test_submit_prebuilt_command(eng):
-    record = eng.submit(Command(actor=SYSTEM, name="create_customer",
-                                args={"name": "Ana", "roles": []}))
-    assert record.outcome == "ok"
-    assert record.result["customer"] == "customer:1"
 
 
 def test_event_records_roundtrip_json(eng):

@@ -12,8 +12,6 @@ from storefront.foundation import (
     NegativeQuantity,
     Quantity,
     SchemaError,
-    money_add,
-    money_scale,
     money_sum,
     round_half_away,
 )
@@ -24,19 +22,19 @@ def usd(amount):
 
 
 def test_money_add():
-    assert money_add(usd(1000), usd(250)) == usd(1250)
-    assert money_add(usd(0), usd(0)) == usd(0)
+    assert usd(1000).add(usd(250)) == usd(1250)
+    assert usd(0).add(usd(0)) == usd(0)
 
 
 def test_money_add_currency_mismatch():
     with pytest.raises(CurrencyMismatch):
-        money_add(usd(500), Money(500, "EUR"))
+        usd(500).add(Money(500, "EUR"))
 
 
 def test_money_scale():
-    assert money_scale(usd(1099), Quantity(3)) == usd(3297)
-    assert money_scale(usd(1099), Quantity(0)) == usd(0)
-    assert money_scale(usd(0), Quantity(7)) == usd(0)
+    assert usd(1099).scale(Quantity(3)) == usd(3297)
+    assert usd(1099).scale(Quantity(0)) == usd(0)
+    assert usd(0).scale(Quantity(7)) == usd(0)
 
 
 def test_money_sub_and_negate():

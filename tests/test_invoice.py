@@ -23,7 +23,7 @@ def discount_oracle(subtotal, percent):
 def test_bundled_policy_config_matches_defaults():
     on_disk = json.loads(bundled.policies_config().read_text(encoding="utf-8"))
     assert on_disk == DEFAULT_RULEBOOK_CONFIG
-    RuleBook.from_dict(on_disk)  # loads cleanly
+    RuleBook.from_config(on_disk)  # loads cleanly
 
 
 def test_rulebook_rejects_malformed_config():
@@ -38,7 +38,7 @@ def test_rulebook_rejects_malformed_config():
                                "kind": "nonempty-items"}]},
     ):
         with pytest.raises(DomainError):
-            RuleBook.from_dict(broken)
+            RuleBook.from_config(broken)
 
 
 def test_create_invoice_draft(eng):

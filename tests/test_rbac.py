@@ -9,7 +9,6 @@ from helpers import new_customer, new_employee, product_id, stock_item_id
 from storefront import SYSTEM, AccessDenied, EntityId, bundled
 from storefront.commands import COMMANDS
 from storefront.rbac import (
-    DEFAULT_RBAC_CONFIG,
     DuplicateRole,
     UnknownRoleInAssignment,
     check_access,
@@ -21,17 +20,15 @@ from storefront.rbac import (
 from conftest import fresh_engine
 
 
+BUNDLED_RBAC_CONFIG = json.loads(bundled.rbac_config().read_text(encoding="utf-8"))
+
+
 def test_default_matrix_declares_six_roles():
     matrix = default_matrix()
-    assert len(matrix.roles) == len(DEFAULT_RBAC_CONFIG["roles"]) == 6
+    assert len(matrix.roles) == len(BUNDLED_RBAC_CONFIG["roles"]) == 6
     assert matrix.role_names() == ["CatalogManager", "InvoiceClerk",
                                    "InvoiceValidator", "ShippingClerk",
                                    "Shopper", "StockManager"]
-
-
-def test_bundled_config_matches_defaults():
-    on_disk = json.loads(bundled.rbac_config().read_text(encoding="utf-8"))
-    assert on_disk == DEFAULT_RBAC_CONFIG
 
 
 def test_duplicate_role_rejected():
@@ -50,7 +47,7 @@ def test_assignment_to_undeclared_role_rejected():
 def test_config_assignments_grant_roles(rbac_eng):
     """Static assignments work alongside creation-time roles."""
     matrix = load_rbac_config({
-        "roles": DEFAULT_RBAC_CONFIG["roles"],
+        "roles": BUNDLED_RBAC_CONFIG["roles"],
         "assignments": [{"user": "customer:1", "roles": ["Shopper"]}],
     })
     engine = fresh_engine(rbac=matrix)
@@ -168,9 +165,9 @@ def test_need_to_know_exhaustive():
     engine = fresh_engine(rbac=default_matrix())
     engine.rbac_fixtures = _build_ownership_fixtures(engine)
     declared = {role["name"]: {tuple(r) for r in role["rights"]}
-                for role in DEFAULT_RBAC_CONFIG["roles"]}
+                for role in BUNDLED_RBAC_CONFIG["roles"]}
     owner_only = {role["name"]: role.get("owner_only", False)
-                  for role in DEFAULT_RBAC_CONFIG["roles"]}
+                  for role in BUNDLED_RBAC_CONFIG["roles"]}
 
     checked = 0
     for role_name in sorted(declared):

@@ -261,8 +261,12 @@ def _edit_first_record(log, edit):
     lambda log: _edit_last_put(log, "invoices", lambda d: d.pop("accepted")),
     lambda log: _edit_first_record(log, lambda r: [r]),
     lambda log: _edit_first_record(log, lambda r: {**r, "actor": 7}),
+    lambda log: _edit_first_record(log, lambda r: {**r, "access": 5}),
+    lambda log: _edit_first_record(log, lambda r: {**r, "payload": [1]}),
+    lambda log: _edit_first_record(log, lambda r: {**r, "outcome": None}),
 ], ids=["missing-field", "bad-enum", "null-deltas", "old-format-invoice",
-        "record-not-an-object", "actor-not-a-string"])
+        "record-not-an-object", "actor-not-a-string", "access-not-an-object",
+        "payload-not-an-object", "outcome-not-a-string"])
 def test_verify_rejects_malformed_log_with_exit_two(tmp_path, malform):
     log = _full_purchase_log(tmp_path)
     malform(log)

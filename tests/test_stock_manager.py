@@ -253,6 +253,23 @@ def test_pick_drain_validation(eng):
     assert exc.value.code == "AllocationMismatch"
 
 
+def test_pick_zero_drain_from_room_the_component_is_not_in(eng):
+    """A zero drain from an empty room is a no-op, not a crash mid-command."""
+    widget = stock_item_id(eng, "WidgetA")
+    frame = stock_item_id(eng, FRAME)  # seeded in Main only
+    order = eng.execute(SYSTEM, "create_shop_order", product=widget, output_qty=2,
+                        bill_of_materials={frame: 2})["shop_order"]
+    eng.execute(SYSTEM, "cut_shop_order", order=order)
+    records_before = len(eng.state.log)
+    record = eng.dispatch(SYSTEM, "pick_components", {
+        "order": order,
+        "room_drains": {frame: {room_id(eng, "Main"): 4, room_id(eng, "Annex"): 0}}})
+    assert record.outcome == "ok"
+    assert len(eng.state.log) == records_before + 1
+    assert level(eng, FRAME) == {"on_hand": 196, "reserved": 0, "rooms": {"Main": 196}}
+    assert eng.replayed_state().to_dict() == eng.state.to_dict()
+
+
 def test_shop_order_creation_validation(eng):
     widget = stock_item_id(eng, "WidgetA")
     frame = stock_item_id(eng, FRAME)
