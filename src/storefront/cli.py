@@ -7,6 +7,7 @@ config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from . import bundled
 from .engine import Engine, read_log
 from .foundation import DomainError, SchemaError
 from .invoice import RuleBook
-from .rbac import load_rbac_config
+from .rbac import RbacMatrix, load_rbac_config, permissive_matrix
 from .scenario import ParseError, load_scenario, run_scenario
 from .state import GapInSequence, replay
 
@@ -27,13 +28,10 @@ def _load_json(path, what: str):
         raise ParseError(f"cannot read {what} {path}: {exc}")
 
 
-def build_engine(args) -> Engine:
+def build_engine(args, matrix: RbacMatrix | None) -> Engine:
     rulebook = None
     if args.policies:
         rulebook = RuleBook.from_config(_load_json(args.policies, "policy config"))
-    matrix = None
-    if getattr(args, "rbac", None):
-        matrix = load_rbac_config(_load_json(args.rbac, "access config"))
     engine = Engine(currency=args.currency, rulebook=rulebook, rbac_matrix=matrix,
                     add_policy=args.add_policy)
     if args.seed_catalog:
@@ -45,7 +43,10 @@ def build_engine(args) -> Engine:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    engine = build_engine(args)
+    matrix = None
+    if args.rbac:
+        matrix = load_rbac_config(_load_json(args.rbac, "access config"))
+    engine = build_engine(args, matrix)
     report = run_scenario(engine, scenario)
 
     out_dir = Path(args.out)
@@ -79,7 +80,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     records = read_log(args.log)
-    engine = build_engine(args)
+    # replay applies facts and checks invariants; no access check runs
+    engine = build_engine(args, permissive_matrix())
     try:
         engine.state = replay(engine.baseline(), records)
     except GapInSequence as exc:
@@ -130,9 +132,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process reuses; building one
+    takes about a quarter of a bundled scenario's ``run``."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, SchemaError) as exc:

@@ -74,8 +74,9 @@ def p_money(value, ctx):
         raise SchemaError(f"expected money, got {value!r}")
     elif isinstance(value, int):
         money = Money(value, ctx.currency)
-    elif isinstance(value, dict) and set(value) == {"amount", "currency"}:
-        money = Money.from_dict(value)
+    elif (isinstance(value, dict) and set(value) == {"amount", "currency"}
+          and type(value["amount"]) is int and isinstance(value["currency"], str)):
+        money = Money(value["amount"], value["currency"])
     else:
         raise SchemaError(f"expected money, got {value!r}")
     if money.currency != ctx.currency:

@@ -133,29 +133,86 @@ class Quantity:
         return self.value == 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class EntityId:
     """Identity of one stored entity: a kind tag plus a per-kind serial.
 
     Serials are allocated monotonically by the engine, so the string form
     ``kind:serial`` is unique and stable across replays.
+
+    Ids are shared immutable values. ``parse`` and ``of`` return the one
+    instance the process holds for each id text, from a table with one
+    entry per distinct id text the process has seen; it has no size limit
+    and no setting. Each instance computes its hash and its text once, so
+    a dict lookup with a shared id is an identity hit. A directly
+    constructed id is a separate instance that still equals, hashes and
+    orders by ``(kind, serial)`` exactly like the shared one.
     """
+
+    __slots__ = ("kind", "serial", "_hash", "_text")
 
     kind: str
     serial: int
 
+    def __init__(self, kind: str, serial: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "serial", serial)
+        setattr_(self, "_hash", hash((kind, serial)))
+        setattr_(self, "_text", f"{kind}:{serial}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not EntityId:
+            return NotImplemented
+        return self.serial == other.serial and self.kind == other.kind
+
     def __str__(self) -> str:
-        return f"{self.kind}:{self.serial}"
+        return self._text
+
+    def __reduce__(self):
+        # the hash of a str is randomized per process: rebuild, never copy it
+        return EntityId, (self.kind, self.serial)
 
     @classmethod
     def parse(cls, text: str) -> EntityId:
-        kind, sep, serial = text.partition(":")
-        if not sep or not kind or not serial.lstrip("-").isdigit():
-            raise SchemaError(f"malformed entity id: {text!r}")
-        return cls(kind, int(serial))
+        """The shared id for ``kind:serial`` text; ``SchemaError`` for
+        anything else, a non-string included."""
+        try:
+            return _IDS[text]
+        except (KeyError, TypeError):  # TypeError: an unhashable non-string
+            return _parse_new(text)
+
+    @classmethod
+    def of(cls, kind: str, serial: int) -> EntityId:
+        """The shared id of an engine-allocated kind (no ``:``) and int serial."""
+        entity_id = cls(kind, serial)
+        return _IDS.setdefault(entity_id._text, entity_id)
 
 
-SYSTEM = EntityId("system", 0)
+_IDS: dict[str, EntityId] = {}
+"""Id text seen by ``EntityId.parse`` or ``EntityId.of`` -> its shared id."""
+
+
+def _parse_new(text) -> EntityId:
+    """The slow path of ``EntityId.parse``: validate text not seen before
+    and register it."""
+    if not isinstance(text, str):
+        raise SchemaError(f"malformed entity id: {text!r}")
+    kind, sep, serial = text.partition(":")
+    digits = serial[1:] if serial.startswith("-") else serial
+    if not sep or not kind or not (digits.isascii() and digits.isdigit()):
+        raise SchemaError(f"malformed entity id: {text!r}")
+    entity_id = EntityId.of(kind, int(serial))
+    _IDS[text] = entity_id  # a non-canonical text such as "kind:07" maps to "kind:7"
+    return entity_id
+
+
+SYSTEM = EntityId.of("system", 0)
 """Sentinel actor for engine-internal command paths (seeding, checkout)."""
 
 
@@ -192,7 +249,9 @@ def derive_codec(cls: type) -> type:
     ``null``; int, str and bool as they are. Decoding goes back through
     each type's constructor (``EntityId.parse``, the enum, ``Quantity``,
     ``int(...)``, the record's ``__post_init__``), so every value-domain
-    check runs. Any other field type raises ``TypeError`` naming the field.
+    check runs. ``clone`` sets the fields of a new instance directly: its
+    source is already valid, so no ``__init__`` or ``__post_init__`` runs.
+    Any other field type raises ``TypeError`` naming the field.
     The methods are generated once, like a dataclass ``__init__``; a second
     call returns at once.
     """
@@ -211,13 +270,17 @@ def derive_codec(cls: type) -> type:
         encoded.append(f"{f.name!r}: {enc}")
         decoded.append(dec)
         copied.append(copy)
-    shared = cls.__dataclass_params__.frozen and copied == [
-        f"self.{f.name}" for f in dataclasses.fields(cls)]
-    clone = "self" if shared else f"_cls({', '.join(copied)})"
-    namespace = dict(source.names, _cls=cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    frozen = cls.__dataclass_params__.frozen
+    shared = frozen and copied == [f"self.{name}" for name in names]
+    assign = "_set(new, {!r}, {})" if frozen else "new.{} = {}"
+    clone = "return self" if shared else "\n    ".join(
+        ["new = _new(_cls)"] + [assign.format(name, copy) for name, copy in zip(names, copied)]
+        + ["return new"])
+    namespace = dict(source.names, _cls=cls, _new=object.__new__, _set=object.__setattr__)
     exec(f"def to_dict(self):\n    return {{{', '.join(encoded)}}}\n"
          f"def from_dict(cls, data):\n    return cls({', '.join(decoded)})\n"
-         f"def clone(self):\n    return {clone}\n", namespace)
+         f"def clone(self):\n    {clone}\n", namespace)
     cls.to_dict, cls.clone = namespace["to_dict"], namespace["clone"]
     cls.from_dict = classmethod(namespace["from_dict"])
     _SHARED[cls] = shared

@@ -181,7 +181,7 @@ class Txn:
             self._serials_before[kind] = self.state.serials.get(kind, 0)
         serial = self.state.serials.get(kind, 0) + 1
         self.state.serials[kind] = serial
-        return EntityId(kind, serial)
+        return EntityId.of(kind, serial)
 
     def create(self, store: str, entity) -> None:
         key = (store, entity.id)

@@ -66,6 +66,33 @@ def test_malformed_args_leave_audit_record_only(eng):
     assert all(r.error == "SchemaError" and r.deltas == [] for r in records)
 
 
+@pytest.mark.parametrize("command,args", [
+    ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
+                     "price": {"amount": "abc", "currency": "USD"}}),
+    ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
+                     "price": {"amount": [1], "currency": "USD"}}),
+    ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
+                     "price": {"amount": 1.9, "currency": "USD"}}),
+    ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
+                     "price": {"amount": "12", "currency": "USD"}}),
+    ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
+                     "price": {"amount": True, "currency": "USD"}}),
+    ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
+                     "price": {"amount": 12, "currency": None}}),
+    ("create_invoice", {"creator": 5, "customer": "customer:1"}),
+    ("add_item", {"cart": "cart:--1", "product": "product:1", "qty": 1}),
+    ("add_item", {"cart": "cart:\u00b2", "product": "product:1", "qty": 1}),
+])
+def test_unparseable_args_are_schema_errors_with_one_audit_record(eng, command, args):
+    new_customer(eng)
+    before_len = len(eng.state.log)
+    with pytest.raises(SchemaError):
+        eng.dispatch(SYSTEM, command, args)
+    [record] = eng.state.log[before_len:]
+    assert (record.outcome, record.error, record.deltas) == ("error", "SchemaError", [])
+    assert eng.replayed_state().to_dict() == eng.state.to_dict()
+
+
 def test_currency_rejected_at_schema_level(eng):
     customer = new_customer(eng)
     cart = eng.execute(customer, "create_cart", customer=customer)["cart"]

@@ -1,10 +1,12 @@
 """Per-command cost stays flat as state grows: the commands of a purchase
 session read derived values from the entities that own them instead of
-walking whole stores. Deterministic: it counts walks, not time."""
+walking whole stores, and an id text is parsed once however often it
+recurs. Deterministic: it counts walks and parses, not time."""
 
 from collections import Counter
 
-from storefront import SYSTEM, Engine, permissive_matrix
+from storefront import SYSTEM, Engine, foundation, permissive_matrix
+from storefront.engine import read_log
 
 SESSIONS = 200
 PRODUCTS = 8  # the last one is a service: no stock item
@@ -44,28 +46,11 @@ def shop_engine() -> tuple[Engine, list[str]]:
     return engine, [products[f"P{i}"] for i in range(PRODUCTS)]
 
 
-def test_session_commands_walk_no_growing_store():
-    engine, products = shop_engine()
-    clerk = engine.execute(SYSTEM, "create_employee", name="Sid")["employee"]
-    validator = engine.execute(SYSTEM, "create_employee", name="Vik")["employee"]
-    # the first dispatch clones the seeded baseline; watch the live stores after it
-    for store in WATCHED:
-        engine.state.stores[store] = CountingStore(engine.state.stores[store])
-
-    def total_walks():
-        return sum(engine.state.stores[store].walks for store in WATCHED)
-
-    walks = Counter()
-    subscribe_records = []
-
-    def run(actor, command, **args):
-        before = total_walks()
-        record = engine.dispatch(actor, command, args)
-        walks[command] += total_walks() - before
-        if command == "subscribe":
-            subscribe_records.append(record)
-        return record.result
-
+def run_sessions(engine: Engine, products: list[str], run) -> None:
+    """Drive SESSIONS purchase sessions through ``run(actor, command, **args)``,
+    which dispatches one command and returns its result."""
+    clerk = run(SYSTEM, "create_employee", name="Sid")["employee"]
+    validator = run(SYSTEM, "create_employee", name="Vik")["employee"]
     for number in range(SESSIONS):
         customer = run(SYSTEM, "create_customer", name=f"c{number}",
                        loyalty_member=False, roles=["Shopper"])["customer"]
@@ -100,6 +85,29 @@ def test_session_commands_walk_no_growing_store():
         assert engine.query("invoice_state", invoice=invoice) == "Paid"
         assert engine.query("order_state", order=order) == "Shipped"
 
+
+def test_session_commands_walk_no_growing_store():
+    engine, products = shop_engine()
+    engine.baseline()  # the seeded state replays start from; watch the live stores
+    for store in WATCHED:
+        engine.state.stores[store] = CountingStore(engine.state.stores[store])
+
+    def total_walks():
+        return sum(engine.state.stores[store].walks for store in WATCHED)
+
+    walks = Counter()
+    subscribe_records = []
+
+    def run(actor, command, **args):
+        before = total_walks()
+        record = engine.dispatch(actor, command, args)
+        walks[command] += total_walks() - before
+        if command == "subscribe":
+            subscribe_records.append(record)
+        return record.result
+
+    run_sessions(engine, products, run)
+
     assert walks["validate_payment"] == 0
     assert walks["create_shipment"] == 0
     assert walks["subscribe"] == 0
@@ -112,3 +120,23 @@ def test_session_commands_walk_no_growing_store():
     assert engine.check_invariants().ok()
     assert total_walks() > before
     assert engine.replayed_state().to_dict() == engine.state.to_dict()
+
+
+def test_replay_parses_each_id_text_once(tmp_path, monkeypatch):
+    engine, products = shop_engine()
+    run_sessions(engine, products,
+                 lambda actor, command, **args: engine.dispatch(actor, command, args).result)
+    path = tmp_path / "events.jsonl"
+    engine.write_log(path)
+
+    # replay in a process that has seen no id yet
+    monkeypatch.setattr(foundation, "_IDS", {})
+    slow = Counter()
+    parse_new = foundation._parse_new
+    monkeypatch.setattr(foundation, "_parse_new",
+                        lambda text: slow.update([text]) or parse_new(text))
+    records = read_log(path)
+    replayed = engine.replayed_state(records)
+
+    assert replayed.to_dict() == engine.state.to_dict()
+    assert max(slow.values()) == 1

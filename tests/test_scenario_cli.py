@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from storefront import bundled
+from storefront import bundled, cli
 from storefront.cli import main
 from storefront.scenario import ParseError, parse_scenario
 
@@ -72,6 +72,29 @@ def test_verify_accepts_every_emitted_log(tmp_path):
         assert code == 0
         code, output = run_cli("verify", str(out_dir / "events.jsonl"))
         assert code == 0, output
+
+
+def test_verify_writes_nothing_to_stderr(tmp_path, capsys, caplog):
+    """verify consults no access matrix, so it has no missing one to warn about."""
+    scenario = bundled.scenario_dir() / "full-purchase.json"
+    out_dir = tmp_path / "run"
+    assert main(["run", str(scenario), "--rbac", RBAC, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    assert main(["verify", str(out_dir / "events.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
+    assert caplog.records == []  # under pytest a logged warning lands here
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    built = []
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+    scenario = bundled.scenario_dir() / "cart-checkout.json"
+    for _ in range(3):
+        code, _ = run_cli("run", str(scenario), "--out", str(tmp_path / "run"))
+        assert code == 0
+    assert len(built) <= 1
 
 
 def test_verify_flags_missing_line(tmp_path):

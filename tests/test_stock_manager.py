@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from helpers import room_id, stock_item_id
-from storefront import SYSTEM, DomainError, Engine, permissive_matrix
+from storefront import SYSTEM, DomainError, Engine, EntityId, permissive_matrix
+from storefront.stock_manager import Inventory
 
 from conftest import fresh_engine
 
@@ -17,6 +18,20 @@ MOTOR = "widget-motor"
 
 def level(engine, name):
     return engine.query("stock_level", item=stock_item_id(engine, name))
+
+
+def test_stock_item_snapshot_runs_no_post_init(eng, monkeypatch):
+    """``Txn.get_mut`` snapshots a valid item; checking it again is waste."""
+    calls = []
+    check = Inventory.__post_init__
+    monkeypatch.setattr(Inventory, "__post_init__",
+                        lambda self: calls.append(self) or check(self))
+    frame = stock_item_id(eng, FRAME)
+    item = eng.state.stores["stock_items"][EntityId.parse(frame)]
+    copy = item.clone()
+    assert copy == item and copy.inventory.by_room is not item.inventory.by_room
+    eng.execute(SYSTEM, "add_to_stock", item=frame, qty=1)
+    assert calls == []
 
 
 def test_add_with_explicit_allocation(eng):
