@@ -529,22 +529,45 @@ COMMANDS = {spec.name: spec for spec in [
 ]}
 
 
-def parse_args(spec: CommandSpec, raw_args: dict, ctx: ParseContext) -> dict:
+def parse_args(spec: CommandSpec, raw_args: dict,
+               ctx: ParseContext) -> tuple[dict, dict]:
+    """Parse ``raw_args`` against the spec's schema in one pass.
+
+    Returns the parsed values and the payload recorded in the event log:
+    each parsed value's canonical JSON form, built in the same loop.
+    """
     if not isinstance(raw_args, dict):
         raise SchemaError(f"command args must be an object, got {raw_args!r}")
-    unknown = set(raw_args) - set(spec.schema)
+    unknown = raw_args.keys() - spec.schema.keys()
     if unknown:
+        # a schema names only strings, so every non-string key lands here
+        if not all(isinstance(name, str) for name in unknown):
+            raise SchemaError(f"{spec.name}: arg names must be strings, "
+                              f"got {sorted(map(repr, unknown))}")
         raise SchemaError(f"{spec.name}: unexpected args {sorted(unknown)}")
-    parsed = {}
+    parsed, payload = {}, {}
     for name, (parser, required) in spec.schema.items():
         if name not in raw_args:
             if required:
                 raise SchemaError(f"{spec.name}: missing required arg {name!r}")
             continue
-        parsed[name] = parser(raw_args[name], ctx)
-    return parsed
+        value = parsed[name] = parser(raw_args[name], ctx)
+        cls = value.__class__
+        if cls is str or cls is int or cls is bool:
+            payload[name] = value
+        elif cls is EntityId:
+            payload[name] = value._text
+        elif cls is Quantity:
+            payload[name] = value.value
+        else:
+            payload[name] = to_jsonable(value)
+    return parsed, payload
 
 
 def canonical_payload(args: dict) -> dict:
-    """Parsed args rendered back to the JSON form recorded in the event log."""
+    """Parsed args rendered to the JSON form recorded in the event log.
+
+    The reference definition of the payload: ``parse_args`` builds the same
+    value in its parse pass, so dispatch does not call this.
+    """
     return {name: to_jsonable(value) for name, value in sorted(args.items())}

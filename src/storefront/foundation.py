@@ -246,11 +246,13 @@ def derive_codec(cls: type) -> type:
     ``Quantity`` -> bare int; enum -> its value; ``set`` -> list sorted by
     encoded element; ``tuple`` (as a container element) -> list; ``list``
     and ``dict`` -> element-wise; nested Record -> dict; ``X | None`` ->
-    ``null``; int, str and bool as they are. Decoding goes back through
-    each type's constructor (``EntityId.parse``, the enum, ``Quantity``,
-    ``int(...)``, the record's ``__post_init__``), so every value-domain
-    check runs. ``clone`` sets the fields of a new instance directly: its
-    source is already valid, so no ``__init__`` or ``__post_init__`` runs.
+    ``null``; int, str and bool as they are. Decoding requires each int,
+    str, bool, list and object to be exactly that JSON type (``SchemaError``
+    otherwise) and goes back through each type's constructor (``EntityId.parse``, the
+    enum, ``Quantity``, the record's ``__post_init__``), so every
+    value-domain check runs. ``clone`` sets the fields of a new instance
+    directly: its source is already valid, so no ``__init__`` or
+    ``__post_init__`` runs.
     Any other field type raises ``TypeError`` naming the field.
     The methods are generated once, like a dataclass ``__init__``; a second
     call returns at once.
@@ -287,12 +289,16 @@ def derive_codec(cls: type) -> type:
     return cls
 
 
+def _wrong(value, expected: type):
+    raise SchemaError(f"expected {expected.__name__}, got {value!r}")
+
+
 class _CodecSource:
     """The expressions of one class's generated methods, and the names
     those expressions use."""
 
     def __init__(self):
-        self.names = {"Quantity": Quantity, "parse_id": EntityId.parse}
+        self.names = {"Quantity": Quantity, "parse_id": EntityId.parse, "_wrong": _wrong}
         self._count = 0
 
     def _name(self, value) -> str:
@@ -314,11 +320,11 @@ class _CodecSource:
                     f"(None if {d} is None else {dec})",
                     x if copy == x else f"(None if {x} is None else {copy})")
         if hint in (int, str, bool):
-            return x, f"{hint.__name__}({d})", x
+            return x, self._exact(hint, d), x
         if hint is EntityId:
             return f"str({x})", f"parse_id({d})", x
         if hint is Quantity:
-            return f"{x}.value", f"Quantity(int({d}))", x
+            return f"{x}.value", f"Quantity({self._exact(int, d)})", x
         if isinstance(hint, type) and issubclass(hint, Enum):
             return f"{x}.value", f"{self._name(hint)}({d})", x
         if isinstance(hint, type) and issubclass(hint, Record):
@@ -327,6 +333,7 @@ class _CodecSource:
                     x if _SHARED[hint] else f"{x}.clone()")
         if origin in (list, set):
             v, target, (enc, dec, copy) = self._element(args[0])
+            d = self._exact(list, d)
             if origin is set:
                 return (f"sorted({x})" if enc == v else f"sorted([{enc} for {v} in {x}])",
                         f"{{{dec} for {target} in {d}}}", f"set({x})")
@@ -338,9 +345,19 @@ class _CodecSource:
             v, target, (enc, dec, copy) = self._element(args[1])
             return (f"dict({x})" if (key_enc, enc) == (k, v)
                     else f"{{{key_enc}: {enc} for {k}, {v} in {x}.items()}}",
-                    f"{{{key_dec}: {dec} for {key_target}, {target} in {d}.items()}}",
+                    f"{{{key_dec}: {dec} for {key_target}, {target} in "
+                    f"{self._exact(dict, d)}.items()}}",
                     f"dict({x})" if copy == v else f"{{{k}: {copy} for {k}, {v} in {x}.items()}}")
         raise TypeError(hint)
+
+    @staticmethod
+    def _exact(hint, d: str) -> str:
+        """``d`` if its JSON type is exactly ``hint`` (no bool, float or
+        digit string for an int; no string or object for a list), else a
+        ``SchemaError``. ``d`` is a name or a ``data[...]`` item, so reading
+        it twice is cheaper than a call."""
+        name = hint.__name__
+        return f"({d} if {d}.__class__ is {name} else _wrong({d}, {name}))"
 
     def _element(self, hint):
         """Loop variable, decode loop target, and expressions of one

@@ -53,6 +53,11 @@ class AccessDecision:
 class RbacMatrix:
     """The loaded access matrix; immutable once active.
 
+    ``roles`` is the declaration. ``grants`` is compiled from it, once per
+    right ``(kind, operation)``, the first time a check asks for that
+    right: the roles that grant it, in name order, as ``(role name,
+    owner_only, Allow decision)``. So loading a matrix costs nothing per
+    declared right, and a run pays only for the rights it checks.
     ``permissive`` is the no-config fallback used by pattern-module unit
     tests: every check allows.
     """
@@ -60,6 +65,17 @@ class RbacMatrix:
     roles: dict[str, RoleDef] = field(default_factory=dict)
     assignments: dict[EntityId, frozenset[str]] = field(default_factory=dict)
     permissive: bool = False
+    grants: dict[tuple[str, str], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def compile_grant(self, kind: str, operation: str) -> tuple:
+        """Compile and keep the ``grants`` entry of one right."""
+        right = (kind, operation)
+        self.grants[right] = granting = tuple(
+            (name, role.owner_only,
+             AccessDecision(ALLOW, name, f"role {name} grants {operation} on {kind}"))
+            for name, role in sorted(self.roles.items()) if right in role.rights)
+        return granting
 
     def role_names(self) -> list[str]:
         return sorted(self.roles)
@@ -91,35 +107,40 @@ def load_rbac_config(config: dict) -> RbacMatrix:
     return RbacMatrix(roles=roles, assignments=assignments)
 
 
-def check_access(matrix: RbacMatrix, user: EntityId, user_roles: set[str],
+_SYSTEM_ALLOW = AccessDecision(ALLOW, "system", "system actor")
+_PERMISSIVE_ALLOW = AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded")
+_NOT_OWNER = AccessDecision(DENY, None, "not owner")
+_NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
+
+
+def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
                  kind: str, operation: str, owner: EntityId | None,
                  target_missing: bool = False) -> AccessDecision:
     """Decide one (user, operation, target) triple.
 
-    ``owner`` is the customer owning the target entity, or None for kinds
-    without an owner. Owner-constrained roles are denied when the target
-    does not resolve. Deny is a result, never an exception.
+    The user holds the roles the matrix assigns to it and ``entity_roles``,
+    the roles its own entity carries. ``owner`` is the customer owning the
+    target entity, or None for kinds without an owner. Owner-constrained
+    roles are denied when the target does not resolve. The first granting
+    role by name decides. Deny is a result, never an exception.
     """
     if user.kind == "system":
-        return AccessDecision(ALLOW, "system", "system actor")
+        return _SYSTEM_ALLOW
     if matrix.permissive:
-        return AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded")
-
-    right = (kind, operation)
+        return _PERMISSIVE_ALLOW
+    assigned = matrix.assignments.get(user, ())
     saw_ownership_failure = False
-    for role_name in sorted(user_roles):
-        role = matrix.roles.get(role_name)
-        if role is None or right not in role.rights:
+    granting = matrix.grants.get((kind, operation))
+    if granting is None:
+        granting = matrix.compile_grant(kind, operation)
+    for role_name, owner_only, allow in granting:
+        if role_name not in entity_roles and role_name not in assigned:
             continue
-        if role.owner_only and (target_missing or owner is not None):
-            if target_missing or owner != user:
-                saw_ownership_failure = True
-                continue
-        return AccessDecision(ALLOW, role_name,
-                              f"role {role_name} grants {operation} on {kind}")
-    if saw_ownership_failure:
-        return AccessDecision(DENY, None, "not owner")
-    return AccessDecision(DENY, None, "no role grants operation")
+        if owner_only and (target_missing or (owner is not None and owner != user)):
+            saw_ownership_failure = True
+            continue
+        return allow
+    return _NOT_OWNER if saw_ownership_failure else _NO_ROLE
 
 
 def default_matrix() -> RbacMatrix:

@@ -64,11 +64,18 @@ def to_jsonable(value):
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
-        return {to_jsonable(k) if not isinstance(k, str) else k: to_jsonable(v)
+        return {k if k.__class__ is str else _json_key(k): to_jsonable(v)
                 for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _json_key(key) -> str:
+    """A JSON object key: a string, or an id as its text."""
+    if isinstance(key, (str, EntityId)):
+        return str(key)
+    raise TypeError(f"cannot serialize a {type(key).__name__} object key")
 
 
 # record fields kept as raw JSON -> the JSON types each may hold
@@ -118,9 +125,12 @@ class EventRecord:
             if not isinstance(data[name], expected):
                 raise SchemaError(
                     f"record field {name!r} has the wrong JSON type: {data[name]!r}")
+        seq, tick = data["seq"], data["tick"]
+        if seq.__class__ is not int or tick.__class__ is not int:
+            raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
         return cls(
-            seq=int(data["seq"]),
-            tick=int(data["tick"]),
+            seq=seq,
+            tick=tick,
             actor=EntityId.parse(data["actor"]),
             command=data["command"],
             payload=data["payload"],

@@ -14,6 +14,7 @@ from storefront import (
     EntityId,
     EventRecord,
     SchemaError,
+    read_log,
     replay,
 )
 from storefront.rbac import default_matrix
@@ -82,8 +83,15 @@ def test_malformed_args_leave_audit_record_only(eng):
     ("create_invoice", {"creator": 5, "customer": "customer:1"}),
     ("add_item", {"cart": "cart:--1", "product": "product:1", "qty": 1}),
     ("add_item", {"cart": "cart:\u00b2", "product": "product:1", "qty": 1}),
+    # arg names that are not strings, among known and unknown string names
+    ("transfer", {1: 2, "x": 3, "item": "stock_item:1"}),
+    ("transfer", {1: 2, "item": "stock_item:1"}),
+    ("no_such_command", {1: 2, "item": "stock_item:1"}),
+    ("add_to_stock", {"item": "stock_item:1", "qty": 1, "allocation": {1: 2}}),
+    ("add_item", [1]),
 ])
-def test_unparseable_args_are_schema_errors_with_one_audit_record(eng, command, args):
+def test_unparseable_args_are_schema_errors_with_one_audit_record(eng, tmp_path,
+                                                                  command, args):
     new_customer(eng)
     before_len = len(eng.state.log)
     with pytest.raises(SchemaError):
@@ -91,6 +99,8 @@ def test_unparseable_args_are_schema_errors_with_one_audit_record(eng, command, 
     [record] = eng.state.log[before_len:]
     assert (record.outcome, record.error, record.deltas) == ("error", "SchemaError", [])
     assert eng.replayed_state().to_dict() == eng.state.to_dict()
+    eng.write_log(tmp_path / "events.jsonl")
+    assert read_log(tmp_path / "events.jsonl") == eng.state.log
 
 
 def test_currency_rejected_at_schema_level(eng):

@@ -236,3 +236,49 @@ def test_stock_manager_cannot_shop(rbac_eng):
         rbac_eng.execute(rok, "checkout", cart=cart)
     rbac_eng.execute(rok, "add_to_stock",
                      item=stock_item_id(rbac_eng, "widget-frame"), qty=5)
+
+
+def _reference_decision(matrix, user, roles, kind, operation, owner, target_missing):
+    """Brute force over the declared roles: the first held role by name
+    that grants the right and, when owner-constrained, owns the target."""
+    right = (kind, operation)
+    saw_ownership_failure = False
+    for name in sorted(roles):
+        role = matrix.roles.get(name)
+        if role is None or right not in role.rights:
+            continue
+        if role.owner_only and (target_missing or (owner is not None and owner != user)):
+            saw_ownership_failure = True
+            continue
+        return ("Allow", name, f"role {name} grants {operation} on {kind}")
+    return ("Deny", None, "not owner" if saw_ownership_failure else "no role grants operation")
+
+
+def test_grant_table_decides_like_the_declared_matrix():
+    """Every subset of the bundled roles x every command x every ownership
+    case, with the roles held through an assignment and through the user's
+    own entity, against a reference computed from ``RbacMatrix.roles``."""
+    user, other = EntityId.parse("customer:1"), EntityId.parse("customer:2")
+    ownership = {"own": (user, False), "other's": (other, False),
+                 "no owner": (None, False), "target missing": (None, True)}
+    names = sorted(role["name"] for role in BUNDLED_RBAC_CONFIG["roles"])
+    entity_matrix = default_matrix()
+    checked = 0
+    for mask in range(1 << len(names)):
+        held = {name for bit, name in enumerate(names) if mask >> bit & 1}
+        assigned_matrix = load_rbac_config({
+            "roles": BUNDLED_RBAC_CONFIG["roles"],
+            "assignments": [{"user": str(user), "roles": sorted(held)}]})
+        for command, spec in COMMANDS.items():
+            for case, (owner, missing) in ownership.items():
+                expected = _reference_decision(entity_matrix, user, held, spec.kind,
+                                               command, owner, missing)
+                for source, matrix, entity_roles in (
+                        ("assignment", assigned_matrix, frozenset()),
+                        ("entity", entity_matrix, frozenset(held) | {"Undeclared"})):
+                    decision = check_access(matrix, user, entity_roles, spec.kind,
+                                            command, owner, missing)
+                    got = (decision.verdict, decision.matched_role, decision.reason)
+                    assert got == expected, (sorted(held), command, case, source)
+                    checked += 1
+    assert checked == (1 << len(names)) * len(COMMANDS) * len(ownership) * 2

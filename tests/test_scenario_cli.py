@@ -287,9 +287,17 @@ def _edit_first_record(log, edit):
     lambda log: _edit_first_record(log, lambda r: {**r, "access": 5}),
     lambda log: _edit_first_record(log, lambda r: {**r, "payload": [1]}),
     lambda log: _edit_first_record(log, lambda r: {**r, "outcome": None}),
+    # JSON types an int field must not take, though int(...) would accept them
+    lambda log: _edit_last_put(log, "invoices", lambda d: d.update(accepted=d["accepted"] + 0.9)),
+    lambda log: _edit_last_put(log, "invoices", lambda d: d.update(accepted=str(d["accepted"]))),
+    lambda log: _edit_first_record(log, lambda r: {**r, "seq": True}),
+    lambda log: _edit_first_record(log, lambda r: {**r, "tick": str(r["tick"])}),
+    # a string where a list belongs would decode as its characters
+    lambda log: _edit_last_put(log, "customers", lambda d: d.update(roles="Shopper")),
 ], ids=["missing-field", "bad-enum", "null-deltas", "old-format-invoice",
         "record-not-an-object", "actor-not-a-string", "access-not-an-object",
-        "payload-not-an-object", "outcome-not-a-string"])
+        "payload-not-an-object", "outcome-not-a-string", "float-in-int-field",
+        "string-in-int-field", "bool-seq", "string-tick", "string-for-a-list"])
 def test_verify_rejects_malformed_log_with_exit_two(tmp_path, malform):
     log = _full_purchase_log(tmp_path)
     malform(log)
