@@ -177,6 +177,9 @@ def search(state, catalog_id: EntityId, name_substring: str | None = None,
            max_price: Money | None = None) -> list[EntityId]:
     """Products matching every given criterion, ordered by (name, id).
 
+    A read whose cost grows with the catalog: it filters every product in
+    the store. No command that changes state calls it.
+
     Name matching is a case-insensitive substring test; empty criteria
     return the whole catalog.
     """

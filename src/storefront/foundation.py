@@ -90,9 +90,6 @@ class Money(Record):
             )
         return Money(self.amount - other.amount, self.currency)
 
-    def scale(self, qty: Quantity) -> Money:
-        return Money(self.amount * qty.value, self.currency)
-
     def negate(self) -> Money:
         return Money(-self.amount, self.currency)
 
@@ -102,11 +99,29 @@ class Money(Record):
 
 
 def money_sum(values, currency: str) -> Money:
-    """Left-fold sum; empty input yields zero in the given currency."""
-    total = Money.zero(currency)
+    """Sum of values that must all be in ``currency``; empty input is zero.
+
+    Raises ``CurrencyMismatch`` at the first value in another currency,
+    with the message ``Money.add`` gives.
+    """
+    total = 0
     for value in values:
-        total = total.add(value)
-    return total
+        if value.currency != currency:
+            raise CurrencyMismatch(f"cannot add {value.currency} to {currency}")
+        total += value.amount
+    return Money(total, currency)
+
+
+def priced_sum(lines, currency: str) -> Money:
+    """Sum of unit price times quantity over priced lines (cart items,
+    order lines, invoice items), checked per line as ``money_sum``."""
+    total = 0
+    for line in lines:
+        price = line.unit_price
+        if price.currency != currency:
+            raise CurrencyMismatch(f"cannot add {price.currency} to {currency}")
+        total += price.amount * line.quantity.value
+    return Money(total, currency)
 
 
 @dataclass(frozen=True)

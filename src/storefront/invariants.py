@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .invoice import InvoiceState, PaymentState
 from .order_shipment import OrderState
@@ -17,7 +18,9 @@ from .shopping_cart import CartState
 from .state import KIND_TO_STORE, STORES
 from .stock_manager import ShopOrderStage, StockKind
 
-_STAGE_ORDER = [stage.value for stage in ShopOrderStage]
+# stage name -> its position in the shop-order workflow
+_STAGE_RANK = {stage.value: rank for rank, stage in enumerate(ShopOrderStage)}
+_CREATED = ShopOrderStage.CREATED.value
 
 
 @dataclass(frozen=True)
@@ -44,17 +47,19 @@ class InvariantReport:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
-def _items_multiset(items) -> Counter:
-    return Counter((i.product, i.quantity.value, i.unit_price.amount) for i in items)
+def _item_keys(items) -> list:
+    """Each priced line as (product, quantity, unit price amount)."""
+    return [(i.product, i.quantity.value, i.unit_price.amount) for i in items]
+
+
+def _same_multiset(keys: list, others: list) -> bool:
+    """Whether two key lists hold the same multiset; lists in the same
+    order, as checkout and shipping write them, need no counting."""
+    return keys == others or Counter(keys) == Counter(others)
 
 
 def _per_line(quantities: dict) -> str:
     return ", ".join(f"{line} x{qty}" for line, qty in sorted(quantities.items())) or "nothing"
-
-
-def _resolve(state, entity_id) -> bool:
-    store = KIND_TO_STORE.get(entity_id.kind)
-    return store is not None and entity_id in state.stores[store]
 
 
 class _Checker:
@@ -71,25 +76,28 @@ class _Checker:
 
     def check_catalog_references(self):
         name = "catalog-references"
+        stores = self.state.stores
+        products, customers = stores["products"], stores["customers"]
+        catalogs = stores["catalogs"]
         # the lowest-id stock item linked to each product, recomputed
         first_item: dict = {}
-        for item_id, item in self.state.stores["stock_items"].items():
+        for item_id, item in stores["stock_items"].items():
             link = item.product_link
             if link is not None and (link not in first_item or item_id < first_item[link]):
                 first_item[link] = item_id
-        for pid, product in self.state.stores["products"].items():
-            if product.catalog not in self.state.stores["catalogs"]:
+        for pid, product in products.items():
+            if product.catalog not in catalogs:
                 self.flag(name, pid, f"catalog {product.catalog} does not resolve")
             for customer in product.subscribers:
-                if customer not in self.state.stores["customers"]:
+                if customer not in customers:
                     self.flag(name, pid, f"subscriber {customer} does not resolve")
             if product.stock_item != first_item.get(pid):
                 self.flag(name, pid, f"stored stock item {product.stock_item}, "
                                      f"first linked item {first_item.get(pid)}")
-        for nid, note in self.state.stores["notifications"].items():
-            if note.customer not in self.state.stores["customers"]:
+        for nid, note in stores["notifications"].items():
+            if note.customer not in customers:
                 self.flag(name, nid, f"customer {note.customer} does not resolve")
-            if note.product not in self.state.stores["products"]:
+            if note.product not in products:
                 self.flag(name, nid, f"product {note.product} does not resolve")
 
     def check_product_similarity(self):
@@ -111,10 +119,10 @@ class _Checker:
 
     def check_cart_items(self):
         name = "cart-items-merged"
-        holders = list(self.state.stores["carts"].items()) + \
-            list(self.state.stores["orders"].items())
-        for hid, holder in holders:
-            items = holder.line_items if hasattr(holder, "line_items") else holder.items
+        holders = [(cid, cart.items) for cid, cart in self.state.stores["carts"].items()]
+        holders += [(oid, order.line_items)
+                    for oid, order in self.state.stores["orders"].items()]
+        for hid, items in holders:
             seen = set()
             for item in items:
                 if item.product in seen:
@@ -125,19 +133,20 @@ class _Checker:
 
     def check_checkout_bijection(self):
         name = "checkout-bijection"
+        stores, currency, open_state = self.state.stores, self.currency, CartState.OPEN
         orders_by_cart: dict = {}
-        for oid, order in self.state.stores["orders"].items():
+        for order in stores["orders"].values():
             if order.source_cart is not None:
                 orders_by_cart.setdefault(order.source_cart, []).append(order)
         invoices_by_cart: dict = {}
-        for iid, inv in self.state.stores["invoices"].items():
+        for inv in stores["invoices"].values():
             if inv.source_cart is not None:
                 invoices_by_cart.setdefault(inv.source_cart, []).append(inv)
 
-        for cart_id, cart in self.state.stores["carts"].items():
+        for cart_id, cart in stores["carts"].items():
             orders = orders_by_cart.get(cart_id, [])
             invoices = invoices_by_cart.get(cart_id, [])
-            if cart.state is CartState.OPEN:
+            if cart.state is open_state:
                 if orders or invoices:
                     self.flag(name, cart_id, "open cart has checkout artifacts")
                 continue
@@ -146,14 +155,14 @@ class _Checker:
                           f"{len(orders)} orders and {len(invoices)} invoices for one checkout")
                 continue
             order, inv = orders[0], invoices[0]
-            cart_items = _items_multiset(cart.items)
-            if _items_multiset(order.line_items) != cart_items:
+            cart_items = _item_keys(cart.items)
+            if not _same_multiset(_item_keys(order.line_items), cart_items):
                 self.flag(name, cart_id, f"order {order.id} line items differ from cart")
-            if _items_multiset(inv.items) != cart_items:
+            if not _same_multiset(_item_keys(inv.items), cart_items):
                 self.flag(name, cart_id, f"invoice {inv.id} items differ from cart")
             cart_total = sum(i.unit_price.amount * i.quantity.value for i in cart.items)
             order_total = sum(i.unit_price.amount * i.quantity.value for i in order.line_items)
-            inv_subtotal = inv.subtotal(self.currency).amount
+            inv_subtotal = inv.subtotal(currency).amount
             if not cart_total == order_total == inv_subtotal:
                 self.flag(name, cart_id,
                           f"totals differ: cart {cart_total}, order {order_total}, "
@@ -173,27 +182,31 @@ class _Checker:
         name = "invoice-provenance"
         decided = (InvoiceState.VALIDATED, InvoiceState.REJECTED,
                    InvoiceState.PARTIALLY_PAID, InvoiceState.PAID)
+        received = PaymentState.RECEIVED
         for iid, inv in self.state.stores["invoices"].items():
             if inv.state in decided and inv.validated_by is None:
                 self.flag(name, iid, f"{inv.state.value} invoice lacks validated_by")
         for pid, payment in self.state.stores["payments"].items():
-            if payment.state is not PaymentState.RECEIVED and payment.validated_by is None:
+            if payment.state is not received and payment.validated_by is None:
                 self.flag(name, pid, f"{payment.state.value} payment lacks validated_by")
 
     def check_payment_conservation(self):
         name = "payment-conservation"
+        invoices, currency = self.state.stores["invoices"], self.currency
+        accepted_state = PaymentState.ACCEPTED
+        paid_state, partly_paid_state = InvoiceState.PAID, InvoiceState.PARTIALLY_PAID
         accepted: dict = {}
         for pid, payment in self.state.stores["payments"].items():
-            if payment.amount.amount <= 0:
-                self.flag(name, pid, f"non-positive amount {payment.amount.amount}")
-            if payment.invoice not in self.state.stores["invoices"]:
+            amount = payment.amount.amount
+            if amount <= 0:
+                self.flag(name, pid, f"non-positive amount {amount}")
+            if payment.invoice not in invoices:
                 self.flag(name, pid, f"invoice {payment.invoice} does not resolve")
                 continue
-            if payment.state is PaymentState.ACCEPTED:
-                accepted[payment.invoice] = accepted.get(payment.invoice, 0) + \
-                    payment.amount.amount
-        for iid, inv in self.state.stores["invoices"].items():
-            total = inv.total(self.currency).amount
+            if payment.state is accepted_state:
+                accepted[payment.invoice] = accepted.get(payment.invoice, 0) + amount
+        for iid, inv in invoices.items():
+            total = inv.total(currency).amount
             if total < 0:
                 self.flag(name, iid, f"negative total {total}")
             paid = accepted.get(iid, 0)
@@ -202,10 +215,12 @@ class _Checker:
                                      f"accepted payments sum to {paid}")
             if paid > total:
                 self.flag(name, iid, f"accepted {paid} exceeds total {total}")
-            expected_state = {
-                InvoiceState.PAID: paid == total,
-                InvoiceState.PARTIALLY_PAID: 0 < paid < total,
-            }.get(inv.state, paid == 0)
+            if inv.state == paid_state:
+                expected_state = paid == total
+            elif inv.state == partly_paid_state:
+                expected_state = 0 < paid < total
+            else:
+                expected_state = paid == 0
             if not expected_state:
                 self.flag(name, iid,
                           f"state {inv.state.value} inconsistent with accepted {paid} of {total}")
@@ -214,13 +229,16 @@ class _Checker:
 
     def check_shipment_coverage(self):
         name = "shipment-coverage"
+        orders = self.state.stores["orders"]
+        cancelled = OrderState.CANCELLED
+        shipped_state, partly_shipped_state = OrderState.SHIPPED, OrderState.PARTIALLY_SHIPPED
         shipped: dict = {}  # order -> line -> quantity, recomputed from shipments
         for sid, shipment in self.state.stores["shipments"].items():
-            order = self.state.stores["orders"].get(shipment.order)
+            order = orders.get(shipment.order)
             if order is None:
                 self.flag(name, sid, f"order {shipment.order} does not resolve")
                 continue
-            if order.state is OrderState.CANCELLED:
+            if order.state is cancelled:
                 self.flag(name, sid, "shipment against a cancelled order")
             lines = {line.product for line in order.line_items}
             covered = shipped.setdefault(order.id, {})
@@ -229,7 +247,7 @@ class _Checker:
                 if line not in lines:
                     self.flag(name, sid, f"{line} is not an order line")
                 covered[line] = covered.get(line, 0) + item.quantity.value
-        for oid, order in self.state.stores["orders"].items():
+        for oid, order in orders.items():
             covered = shipped.get(oid, {})
             if order.shipped != covered:
                 self.flag(name, oid, f"stored shipped {_per_line(order.shipped)}, "
@@ -245,17 +263,21 @@ class _Checker:
                     any_covered = True
                 if got != line.quantity.value:
                     full = False
-            expected = {
-                OrderState.SHIPPED: full,
-                OrderState.PARTIALLY_SHIPPED: any_covered and not full,
-            }.get(order.state, not any_covered)
+            if order.state == shipped_state:
+                expected = full
+            elif order.state == partly_shipped_state:
+                expected = any_covered and not full
+            else:
+                expected = not any_covered
             if not expected:
                 self.flag(name, oid, f"state {order.state.value} inconsistent with coverage")
 
     def check_shipment_invoice(self):
         name = "shipment-invoice"
+        orders = self.state.stores["orders"]
+        payable = (InvoiceState.VALIDATED, InvoiceState.PARTIALLY_PAID, InvoiceState.PAID)
         by_shipment: dict = {}
-        for iid, inv in self.state.stores["invoices"].items():
+        for inv in self.state.stores["invoices"].values():
             if inv.source_shipment is not None:
                 by_shipment.setdefault(inv.source_shipment, []).append(inv)
         for sid, shipment in self.state.stores["shipments"].items():
@@ -266,18 +288,17 @@ class _Checker:
             inv = invoices[0]
             if inv.id != shipment.invoice:
                 self.flag(name, sid, f"shipment points at {shipment.invoice}, not {inv.id}")
-            if inv.state not in (InvoiceState.VALIDATED, InvoiceState.PARTIALLY_PAID,
-                                 InvoiceState.PAID):
+            if inv.state not in payable:
                 self.flag(name, sid, f"shipment invoice is {inv.state.value}")
-            order = self.state.stores["orders"].get(shipment.order)
+            order = orders.get(shipment.order)
             if order is None:
                 continue
-            expected = Counter()
+            expected = []
             for item in shipment.items:
                 line = order.line_for(item.charged_line())
                 price = line.unit_price.amount if line else -1
-                expected[(item.product, item.quantity.value, price)] += 1
-            if _items_multiset(inv.items) != expected:
+                expected.append((item.product, item.quantity.value, price))
+            if not _same_multiset(_item_keys(inv.items), expected):
                 self.flag(name, sid, "invoice items do not match shipped items")
         for sid, invoices in sorted(by_shipment.items()):
             self.flag(name, sid, "invoice references a missing shipment")
@@ -286,6 +307,7 @@ class _Checker:
 
     def check_stock_conservation(self):
         name = "stock-conservation"
+        stockrooms = self.state.stores["stockrooms"]
         for item_id, item in self.state.stores["stock_items"].items():
             inv = item.inventory
             local_sum = sum(inv.by_room.values())
@@ -298,22 +320,25 @@ class _Checker:
             for room_id, qty in inv.by_room.items():
                 if qty < 0:
                     self.flag(name, item_id, f"room {room_id} holds {qty}")
-                if room_id not in self.state.stores["stockrooms"]:
+                if room_id not in stockrooms:
                     self.flag(name, item_id, f"room {room_id} does not resolve")
 
     def check_shop_orders(self):
         name = "shop-order-structure"
+        stock_items = self.state.stores["stock_items"]
+        product_kind, component_kind = StockKind.PRODUCT, StockKind.COMPONENT
         for oid, order in self.state.stores["shop_orders"].items():
-            product = self.state.stores["stock_items"].get(order.product)
-            if product is None or product.kind is not StockKind.PRODUCT:
+            product = stock_items.get(order.product)
+            if product is None or product.kind is not product_kind:
                 self.flag(name, oid, f"output item {order.product} is not a product")
             if order.output_qty < 1:
                 self.flag(name, oid, f"output quantity {order.output_qty} < 1")
-            if not order.bill_of_materials:
+            bill = order.bill_of_materials
+            if not bill:
                 self.flag(name, oid, "empty bill of materials")
-            for component_id, qty in order.bill_of_materials.items():
-                component = self.state.stores["stock_items"].get(component_id)
-                if component is None or component.kind is not StockKind.COMPONENT:
+            for component_id, qty in bill.items():
+                component = stock_items.get(component_id)
+                if component is None or component.kind is not component_kind:
                     self.flag(name, oid, f"{component_id} is not a component")
                 if qty < 1:
                     self.flag(name, oid, f"bill quantity {qty} < 1 for {component_id}")
@@ -322,33 +347,36 @@ class _Checker:
 
     def check_referential_integrity(self):
         name = "referential-integrity"
+        stores = self.state.stores
         refs = []
-        for cid, cart in self.state.stores["carts"].items():
+        for cid, cart in stores["carts"].items():
             refs.append((cid, cart.customer))
             refs.extend((cid, item.product) for item in cart.items)
-        for oid, order in self.state.stores["orders"].items():
+        for oid, order in stores["orders"].items():
             refs.append((oid, order.customer))
             refs.extend((oid, line.product) for line in order.line_items)
             if order.source_cart is not None:
                 refs.append((oid, order.source_cart))
-        for sid, shipment in self.state.stores["shipments"].items():
+        for sid, shipment in stores["shipments"].items():
             refs.extend([(sid, shipment.receiver), (sid, shipment.invoice)])
             refs.extend((sid, item.product) for item in shipment.items)
-        for iid, inv in self.state.stores["invoices"].items():
+        for iid, inv in stores["invoices"].items():
             refs.append((iid, inv.customer))
             if inv.created_by.kind != "system":
                 refs.append((iid, inv.created_by))
             if inv.validated_by is not None and inv.validated_by.kind != "system":
                 refs.append((iid, inv.validated_by))
-        for pid, payment in self.state.stores["payments"].items():
+        for pid, payment in stores["payments"].items():
             refs.append((pid, payment.customer))
             if payment.validated_by is not None and payment.validated_by.kind != "system":
                 refs.append((pid, payment.validated_by))
-        for item_id, item in self.state.stores["stock_items"].items():
+        for item_id, item in stores["stock_items"].items():
             if item.product_link is not None:
                 refs.append((item_id, item.product_link))
+        store_of_kind = {kind: stores[store] for kind, store in KIND_TO_STORE.items()}
         for holder, target in refs:
-            if not _resolve(self.state, target):
+            store = store_of_kind.get(target.kind)
+            if store is None or target not in store:
                 self.flag(name, holder, f"reference {target} does not resolve")
 
     def check_serial_bounds(self):
@@ -361,52 +389,74 @@ class _Checker:
                               f"serial outside allocated range 1..{top}")
 
     # -- event log -------------------------------------------------------------
+    # One walk of the log finds the violations of all three log invariants;
+    # the first of their checks to run takes it, the other two reuse it.
 
     def check_log_structure(self):
-        name = "log-structure"
-        previous_tick = 0
-        for index, record in enumerate(self.state.log, start=1):
-            if record.seq != index:
-                self.flag(name, f"seq:{record.seq}", f"expected seq {index}")
-            if record.tick <= previous_tick:
-                self.flag(name, f"seq:{record.seq}",
-                          f"tick {record.tick} not after {previous_tick}")
-            previous_tick = record.tick
-            if record.outcome != "ok" and record.deltas:
-                self.flag(name, f"seq:{record.seq}",
-                          f"{record.outcome} record carries {len(record.deltas)} deltas")
-            if record.deltas and record.access.get("verdict") != "Allow":
-                self.flag(name, f"seq:{record.seq}",
-                          "state deltas without an Allow decision")
+        self.violations += self.log_findings["log-structure"]
 
     def check_log_stage_monotone(self):
-        name = "shop-order-stage-monotone"
-        stages: dict = {}
-        for record in self.state.log:
-            for fact in record.deltas:
-                if fact.get("f") != "put" or fact.get("store") != "shop_orders":
-                    continue
-                stage = fact["data"]["stage"]
-                previous = stages.get(fact["id"])
-                if previous is None:
-                    if stage != ShopOrderStage.CREATED.value:
-                        self.flag(name, fact["id"], f"first stage was {stage}")
-                else:
-                    step = _STAGE_ORDER.index(stage) - _STAGE_ORDER.index(previous)
-                    if step not in (0, 1):
-                        self.flag(name, fact["id"], f"stage jumped {previous} -> {stage}")
-                stages[fact["id"]] = stage
+        self.violations += self.log_findings["shop-order-stage-monotone"]
 
     def check_notifications_append_only(self):
-        name = "notification-append-only"
-        seen: dict = {}
-        for record in self.state.log:
-            for fact in record.deltas:
-                if fact.get("f") != "put" or fact.get("store") != "notifications":
-                    continue
-                if fact["id"] in seen and seen[fact["id"]] != fact["data"]:
-                    self.flag(name, fact["id"], "notification was rewritten")
-                seen[fact["id"]] = fact["data"]
+        self.violations += self.log_findings["notification-append-only"]
+
+    @cached_property
+    def log_findings(self) -> dict[str, list[Violation]]:
+        """Invariant name -> its violations, for the three log invariants."""
+        structure: list[Violation] = []
+        stage_jumps: list[Violation] = []
+        rewrites: list[Violation] = []
+        stages: dict = {}  # shop order id -> its last stage
+        notes: dict = {}   # notification id -> the data of its last put
+        previous_tick = 0
+        for index, record in enumerate(self.state.log, start=1):
+            seq, tick = record.seq, record.tick
+            if seq != index:
+                structure.append(Violation("log-structure", f"seq:{seq}",
+                                           f"expected seq {index}"))
+            if tick <= previous_tick:
+                structure.append(Violation("log-structure", f"seq:{seq}",
+                                           f"tick {tick} not after {previous_tick}"))
+            previous_tick = tick
+            deltas = record.deltas
+            if not deltas:
+                continue
+            if record.outcome != "ok":
+                structure.append(Violation(
+                    "log-structure", f"seq:{seq}",
+                    f"{record.outcome} record carries {len(deltas)} deltas"))
+            if record.access.get("verdict") != "Allow":
+                structure.append(Violation("log-structure", f"seq:{seq}",
+                                           "state deltas without an Allow decision"))
+            for fact in deltas:
+                store = fact.get("store")
+                if store == "shop_orders":
+                    if fact.get("f") != "put":
+                        continue
+                    entity, stage = fact["id"], fact["data"]["stage"]
+                    previous = stages.get(entity)
+                    if previous is None:
+                        if stage != _CREATED:
+                            stage_jumps.append(Violation(
+                                "shop-order-stage-monotone", str(entity),
+                                f"first stage was {stage}"))
+                    elif _STAGE_RANK[stage] - _STAGE_RANK[previous] not in (0, 1):
+                        stage_jumps.append(Violation(
+                            "shop-order-stage-monotone", str(entity),
+                            f"stage jumped {previous} -> {stage}"))
+                    stages[entity] = stage
+                elif store == "notifications":
+                    if fact.get("f") != "put":
+                        continue
+                    entity, data = fact["id"], fact["data"]
+                    if entity in notes and notes[entity] != data:
+                        rewrites.append(Violation("notification-append-only", str(entity),
+                                                  "notification was rewritten"))
+                    notes[entity] = data
+        return {"log-structure": structure,
+                "shop-order-stage-monotone": stage_jumps,
+                "notification-append-only": rewrites}
 
 
 _CHECKS = sorted(name for name in vars(_Checker) if name.startswith("check_"))

@@ -22,6 +22,7 @@ from .foundation import (
     Record,
     SchemaError,
     money_sum,
+    priced_sum,
     round_half_away,
 )
 
@@ -108,9 +109,6 @@ class InvoiceItem(Record):
     quantity: Quantity
     unit_price: Money
 
-    def extended_price(self) -> Money:
-        return self.unit_price.scale(self.quantity)
-
 
 @dataclass
 class Invoice(Record):
@@ -129,13 +127,12 @@ class Invoice(Record):
     accepted: int = 0
 
     def subtotal(self, currency: str) -> Money:
-        return money_sum((item.extended_price() for item in self.items), currency)
+        return priced_sum(self.items, currency)
 
     def total(self, currency: str) -> Money:
-        total = self.subtotal(currency)
-        for _, adjustment in self.adjustments:
-            total = total.add(adjustment)
-        return total
+        """The subtotal plus each adjustment, all in ``currency``."""
+        adjustments = [adjustment for _, adjustment in self.adjustments]
+        return money_sum([self.subtotal(currency), *adjustments], currency)
 
 
 @dataclass

@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 from . import bundled
-from .foundation import DomainError, EntityId
+from .commands import COMMANDS
+from .foundation import DomainError, EntityId, SchemaError
 
 
 class DuplicateRole(DomainError):
@@ -26,6 +27,9 @@ class UnknownRoleInAssignment(DomainError):
 
 ALLOW = "Allow"
 DENY = "Deny"
+
+# every right a role may hold: (target entity kind, command) per declared command
+DECLARED_RIGHTS = frozenset((spec.kind, name) for name, spec in COMMANDS.items())
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,30 @@ def permissive_matrix() -> RbacMatrix:
     return RbacMatrix(permissive=True)
 
 
+def _right(role: str, raw) -> tuple[str, str]:
+    """One declared right, which must name a declared command on its kind."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2
+            and all(isinstance(part, str) for part in raw)):
+        raise SchemaError(f"role {role!r}: a right is a [kind, command] pair of "
+                          f"strings, got {raw!r}")
+    right = (raw[0], raw[1])
+    if right not in DECLARED_RIGHTS:
+        raise SchemaError(f"role {role!r}: right {list(right)} names no declared command")
+    return right
+
+
 def load_rbac_config(config: dict) -> RbacMatrix:
-    """Build the matrix from {roles: [...], assignments: [...]} declarations."""
+    """Build the matrix from {roles: [...], assignments: [...]} declarations.
+
+    A right that is not a ``[kind, command]`` pair of strings naming a
+    declared command is a ``SchemaError``: it would grant nothing.
+    """
     roles: dict[str, RoleDef] = {}
     for raw in config.get("roles", []):
         name = raw["name"]
         if name in roles:
             raise DuplicateRole(f"role {name!r} declared twice")
-        rights = frozenset((str(kind), str(op)) for kind, op in raw.get("rights", []))
+        rights = frozenset(_right(name, right) for right in raw.get("rights", []))
         roles[name] = RoleDef(name=name, rights=rights,
                               owner_only=bool(raw.get("owner_only", False)))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import UnknownCustomer, UnknownProduct
-from .foundation import DomainError, EntityId, Money, Quantity, Record, money_sum
+from .foundation import DomainError, EntityId, Money, Quantity, Record, priced_sum
 
 
 class CartClosed(DomainError):
@@ -60,9 +60,6 @@ class CartItem(Record):
     product: EntityId
     quantity: Quantity
     unit_price: Money
-
-    def extended_price(self) -> Money:
-        return self.unit_price.scale(self.quantity)
 
 
 @dataclass
@@ -135,7 +132,7 @@ def cart_total(state, cart_id: EntityId, currency: str) -> Money:
     cart = state.stores["carts"].get(cart_id)
     if cart is None:
         raise UnknownCart(f"no cart {cart_id}")
-    return money_sum((item.extended_price() for item in cart.items), currency)
+    return priced_sum(cart.items, currency)
 
 
 def checkout(txn, cart_id: EntityId) -> tuple[EntityId, EntityId]:

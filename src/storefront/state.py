@@ -52,8 +52,15 @@ class GapInSequence(DomainError):
 
 
 def to_jsonable(value):
-    """Canonical JSON form for payloads, results, and facts."""
-    if value is None or isinstance(value, (bool, int, str)):
+    """Canonical JSON form for payloads, results, and facts.
+
+    Only an exact ``str``, ``int`` or ``bool`` passes as it is. A str-mixin
+    enum member is also a ``str``, but it becomes its value: kept as it is,
+    the live record would hold another type than the record read back
+    from the log.
+    """
+    cls = value.__class__
+    if cls is str or cls is int or cls is bool or value is None:
         return value
     if isinstance(value, EntityId):
         return str(value)
@@ -61,13 +68,15 @@ def to_jsonable(value):
         return value.to_dict()
     if isinstance(value, Quantity):
         return value.value
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, dict):
         return {k if k.__class__ is str else _json_key(k): to_jsonable(v)
                 for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (bool, int, str)):
+        return value
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from storefront.foundation import (
     SchemaError,
     derive_codec,
     money_sum,
+    priced_sum,
     round_half_away,
 )
 
@@ -39,10 +41,18 @@ def test_money_add_currency_mismatch():
         usd(500).add(Money(500, "EUR"))
 
 
-def test_money_scale():
-    assert usd(1099).scale(Quantity(3)) == usd(3297)
-    assert usd(1099).scale(Quantity(0)) == usd(0)
-    assert usd(0).scale(Quantity(7)) == usd(0)
+def test_priced_sum():
+    def line(amount, qty, currency="USD"):
+        return SimpleNamespace(unit_price=Money(amount, currency), quantity=Quantity(qty))
+
+    assert priced_sum([line(1099, 3)], "USD") == usd(3297)
+    assert priced_sum([line(1099, 0), line(0, 7)], "USD") == usd(0)
+    assert priced_sum([line(1099, 3), line(250, 2)], "USD") == usd(3797)
+    assert priced_sum([], "USD") == usd(0)
+    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
+        priced_sum([line(1, 1), line(1, 1, "EUR")], "USD")
+    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
+        money_sum([usd(1), Money(1, "EUR")], "USD")
 
 
 def test_money_sub_and_negate():

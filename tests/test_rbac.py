@@ -2,13 +2,16 @@
 need-to-know guarantee over the whole command vocabulary."""
 
 import json
+import re
 
 import pytest
 
 from helpers import new_customer, new_employee, product_id, stock_item_id
-from storefront import SYSTEM, AccessDenied, EntityId, bundled
+from storefront import SYSTEM, AccessDenied, EntityId, SchemaError, bundled
+from storefront.cli import main
 from storefront.commands import COMMANDS
 from storefront.rbac import (
+    DECLARED_RIGHTS,
     DuplicateRole,
     UnknownRoleInAssignment,
     check_access,
@@ -42,6 +45,51 @@ def test_assignment_to_undeclared_role_rejected():
               "assignments": [{"user": "customer:1", "roles": ["B"]}]}
     with pytest.raises(UnknownRoleInAssignment):
         load_rbac_config(config)
+
+
+def _with_shopper_right(right) -> dict:
+    config = json.loads(json.dumps(BUNDLED_RBAC_CONFIG))
+    shopper = next(role for role in config["roles"] if role["name"] == "Shopper")
+    shopper["rights"].append(right)
+    return config
+
+
+@pytest.mark.parametrize("right, message", [
+    (["cart", "chekout"], "right ['cart', 'chekout'] names no declared command"),
+    (["order", "checkout"], "right ['order', 'checkout'] names no declared command"),
+    (["cart", "checkout", "extra"], "a right is a [kind, command] pair of strings"),
+    (["cart"], "a right is a [kind, command] pair of strings"),
+    ("cart", "a right is a [kind, command] pair of strings"),
+    (["cart", 7], "a right is a [kind, command] pair of strings"),
+    ([None, "checkout"], "a right is a [kind, command] pair of strings"),
+], ids=["misspelled", "wrong-kind", "three-elements", "one-element", "string",
+        "int-command", "null-kind"])
+def test_right_naming_no_command_rejected(right, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_rbac_config(_with_shopper_right(right))
+
+
+@pytest.mark.parametrize("right", [["cart", "chekout"], ["cart", "checkout", "extra"]],
+                         ids=["misspelled", "three-elements"])
+def test_cli_rejects_bad_right_with_exit_two(tmp_path, capsys, right):
+    config = tmp_path / "rbac.json"
+    config.write_text(json.dumps(_with_shopper_right(right)), encoding="utf-8")
+    scenario = bundled.scenario_dir() / "cart-checkout.json"
+    code = main(["run", str(scenario), "--rbac", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bundled_config_loads_unchanged():
+    matrix = default_matrix()
+    for raw in BUNDLED_RBAC_CONFIG["roles"]:
+        role = matrix.roles[raw["name"]]
+        assert role.rights == {tuple(right) for right in raw["rights"]}
+        assert role.rights <= DECLARED_RIGHTS
+        assert role.owner_only == raw.get("owner_only", False)
+    assert DECLARED_RIGHTS == {(spec.kind, name) for name, spec in COMMANDS.items()}
 
 
 def test_config_assignments_grant_roles(rbac_eng):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from storefront import bundled, cli
+from storefront import bundled, cli, default_matrix, load_scenario, read_log, run_scenario
 from storefront.cli import main
 from storefront.scenario import ParseError, parse_scenario
 
@@ -63,6 +63,59 @@ def test_bundled_scenario_logs_match_golden_digests(tmp_path):
         digests[path.stem] = hashlib.sha256(
             (out_dir / "events.jsonl").read_bytes()).hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+# sha256 of each bundled scenario's report.json under the bundled access
+# matrix: step outcomes, expectations and the invariant report. A change
+# here changes what a run reports, not only how fast it gets there.
+REPORT_DIGESTS = {
+    "cart-checkout": "381324aa246a4f3c5b4a6a2812e5cc52dcd30bd13d77c57dce8256cdfaa7523e",
+    "full-purchase": "70b6efddd5033f72a0eafd91cf21adc6384f34c111ca08fbc1e5492670addb60",
+    "invoice-lifecycle": "5cf3d0ee5dfcecc8ae602a0c53ca7ba2517732907a92a37b4b5103d78e9f30ab",
+    "invoice-payment": "a7c8d4ade8b52666517889337881f538e820b00feeb1d22fd0b3d1e6e69af8dd",
+    "invoice-preparation": "20b476f2196534048360e2411d46c73c4ab2a917ee4f51d0c625e2a12f458adc",
+    "order-fulfillment": "ab19ed4eef1b8a56f6653ff6362b58c02dd572c661e5b7b505de48b703218692",
+    "order-receipt": "1af66ad2185b31cc5af6b6ea492eefd6993dda1d4b45f5f7e931c9356670be84",
+    "product-update-notify": "d13c71cce65f5c34404ac380c14e0931b88372e640c76c384aa3ad19f3b8ab8d",
+    "rbac-denials": "0843f8632b218715beeeac73533a657d934a2310983e4924188fbf7cd2251e31",
+    "separation-of-duty": "5e0fedb2a69a23d919bbb6d22445af16ab5fd7cd519c02829a879edc5be606ac",
+    "shop-order-fabrication": "69061168e214447b4bcb39a031769fef2cdf76fbae7cc5a0919729e11e984634",
+    "stock-intake": "8df44f31cd09dca60b99f77f2ddf72f1ba41d8850b50e4b9d385643e6029b8e5",
+    "stock-transfer": "95a1e34f7dfebfaf9eef03c25947dd59e83188267e6f8b4eb520ced7b070af19",
+}
+
+
+def test_bundled_scenario_reports_match_golden_digests(tmp_path):
+    digests = {}
+    for path in bundled.scenario_files():
+        out_dir = tmp_path / path.stem
+        code, output = run_cli("run", str(path), "--rbac", RBAC, "--out", str(out_dir))
+        assert code == 0, output
+        digests[path.stem] = hashlib.sha256(
+            (out_dir / "report.json").read_bytes()).hexdigest()
+    assert digests == REPORT_DIGESTS
+
+
+def _typed(value):
+    """``value`` with the exact class of every node beside it."""
+    if isinstance(value, dict):
+        return dict, {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list, [_typed(item) for item in value]
+    return value.__class__, value
+
+
+def test_live_records_equal_their_log_lines_in_value_types(tmp_path):
+    """A live record holds the same JSON values as the record read back
+    from its log line, down to the class of each value."""
+    for path in bundled.scenario_files():
+        args = cli.make_parser().parse_args(["run", str(path), "--rbac", RBAC])
+        engine = cli.build_engine(args, default_matrix())
+        run_scenario(engine, load_scenario(path))
+        log = tmp_path / f"{path.stem}.jsonl"
+        engine.write_log(log)
+        live = [_typed(record.to_dict()) for record in engine.state.log]
+        assert live == [_typed(record.to_dict()) for record in read_log(log)], path.stem
 
 
 def test_verify_accepts_every_emitted_log(tmp_path):
