@@ -8,11 +8,22 @@ or as the rich value types; parsing normalizes both to one canonical form.
 
 from __future__ import annotations
 
+import functools
+import typing
 from dataclasses import dataclass
+from enum import Enum
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
 from .catalog import ProductStatus
-from .foundation import CurrencyMismatch, EntityId, Money, Quantity, SchemaError
+from .foundation import (
+    _IDS,
+    CurrencyMismatch,
+    EntityId,
+    Money,
+    Quantity,
+    SchemaError,
+    run_generated,
+)
 from .invoice import InvoiceItem, PaymentMethod
 from .order_shipment import ShippedItem
 from .state import to_jsonable
@@ -24,158 +35,232 @@ class ParseContext:
     currency: str
 
 
-# --- argument parsers ---------------------------------------------------------
+# --- argument declarations ----------------------------------------------------
+# The args of a command or a query are the ``Fields`` of one object. A field
+# is declared as ``str``, ``bool``, ``int``, ``Money``, ``Quantity``, an enum
+# class, ``Id``, ``list[X]``, ``dict[Id(kind), X]``, ``Fields`` or ``EDIT``.
 
-def p_str(value, ctx):
-    if not isinstance(value, str):
-        raise SchemaError(f"expected string, got {value!r}")
+
+class Id:
+    """An entity id of one of ``kinds``: an ``EntityId`` or its text."""
+
+    def __init__(self, *kinds: str):
+        self.kinds = kinds
+
+
+@dataclass(eq=False)
+class Fields:
+    """An object of the declared fields, each required unless ``optional``,
+    parsed to a dict of those present or to ``into(*fields)`` (None for an
+    absent one); a tuple's payload is a list, a record's its ``to_dict()``."""
+
+    fields: dict
+    optional: set | frozenset = frozenset()
+    into: type | None = None
+
+
+ORDER_LINE = Fields({"product": Id("product"), "qty": Quantity}, into=tuple)
+SHIPPED_ITEM = Fields({"product": Id("product"), "qty": Quantity,
+                       "substituted_for": Id("product")}, {"substituted_for"}, ShippedItem)
+INVOICE_ITEM = Fields({"description": str, "product": Id("product"), "quantity": Quantity,
+                       "unit_price": Money}, {"product"}, InvoiceItem)
+EDIT = "edit"  # {"add": INVOICE_ITEM, quantity at least 1} or {"delete": description}
+
+# Each scalar kind's code template: lines that parse the raw value in local
+# ``{v}`` into ``{v}``, and the expression of its payload (its canonical JSON
+# form). A value of the exact JSON class passes the first test; any other is
+# accepted as an isinstance check accepts it, or rejected.
+_TEMPLATES = {
+    str: ("if not isinstance({v}, str): _wrong({v}, 'string')",
+          "{v} if {v}.__class__ is str else to_jsonable({v})"),
+    int: ("if {v}.__class__ is not int and ({v}.__class__ is bool or not isinstance({v}, int)):"
+          " _wrong({v}, 'integer')", "{v} if {v}.__class__ is int else to_jsonable({v})"),
+    bool: ("if {v}.__class__ is not bool: _wrong({v}, 'boolean')", "{v}"),
+    Money: ("{v} = Money({v}, currency) if {v}.__class__ is int else _money({v}, currency)",
+            "{{'amount': {v}.amount, 'currency': {v}.currency}}"),
+    Quantity: ("if {v}.__class__ is not Quantity: "
+               "{v} = Quantity({v}) if {v}.__class__ is int else _qty({v})", "{v}.value"),
+    Id: ("if {v}.__class__ is not EntityId: {v} = ({v}.__class__ is str and ids_get({v})) "
+         "or ({v} if isinstance({v}, EntityId) else parse_id({v}))\n"
+         "if {v}.kind not in {kinds!r}: _wrong({v}._text, {expected!r})", "{v}._text"),
+    Enum: ("if {v}.__class__ is not {cls}: {v} = {get}({v}) or _enum({cls}, {v}) "
+           "if {v}.__class__ is str else _enum({cls}, {v})", "{v}._value_"),
+}
+
+
+def _wrong(value, expected: str):
+    raise SchemaError(f"expected {expected}, got {value!r}")
+
+
+def _names(what: str, names, others):
+    """Reject ``names`` not among ``others``, listed in repr order."""
+    raise SchemaError(f"{what} {sorted(names - others, key=repr)}")
+
+
+def _money(value, currency: str) -> Money:
+    """Minor units in the engine currency, or an {amount, currency} object."""
+    if value.__class__ is not bool and isinstance(value, int):
+        value = Money(value, currency)
+    elif (isinstance(value, dict) and value.keys() == {"amount", "currency"}
+          and value["amount"].__class__ is int and isinstance(value["currency"], str)):
+        value = Money(value["amount"], value["currency"])
+    elif not isinstance(value, Money):
+        _wrong(value, "money")
+    if value.currency != currency:
+        raise CurrencyMismatch(f"engine currency is {currency}, got {value.currency}")
     return value
 
 
-def p_bool(value, ctx):
-    if not isinstance(value, bool):
-        raise SchemaError(f"expected boolean, got {value!r}")
-    return value
-
-
-def p_int(value, ctx):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected integer, got {value!r}")
-    return value
-
-
-def p_id(kind):
-    def parse(value, ctx):
-        if isinstance(value, EntityId):
-            entity_id = value
-        elif isinstance(value, str):
-            entity_id = EntityId.parse(value)
-        else:
-            raise SchemaError(f"expected {kind} id, got {value!r}")
-        if entity_id.kind != kind:
-            raise SchemaError(f"expected {kind} id, got {entity_id}")
-        return entity_id
-    return parse
-
-
-def p_actor_id(value, ctx):
-    """Ids of either people kind, for creator/validator provenance fields."""
-    entity_id = value if isinstance(value, EntityId) else EntityId.parse(value)
-    if entity_id.kind not in ("employee", "system"):
-        raise SchemaError(f"expected employee or system id, got {entity_id}")
-    return entity_id
-
-
-def p_money(value, ctx):
-    """Minor-unit int in the engine currency, or an {amount, currency} object."""
-    if isinstance(value, Money):
-        money = value
-    elif isinstance(value, bool):
-        raise SchemaError(f"expected money, got {value!r}")
-    elif isinstance(value, int):
-        money = Money(value, ctx.currency)
-    elif (isinstance(value, dict) and set(value) == {"amount", "currency"}
-          and type(value["amount"]) is int and isinstance(value["currency"], str)):
-        money = Money(value["amount"], value["currency"])
-    else:
-        raise SchemaError(f"expected money, got {value!r}")
-    if money.currency != ctx.currency:
-        raise CurrencyMismatch(
-            f"engine currency is {ctx.currency}, got {money.currency}")
-    return money
-
-
-def p_qty(value, ctx):
+def _qty(value) -> Quantity:
     if isinstance(value, Quantity):
         return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected quantity, got {value!r}")
+    if value.__class__ is bool or not isinstance(value, int):
+        _wrong(value, "quantity")
     return Quantity(value)
 
 
-def p_enum(enum_class):
-    def parse(value, ctx):
-        if isinstance(value, enum_class):
-            return value
-        try:
-            return enum_class(value)
-        except ValueError:
-            raise SchemaError(
-                f"expected one of {[e.value for e in enum_class]}, got {value!r}") from None
-    return parse
+def _enum(enum_class, value):
+    if isinstance(value, enum_class):
+        return value
+    try:
+        return enum_class(value)
+    except ValueError:
+        _wrong(value, f"one of {[e.value for e in enum_class]}")
 
 
-def p_list(item_parser):
-    def parse(value, ctx):
-        if not isinstance(value, (list, tuple)):
-            raise SchemaError(f"expected list, got {value!r}")
-        return [item_parser(item, ctx) for item in value]
-    return parse
+def _indent(lines: list[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
 
 
-def p_id_map(key_kind, value_parser):
-    """JSON object keyed by id strings -> {EntityId: parsed value}."""
-    key_parser = p_id(key_kind)
-    def parse(value, ctx):
-        if not isinstance(value, dict):
-            raise SchemaError(f"expected object, got {value!r}")
-        return {key_parser(k, ctx): value_parser(v, ctx) for k, v in value.items()}
-    return parse
+class _ParserSource:
+    """The lines of one generated parser, and the names those lines use."""
+
+    def __init__(self):
+        self.names = {"EntityId": EntityId, "Money": Money, "Quantity": Quantity,
+                      "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
+                      "to_jsonable": to_jsonable, "_wrong": _wrong, "_names": _names,
+                      "_money": _money, "_qty": _qty, "_enum": _enum}
+        self._count = 0
+
+    def name(self, value, label: str) -> str:
+        name = f"{label}_{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def var(self) -> str:
+        self._count += 1
+        return f"v{self._count}"
+
+    def lines(self, decl, v: str) -> tuple[list[str], str]:
+        """Lines that parse the raw value in local ``v`` as ``decl`` into
+        ``v``, and the expression of its payload."""
+        if isinstance(decl, Fields):
+            return self.fields(decl, v)
+        if isinstance(decl, type) and issubclass(decl, Enum):
+            template, fill = _TEMPLATES[Enum], {
+                "cls": self.name(decl, decl.__name__),
+                "get": self.name({member.value: member for member in decl}.get, "values")}
+        elif isinstance(decl, Id):
+            template = _TEMPLATES[Id]
+            fill = {"kinds": decl.kinds, "expected": f"{' or '.join(decl.kinds)} id"}
+        elif decl in _TEMPLATES:
+            template, fill = _TEMPLATES[decl], {}
+        else:
+            return self.structure(decl, v)
+        lines, payload = (part.format(v=v, **fill) for part in template)
+        return lines.split("\n"), payload
+
+    def structure(self, decl, v: str) -> tuple[list[str], str]:
+        """The lines of a list, an id map or an edit."""
+        origin, args = typing.get_origin(decl), typing.get_args(decl)
+        parsed, payload, k, w = self.var(), self.var(), self.var(), self.var()
+        if origin is list:
+            item, item_payload = self.lines(args[0], w)
+            return ([f"if not isinstance({v}, (list, tuple)): _wrong({v}, 'list')",
+                     f"{parsed}, {payload} = [], []", f"for {w} in {v}:", *_indent(item),
+                     f"    {parsed}.append({w})", f"    {payload}.append({item_payload})",
+                     f"{v} = {parsed}"], payload)
+        if origin is dict and isinstance(args[0], Id):
+            key, key_payload = self.lines(args[0], k)
+            value, value_payload = self.lines(args[1], w)
+            return ([f"if not isinstance({v}, dict): _wrong({v}, 'object')",
+                     f"{parsed}, {payload} = {{}}, {{}}", f"for {k}, {w} in {v}.items():",
+                     *_indent(key + value), f"    {parsed}[{k}] = {w}",
+                     f"    {payload}[{key_payload}] = {value_payload}", f"{v} = {parsed}"],
+                    payload)
+        if decl != EDIT:
+            raise TypeError(decl)
+        add, add_payload = self.fields(INVOICE_ITEM, w)
+        delete, delete_payload = self.lines(str, w)
+        return ([f"if not isinstance({v}, dict) or len({v}) != 1: "
+                 f"_wrong({v}, 'one add or delete object per edit')",
+                 f"(({k}, {w}),) = {v}.items()", f"if {k} == 'add':", *_indent(add),
+                 f"    if {w}.quantity.value < 1: "
+                 f"raise SchemaError('invoice item quantity must be at least 1')",
+                 f"    {v}, {payload} = {{'add': {w}}}, {{'add': {add_payload}}}",
+                 f"elif {k} == 'delete':", *_indent(delete),
+                 f"    {v}, {payload} = {{'delete': {w}}}, {{'delete': {delete_payload}}}",
+                 "else:", f"    _wrong({k}, 'edit action add or delete')"], payload)
+
+    def fields(self, decl: Fields, v: str, label: str = "") -> tuple[list[str], str]:
+        """The lines of ``Fields``: reject a non-object, an undeclared field,
+        a missing one (under a schema's ``label``, when its turn comes), then
+        parse each field present in declaration order."""
+        if decl.into is tuple and decl.optional:  # a list payload has no absent items
+            raise TypeError(decl)
+        names = self.name(frozenset(decl.fields), "names")
+        unexpected = f"{label}: unexpected args" if label else "unexpected fields:"
+        lines = [f"if {v}.__class__ is not dict: "
+                 f"{v} = dict({v}) if isinstance({v}, dict) else _wrong({v}, 'object')",
+                 f"if not {v}.keys() <= {names}: _names({unexpected!r}, {v}.keys(), {names})"]
+        if decl.optional < decl.fields.keys() and not label:
+            required = self.name(frozenset(decl.fields) - decl.optional, "required")
+            lines.append(f"if not {v}.keys() >= {required}: "
+                         f"_names('missing fields:', {required}, {v}.keys())")
+        parsed, payload = self.var(), self.var()
+        if decl.into is None:
+            lines.append(f"{parsed}, {payload} = {{}}, {{}}")
+        fields, payloads = [], []
+        for name, field_decl in decl.fields.items():
+            f = self.var()
+            try:  # the outermost arg is the one named
+                field, field_payload = self.lines(field_decl, f)
+            except TypeError:
+                raise TypeError(f"{label}: arg {name!r}: no kind parses {field_decl!r}") from None
+            fields.append(f)
+            payloads.append(field_payload)
+            if decl.into is None:
+                field.append(f"{parsed}[{name!r}], {payload}[{name!r}] = {f}, {field_payload}")
+            if name in decl.optional:
+                lines += ([f"{f} = None"] if decl.into else []) + [
+                    f"if {name!r} in {v}:", f"    {f} = {v}[{name!r}]", *_indent(field)]
+            elif label:
+                lines += ["try:", f"    {f} = {v}[{name!r}]", "except KeyError:",
+                          f"    raise SchemaError({f'{label}: missing required arg {name!r}'!r})"
+                          " from None", *field]
+            else:
+                lines += [f"{f} = {v}[{name!r}]", *field]
+        if decl.into is None:
+            return lines + [f"{v} = {parsed}"], payload
+        if decl.into is tuple:
+            return lines + [f"{v} = ({', '.join(fields)},)"], f"[{', '.join(payloads)}]"
+        into = self.name(decl.into, decl.into.__name__)
+        return lines + [f"{v} = {into}({', '.join(fields)})"], f"{v}.to_dict()"
 
 
-def p_obj(fields: dict, optional: set | None = None):
-    optional = optional or set()
-    def parse(value, ctx):
-        if not isinstance(value, dict):
-            raise SchemaError(f"expected object, got {value!r}")
-        unknown = set(value) - set(fields)
-        if unknown:
-            raise SchemaError(f"unexpected fields: {sorted(unknown)}")
-        missing = set(fields) - optional - set(value)
-        if missing:
-            raise SchemaError(f"missing fields: {sorted(missing)}")
-        return {name: fields[name](value[name], ctx)
-                for name in fields if name in value}
-    return parse
-
-
-def p_changes(value, ctx):
-    parsed = p_obj({"name": p_str, "price": p_money,
-                    "status": p_enum(ProductStatus)},
-                   optional={"name", "price", "status"})(value, ctx)
-    return parsed
-
-
-def p_edit(value, ctx):
-    if not isinstance(value, dict) or len(value) != 1:
-        raise SchemaError(f"each edit is one add/delete object, got {value!r}")
-    action, body = next(iter(value.items()))
-    if action == "add":
-        fields = p_obj({"description": p_str, "product": p_id("product"),
-                        "quantity": p_qty, "unit_price": p_money},
-                       optional={"product"})(body, ctx)
-        if fields["quantity"].value < 1:
-            raise SchemaError("invoice item quantity must be at least 1")
-        return {"add": InvoiceItem(description=fields["description"],
-                                   product=fields.get("product"),
-                                   quantity=fields["quantity"],
-                                   unit_price=fields["unit_price"])}
-    if action == "delete":
-        return {"delete": p_str(body, ctx)}
-    raise SchemaError(f"unknown edit action {action!r}")
-
-
-def p_order_line(value, ctx):
-    fields = p_obj({"product": p_id("product"), "qty": p_qty})(value, ctx)
-    return (fields["product"], fields["qty"])
-
-
-def p_shipped_item(value, ctx):
-    fields = p_obj({"product": p_id("product"), "qty": p_qty,
-                    "substituted_for": p_id("product")},
-                   optional={"substituted_for"})(value, ctx)
-    return ShippedItem(product=fields["product"], quantity=fields["qty"],
-                       substituted_for=fields.get("substituted_for"))
+@functools.cache
+def compile_parser(name: str, schema: Fields, filename: str):
+    """Generate ``parse(raw, ctx) -> (parsed, payload)`` for the args of
+    ``schema``: it takes them in declaration order and builds the payload
+    the event log records in the same pass. An undeclared kind raises
+    ``TypeError`` naming the arg. Cached, so a copy of a spec reuses its
+    parser."""
+    source = _ParserSource()
+    lines, payload = source.fields(schema, "raw", name)
+    body = ["currency = ctx.currency", *lines, f"return raw, {payload}"]
+    run_generated("def parse(raw, ctx):\n" + "".join(f"    {line}\n" for line in body),
+                  filename, source.names)
+    return source.names["parse"]
 
 
 # --- owner resolution ---------------------------------------------------------
@@ -205,13 +290,18 @@ def _owner_via(store, key, attr):
 class CommandSpec:
     name: str
     kind: str  # target entity kind, the first element of the required right
-    schema: dict  # arg name -> (parser, required)
+    schema: Fields  # the args, declared as the fields of an object
     owner: object  # callable(state, args) -> (owner id | None, target_missing)
     run: object  # callable(engine, txn, actor, args) -> jsonable result
 
+    @functools.cached_property
+    def parse(self):
+        """``parse(raw, ctx) -> (parsed, payload)``, generated on first use."""
+        return compile_parser(self.name, self.schema, f"<parser {self.name}>")
 
-def _spec(name, kind, schema, run, owner=_owner_none):
-    return CommandSpec(name=name, kind=kind, schema=schema, owner=owner, run=run)
+
+def _spec(name, kind, args, run, owner=_owner_none, optional=frozenset()):
+    return CommandSpec(name=name, kind=kind, schema=Fields(args, optional), owner=owner, run=run)
 
 
 def _run_create_customer(engine, txn, actor, args):
@@ -400,131 +490,107 @@ def _run_finish_fabrication(engine, txn, actor, args):
     return {}
 
 
-def _req(parser):
-    return (parser, True)
-
-
-def _opt(parser):
-    return (parser, False)
-
-
 COMMANDS = {spec.name: spec for spec in [
     # bootstrap / registry plumbing
     _spec("create_customer", "customer",
-          {"name": _req(p_str), "loyalty_member": _opt(p_bool),
-           "roles": _opt(p_list(p_str))},
-          _run_create_customer),
-    _spec("create_employee", "employee",
-          {"name": _req(p_str), "roles": _opt(p_list(p_str))},
-          _run_create_employee),
-    _spec("create_catalog", "catalog", {"name": _req(p_str)}, _run_create_catalog),
+          {"name": str, "loyalty_member": bool, "roles": list[str]},
+          _run_create_customer, optional={"loyalty_member", "roles"}),
+    _spec("create_employee", "employee", {"name": str, "roles": list[str]},
+          _run_create_employee, optional={"roles"}),
+    _spec("create_catalog", "catalog", {"name": str}, _run_create_catalog),
 
     # catalog
     _spec("add_product", "product",
-          {"catalog": _req(p_id("catalog")), "name": _req(p_str),
-           "price": _req(p_money), "status": _req(p_enum(ProductStatus))},
+          {"catalog": Id("catalog"), "name": str, "price": Money, "status": ProductStatus},
           _run_add_product),
     _spec("set_product_info", "product",
-          {"product": _req(p_id("product")), "description": _req(p_str),
-           "comparison_notes": _opt(p_str)},
-          _run_set_product_info),
+          {"product": Id("product"), "description": str, "comparison_notes": str},
+          _run_set_product_info, optional={"comparison_notes"}),
     _spec("update_product", "product",
-          {"product": _req(p_id("product")), "changes": _req(p_changes)},
+          {"product": Id("product"),
+           "changes": Fields({"name": str, "price": Money, "status": ProductStatus},
+                             {"name", "price", "status"})},
           _run_update_product),
-    _spec("link_similar", "product",
-          {"a": _req(p_id("product")), "b": _req(p_id("product"))},
+    _spec("link_similar", "product", {"a": Id("product"), "b": Id("product")},
           _run_link_similar),
-    _spec("subscribe", "product",
-          {"customer": _req(p_id("customer")), "product": _req(p_id("product"))},
+    _spec("subscribe", "product", {"customer": Id("customer"), "product": Id("product")},
           _run_subscribe, owner=_owner_arg("customer")),
     _spec("search", "catalog",
-          {"catalog": _req(p_id("catalog")), "name_substring": _opt(p_str),
-           "status": _opt(p_enum(ProductStatus)), "max_price": _opt(p_money)},
-          _run_search),
+          {"catalog": Id("catalog"), "name_substring": str, "status": ProductStatus,
+           "max_price": Money},
+          _run_search, optional={"name_substring", "status", "max_price"}),
 
     # shopping cart
-    _spec("create_cart", "cart", {"customer": _req(p_id("customer"))},
+    _spec("create_cart", "cart", {"customer": Id("customer")},
           _run_create_cart, owner=_owner_arg("customer")),
-    _spec("add_item", "cart",
-          {"cart": _req(p_id("cart")), "product": _req(p_id("product")),
-           "qty": _req(p_qty)},
+    _spec("add_item", "cart", {"cart": Id("cart"), "product": Id("product"), "qty": Quantity},
           _run_add_item, owner=_owner_via("carts", "cart", "customer")),
-    _spec("remove_item", "cart",
-          {"cart": _req(p_id("cart")), "product": _req(p_id("product"))},
+    _spec("remove_item", "cart", {"cart": Id("cart"), "product": Id("product")},
           _run_remove_item, owner=_owner_via("carts", "cart", "customer")),
-    _spec("cart_total", "cart", {"cart": _req(p_id("cart"))},
+    _spec("cart_total", "cart", {"cart": Id("cart")},
           _run_cart_total, owner=_owner_via("carts", "cart", "customer")),
-    _spec("checkout", "cart", {"cart": _req(p_id("cart"))},
+    _spec("checkout", "cart", {"cart": Id("cart")},
           _run_checkout, owner=_owner_via("carts", "cart", "customer")),
 
     # invoice
     _spec("create_invoice", "invoice",
-          {"creator": _req(p_actor_id), "customer": _req(p_id("customer"))},
+          {"creator": Id("employee", "system"), "customer": Id("customer")},
           _run_create_invoice),
     _spec("prepare_invoice", "invoice",
-          {"invoice": _req(p_id("invoice")), "edits": _opt(p_list(p_edit)),
-           "policies": _opt(p_list(p_str))},
-          _run_prepare_invoice),
+          {"invoice": Id("invoice"), "edits": list[EDIT], "policies": list[str]},
+          _run_prepare_invoice, optional={"edits", "policies"}),
     _spec("validate_invoice", "invoice",
-          {"validator": _req(p_id("employee")), "invoice": _req(p_id("invoice")),
-           "rules": _opt(p_list(p_str))},
-          _run_validate_invoice),
+          {"validator": Id("employee"), "invoice": Id("invoice"), "rules": list[str]},
+          _run_validate_invoice, optional={"rules"}),
     _spec("record_payment", "payment",
-          {"customer": _req(p_id("customer")), "invoice": _req(p_id("invoice")),
-           "amount": _req(p_money), "method": _req(p_enum(PaymentMethod))},
+          {"customer": Id("customer"), "invoice": Id("invoice"), "amount": Money,
+           "method": PaymentMethod},
           _run_record_payment, owner=_owner_via("invoices", "invoice", "customer")),
     _spec("validate_payment", "payment",
-          {"validator": _req(p_id("employee")), "payment": _req(p_id("payment")),
-           "rules": _opt(p_list(p_str))},
-          _run_validate_payment),
-    _spec("invoice_balance", "invoice", {"invoice": _req(p_id("invoice"))},
+          {"validator": Id("employee"), "payment": Id("payment"), "rules": list[str]},
+          _run_validate_payment, optional={"rules"}),
+    _spec("invoice_balance", "invoice", {"invoice": Id("invoice")},
           _run_invoice_balance, owner=_owner_via("invoices", "invoice", "customer")),
 
     # order and shipment
-    _spec("place_order", "order",
-          {"customer": _req(p_id("customer")), "lines": _req(p_list(p_order_line))},
+    _spec("place_order", "order", {"customer": Id("customer"), "lines": list[ORDER_LINE]},
           _run_place_order, owner=_owner_arg("customer")),
-    _spec("cancel_order", "order", {"order": _req(p_id("order"))},
+    _spec("cancel_order", "order", {"order": Id("order")},
           _run_cancel_order, owner=_owner_via("orders", "order", "customer")),
     _spec("create_shipment", "shipment",
-          {"order": _req(p_id("order")), "items": _req(p_list(p_shipped_item)),
-           "receiver": _req(p_id("customer"))},
+          {"order": Id("order"), "items": list[SHIPPED_ITEM], "receiver": Id("customer")},
           _run_create_shipment),
     _spec("record_receipt", "shipment",
-          {"shipment": _req(p_id("shipment")), "receiver": _req(p_id("customer"))},
+          {"shipment": Id("shipment"), "receiver": Id("customer")},
           _run_record_receipt, owner=_owner_via("shipments", "shipment", "receiver")),
 
     # stock manager
-    _spec("create_stockroom", "stockroom", {"name": _req(p_str)},
-          _run_create_stockroom),
+    _spec("create_stockroom", "stockroom", {"name": str}, _run_create_stockroom),
     _spec("create_stock_item", "stock_item",
-          {"name": _req(p_str), "kind": _req(p_enum(StockKind)),
-           "product_link": _opt(p_id("product"))},
-          _run_create_stock_item),
+          {"name": str, "kind": StockKind, "product_link": Id("product")},
+          _run_create_stock_item, optional={"product_link"}),
     _spec("add_to_stock", "stock_item",
-          {"item": _req(p_id("stock_item")), "qty": _req(p_qty),
-           "allocation": _opt(p_id_map("stockroom", p_int))},
-          _run_add_to_stock),
+          {"item": Id("stock_item"), "qty": Quantity,
+           "allocation": dict[Id("stockroom"), int]},
+          _run_add_to_stock, optional={"allocation"}),
     _spec("remove_from_stock", "stock_item",
-          {"item": _req(p_id("stock_item")), "qty": _req(p_qty),
-           "room": _opt(p_id("stockroom"))},
-          _run_remove_from_stock),
+          {"item": Id("stock_item"), "qty": Quantity, "room": Id("stockroom")},
+          _run_remove_from_stock, optional={"room"}),
     _spec("transfer", "stock_item",
-          {"item": _req(p_id("stock_item")), "qty": _req(p_qty),
-           "from_room": _req(p_id("stockroom")), "to_room": _req(p_id("stockroom"))},
+          {"item": Id("stock_item"), "qty": Quantity, "from_room": Id("stockroom"),
+           "to_room": Id("stockroom")},
           _run_transfer),
     _spec("create_shop_order", "shop_order",
-          {"product": _req(p_id("stock_item")), "output_qty": _req(p_int),
-           "bill_of_materials": _req(p_id_map("stock_item", p_qty))},
+          {"product": Id("stock_item"), "output_qty": int,
+           "bill_of_materials": dict[Id("stock_item"), Quantity]},
           _run_create_shop_order),
-    _spec("cut_shop_order", "shop_order", {"order": _req(p_id("shop_order"))},
-          _run_cut_shop_order),
+    _spec("cut_shop_order", "shop_order", {"order": Id("shop_order")}, _run_cut_shop_order),
     _spec("pick_components", "shop_order",
-          {"order": _req(p_id("shop_order")),
-           "room_drains": _opt(p_id_map("stock_item", p_id_map("stockroom", p_qty)))},
-          _run_pick_components),
+          {"order": Id("shop_order"),
+           "room_drains": dict[Id("stock_item"), dict[Id("stockroom"), Quantity]]},
+          _run_pick_components, optional={"room_drains"}),
     _spec("finish_fabrication", "shop_order",
-          {"order": _req(p_id("shop_order")), "room": _req(p_id("stockroom"))},
+          {"order": Id("shop_order"), "room": Id("stockroom")},
           _run_finish_fabrication),
 ]}
 
@@ -534,40 +600,13 @@ def parse_args(spec: CommandSpec, raw_args: dict,
     """Parse ``raw_args`` against the spec's schema in one pass.
 
     Returns the parsed values and the payload recorded in the event log:
-    each parsed value's canonical JSON form, built in the same loop.
+    each parsed value's canonical JSON form, built by the spec's generated
+    parser in the same pass.
     """
-    if not isinstance(raw_args, dict):
-        raise SchemaError(f"command args must be an object, got {raw_args!r}")
-    unknown = raw_args.keys() - spec.schema.keys()
-    if unknown:
-        # a schema names only strings, so every non-string key lands here
-        if not all(isinstance(name, str) for name in unknown):
-            raise SchemaError(f"{spec.name}: arg names must be strings, "
-                              f"got {sorted(map(repr, unknown))}")
-        raise SchemaError(f"{spec.name}: unexpected args {sorted(unknown)}")
-    parsed, payload = {}, {}
-    for name, (parser, required) in spec.schema.items():
-        if name not in raw_args:
-            if required:
-                raise SchemaError(f"{spec.name}: missing required arg {name!r}")
-            continue
-        value = parsed[name] = parser(raw_args[name], ctx)
-        cls = value.__class__
-        if cls is str or cls is int or cls is bool:
-            payload[name] = value
-        elif cls is EntityId:
-            payload[name] = value._text
-        elif cls is Quantity:
-            payload[name] = value.value
-        else:
-            payload[name] = to_jsonable(value)
-    return parsed, payload
+    return spec.parse(raw_args, ctx)
 
 
 def canonical_payload(args: dict) -> dict:
-    """Parsed args rendered to the JSON form recorded in the event log.
-
-    The reference definition of the payload: ``parse_args`` builds the same
-    value in its parse pass, so dispatch does not call this.
-    """
+    """The reference definition of the payload, which ``parse_args`` builds
+    in its parse pass; dispatch does not call this."""
     return {name: to_jsonable(value) for name, value in sorted(args.items())}

@@ -55,7 +55,7 @@ class Engine:
         self.rbac = rbac_matrix
         self.add_policy = add_policy
         self.state = EngineState()
-        self._ctx = ParseContext(currency=currency)
+        self.parse_context = ParseContext(currency=currency)
         self._baseline: EngineState | None = None
 
     # -- seeding -----------------------------------------------------------
@@ -166,7 +166,7 @@ class Engine:
             raise SchemaError(f"unknown command {command!r}")
 
         try:
-            parsed, payload = parse_args(spec, args, self._ctx)
+            parsed, payload = parse_args(spec, args, self.parse_context)
         except DomainError as exc:
             self._audit(seq, tick, actor, command, self._best_effort(args),
                         "error", exc.code)

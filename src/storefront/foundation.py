@@ -8,6 +8,7 @@ in the engine's entity stores, never inside these values.
 from __future__ import annotations
 
 import dataclasses
+import linecache
 import types
 import typing
 from dataclasses import dataclass
@@ -89,9 +90,6 @@ class Money(Record):
                 f"cannot subtract {other.currency} from {self.currency}"
             )
         return Money(self.amount - other.amount, self.currency)
-
-    def negate(self) -> Money:
-        return Money(-self.amount, self.currency)
 
     @staticmethod
     def zero(currency: str) -> Money:
@@ -295,13 +293,21 @@ def derive_codec(cls: type) -> type:
         ["new = _new(_cls)"] + [assign.format(name, copy) for name, copy in zip(names, copied)]
         + ["return new"])
     namespace = dict(source.names, _cls=cls, _new=object.__new__, _set=object.__setattr__)
-    exec(f"def to_dict(self):\n    return {{{', '.join(encoded)}}}\n"
-         f"def from_dict(cls, data):\n    return cls({', '.join(decoded)})\n"
-         f"def clone(self):\n    {clone}\n", namespace)
+    run_generated(f"def to_dict(self):\n    return {{{', '.join(encoded)}}}\n"
+                  f"def from_dict(cls, data):\n    return cls({', '.join(decoded)})\n"
+                  f"def clone(self):\n    {clone}\n", f"<codec {cls.__qualname__}>", namespace)
     cls.to_dict, cls.clone = namespace["to_dict"], namespace["clone"]
     cls.from_dict = classmethod(namespace["from_dict"])
     _SHARED[cls] = shared
     return cls
+
+
+def run_generated(source: str, filename: str, namespace: dict) -> None:
+    """Run generated ``source`` in ``namespace``, compiled under ``filename``
+    (such as ``<codec Invoice>``), the name that tracebacks and profiles show;
+    ``linecache`` holds the source, so a traceback shows its lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
 
 
 def _wrong(value, expected: type):

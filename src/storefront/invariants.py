@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .foundation import priced_sum
 from .invoice import InvoiceState, PaymentState
 from .order_shipment import OrderState
 from .shopping_cart import CartState
@@ -160,8 +161,8 @@ class _Checker:
                 self.flag(name, cart_id, f"order {order.id} line items differ from cart")
             if not _same_multiset(_item_keys(inv.items), cart_items):
                 self.flag(name, cart_id, f"invoice {inv.id} items differ from cart")
-            cart_total = sum(i.unit_price.amount * i.quantity.value for i in cart.items)
-            order_total = sum(i.unit_price.amount * i.quantity.value for i in order.line_items)
+            cart_total = priced_sum(cart.items, currency).amount
+            order_total = priced_sum(order.line_items, currency).amount
             inv_subtotal = inv.subtotal(currency).amount
             if not cart_total == order_total == inv_subtotal:
                 self.flag(name, cart_id,

@@ -9,90 +9,48 @@ returns names rather than ids.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 from . import catalog, invoice, order_shipment, shopping_cart
-from .commands import p_enum, p_id, p_money, p_str
 from .catalog import ProductStatus
-from .foundation import SchemaError
+from .commands import Fields, Id, compile_parser
+from .foundation import Money, SchemaError
 
 
 def _product_name(state, product_id) -> str:
     return state.stores["products"][product_id].name
 
 
-def q_cart_total(engine, args):
-    return shopping_cart.cart_total(engine.state, args["cart"], engine.currency).to_dict()
+def _names(engine, product_ids) -> list[str]:
+    return [_product_name(engine.state, p) for p in product_ids]
 
 
-def q_cart_state(engine, args):
-    cart = engine.state.stores["carts"].get(args["cart"])
-    if cart is None:
-        raise shopping_cart.UnknownCart(f"no cart {args['cart']}")
-    return cart.state.value
+def _read(store: str, error: type, noun: str, answer):
+    """A query that answers from the entity of ``store`` that its one arg
+    names, or raises ``error`` when there is none."""
+    def query(engine, args):
+        (entity_id,) = args.values()
+        entity = engine.state.stores[store].get(entity_id)
+        if entity is None:
+            raise error(f"no {noun} {entity_id}")
+        return answer(engine, entity)
+    return query
 
 
-def q_cart_items(engine, args):
-    cart = engine.state.stores["carts"].get(args["cart"])
-    if cart is None:
-        raise shopping_cart.UnknownCart(f"no cart {args['cart']}")
+def q_cart_items(engine, cart):
     return [{"product": _product_name(engine.state, item.product),
              "qty": item.quantity.value,
              "unit_price": item.unit_price.amount}
             for item in cart.items]
 
 
-def _require_invoice(engine, args):
-    inv = engine.state.stores["invoices"].get(args["invoice"])
-    if inv is None:
-        raise invoice.UnknownInvoice(f"no invoice {args['invoice']}")
-    return inv
-
-
-def q_invoice_state(engine, args):
-    return _require_invoice(engine, args).state.value
-
-
-def q_invoice_total(engine, args):
-    return _require_invoice(engine, args).total(engine.currency).to_dict()
-
-
-def q_invoice_balance(engine, args):
-    return invoice.invoice_balance(engine.state, args["invoice"], engine.currency).to_dict()
-
-
-def q_payment_state(engine, args):
-    payment = engine.state.stores["payments"].get(args["payment"])
-    if payment is None:
-        raise invoice.UnknownPayment(f"no payment {args['payment']}")
-    return payment.state.value
-
-
-def q_order_state(engine, args):
-    order = engine.state.stores["orders"].get(args["order"])
-    if order is None:
-        raise order_shipment.UnknownOrder(f"no order {args['order']}")
-    return order.state.value
-
-
-def q_order_coverage(engine, args):
-    order = engine.state.stores["orders"].get(args["order"])
-    if order is None:
-        raise order_shipment.UnknownOrder(f"no order {args['order']}")
+def q_order_coverage(engine, order):
     covered = order_shipment.shipped_coverage(engine.state, order)
-    return {_product_name(engine.state, product): qty
-            for product, qty in covered.items()}
+    return {_product_name(engine.state, product): qty for product, qty in covered.items()}
 
 
-def q_shipment_state(engine, args):
-    shipment = engine.state.stores["shipments"].get(args["shipment"])
-    if shipment is None:
-        raise order_shipment.UnknownShipment(f"no shipment {args['shipment']}")
-    return shipment.state.value
-
-
-def q_shipment_items(engine, args):
-    shipment = engine.state.stores["shipments"].get(args["shipment"])
-    if shipment is None:
-        raise order_shipment.UnknownShipment(f"no shipment {args['shipment']}")
+def q_shipment_items(engine, shipment):
     return [{"product": _product_name(engine.state, item.product),
              "qty": item.quantity.value,
              "substituted_for": (_product_name(engine.state, item.substituted_for)
@@ -100,37 +58,18 @@ def q_shipment_items(engine, args):
             for item in shipment.items]
 
 
-def q_product_price(engine, args):
-    product = engine.state.stores["products"].get(args["product"])
-    if product is None:
-        raise catalog.UnknownProduct(f"no product {args['product']}")
-    return product.price.to_dict()
-
-
-def q_product_status(engine, args):
-    product = engine.state.stores["products"].get(args["product"])
-    if product is None:
-        raise catalog.UnknownProduct(f"no product {args['product']}")
-    return product.status.value
-
-
-def q_similar_products(engine, args):
-    product = engine.state.stores["products"].get(args["product"])
-    if product is None:
-        raise catalog.UnknownProduct(f"no product {args['product']}")
-    return sorted(_product_name(engine.state, p) for p in product.similar)
-
-
-def q_new_products(engine, args):
-    found = catalog.new_products(engine.state, args["catalog"])
-    return [_product_name(engine.state, p) for p in found]
+def q_stock_level(engine, item):
+    rooms = {engine.state.stores["stockrooms"][room].name: qty
+             for room, qty in sorted(item.inventory.by_room.items())}
+    return {"on_hand": item.inventory.on_hand,
+            "reserved": item.inventory.reserved,
+            "rooms": rooms}
 
 
 def q_search_products(engine, args):
-    found = catalog.search(engine.state, args["catalog"],
-                           args.get("name_substring"), args.get("status"),
-                           args.get("max_price"))
-    return [_product_name(engine.state, p) for p in found]
+    return _names(engine, catalog.search(engine.state, args["catalog"],
+                                         args.get("name_substring"), args.get("status"),
+                                         args.get("max_price")))
 
 
 def q_notification_count(engine, args):
@@ -150,69 +89,76 @@ def q_notified_customers(engine, args):
     return sorted(engine.state.stores["customers"][c].name for c in customers)
 
 
-def q_stock_level(engine, args):
-    item = engine.state.stores["stock_items"].get(args["item"])
-    if item is None:
-        raise SchemaError(f"no stock item {args['item']}")
-    rooms = {engine.state.stores["stockrooms"][room].name: qty
-             for room, qty in sorted(item.inventory.by_room.items())}
-    return {"on_hand": item.inventory.on_hand,
-            "reserved": item.inventory.reserved,
-            "rooms": rooms}
+@dataclass(frozen=True)
+class Query:
+    name: str
+    schema: Fields  # the args, as a command's
+    fn: object  # callable(engine, args) -> jsonable answer
+
+    @functools.cached_property
+    def parse(self):
+        """``parse(raw, ctx) -> (parsed, payload)``, generated on first use."""
+        return compile_parser(self.name, self.schema, f"<query parser {self.name}>")
 
 
-def q_shop_order_stage(engine, args):
-    order = engine.state.stores["shop_orders"].get(args["order"])
-    if order is None:
-        raise SchemaError(f"no shop order {args['order']}")
-    return order.stage.value
+def _by_id(name: str, arg: str, kind: str, fn) -> Query:
+    return Query(name, Fields({arg: Id(kind)}), fn)
 
 
-def q_event_count(engine, args):
-    return len(engine.state.log)
+_cart = functools.partial(_read, "carts", shopping_cart.UnknownCart, "cart")
+_invoice = functools.partial(_read, "invoices", invoice.UnknownInvoice, "invoice")
+_order = functools.partial(_read, "orders", order_shipment.UnknownOrder, "order")
+_shipment = functools.partial(_read, "shipments", order_shipment.UnknownShipment, "shipment")
+_product = functools.partial(_read, "products", catalog.UnknownProduct, "product")
 
-
-# name -> (schema, required arg names, fn)
-QUERIES = {
-    "cart_total": ({"cart": p_id("cart")}, {"cart"}, q_cart_total),
-    "cart_state": ({"cart": p_id("cart")}, {"cart"}, q_cart_state),
-    "cart_items": ({"cart": p_id("cart")}, {"cart"}, q_cart_items),
-    "invoice_state": ({"invoice": p_id("invoice")}, {"invoice"}, q_invoice_state),
-    "invoice_total": ({"invoice": p_id("invoice")}, {"invoice"}, q_invoice_total),
-    "invoice_balance": ({"invoice": p_id("invoice")}, {"invoice"}, q_invoice_balance),
-    "payment_state": ({"payment": p_id("payment")}, {"payment"}, q_payment_state),
-    "order_state": ({"order": p_id("order")}, {"order"}, q_order_state),
-    "order_coverage": ({"order": p_id("order")}, {"order"}, q_order_coverage),
-    "shipment_state": ({"shipment": p_id("shipment")}, {"shipment"}, q_shipment_state),
-    "shipment_items": ({"shipment": p_id("shipment")}, {"shipment"}, q_shipment_items),
-    "product_price": ({"product": p_id("product")}, {"product"}, q_product_price),
-    "product_status": ({"product": p_id("product")}, {"product"}, q_product_status),
-    "similar_products": ({"product": p_id("product")}, {"product"}, q_similar_products),
-    "new_products": ({"catalog": p_id("catalog")}, {"catalog"}, q_new_products),
-    "search_products": ({"catalog": p_id("catalog"), "name_substring": p_str,
-                         "status": p_enum(ProductStatus), "max_price": p_money},
-                        {"catalog"}, q_search_products),
-    "notification_count": ({"product": p_id("product"), "customer": p_id("customer")},
-                           set(), q_notification_count),
-    "notified_customers": ({"product": p_id("product")}, {"product"}, q_notified_customers),
-    "stock_level": ({"item": p_id("stock_item")}, {"item"}, q_stock_level),
-    "shop_order_stage": ({"order": p_id("shop_order")}, {"order"}, q_shop_order_stage),
-    "event_count": ({}, set(), q_event_count),
-}
+QUERIES = {query.name: query for query in [
+    _by_id("cart_total", "cart", "cart", lambda engine, args: shopping_cart.cart_total(
+        engine.state, args["cart"], engine.currency).to_dict()),
+    _by_id("cart_state", "cart", "cart", _cart(lambda engine, cart: cart.state.value)),
+    _by_id("cart_items", "cart", "cart", _cart(q_cart_items)),
+    _by_id("invoice_state", "invoice", "invoice",
+           _invoice(lambda engine, inv: inv.state.value)),
+    _by_id("invoice_total", "invoice", "invoice",
+           _invoice(lambda engine, inv: inv.total(engine.currency).to_dict())),
+    _by_id("invoice_balance", "invoice", "invoice", lambda engine, args: invoice.invoice_balance(
+        engine.state, args["invoice"], engine.currency).to_dict()),
+    _by_id("payment_state", "payment", "payment",
+           _read("payments", invoice.UnknownPayment, "payment",
+                 lambda engine, payment: payment.state.value)),
+    _by_id("order_state", "order", "order", _order(lambda engine, order: order.state.value)),
+    _by_id("order_coverage", "order", "order", _order(q_order_coverage)),
+    _by_id("shipment_state", "shipment", "shipment",
+           _shipment(lambda engine, shipment: shipment.state.value)),
+    _by_id("shipment_items", "shipment", "shipment", _shipment(q_shipment_items)),
+    _by_id("product_price", "product", "product",
+           _product(lambda engine, product: product.price.to_dict())),
+    _by_id("product_status", "product", "product",
+           _product(lambda engine, product: product.status.value)),
+    _by_id("similar_products", "product", "product",
+           _product(lambda engine, product: sorted(_names(engine, product.similar)))),
+    _by_id("new_products", "catalog", "catalog", lambda engine, args: _names(
+        engine, catalog.new_products(engine.state, args["catalog"]))),
+    Query("search_products",
+          Fields({"catalog": Id("catalog"), "name_substring": str, "status": ProductStatus,
+                  "max_price": Money}, {"name_substring", "status", "max_price"}),
+          q_search_products),
+    Query("notification_count",
+          Fields({"product": Id("product"), "customer": Id("customer")},
+                 {"product", "customer"}),
+          q_notification_count),
+    _by_id("notified_customers", "product", "product", q_notified_customers),
+    _by_id("stock_level", "item", "stock_item",
+           _read("stock_items", SchemaError, "stock item", q_stock_level)),
+    _by_id("shop_order_stage", "order", "shop_order",
+           _read("shop_orders", SchemaError, "shop order",
+                 lambda engine, order: order.stage.value)),
+    Query("event_count", Fields({}), lambda engine, args: len(engine.state.log)),
+]}
 
 
 def run_query(engine, name: str, raw_args: dict):
-    entry = QUERIES.get(name)
-    if entry is None:
+    query = QUERIES.get(name)
+    if query is None:
         raise SchemaError(f"unknown query {name!r}")
-    schema, required, fn = entry
-    unknown = set(raw_args) - set(schema)
-    if unknown:
-        raise SchemaError(f"{name}: unexpected args {sorted(unknown)}")
-    missing = required - set(raw_args)
-    if missing:
-        raise SchemaError(f"{name}: missing args {sorted(missing)}")
-    from .commands import ParseContext
-    ctx = ParseContext(currency=engine.currency)
-    args = {key: schema[key](value, ctx) for key, value in raw_args.items()}
-    return fn(engine, args)
+    args, _ = query.parse(raw_args, engine.parse_context)
+    return query.fn(engine, args)

@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+# order_shipment takes CartItem from this module, so the package loads
+# order_shipment first; it may still be loading here, and checkout only
+# reads it at call time
+from . import invoice as invoice_mod
+from . import order_shipment
 from .catalog import UnknownCustomer, UnknownProduct
 from .foundation import DomainError, EntityId, Money, Quantity, Record, priced_sum
 
@@ -142,9 +147,6 @@ def checkout(txn, cart_id: EntityId) -> tuple[EntityId, EntityId]:
     one item per cart line, described by the product's current name. Runs
     as one atomic command: either all three state changes land or none do.
     """
-    from . import invoice as invoice_mod
-    from . import order_shipment
-
     cart = txn.state.stores["carts"].get(cart_id)
     if cart is None:
         raise UnknownCart(f"no cart {cart_id}")

@@ -297,3 +297,12 @@ def test_checkout_item_in_another_currency_raises():
     invoice.items[0] = dataclasses.replace(item, unit_price=Money(item.unit_price.amount, "EUR"))
     with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
         engine.check_invariants()
+
+
+def test_checkout_cart_and_order_lines_in_another_currency_raise():
+    engine, cart, order, invoice = checkout_engine()
+    for lines in (cart.items, order.line_items):
+        lines[0] = dataclasses.replace(
+            lines[0], unit_price=Money(lines[0].unit_price.amount, "EUR"))
+    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
+        engine.check_invariants()

@@ -1,5 +1,7 @@
 """Cart mechanics: merge semantics, price snapshots, totals, checkout."""
 
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -214,3 +216,8 @@ def test_closed_cart_commands_leave_no_deltas(eng):
     after = eng.state.to_dict()
     after["clock"] = snapshot["clock"]  # failed commands still consume ticks
     assert after == snapshot
+
+
+def test_the_package_imports_in_a_fresh_interpreter():
+    # shopping_cart and order_shipment import each other at module level
+    subprocess.run([sys.executable, "-c", "import storefront.shopping_cart"], check=True)
