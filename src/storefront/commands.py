@@ -292,7 +292,7 @@ class CommandSpec:
     kind: str  # target entity kind, the first element of the required right
     schema: Fields  # the args, declared as the fields of an object
     owner: object  # callable(state, args) -> (owner id | None, target_missing)
-    run: object  # callable(engine, txn, actor, args) -> jsonable result
+    run: object  # callable(engine, txn, actor, args) -> its result, as plain JSON
 
     @functools.cached_property
     def parse(self):

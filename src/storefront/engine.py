@@ -37,6 +37,8 @@ from .state import EngineState, EventRecord, Txn, replay, to_jsonable
 logger = logging.getLogger("storefront.engine")
 
 _NO_ROLES = frozenset()  # the roles of an actor whose entity carries none
+# the access of a record whose command failed before the check: shared, never mutated
+_NOT_EVALUATED = {"verdict": None, "matched_role": None, "reason": "not evaluated"}
 
 
 class Engine:
@@ -175,7 +177,7 @@ class Engine:
         decision = self.access_decision(actor, command, parsed)
         if not decision.allowed():
             self._audit(seq, tick, actor, command, payload, "denied",
-                        AccessDenied.code, access=decision.to_dict())
+                        AccessDenied.code, access=decision.as_dict)
             raise AccessDenied(decision.reason)
 
         txn = Txn(self.state)
@@ -184,11 +186,11 @@ class Engine:
         except DomainError as exc:
             txn.rollback()
             self._audit(seq, tick, actor, command, payload, "error", exc.code,
-                        access=decision.to_dict())
+                        access=decision.as_dict)
             raise
         record = EventRecord(seq=seq, tick=tick, actor=actor, command=command,
-                             payload=payload, access=decision.to_dict(),
-                             outcome="ok", result=to_jsonable(result),
+                             payload=payload, access=decision.as_dict,
+                             outcome="ok", result=result,
                              deltas=txn.facts())
         self.state.log.append(record)
         return record
@@ -201,8 +203,7 @@ class Engine:
                access=None) -> EventRecord:
         record = EventRecord(
             seq=seq, tick=tick, actor=actor, command=command, payload=payload,
-            access=access or {"verdict": None, "matched_role": None,
-                              "reason": "not evaluated"},
+            access=access or _NOT_EVALUATED,
             outcome=outcome, error=error)
         self.state.log.append(record)
         return record

@@ -246,9 +246,9 @@ def round_half_away(numerator: int, denominator: int) -> int:
 
 # --- the Record codec ------------------------------------------------------------
 
-_SHARED: dict[type, bool] = {}
+_SHARED: dict[type, bool | None] = {}
 """Every derived Record class -> whether its ``clone`` returns the record
-itself (a frozen record with no mutable field)."""
+itself (a frozen record with no mutable field); None while it is derived."""
 
 
 def derive_codec(cls: type) -> type:
@@ -259,7 +259,8 @@ def derive_codec(cls: type) -> type:
     ``Quantity`` -> bare int; enum -> its value; ``set`` -> list sorted by
     encoded element; ``tuple`` (as a container element) -> list; ``list``
     and ``dict`` -> element-wise; nested Record -> dict; ``X | None`` ->
-    ``null``; int, str and bool as they are. Decoding requires each int,
+    ``null``; int, str and bool as they are. ``to_dict`` is one flat dict literal
+    (only a record nested in itself calls its ``to_dict``). Decoding requires each int,
     str, bool, list and object to be exactly that JSON type (``SchemaError``
     otherwise) and goes back through each type's constructor (``EntityId.parse``, the
     enum, ``Quantity``, the record's ``__post_init__``), so every
@@ -272,19 +273,9 @@ def derive_codec(cls: type) -> type:
     """
     if cls in _SHARED:
         return cls
-    _SHARED[cls] = False  # a record nested in itself is cloned, never shared
-    hints, source = typing.get_type_hints(cls), _CodecSource()
-    encoded, decoded, copied = [], [], []
-    for f in dataclasses.fields(cls):
-        try:
-            enc, dec, copy = source.expressions(hints[f.name], f"self.{f.name}",
-                                                f"data[{f.name!r}]")
-        except TypeError:
-            raise TypeError(f"{cls.__qualname__}.{f.name}: the record codec cannot "
-                            f"encode {hints[f.name]!r}") from None
-        encoded.append(f"{f.name!r}: {enc}")
-        decoded.append(dec)
-        copied.append(copy)
+    _SHARED[cls] = None  # a record nested in itself is encoded by a call and cloned
+    source = _CodecSource()
+    encoded, decoded, copied = source.record(cls, "self", "data")
     names = [f.name for f in dataclasses.fields(cls)]
     frozen = cls.__dataclass_params__.frozen
     shared = frozen and copied == [f"self.{name}" for name in names]
@@ -293,7 +284,7 @@ def derive_codec(cls: type) -> type:
         ["new = _new(_cls)"] + [assign.format(name, copy) for name, copy in zip(names, copied)]
         + ["return new"])
     namespace = dict(source.names, _cls=cls, _new=object.__new__, _set=object.__setattr__)
-    run_generated(f"def to_dict(self):\n    return {{{', '.join(encoded)}}}\n"
+    run_generated(f"def to_dict(self):\n    return {encoded}\n"
                   f"def from_dict(cls, data):\n    return cls({', '.join(decoded)})\n"
                   f"def clone(self):\n    {clone}\n", f"<codec {cls.__qualname__}>", namespace)
     cls.to_dict, cls.clone = namespace["to_dict"], namespace["clone"]
@@ -331,6 +322,22 @@ class _CodecSource:
         self._count += 1
         return f"v{self._count}"
 
+    def record(self, cls: type, x: str, d: str) -> tuple[str, list[str], list[str]]:
+        """The dict literal that encodes ``x``, a ``cls`` record, and the
+        decode and copy expressions of each of its fields, read from ``d``."""
+        hints, encoded, decoded, copied = typing.get_type_hints(cls), [], [], []
+        for f in dataclasses.fields(cls):
+            try:
+                enc, dec, copy = self.expressions(hints[f.name], f"{x}.{f.name}",
+                                                  f"{d}[{f.name!r}]")
+            except TypeError:
+                raise TypeError(f"{cls.__qualname__}.{f.name}: the record codec cannot "
+                                f"encode {hints[f.name]!r}") from None
+            encoded.append(f"{f.name!r}: {enc}")
+            decoded.append(dec)
+            copied.append(copy)
+        return f"{{{', '.join(encoded)}}}", decoded, copied
+
     def expressions(self, hint, x: str, d: str) -> tuple[str, str, str]:
         """Encode ``x``, decode ``d`` and copy ``x``, a value of type
         ``hint``; the copy is ``x`` itself when the value is immutable."""
@@ -343,14 +350,15 @@ class _CodecSource:
         if hint in (int, str, bool):
             return x, self._exact(hint, d), x
         if hint is EntityId:
-            return f"str({x})", f"parse_id({d})", x
+            return f"{x}._text", f"parse_id({d})", x
         if hint is Quantity:
             return f"{x}.value", f"Quantity({self._exact(int, d)})", x
         if isinstance(hint, type) and issubclass(hint, Enum):
-            return f"{x}.value", f"{self._name(hint)}({d})", x
+            return f"{x}._value_", f"{self._name(hint)}({d})", x
         if isinstance(hint, type) and issubclass(hint, Record):
             derive_codec(hint)
-            return (f"{x}.to_dict()", f"{self._name(hint)}.from_dict({d})",
+            enc = f"{x}.to_dict()" if _SHARED[hint] is None else self.record(hint, x, d)[0]
+            return (enc, f"{self._name(hint)}.from_dict({d})",
                     x if _SHARED[hint] else f"{x}.clone()")
         if origin in (list, set):
             v, target, (enc, dec, copy) = self._element(args[0])

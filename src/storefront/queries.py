@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import catalog, invoice, order_shipment, shopping_cart
+from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
 from .catalog import ProductStatus
 from .commands import Fields, Id, compile_parser
 from .foundation import Money, SchemaError
@@ -148,9 +148,9 @@ QUERIES = {query.name: query for query in [
           q_notification_count),
     _by_id("notified_customers", "product", "product", q_notified_customers),
     _by_id("stock_level", "item", "stock_item",
-           _read("stock_items", SchemaError, "stock item", q_stock_level)),
+           _read("stock_items", stock_manager.UnknownStockItem, "stock item", q_stock_level)),
     _by_id("shop_order_stage", "order", "shop_order",
-           _read("shop_orders", SchemaError, "shop order",
+           _read("shop_orders", stock_manager.UnknownShopOrder, "shop order",
                  lambda engine, order: order.stage.value)),
     Query("event_count", Fields({}), lambda engine, args: len(engine.state.log)),
 ]}

@@ -9,6 +9,7 @@ acting customer, because a right alone cannot express "own cart".
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -48,7 +49,10 @@ class AccessDecision:
     def allowed(self) -> bool:
         return self.verdict == ALLOW
 
-    def to_dict(self) -> dict:
+    @functools.cached_property
+    def as_dict(self) -> dict:
+        """The ``access`` of the records of this decision, which is built once
+        per grant: one dict, shared by them all, so never mutate it."""
         return {"verdict": self.verdict, "matched_role": self.matched_role,
                 "reason": self.reason}
 

@@ -52,7 +52,7 @@ class GapInSequence(DomainError):
 
 
 def to_jsonable(value):
-    """Canonical JSON form for payloads, results, and facts.
+    """Canonical JSON form of a payload value (results are plain JSON already).
 
     Only an exact ``str``, ``int`` or ``bool`` passes as it is. A str-mixin
     enum member is also a ``str``, but it becomes its value: kept as it is,
@@ -90,9 +90,11 @@ def _json_key(key) -> str:
 # record fields kept as raw JSON -> the JSON types each may hold
 _RAW_FIELD_TYPES = {"command": str, "payload": dict, "access": dict,
                     "outcome": str, "error": (str, type(None)), "deltas": list}
+# the one encoder of every log line; a record holds no cycle to check for
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     """One dispatched command: what was attempted, decided, and changed.
 
@@ -126,7 +128,7 @@ class EventRecord:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> EventRecord:
@@ -238,7 +240,7 @@ class Txn:
                            "value": self.state.serials[kind]})
         for store, entity_id in self._touched:
             entity = self.state.stores[store][entity_id]
-            deltas.append({"f": "put", "store": store, "id": str(entity_id),
+            deltas.append({"f": "put", "store": store, "id": entity_id._text,
                            "data": entity.to_dict()})
         return deltas
 

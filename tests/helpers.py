@@ -1,6 +1,11 @@
 """Shared lookups and builders for driving a seeded engine in tests."""
 
-from storefront import SYSTEM, Engine
+import sys
+from pathlib import Path
+
+from storefront import SYSTEM, DomainError, Engine
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def product_id(engine: Engine, name: str) -> str:
@@ -55,3 +60,45 @@ def validated_invoice(engine: Engine, customer: str, items=((1000, 1), (500, 1))
     engine.execute(checker, "validate_invoice", validator=checker, invoice=invoice,
                    rules=["nonempty-items", "nonnegative-total"])
     return invoice
+
+
+def bench_engines(seed: int = 3, scale: float = 0.05) -> list[Engine]:
+    """The engine left by a short run of each dispatch workload of the
+    benchmark: its set-up, then every command its client sends."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    from workloads import DISPATCH_WORKLOADS
+
+    engines = []
+    for name, (setup, client_fn) in DISPATCH_WORKLOADS.items():
+        prepared, failures = setup(seed, scale), []
+        client = client_fn(prepared, failures.append)
+        try:
+            actor, command, args, _ = next(client)
+            while True:
+                try:
+                    reply = "ok", prepared.engine.dispatch(actor, command, args).result
+                except DomainError as exc:
+                    reply = exc.code, None
+                actor, command, args, _ = client.send(reply)
+        except StopIteration:
+            pass
+        assert failures == [], name
+        engines.append(prepared.engine)
+    return engines
+
+
+def assert_plain_json(value, where="") -> None:
+    """``value`` holds only exact ``dict`` (with ``str`` keys), ``list``,
+    ``str``, ``int``, ``bool`` and ``None``: no enum member, tuple or
+    ``Record``, although an enum member or a tuple compares equal to one."""
+    cls = value.__class__
+    if cls is dict:
+        for key, item in value.items():
+            assert key.__class__ is str, f"{where}: key {key!r}"
+            assert_plain_json(item, f"{where}.{key}")
+    elif cls is list:
+        for index, item in enumerate(value):
+            assert_plain_json(item, f"{where}[{index}]")
+    else:
+        assert cls in (str, int, bool, type(None)), f"{where}: {cls.__name__} {value!r}"

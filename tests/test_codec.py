@@ -1,11 +1,16 @@
-"""The Record codec: every entity round-trips through its JSON form, a clone
-shares no mutable container with its original, and a field type the codec
-cannot encode is refused when the codec is derived."""
+"""The Record codec: every entity round-trips through its JSON form, which
+the flat generated encoder builds as a reference nested encoder does, a
+clone shares no mutable container with its original, and a field type the
+codec cannot encode is refused when the codec is derived."""
 
+import types
+import typing
 from dataclasses import dataclass, field, fields
+from enum import Enum
 
 import pytest
 
+from helpers import assert_plain_json, bench_engines
 from storefront import EntityId, Money, Quantity, bundled, default_matrix, load_scenario, run_scenario
 from storefront.foundation import NegativeQuantity, Record, derive_codec
 from storefront.state import STORES
@@ -15,11 +20,15 @@ from conftest import fresh_engine
 
 @pytest.fixture(scope="module")
 def entities():
-    """(store, entity) for every entity left by every bundled scenario."""
-    found = []
+    """(store, entity) for every entity left by every bundled scenario and by
+    a short run of each dispatch workload of the benchmark."""
+    engines = []
     for path in bundled.scenario_files():
         engine = fresh_engine(rbac=default_matrix())
         assert run_scenario(engine, load_scenario(path)).ok, path.stem
+        engines.append(engine)
+    found = []
+    for engine in engines + bench_engines():
         for store, entries in engine.state.stores.items():
             found.extend((store, entity) for entity in entries.values())
     return found
@@ -49,6 +58,43 @@ def test_scenarios_cover_every_record_class(entities):
 def test_every_entity_round_trips(entities):
     for store, entity in entities:
         assert STORES[store][1].from_dict(entity.to_dict()) == entity, store
+
+
+def _reference(value, hint):
+    """The README's encoding of ``value``, declared as ``hint``, one nested
+    call per value."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return None if value is None else _reference(value, hint)
+    if hint is EntityId:
+        return f"{value.kind}:{value.serial}"
+    if hint is Quantity:
+        return value.value
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return value.value
+    if isinstance(hint, type) and issubclass(hint, Record):
+        hints = typing.get_type_hints(hint)
+        return {f.name: _reference(getattr(value, f.name), hints[f.name])
+                for f in fields(value)}
+    if origin is set:
+        return sorted(_reference(item, args[0]) for item in value)
+    if origin is list:
+        return [_reference(item, args[0]) for item in value]
+    if origin is tuple:
+        return [_reference(item, arg) for item, arg in zip(value, args, strict=True)]
+    if origin is dict:
+        return {_reference(key, args[0]): _reference(item, args[1])
+                for key, item in value.items()}
+    assert hint in (int, str, bool), hint
+    return value
+
+
+def test_flat_encoder_matches_the_reference_encoder(entities):
+    for store, entity in entities:
+        encoded = entity.to_dict()
+        assert encoded == _reference(entity, STORES[store][1]), store
+        assert_plain_json(encoded, store)
 
 
 def _containers(record):
@@ -110,3 +156,28 @@ def test_unsupported_field_type_is_refused():
 
     with pytest.raises(TypeError, match="Opaque.blob"):
         derive_codec(Opaque)
+
+
+@dataclass
+class _Tree(Record):
+    label: str
+    owner: EntityId
+    children: list["_Tree"] = field(default_factory=list)
+    parent: "_Tree | None" = None
+    price: Money | None = None
+
+
+def test_a_record_nested_in_itself_derives_and_round_trips():
+    derive_codec(_Tree)
+    leaf = _Tree("leaf", EntityId("customer", 2), price=Money(5, "USD"))
+    tree = _Tree("root", EntityId("customer", 1), [leaf, _Tree("bare", EntityId("customer", 3))],
+                 parent=_Tree("up", EntityId("customer", 4)))
+    encoded = tree.to_dict()
+    assert encoded == _reference(tree, _Tree)
+    assert encoded["children"][0] == {"label": "leaf", "owner": "customer:2", "children": [],
+                                      "parent": None, "price": {"amount": 5, "currency": "USD"}}
+    assert_plain_json(encoded)
+    assert _Tree.from_dict(encoded) == tree
+    copy = tree.clone()
+    copy.children[0].children.append(_Tree("new", EntityId("customer", 5)))
+    assert tree.to_dict() == encoded

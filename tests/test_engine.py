@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from helpers import new_customer, new_employee, product_id, stock_item_id
+from helpers import (
+    assert_plain_json,
+    bench_engines,
+    catalog_id,
+    new_customer,
+    new_employee,
+    product_id,
+    stock_item_id,
+    validated_invoice,
+)
 from storefront import (
     SYSTEM,
     AccessDenied,
@@ -14,9 +23,13 @@ from storefront import (
     EntityId,
     EventRecord,
     SchemaError,
+    bundled,
+    load_scenario,
     read_log,
     replay,
+    run_scenario,
 )
+from storefront.commands import COMMANDS
 from storefront.rbac import default_matrix
 from storefront.state import GapInSequence, UnknownFactKind, apply_fact
 
@@ -185,6 +198,56 @@ def test_event_records_roundtrip_json(eng):
     for record in eng.state.log:
         line = record.to_json_line()
         assert EventRecord.from_dict(json.loads(line)) == record
+
+
+def _extra_engine():
+    """Every command no bundled scenario or benchmark workload runs to an
+    ``ok`` outcome, and names outside ASCII (``\u2028`` is a line separator
+    in JavaScript, not in JSON)."""
+    engine = fresh_engine(rbac=default_matrix())
+    odd = "Zo\u00eb \u2028 \u2603 \U0001d11e \"q\" \\ \x01"
+    customer = new_customer(engine, name=odd)
+    engine.execute(SYSTEM, "create_catalog", name=odd)
+    engine.execute(SYSTEM, "create_stockroom", name=odd)
+    engine.execute(SYSTEM, "create_stock_item", name=odd, kind="Component")
+    widget, gadget = product_id(engine, "WidgetA"), product_id(engine, "Gadget")
+    engine.execute(SYSTEM, "set_product_info", product=widget, description=odd)
+    engine.execute(SYSTEM, "link_similar", a=widget, b=gadget)
+    engine.execute(SYSTEM, "search", catalog=catalog_id(engine), name_substring="W")
+    invoice = validated_invoice(engine, customer)
+    engine.execute(customer, "invoice_balance", invoice=invoice)
+    return engine
+
+
+@pytest.fixture(scope="module")
+def logged_engines():
+    """Engines after every bundled scenario, a short run of each benchmark
+    workload, and ``_extra_engine``: between them every command ends ok."""
+    engines = []
+    for path in bundled.scenario_files():
+        engine = fresh_engine(rbac=default_matrix())
+        assert run_scenario(engine, load_scenario(path)).ok, path.stem
+        engines.append(engine)
+    return engines + bench_engines() + [_extra_engine()]
+
+
+def test_every_command_result_is_plain_json(logged_engines):
+    """Dispatch logs an adapter's result as it is: each must return plain
+    JSON, never an enum member, a tuple, a ``Money`` or an ``EntityId``."""
+    ok = set()
+    for engine in logged_engines:
+        for record in engine.state.log:
+            if record.outcome == "ok":
+                ok.add(record.command)
+                assert_plain_json(record.result, record.command)
+    assert ok == set(COMMANDS)
+
+
+def test_log_line_is_the_sorted_compact_json_dump(logged_engines):
+    for engine in logged_engines:
+        for record in engine.state.log:
+            assert record.to_json_line() == json.dumps(
+                record.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def test_identical_runs_are_byte_identical():

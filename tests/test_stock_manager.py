@@ -69,6 +69,16 @@ def test_add_allocation_mismatch(eng):
     assert exc.value.code == "UnknownItem"
 
 
+@pytest.mark.parametrize("query, arg, missing, code", [
+    ("stock_level", "item", "stock_item:99", "UnknownItem"),
+    ("shop_order_stage", "order", "shop_order:99", "UnknownShopOrder"),
+])
+def test_query_of_a_missing_entity_raises_its_unknown_code(eng, query, arg, missing, code):
+    with pytest.raises(DomainError) as exc:
+        eng.query(query, **{arg: missing})
+    assert exc.value.code == code
+
+
 def test_add_requires_a_room():
     engine = fresh_engine(seed_catalog=False, seed_stock=False)
     item = engine.execute(SYSTEM, "create_stock_item", name="lonely",
