@@ -104,7 +104,7 @@ def add_product(txn, catalog_id: EntityId, name: str, price: Money,
 
 
 def set_product_info(txn, product_id: EntityId, description: str,
-                     comparison_notes: str) -> None:
+                     comparison_notes: str = "") -> None:
     product = txn.get_mut("products", product_id, UnknownProduct)
     product.info = ProductInfo(description, comparison_notes)
 

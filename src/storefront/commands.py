@@ -1,5 +1,6 @@
 """The finite command vocabulary: argument schemas, rights metadata,
-ownership resolution, and handler glue for every engine operation.
+ownership resolution, and the handler of every engine operation, generated
+from the domain function it calls.
 
 Scenario files and the Python API meet here: argument values may arrive as
 JSON primitives (ids as ``kind:serial`` strings, money as minor-unit ints)
@@ -9,6 +10,7 @@ or as the rich value types; parsing normalizes both to one canonical form.
 from __future__ import annotations
 
 import functools
+import inspect
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -300,298 +302,171 @@ class CommandSpec:
         return compile_parser(self.name, self.schema, f"<parser {self.name}>")
 
 
-def _spec(name, kind, args, run, owner=_owner_none, optional=frozenset()):
-    return CommandSpec(name=name, kind=kind, schema=Fields(args, optional), owner=owner, run=run)
-
-
-def _run_create_customer(engine, txn, actor, args):
-    customer = shopping_cart.create_customer(
-        txn, args["name"], args.get("loyalty_member", False),
-        set(args.get("roles", ())))
-    return {"customer": str(customer)}
-
-
-def _run_create_employee(engine, txn, actor, args):
-    employee = invoice.create_employee(txn, args["name"], set(args.get("roles", ())))
-    return {"employee": str(employee)}
-
-
-def _run_create_catalog(engine, txn, actor, args):
-    return {"catalog": str(catalog.create_catalog(txn, args["name"]))}
-
-
-def _run_add_product(engine, txn, actor, args):
-    product = catalog.add_product(txn, args["catalog"], args["name"],
-                                  args["price"], args["status"])
-    return {"product": str(product)}
-
-
-def _run_set_product_info(engine, txn, actor, args):
-    catalog.set_product_info(txn, args["product"], args["description"],
-                             args.get("comparison_notes", ""))
-    return {}
-
-
-def _run_update_product(engine, txn, actor, args):
-    notifications = catalog.update_product(txn, args["product"], args["changes"])
-    return {"notifications": [str(n) for n in notifications]}
-
-
-def _run_link_similar(engine, txn, actor, args):
-    catalog.link_similar(txn, args["a"], args["b"])
-    return {}
-
-
-def _run_subscribe(engine, txn, actor, args):
-    catalog.subscribe(txn, args["customer"], args["product"])
-    return {}
-
-
-def _run_search(engine, txn, actor, args):
-    found = catalog.search(txn.state, args["catalog"],
-                           args.get("name_substring"), args.get("status"),
-                           args.get("max_price"))
-    return {"products": [str(p) for p in found]}
-
-
-def _run_create_cart(engine, txn, actor, args):
-    return {"cart": str(shopping_cart.create_cart(txn, args["customer"]))}
-
-
-def _run_add_item(engine, txn, actor, args):
-    shopping_cart.add_item(txn, args["cart"], args["product"], args["qty"])
-    return {}
-
-
-def _run_remove_item(engine, txn, actor, args):
-    shopping_cart.remove_item(txn, args["cart"], args["product"])
-    return {}
-
-
-def _run_cart_total(engine, txn, actor, args):
-    total = shopping_cart.cart_total(txn.state, args["cart"], engine.currency)
-    return {"total": total.to_dict()}
-
-
-def _run_checkout(engine, txn, actor, args):
-    order, inv = shopping_cart.checkout(txn, args["cart"])
-    return {"order": str(order), "invoice": str(inv)}
-
-
-def _run_create_invoice(engine, txn, actor, args):
-    inv = invoice.create_invoice(txn, args["creator"], args["customer"])
-    return {"invoice": str(inv)}
-
-
-def _run_prepare_invoice(engine, txn, actor, args):
-    total = invoice.prepare_invoice(txn, engine.rulebook, args["invoice"],
-                                    args.get("edits", []), args.get("policies", []),
-                                    engine.currency)
-    return {"total": total.to_dict()}
-
-
-def _run_validate_invoice(engine, txn, actor, args):
-    verdict, reasons = invoice.validate_invoice(
-        txn, engine.rulebook, args["validator"], args["invoice"],
-        args.get("rules", []), engine.currency)
-    return {"verdict": verdict, "reasons": reasons}
-
-
-def _run_record_payment(engine, txn, actor, args):
-    payment = invoice.record_payment(txn, args["customer"], args["invoice"],
-                                     args["amount"], args["method"],
-                                     engine.currency)
-    return {"payment": str(payment)}
-
-
-def _run_validate_payment(engine, txn, actor, args):
-    verdict, reasons = invoice.validate_payment(
-        txn, engine.rulebook, args["validator"], args["payment"],
-        args.get("rules", []), engine.currency)
-    return {"verdict": verdict, "reasons": reasons}
-
-
-def _run_invoice_balance(engine, txn, actor, args):
-    balance = invoice.invoice_balance(txn.state, args["invoice"], engine.currency)
-    return {"balance": balance.to_dict()}
-
-
-def _run_place_order(engine, txn, actor, args):
-    order = order_shipment.place_order(txn, args["customer"], args["lines"])
-    return {"order": str(order)}
-
-
-def _run_cancel_order(engine, txn, actor, args):
-    order_shipment.cancel_order(txn, args["order"])
-    return {}
-
-
-def _run_create_shipment(engine, txn, actor, args):
-    shipment, inv = order_shipment.create_shipment(
-        txn, args["order"], args["items"], args["receiver"], engine.currency)
-    return {"shipment": str(shipment), "invoice": str(inv)}
-
-
-def _run_record_receipt(engine, txn, actor, args):
-    order_shipment.record_receipt(txn, args["shipment"], args["receiver"])
-    return {}
-
-
-def _run_create_stockroom(engine, txn, actor, args):
-    return {"stockroom": str(stock_manager.create_stockroom(txn, args["name"]))}
-
-
-def _run_create_stock_item(engine, txn, actor, args):
-    item = stock_manager.create_stock_item(txn, args["name"], args["kind"],
-                                           args.get("product_link"))
-    return {"stock_item": str(item)}
-
-
-def _run_add_to_stock(engine, txn, actor, args):
-    stock_manager.add_to_stock(txn, args["item"], args["qty"],
-                               args.get("allocation"), engine.add_policy)
-    return {"policy": None if "allocation" in args else engine.add_policy}
-
-
-def _run_remove_from_stock(engine, txn, actor, args):
-    stock_manager.remove_from_stock(txn, args["item"], args["qty"], args.get("room"))
-    return {}
-
-
-def _run_transfer(engine, txn, actor, args):
-    stock_manager.transfer(txn, args["item"], args["qty"], args["from_room"],
-                           args["to_room"])
-    return {}
-
-
-def _run_create_shop_order(engine, txn, actor, args):
-    order = stock_manager.create_shop_order(
-        txn, args["product"], args["output_qty"],
-        {item: qty.value for item, qty in args["bill_of_materials"].items()})
-    return {"shop_order": str(order)}
-
-
-def _run_cut_shop_order(engine, txn, actor, args):
-    stock_manager.cut_shop_order(txn, args["order"])
-    return {}
-
-
-def _run_pick_components(engine, txn, actor, args):
-    drains = args.get("room_drains")
-    if drains is not None:
-        drains = {item: {room: qty.value for room, qty in rooms.items()}
-                  for item, rooms in drains.items()}
-    stock_manager.pick_components(txn, args["order"], drains)
-    return {}
-
-
-def _run_finish_fabrication(engine, txn, actor, args):
-    stock_manager.finish_fabrication(txn, args["order"], args["room"])
-    return {}
+# the engine attributes a domain operation may take, by parameter name
+_ENGINE_ATTRS = frozenset({"currency", "rulebook", "add_policy"})
+# the JSON form of a domain operation's result, by its return annotation
+_RESULTS = {EntityId: "{}._text", Money: "{}.to_dict()", list[EntityId]: "[v._text for v in {}]",
+            str: "{}", list[str]: "{}", str | None: "{}"}
+
+
+def _spec(name, kind, args, fn, *keys, owner=_owner_none, optional=frozenset()) -> CommandSpec:
+    """The spec of command ``name``, whose ``run(engine, txn, actor, args)``
+    is generated under the filename ``<command name>``: one call of the
+    domain operation ``fn``, and a dict of its result under ``keys``.
+
+    ``fn`` takes ``txn`` (``txn.state`` when its first parameter is
+    ``state``), then in signature order: for a parameter named ``x`` or
+    ``x_id`` the arg ``x`` (an optional one defaults to the parameter's
+    default), else the engine attribute of its name. The return annotation
+    picks the encoding in ``_RESULTS``; a ``tuple`` gives one key per
+    element, ``None`` none. An unmatched parameter or arg, or a result with
+    no encoding, raises ``TypeError`` naming the command."""
+    schema = Fields(args, optional)
+    params = list(inspect.signature(fn).parameters.values())
+    names, taken = {fn.__name__: fn}, set()
+    call = ["txn.state" if params[0].name == "state" else "txn"]
+    for param in params[1:]:
+        arg = param.name if param.name in schema.fields else param.name.removesuffix("_id")
+        if arg in schema.fields.keys() - schema.optional:
+            value = f"args[{arg!r}]"
+            taken.add(arg)
+        elif arg in schema.optional and param.default is not param.empty:
+            value = f"args.get({arg!r}, {param.name}_default)"
+            names[f"{param.name}_default"] = param.default
+            taken.add(arg)
+        elif param.name in _ENGINE_ATTRS:
+            value = f"engine.{param.name}"
+        else:
+            raise TypeError(f"{name}: parameter {param.name!r} of {fn.__qualname__} takes "
+                            "neither a required arg nor an engine attribute")
+        call.append(f"{param.name}={value}" if param.kind is param.KEYWORD_ONLY else value)
+    for arg in sorted(schema.fields.keys() - taken):
+        raise TypeError(f"{name}: no parameter of {fn.__qualname__} takes arg {arg!r}")
+    returns = typing.get_type_hints(fn).get("return")
+    hints = (typing.get_args(returns) if typing.get_origin(returns) is tuple
+             else () if returns is type(None) else (returns,))
+    try:
+        results = [_RESULTS[hint].format(f"r{i}") for i, hint in enumerate(hints)]
+    except (KeyError, TypeError):  # TypeError: an unhashable annotation
+        raise TypeError(f"{name}: no result encoding for "
+                        f"{fn.__qualname__} -> {returns!r}") from None
+    if len(keys) != len(hints):
+        raise TypeError(f"{name}: {len(keys)} result keys for {fn.__qualname__} -> {returns!r}")
+    targets = ", ".join(f"r{i}" for i in range(len(hints))) or "_"
+    result = ", ".join(f"{key!r}: {value}" for key, value in zip(keys, results))
+    run_generated(f"def run(engine, txn, actor, args):\n"
+                  f"    {targets} = {fn.__name__}({', '.join(call)})\n"
+                  f"    return {{{result}}}\n", f"<command {name}>", names)
+    return CommandSpec(name=name, kind=kind, schema=schema, owner=owner, run=names["run"])
 
 
 COMMANDS = {spec.name: spec for spec in [
     # bootstrap / registry plumbing
     _spec("create_customer", "customer",
           {"name": str, "loyalty_member": bool, "roles": list[str]},
-          _run_create_customer, optional={"loyalty_member", "roles"}),
+          shopping_cart.create_customer, "customer", optional={"loyalty_member", "roles"}),
     _spec("create_employee", "employee", {"name": str, "roles": list[str]},
-          _run_create_employee, optional={"roles"}),
-    _spec("create_catalog", "catalog", {"name": str}, _run_create_catalog),
+          invoice.create_employee, "employee", optional={"roles"}),
+    _spec("create_catalog", "catalog", {"name": str}, catalog.create_catalog, "catalog"),
 
     # catalog
     _spec("add_product", "product",
           {"catalog": Id("catalog"), "name": str, "price": Money, "status": ProductStatus},
-          _run_add_product),
+          catalog.add_product, "product"),
     _spec("set_product_info", "product",
           {"product": Id("product"), "description": str, "comparison_notes": str},
-          _run_set_product_info, optional={"comparison_notes"}),
+          catalog.set_product_info, optional={"comparison_notes"}),
     _spec("update_product", "product",
           {"product": Id("product"),
            "changes": Fields({"name": str, "price": Money, "status": ProductStatus},
                              {"name", "price", "status"})},
-          _run_update_product),
+          catalog.update_product, "notifications"),
     _spec("link_similar", "product", {"a": Id("product"), "b": Id("product")},
-          _run_link_similar),
+          catalog.link_similar),
     _spec("subscribe", "product", {"customer": Id("customer"), "product": Id("product")},
-          _run_subscribe, owner=_owner_arg("customer")),
+          catalog.subscribe, owner=_owner_arg("customer")),
     _spec("search", "catalog",
           {"catalog": Id("catalog"), "name_substring": str, "status": ProductStatus,
            "max_price": Money},
-          _run_search, optional={"name_substring", "status", "max_price"}),
+          catalog.search, "products", optional={"name_substring", "status", "max_price"}),
 
     # shopping cart
     _spec("create_cart", "cart", {"customer": Id("customer")},
-          _run_create_cart, owner=_owner_arg("customer")),
+          shopping_cart.create_cart, "cart", owner=_owner_arg("customer")),
     _spec("add_item", "cart", {"cart": Id("cart"), "product": Id("product"), "qty": Quantity},
-          _run_add_item, owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.add_item, owner=_owner_via("carts", "cart", "customer")),
     _spec("remove_item", "cart", {"cart": Id("cart"), "product": Id("product")},
-          _run_remove_item, owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.remove_item, owner=_owner_via("carts", "cart", "customer")),
     _spec("cart_total", "cart", {"cart": Id("cart")},
-          _run_cart_total, owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.cart_total, "total", owner=_owner_via("carts", "cart", "customer")),
     _spec("checkout", "cart", {"cart": Id("cart")},
-          _run_checkout, owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.checkout, "order", "invoice",
+          owner=_owner_via("carts", "cart", "customer")),
 
     # invoice
     _spec("create_invoice", "invoice",
           {"creator": Id("employee", "system"), "customer": Id("customer")},
-          _run_create_invoice),
+          invoice.create_invoice, "invoice"),
     _spec("prepare_invoice", "invoice",
           {"invoice": Id("invoice"), "edits": list[EDIT], "policies": list[str]},
-          _run_prepare_invoice, optional={"edits", "policies"}),
+          invoice.prepare_invoice, "total", optional={"edits", "policies"}),
     _spec("validate_invoice", "invoice",
           {"validator": Id("employee"), "invoice": Id("invoice"), "rules": list[str]},
-          _run_validate_invoice, optional={"rules"}),
+          invoice.validate_invoice, "verdict", "reasons", optional={"rules"}),
     _spec("record_payment", "payment",
           {"customer": Id("customer"), "invoice": Id("invoice"), "amount": Money,
            "method": PaymentMethod},
-          _run_record_payment, owner=_owner_via("invoices", "invoice", "customer")),
+          invoice.record_payment, "payment", owner=_owner_via("invoices", "invoice", "customer")),
     _spec("validate_payment", "payment",
           {"validator": Id("employee"), "payment": Id("payment"), "rules": list[str]},
-          _run_validate_payment, optional={"rules"}),
+          invoice.validate_payment, "verdict", "reasons", optional={"rules"}),
     _spec("invoice_balance", "invoice", {"invoice": Id("invoice")},
-          _run_invoice_balance, owner=_owner_via("invoices", "invoice", "customer")),
+          invoice.invoice_balance, "balance",
+          owner=_owner_via("invoices", "invoice", "customer")),
 
     # order and shipment
     _spec("place_order", "order", {"customer": Id("customer"), "lines": list[ORDER_LINE]},
-          _run_place_order, owner=_owner_arg("customer")),
+          order_shipment.place_order, "order", owner=_owner_arg("customer")),
     _spec("cancel_order", "order", {"order": Id("order")},
-          _run_cancel_order, owner=_owner_via("orders", "order", "customer")),
+          order_shipment.cancel_order, owner=_owner_via("orders", "order", "customer")),
     _spec("create_shipment", "shipment",
           {"order": Id("order"), "items": list[SHIPPED_ITEM], "receiver": Id("customer")},
-          _run_create_shipment),
+          order_shipment.create_shipment, "shipment", "invoice"),
     _spec("record_receipt", "shipment",
           {"shipment": Id("shipment"), "receiver": Id("customer")},
-          _run_record_receipt, owner=_owner_via("shipments", "shipment", "receiver")),
+          order_shipment.record_receipt,
+          owner=_owner_via("shipments", "shipment", "receiver")),
 
     # stock manager
-    _spec("create_stockroom", "stockroom", {"name": str}, _run_create_stockroom),
+    _spec("create_stockroom", "stockroom", {"name": str},
+          stock_manager.create_stockroom, "stockroom"),
     _spec("create_stock_item", "stock_item",
           {"name": str, "kind": StockKind, "product_link": Id("product")},
-          _run_create_stock_item, optional={"product_link"}),
+          stock_manager.create_stock_item, "stock_item", optional={"product_link"}),
     _spec("add_to_stock", "stock_item",
           {"item": Id("stock_item"), "qty": Quantity,
            "allocation": dict[Id("stockroom"), int]},
-          _run_add_to_stock, optional={"allocation"}),
+          stock_manager.add_to_stock, "policy", optional={"allocation"}),
     _spec("remove_from_stock", "stock_item",
           {"item": Id("stock_item"), "qty": Quantity, "room": Id("stockroom")},
-          _run_remove_from_stock, optional={"room"}),
+          stock_manager.remove_from_stock, optional={"room"}),
     _spec("transfer", "stock_item",
           {"item": Id("stock_item"), "qty": Quantity, "from_room": Id("stockroom"),
            "to_room": Id("stockroom")},
-          _run_transfer),
+          stock_manager.transfer),
     _spec("create_shop_order", "shop_order",
           {"product": Id("stock_item"), "output_qty": int,
            "bill_of_materials": dict[Id("stock_item"), Quantity]},
-          _run_create_shop_order),
-    _spec("cut_shop_order", "shop_order", {"order": Id("shop_order")}, _run_cut_shop_order),
+          stock_manager.create_shop_order, "shop_order"),
+    _spec("cut_shop_order", "shop_order", {"order": Id("shop_order")},
+          stock_manager.cut_shop_order),
     _spec("pick_components", "shop_order",
           {"order": Id("shop_order"),
            "room_drains": dict[Id("stock_item"), dict[Id("stockroom"), Quantity]]},
-          _run_pick_components, optional={"room_drains"}),
+          stock_manager.pick_components, optional={"room_drains"}),
     _spec("finish_fabrication", "shop_order",
           {"order": Id("shop_order"), "room": Id("stockroom")},
-          _run_finish_fabrication),
+          stock_manager.finish_fabrication),
 ]}
 
 

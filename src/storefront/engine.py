@@ -25,8 +25,6 @@ from .foundation import (
     AccessDenied,
     DomainError,
     EntityId,
-    Money,
-    Quantity,
     SchemaError,
 )
 from .invoice import RuleBook, default_rulebook
@@ -68,8 +66,19 @@ class Engine:
         self._baseline = None
         return Txn(self.state)
 
+    def _seed_args(self, what: str, command: str, raw) -> dict:
+        """Seed values parsed as the args of ``command``, by its parser."""
+        try:
+            return COMMANDS[command].parse(raw, self.parse_context)[0]
+        except SchemaError as exc:
+            raise SchemaError(f"{what}: {exc}") from None
+
     def seed_catalog(self, entries: list[dict], catalog_name: str = "main") -> EntityId:
-        """Load the catalog seed: [{name, price, status, info?, similar?}]."""
+        """Load the catalog seed: [{name, price, status?, info?, similar?}].
+
+        A product parses as the args of ``add_product`` (status ``Regular``
+        when absent), its info as those of ``set_product_info``.
+        """
         txn = self._seed_txn()
         catalog_id = catalog_mod.create_catalog(txn, catalog_name)
         by_name: dict[str, EntityId] = {}
@@ -78,17 +87,21 @@ class Engine:
             unknown = set(entry) - {"name", "price", "status", "info", "similar"}
             if unknown:
                 raise SchemaError(f"catalog seed: unexpected keys {sorted(unknown)}")
-            name = entry["name"]
+            args = self._seed_args("catalog seed", "add_product", {
+                "catalog": catalog_id, "status": "Regular",
+                **{key: entry[key] for key in ("name", "price", "status") if key in entry}})
+            name = args["name"]
             if name in by_name:
                 raise SchemaError(f"catalog seed: duplicate product {name!r}")
-            product_id = catalog_mod.add_product(
-                txn, catalog_id, name, Money(int(entry["price"]), self.currency),
-                catalog_mod.ProductStatus(entry.get("status", "Regular")))
+            product_id = catalog_mod.add_product(txn, catalog_id, name, args["price"],
+                                                 args["status"])
             by_name[name] = product_id
             info = entry.get("info")
             if info:
-                catalog_mod.set_product_info(txn, product_id,
-                                             info.get("description", ""),
+                info = self._seed_args("catalog seed", "set_product_info", {
+                    "product": product_id, "description": "", **info}
+                    if isinstance(info, dict) else info)
+                catalog_mod.set_product_info(txn, product_id, info["description"],
                                              info.get("comparison_notes", ""))
             for other in entry.get("similar", ()):
                 links.append((name, other))
@@ -102,8 +115,10 @@ class Engine:
     def seed_stock(self, entries: list[dict]) -> None:
         """Load the stock seed: [{item, kind, rooms: {room-name: qty}}].
 
-        Stockrooms are created in order of first mention; product items
-        link to the catalog product of the same name when one exists.
+        An item parses as the args of ``create_stock_item``, its rooms as
+        the allocation of ``add_to_stock``. Stockrooms are created in order
+        of first mention; product items link to the catalog product of the
+        same name when one exists.
         """
         txn = self._seed_txn()
         rooms: dict[str, EntityId] = {
@@ -114,20 +129,21 @@ class Engine:
             unknown = set(entry) - {"item", "kind", "rooms"}
             if unknown:
                 raise SchemaError(f"stock seed: unexpected keys {sorted(unknown)}")
-            kind = stock_manager.StockKind(entry["kind"])
-            link = None
-            if kind is stock_manager.StockKind.PRODUCT:
-                link = products_by_name.get(entry["item"])
-            item_id = stock_manager.create_stock_item(txn, entry["item"], kind, link)
-            allocation: dict[EntityId, int] = {}
-            total = 0
-            for room_name, qty in entry.get("rooms", {}).items():
+            item = self._seed_args("stock seed", "create_stock_item",
+                                   {"name": entry.get("item"), "kind": entry.get("kind")})
+            link = (products_by_name.get(item["name"])
+                    if item["kind"] is stock_manager.StockKind.PRODUCT else None)
+            item_id = stock_manager.create_stock_item(txn, item["name"], item["kind"], link)
+            placed = entry.get("rooms", {})
+            for room_name in placed:
                 if room_name not in rooms:
                     rooms[room_name] = stock_manager.create_stockroom(txn, room_name)
-                allocation[rooms[room_name]] = int(qty)
-                total += int(qty)
-            if total:
-                stock_manager.add_to_stock(txn, item_id, Quantity(total), allocation)
+            # a value that is not an int fails the parse of the allocation
+            stock = self._seed_args("stock seed", "add_to_stock", {
+                "item": item_id, "qty": sum(q for q in placed.values() if q.__class__ is int),
+                "allocation": {rooms[room_name]: qty for room_name, qty in placed.items()}})
+            if stock["qty"].value:
+                stock_manager.add_to_stock(txn, item_id, stock["qty"], stock["allocation"])
 
     def baseline(self) -> EngineState:
         """The seeded pre-command state; replays start here."""

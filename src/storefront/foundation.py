@@ -135,16 +135,6 @@ class Quantity:
     def add(self, other: Quantity) -> Quantity:
         return Quantity(self.value + other.value)
 
-    def sub(self, other: Quantity) -> Quantity:
-        if other.value > self.value:
-            raise NegativeQuantity(
-                f"cannot subtract {other.value} from {self.value}"
-            )
-        return Quantity(self.value - other.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 @dataclass(frozen=True, order=True, init=False)
 class EntityId:

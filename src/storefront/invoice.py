@@ -335,8 +335,8 @@ def create_invoice_for_shipment(txn, customer_id: EntityId,
     return invoice_id
 
 
-def prepare_invoice(txn, rulebook: RuleBook, invoice_id: EntityId,
-                    edits: list, policies: list[str], currency: str) -> Money:
+def prepare_invoice(txn, invoice_id: EntityId, edits: list = (), policies: list[str] = (), *,
+                    rulebook: RuleBook, currency: str) -> Money:
     """Apply item edits in order, then the named policies once each.
 
     Each edit is ``{"add": InvoiceItem}`` or ``{"delete": description}``;
@@ -372,9 +372,8 @@ def prepare_invoice(txn, rulebook: RuleBook, invoice_id: EntityId,
     return invoice.total(currency)
 
 
-def validate_invoice(txn, rulebook: RuleBook, validator: EntityId,
-                     invoice_id: EntityId, rule_names: list[str],
-                     currency: str) -> tuple[str, list[str]]:
+def validate_invoice(txn, validator: EntityId, invoice_id: EntityId, rules: list[str] = (),
+                     *, rulebook: RuleBook, currency: str) -> tuple[str, list[str]]:
     """Run the named invoice rules; all-pass validates, any-fail rejects.
 
     The creator may never validate their own invoice. System-created
@@ -385,7 +384,7 @@ def validate_invoice(txn, rulebook: RuleBook, validator: EntityId,
     invoice = _require_invoice(txn.state, invoice_id)
     if invoice.state is not InvoiceState.DRAFT:
         raise NotDraft(f"invoice {invoice_id} is {invoice.state.value}")
-    rules = [rulebook.rule(name, "Invoice") for name in rule_names]
+    rules = [rulebook.rule(name, "Invoice") for name in rules]
     if invoice.created_by.kind == "employee" and validator == invoice.created_by:
         raise SeparationOfDutyViolation(
             f"{validator} created invoice {invoice_id} and cannot validate it")
@@ -422,9 +421,8 @@ def record_payment(txn, customer_id: EntityId, invoice_id: EntityId,
     return payment_id
 
 
-def validate_payment(txn, rulebook: RuleBook, validator: EntityId,
-                     payment_id: EntityId, rule_names: list[str],
-                     currency: str) -> tuple[str, list[str]]:
+def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list[str] = (),
+                     *, rulebook: RuleBook, currency: str) -> tuple[str, list[str]]:
     """Accept or reject a received payment and advance the invoice.
 
     Acceptance that would push the accepted sum past the invoice total is
@@ -438,7 +436,7 @@ def validate_payment(txn, rulebook: RuleBook, validator: EntityId,
         raise UnknownPayment(f"no payment {payment_id}")
     if payment.state is not PaymentState.RECEIVED:
         raise AlreadyValidated(f"payment {payment_id} is {payment.state.value}")
-    rules = [rulebook.rule(name, "Payment") for name in rule_names]
+    rules = [rulebook.rule(name, "Payment") for name in rules]
 
     invoice = _require_invoice(txn.state, payment.invoice)
     total = invoice.total(currency)

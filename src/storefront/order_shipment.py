@@ -160,7 +160,7 @@ def shipped_coverage(state, order: Order) -> dict[EntityId, int]:
 
 
 def create_shipment(txn, order_id: EntityId,
-                    shipped: list[ShippedItem],
+                    items: list[ShippedItem],
                     receiver_id: EntityId, currency: str) -> tuple[EntityId, EntityId]:
     """Dispatch goods against an order and bill them on a fresh invoice.
 
@@ -175,11 +175,11 @@ def create_shipment(txn, order_id: EntityId,
         raise OrderNotShippable(f"order {order_id} is {order.state.value}")
     if receiver_id not in txn.state.stores["customers"]:
         raise UnknownCustomer(f"no customer {receiver_id}")
-    if not shipped:
+    if not items:
         raise OverShipment("a shipment needs at least one item")
 
     ordered = {line.product: line.quantity.value for line in order.line_items}
-    for item in shipped:
+    for item in items:
         if item.quantity.value < 1:
             raise ZeroQuantity("shipped quantities must be at least 1")
         if item.product not in txn.state.stores["products"]:
@@ -194,7 +194,7 @@ def create_shipment(txn, order_id: EntityId,
 
     covered = shipped_coverage(txn.state, order)
     adding: dict[EntityId, int] = {}
-    for item in shipped:
+    for item in items:
         line = item.charged_line()
         adding[line] = adding.get(line, 0) + item.quantity.value
     for line, extra in adding.items():
@@ -203,14 +203,14 @@ def create_shipment(txn, order_id: EntityId,
                 f"line {line}: shipping {covered[line] + extra} of {ordered[line]} ordered")
 
     # physical goods leave stock now; service products have no stock item
-    for item in shipped:
+    for item in items:
         stock_item = stock_manager.item_for_product(txn.state, item.product)
         if stock_item is not None:
             stock_manager.remove_from_stock(txn, stock_item.id, item.quantity)
 
     shipment_id = txn.next_id("shipment")
     invoice_items = []
-    for item in shipped:
+    for item in items:
         product = txn.state.stores["products"][item.product]
         charged = order.line_for(item.charged_line())
         invoice_items.append(InvoiceItem(
@@ -219,7 +219,7 @@ def create_shipment(txn, order_id: EntityId,
     invoice_id = invoice_mod.create_invoice_for_shipment(
         txn, order.customer, invoice_items, shipment_id)
     txn.create("shipments", Shipment(id=shipment_id, order=order_id,
-                                     items=list(shipped), receiver=receiver_id,
+                                     items=list(items), receiver=receiver_id,
                                      invoice=invoice_id))
 
     order = txn.get_mut("orders", order_id, UnknownOrder)

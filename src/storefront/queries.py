@@ -13,9 +13,8 @@ import functools
 from dataclasses import dataclass
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .catalog import ProductStatus
-from .commands import Fields, Id, compile_parser
-from .foundation import Money, SchemaError
+from .commands import COMMANDS, Fields, Id, compile_parser
+from .foundation import SchemaError
 
 
 def _product_name(state, product_id) -> str:
@@ -83,9 +82,9 @@ def q_notification_count(engine, args):
     return count
 
 
-def q_notified_customers(engine, args):
+def q_notified_customers(engine, product):
     customers = {note.customer for note in engine.state.stores["notifications"].values()
-                 if note.product == args["product"]}
+                 if note.product == product.id}
     return sorted(engine.state.stores["customers"][c].name for c in customers)
 
 
@@ -112,16 +111,19 @@ _shipment = functools.partial(_read, "shipments", order_shipment.UnknownShipment
 _product = functools.partial(_read, "products", catalog.UnknownProduct, "product")
 
 QUERIES = {query.name: query for query in [
-    _by_id("cart_total", "cart", "cart", lambda engine, args: shopping_cart.cart_total(
-        engine.state, args["cart"], engine.currency).to_dict()),
+    # cart_total, invoice_balance and search_products take the schema of their command
+    Query("cart_total", COMMANDS["cart_total"].schema,
+          lambda engine, args: shopping_cart.cart_total(
+              engine.state, args["cart"], engine.currency).to_dict()),
     _by_id("cart_state", "cart", "cart", _cart(lambda engine, cart: cart.state.value)),
     _by_id("cart_items", "cart", "cart", _cart(q_cart_items)),
     _by_id("invoice_state", "invoice", "invoice",
            _invoice(lambda engine, inv: inv.state.value)),
     _by_id("invoice_total", "invoice", "invoice",
            _invoice(lambda engine, inv: inv.total(engine.currency).to_dict())),
-    _by_id("invoice_balance", "invoice", "invoice", lambda engine, args: invoice.invoice_balance(
-        engine.state, args["invoice"], engine.currency).to_dict()),
+    Query("invoice_balance", COMMANDS["invoice_balance"].schema,
+          lambda engine, args: invoice.invoice_balance(
+              engine.state, args["invoice"], engine.currency).to_dict()),
     _by_id("payment_state", "payment", "payment",
            _read("payments", invoice.UnknownPayment, "payment",
                  lambda engine, payment: payment.state.value)),
@@ -138,15 +140,12 @@ QUERIES = {query.name: query for query in [
            _product(lambda engine, product: sorted(_names(engine, product.similar)))),
     _by_id("new_products", "catalog", "catalog", lambda engine, args: _names(
         engine, catalog.new_products(engine.state, args["catalog"]))),
-    Query("search_products",
-          Fields({"catalog": Id("catalog"), "name_substring": str, "status": ProductStatus,
-                  "max_price": Money}, {"name_substring", "status", "max_price"}),
-          q_search_products),
+    Query("search_products", COMMANDS["search"].schema, q_search_products),
     Query("notification_count",
           Fields({"product": Id("product"), "customer": Id("customer")},
                  {"product", "customer"}),
           q_notification_count),
-    _by_id("notified_customers", "product", "product", q_notified_customers),
+    _by_id("notified_customers", "product", "product", _product(q_notified_customers)),
     _by_id("stock_level", "item", "stock_item",
            _read("stock_items", stock_manager.UnknownStockItem, "stock item", q_stock_level)),
     _by_id("shop_order_stage", "order", "shop_order",

@@ -85,9 +85,6 @@ class RbacMatrix:
             for name, role in sorted(self.roles.items()) if right in role.rights)
         return granting
 
-    def role_names(self) -> list[str]:
-        return sorted(self.roles)
-
 
 def permissive_matrix() -> RbacMatrix:
     return RbacMatrix(permissive=True)

@@ -180,12 +180,13 @@ def _rooms_ascending(state) -> list[EntityId]:
 
 def add_to_stock(txn, item_id: EntityId, qty: Quantity,
                  allocation: dict[EntityId, int] | None = None,
-                 policy: str = "first-room") -> None:
+                 add_policy: str = "first-room") -> str | None:
     """Raise aggregate on-hand and place the goods into rooms.
 
     With no explicit allocation the named distribution policy decides:
     ``first-room`` puts everything in the lowest-id room, ``round-robin``
-    splits evenly with the remainder going to the earliest rooms.
+    splits evenly with the remainder going to the earliest rooms. Returns
+    the policy applied, None when an allocation was given.
     """
     _require_item(txn.state, item_id)
     amount = qty.value
@@ -203,7 +204,7 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
         rooms = _rooms_ascending(txn.state)
         if not rooms:
             raise UnknownRoom("no stockrooms exist to receive stock")
-        if policy == "first-room":
+        if add_policy == "first-room":
             placement = {rooms[0]: amount}
         else:
             base, remainder = divmod(amount, len(rooms))
@@ -214,6 +215,7 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
     item.inventory.on_hand += amount
     for room_id, quantity in placement.items():
         item.inventory.shift(room_id, quantity)
+    return None if allocation is not None else add_policy
 
 
 def _drain_default(inventory: Inventory, amount: int) -> None:
@@ -269,9 +271,10 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
     item.inventory.shift(to_room, amount)
 
 
-def create_shop_order(txn, product_item: EntityId, output_qty: int,
-                      bill_of_materials: dict[EntityId, int]) -> EntityId:
-    product = _require_item(txn.state, product_item)
+def create_shop_order(txn, product_id: EntityId, output_qty: int,
+                      bill_of_materials: dict[EntityId, Quantity]) -> EntityId:
+    bill_of_materials = {item: qty.value for item, qty in bill_of_materials.items()}
+    product = _require_item(txn.state, product_id)
     if product.kind is not StockKind.PRODUCT:
         raise WrongItemKind(f"{product.name} is a component, not a product")
     if output_qty < 1:
@@ -285,9 +288,9 @@ def create_shop_order(txn, product_item: EntityId, output_qty: int,
         if quantity < 1:
             raise AllocationMismatch("bill-of-materials quantities must be >= 1")
     order_id = txn.next_id("shop_order")
-    txn.create("shop_orders", ShopOrder(id=order_id, product=product_item,
+    txn.create("shop_orders", ShopOrder(id=order_id, product=product_id,
                                         output_qty=output_qty,
-                                        bill_of_materials=dict(bill_of_materials)))
+                                        bill_of_materials=bill_of_materials))
     return order_id
 
 
@@ -319,7 +322,7 @@ def cut_shop_order(txn, order_id: EntityId) -> None:
 
 
 def pick_components(txn, order_id: EntityId,
-                    room_drains: dict[EntityId, dict[EntityId, int]] | None = None) -> None:
+                    room_drains: dict[EntityId, dict[EntityId, Quantity]] | None = None) -> None:
     """Withdraw the reserved components from their rooms.
 
     ``room_drains`` maps component item to per-room amounts; omitted
@@ -328,7 +331,8 @@ def pick_components(txn, order_id: EntityId,
     order = _require_shop_order(txn.state, order_id)
     if order.stage is not ShopOrderStage.CUT:
         raise WrongStage(f"shop order {order_id} is {order.stage.value}")
-    drains = room_drains or {}
+    drains = {item: {room: qty.value for room, qty in rooms.items()}
+              for item, rooms in (room_drains or {}).items()}
     for component_id, rooms in drains.items():
         if component_id not in order.bill_of_materials:
             raise UnknownStockItem(f"{component_id} is not on the bill of materials")
@@ -339,8 +343,6 @@ def pick_components(txn, order_id: EntityId,
         for room_id, quantity in rooms.items():
             if room_id not in txn.state.stores["stockrooms"]:
                 raise UnknownRoom(f"no stockroom {room_id}")
-            if quantity < 0:
-                raise AllocationMismatch("drain amounts must be non-negative")
             if quantity > component.inventory.local(room_id):
                 raise InsufficientLocalStock(
                     f"{component.name}: room {room_id} holds "
@@ -360,15 +362,15 @@ def pick_components(txn, order_id: EntityId,
     order.stage = ShopOrderStage.PICKED
 
 
-def finish_fabrication(txn, order_id: EntityId, product_room: EntityId) -> None:
+def finish_fabrication(txn, order_id: EntityId, room_id: EntityId) -> None:
     """Book the finished units into stock, localized in one room."""
     order = _require_shop_order(txn.state, order_id)
     if order.stage is not ShopOrderStage.PICKED:
         raise WrongStage(f"shop order {order_id} is {order.stage.value}")
-    if product_room not in txn.state.stores["stockrooms"]:
-        raise UnknownRoom(f"no stockroom {product_room}")
+    if room_id not in txn.state.stores["stockrooms"]:
+        raise UnknownRoom(f"no stockroom {room_id}")
     product = txn.get_mut("stock_items", order.product, UnknownStockItem)
     product.inventory.on_hand += order.output_qty
-    product.inventory.shift(product_room, order.output_qty)
+    product.inventory.shift(room_id, order.output_qty)
     order = txn.get_mut("shop_orders", order_id, UnknownShopOrder)
     order.stage = ShopOrderStage.FABRICATED

@@ -207,6 +207,14 @@ def test_subscribe_errors(eng):
     assert err_code(exc) == "UnknownCustomer"
 
 
+@pytest.mark.parametrize("query", ["notified_customers", "similar_products",
+                                   "product_status"])
+def test_product_query_of_an_unknown_product_raises(eng, query):
+    with pytest.raises(DomainError) as exc:
+        eng.query(query, product="product:99")
+    assert err_code(exc) == "UnknownProduct"
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
                           st.integers(min_value=0, max_value=3)),

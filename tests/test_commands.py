@@ -1,15 +1,18 @@
 """The one-pass payload: ``parse_args`` returns the parsed args and the
 payload recorded in the event log, and that payload must equal the
 canonical rendering of the parsed args for every parser kind and every
-input form, the Python API's rich values included."""
+input form, the Python API's rich values included. And the runners
+generated from each command's domain function, with the checks that
+reject a declaration they cannot serve."""
 
 import json
+import linecache
 
 import pytest
 
 from storefront import SYSTEM, EntityId, Money, Quantity
 from storefront.catalog import ProductStatus
-from storefront.commands import COMMANDS, ParseContext, canonical_payload, parse_args
+from storefront.commands import COMMANDS, Id, ParseContext, _spec, canonical_payload, parse_args
 from storefront.invoice import PaymentMethod
 from storefront.stock_manager import StockKind
 
@@ -131,3 +134,36 @@ def test_payload_values_are_json(command, args, key, expected):
     _, payload = parse_args(COMMANDS[command], args, CTX)
     assert payload[key] == expected
 
+
+
+def test_every_runner_is_generated_from_its_domain_function():
+    assert COMMANDS["create_shipment"].run.__code__.co_filename == "<command create_shipment>"
+    for name, spec in COMMANDS.items():
+        filename = spec.run.__code__.co_filename
+        assert filename == f"<command {name}>"
+        assert "**" not in "".join(linecache.getlines(filename)), name
+
+
+def op_name(txn, name: str) -> EntityId:
+    """A stand-in domain operation for the generation checks."""
+
+
+def op_room(txn, room_id: EntityId) -> None:
+    """A stand-in domain operation that needs a room."""
+
+
+def op_count(txn, name: str) -> int:
+    """A stand-in domain operation whose result has no encoding."""
+
+
+@pytest.mark.parametrize("args, fn, keys, optional, named", [
+    ({"name": str, "extra": int}, op_name, ("id",), set(), "'extra'"),  # dropped arg
+    ({}, op_room, (), set(), "'room_id'"),  # no arg at all
+    ({"room": Id("stockroom")}, op_room, (), {"room"}, "'room_id'"),  # optional, no default
+    ({"name": str}, op_count, ("count",), set(), "int"),  # no result encoding
+    ({"name": str}, op_name, (), set(), "EntityId"),  # one result, no key
+])
+def test_a_declaration_the_runner_cannot_serve_is_a_type_error(args, fn, keys, optional,
+                                                                 named):
+    with pytest.raises(TypeError, match=f"^demo: .*{named}"):
+        _spec("demo", "customer", args, fn, *keys, optional=optional)

@@ -232,7 +232,7 @@ def logged_engines():
 
 
 def test_every_command_result_is_plain_json(logged_engines):
-    """Dispatch logs an adapter's result as it is: each must return plain
+    """Dispatch logs a runner's result as it is: each must return plain
     JSON, never an enum member, a tuple, a ``Money`` or an ``EntityId``."""
     ok = set()
     for engine in logged_engines:

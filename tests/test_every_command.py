@@ -1,0 +1,131 @@
+"""Every command, dispatched to an ``ok`` outcome once with its optional
+args omitted and once with them given, writes one pinned log: its sha256
+fixes each command's parameter defaults and result encoding on paths that
+no bundled scenario takes."""
+
+import hashlib
+
+import pytest
+
+from storefront import SYSTEM
+from storefront.commands import COMMANDS
+
+from conftest import fresh_engine
+
+# ids the bundled seeds assign: catalog:1; products WidgetA, WidgetB, Gadget,
+# TuneUpService = product:1..4; stock items WidgetA, WidgetB, Gadget,
+# widget-frame, widget-motor = stock_item:1..5; rooms Main, Annex = stockroom:1, 2
+STEPS = [
+    ("create_customer", {"name": "Ana"}),
+    ("create_customer", {"name": "Bo", "loyalty_member": True, "roles": ["Shopper"]}),
+    ("create_employee", {"name": "Clerk"}),
+    ("create_employee", {"name": "Checker", "roles": ["InvoiceValidator"]}),
+    ("create_catalog", {"name": "second"}),
+    ("add_product", {"catalog": "catalog:2", "name": "Gizmo", "price": 700,
+                     "status": "New"}),
+    ("set_product_info", {"product": "product:5", "description": "plain"}),
+    ("set_product_info", {"product": "product:5", "description": "noted",
+                          "comparison_notes": "lighter than Gadget"}),
+    ("subscribe", {"customer": "customer:2", "product": "product:5"}),
+    ("update_product", {"product": "product:5", "changes": {"price": 650}}),
+    ("update_product", {"product": "product:5",
+                        "changes": {"name": "Gizmo II", "status": "Regular"}}),
+    ("link_similar", {"a": "product:5", "b": "product:3"}),
+    ("search", {"catalog": "catalog:1"}),
+    ("search", {"catalog": "catalog:1", "name_substring": "widget", "status": "Regular",
+                "max_price": 1000}),
+    ("create_cart", {"customer": "customer:2"}),
+    ("add_item", {"cart": "cart:1", "product": "product:1", "qty": 2}),
+    ("add_item", {"cart": "cart:1", "product": "product:3", "qty": 1}),
+    ("remove_item", {"cart": "cart:1", "product": "product:3"}),
+    ("add_item", {"cart": "cart:1", "product": "product:2", "qty": 1}),
+    ("cart_total", {"cart": "cart:1"}),
+    ("checkout", {"cart": "cart:1"}),  # order:1, invoice:1
+    ("create_invoice", {"creator": "employee:1", "customer": "customer:2"}),  # invoice:2
+    ("prepare_invoice", {"invoice": "invoice:2"}),
+    ("prepare_invoice", {"invoice": "invoice:2",
+                         "edits": [{"add": {"description": "fee", "quantity": 1,
+                                            "unit_price": 1000}},
+                                   {"add": {"description": "part", "product": "product:1",
+                                            "quantity": 2, "unit_price": 300}},
+                                   {"delete": "fee"}],
+                         "policies": ["loyalty-5pct", "handling-fee"]}),
+    ("validate_invoice", {"validator": "employee:2", "invoice": "invoice:2"}),
+    ("create_invoice", {"creator": SYSTEM, "customer": "customer:1"}),  # invoice:3
+    ("prepare_invoice", {"invoice": "invoice:3",
+                         "edits": [{"add": {"description": "x", "quantity": 1,
+                                            "unit_price": 10}}]}),
+    ("validate_invoice", {"validator": "employee:2", "invoice": "invoice:3",
+                          "rules": ["nonempty-items", "nonnegative-total"]}),
+    ("invoice_balance", {"invoice": "invoice:2"}),
+    ("record_payment", {"customer": "customer:2", "invoice": "invoice:2", "amount": 100,
+                        "method": "Card"}),
+    ("validate_payment", {"validator": "employee:2", "payment": "payment:1"}),
+    ("record_payment", {"customer": "customer:2", "invoice": "invoice:2", "amount": 50,
+                        "method": "Transfer"}),
+    ("validate_payment", {"validator": "employee:2", "payment": "payment:2",
+                          "rules": ["amount-positive", "method-allowed",
+                                    "overpayment-guard"]}),
+    ("record_payment", {"customer": "customer:2", "invoice": "invoice:2", "amount": 20,
+                        "method": "Cash"}),
+    ("validate_payment", {"validator": "employee:2", "payment": "payment:3",
+                          "rules": ["method-allowed"]}),
+    ("place_order", {"customer": "customer:1", "lines": [{"product": "product:2", "qty": 3}]}),
+    ("cancel_order", {"order": "order:2"}),
+    ("create_shipment", {"order": "order:1", "items": [{"product": "product:1", "qty": 1}],
+                         "receiver": "customer:2"}),
+    ("create_shipment", {"order": "order:1",
+                         "items": [{"product": "product:2", "qty": 1,
+                                    "substituted_for": "product:1"}],
+                         "receiver": "customer:2"}),
+    ("record_receipt", {"shipment": "shipment:1", "receiver": "customer:2"}),
+    ("create_stockroom", {"name": "Back"}),  # stockroom:3
+    ("create_stock_item", {"name": "bolt", "kind": "Component"}),  # stock_item:6
+    ("create_stock_item", {"name": "Gizmo II", "kind": "Product",
+                           "product_link": "product:5"}),  # stock_item:7
+    ("add_to_stock", {"item": "stock_item:6", "qty": 10}),
+    ("add_to_stock", {"item": "stock_item:6", "qty": 5,
+                      "allocation": {"stockroom:3": 5}}),
+    ("remove_from_stock", {"item": "stock_item:6", "qty": 2}),
+    ("remove_from_stock", {"item": "stock_item:6", "qty": 1, "room": "stockroom:3"}),
+    ("transfer", {"item": "stock_item:6", "qty": 1, "from_room": "stockroom:3",
+                  "to_room": "stockroom:1"}),
+    ("create_shop_order", {"product": "stock_item:7", "output_qty": 2,
+                           "bill_of_materials": {"stock_item:4": 1, "stock_item:6": 2}}),
+    ("cut_shop_order", {"order": "shop_order:1"}),
+    ("pick_components", {"order": "shop_order:1"}),
+    ("finish_fabrication", {"order": "shop_order:1", "room": "stockroom:3"}),
+    ("create_shop_order", {"product": "stock_item:7", "output_qty": 1,
+                           "bill_of_materials": {"stock_item:4": 1, "stock_item:6": 2}}),
+    ("cut_shop_order", {"order": "shop_order:2"}),
+    ("pick_components", {"order": "shop_order:2",
+                         "room_drains": {"stock_item:4": {"stockroom:1": 1},
+                                         "stock_item:6": {"stockroom:3": 2}}}),
+    ("finish_fabrication", {"order": "shop_order:2", "room": "stockroom:2"}),
+]
+
+# sha256 of the log that STEPS write, under each stock distribution policy
+DIGESTS = {"first-room": "38a6470422d3da428d30b1e11a38c54f26ac88861c4eeb669faf1236131492fd",
+           "round-robin": "24f330bfeef0d87efb582dd79a15545746edeeb10e089618c4aea3c1abe2a065"}
+
+
+def test_steps_omit_and_give_every_optional_arg_of_every_command():
+    omitted, given = set(), set()
+    for command, args in STEPS:
+        optional = COMMANDS[command].schema.optional
+        omitted.update((command, name) for name in optional - args.keys())
+        given.update((command, name) for name in optional & args.keys())
+    every = {(spec.name, name) for spec in COMMANDS.values() for name in spec.schema.optional}
+    assert omitted == given == every
+    assert {command for command, _ in STEPS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("add_policy", sorted(DIGESTS))
+def test_every_command_writes_the_pinned_log(tmp_path, add_policy):
+    engine = fresh_engine(add_policy=add_policy)
+    for command, args in STEPS:
+        assert engine.dispatch(SYSTEM, command, args).outcome == "ok", command
+    assert engine.check_invariants().violations == []
+    engine.write_log(tmp_path / "events.jsonl")
+    digest = hashlib.sha256((tmp_path / "events.jsonl").read_bytes()).hexdigest()
+    assert digest == DIGESTS[add_policy]

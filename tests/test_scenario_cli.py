@@ -287,6 +287,24 @@ def test_explicit_policy_and_currency_flags(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, seed", [
+    ("--seed-catalog", [{"name": "W", "price": 12.9}]),
+    ("--seed-catalog", [{"name": "W", "price": "12"}]),
+    ("--seed-catalog", [{"name": "W", "price": True}]),
+    ("--seed-catalog", [{"name": "W", "price": 1, "status": "Bogus"}]),
+    ("--seed-catalog", [{"name": "W", "price": 1, "info": "text"}]),
+    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": {"Main": 2.7}}]),
+    ("--seed-stock", [{"item": "x", "kind": "nope", "rooms": {"Main": 2}}]),
+])
+def test_malformed_seed_value_exits_two(tmp_path, flag, seed):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(seed))
+    scenario = bundled.scenario_dir() / "invoice-preparation.json"
+    code, output = run_cli("run", str(scenario), flag, str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"error: {flag[7:]} seed: expected " in output
+
+
 def test_parse_scenario_rejects_unknown_keys():
     with pytest.raises(ParseError):
         parse_scenario({"name": "x", "commands": [], "extra": 1})
