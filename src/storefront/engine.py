@@ -83,10 +83,14 @@ class Engine:
         catalog_id = catalog_mod.create_catalog(txn, catalog_name)
         by_name: dict[str, EntityId] = {}
         links: list[tuple[str, str]] = []
-        for entry in entries:
+        for entry in _seed_entries("catalog seed", entries):
             unknown = set(entry) - {"name", "price", "status", "info", "similar"}
             if unknown:
                 raise SchemaError(f"catalog seed: unexpected keys {sorted(unknown)}")
+            similar = entry.get("similar", [])
+            if not isinstance(similar, list) or not all(isinstance(n, str) for n in similar):
+                raise SchemaError(f"catalog seed: expected a list of product names for "
+                                  f"'similar', got {similar!r}")
             args = self._seed_args("catalog seed", "add_product", {
                 "catalog": catalog_id, "status": "Regular",
                 **{key: entry[key] for key in ("name", "price", "status") if key in entry}})
@@ -103,7 +107,7 @@ class Engine:
                     if isinstance(info, dict) else info)
                 catalog_mod.set_product_info(txn, product_id, info["description"],
                                              info.get("comparison_notes", ""))
-            for other in entry.get("similar", ()):
+            for other in similar:
                 links.append((name, other))
         for name, other in links:
             if other not in by_name:
@@ -125,7 +129,7 @@ class Engine:
             room.name: rid for rid, room in self.state.stores["stockrooms"].items()}
         products_by_name = {product.name: pid for pid, product
                             in self.state.stores["products"].items()}
-        for entry in entries:
+        for entry in _seed_entries("stock seed", entries):
             unknown = set(entry) - {"item", "kind", "rooms"}
             if unknown:
                 raise SchemaError(f"stock seed: unexpected keys {sorted(unknown)}")
@@ -135,6 +139,9 @@ class Engine:
                     if item["kind"] is stock_manager.StockKind.PRODUCT else None)
             item_id = stock_manager.create_stock_item(txn, item["name"], item["kind"], link)
             placed = entry.get("rooms", {})
+            if not isinstance(placed, dict) or not all(isinstance(n, str) for n in placed):
+                raise SchemaError(f"stock seed: expected an object of room quantities for "
+                                  f"'rooms', got {placed!r}")
             for room_name in placed:
                 if room_name not in rooms:
                     rooms[room_name] = stock_manager.create_stockroom(txn, room_name)
@@ -252,7 +259,19 @@ class Engine:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _seed_entries(what: str, entries) -> list[dict]:
+    """``entries`` if it is a list of JSON objects, else ``SchemaError``."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError(f"{what}: expected a list of objects, got {entries!r}")
+    return entries
+
+
+_DECODE_JSON = json.JSONDecoder().raw_decode
+
+
 def read_log(path) -> list[EventRecord]:
+    """The records of an ``events.jsonl`` file; ``SchemaError`` naming the
+    line for a line that is not exactly one record (blank lines are skipped)."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -260,7 +279,10 @@ def read_log(path) -> list[EventRecord]:
             if not line:
                 continue
             try:
-                records.append(EventRecord.from_dict(json.loads(line)))
+                data, end = _DECODE_JSON(line)
+                if end != len(line):
+                    raise SchemaError(f"text after the record at column {end + 1}")
+                records.append(EventRecord.from_dict(data))
             except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{line_number}: bad event record: {exc}")
     return records

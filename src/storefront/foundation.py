@@ -56,11 +56,12 @@ class Record:
     """Base of every entity and value dataclass.
 
     ``derive_codec`` gives each subclass ``to_dict`` (its JSON form),
-    ``from_dict`` (the inverse, with every value-domain check) and
-    ``clone`` (a copy whose containers can change without touching the
-    original), generated from the field declarations. The engine derives
-    every stored entity class, and the records nested in it, when
-    ``state`` is imported.
+    ``from_dict`` (the inverse, with every value-domain check), ``decode``
+    (``from_dict`` within one replay, sharing frozen values through the
+    replay's memo) and ``clone`` (a copy whose containers can change
+    without touching the original), generated from the field declarations.
+    The engine derives every stored entity class, and the records nested in
+    it, when ``state`` is imported.
     """
 
     __slots__ = ()
@@ -254,10 +255,24 @@ def derive_codec(cls: type) -> type:
     str, bool, list and object to be exactly that JSON type (``SchemaError``
     otherwise) and goes back through each type's constructor (``EntityId.parse``, the
     enum, ``Quantity``, the record's ``__post_init__``), so every
-    value-domain check runs. ``clone`` sets the fields of a new instance
+    value-domain check runs. An enum member is read from the enum's value
+    table; anything not in it goes through the enum call, which raises for
+    a value that is not a member. ``clone`` sets the fields of a new instance
     directly: its source is already valid, so no ``__init__`` or
     ``__post_init__`` runs.
     Any other field type raises ``TypeError`` naming the field.
+
+    ``decode(data, memo)`` is ``from_dict`` with a memo, a dict that lives
+    for one replay (``from_dict`` passes a new one). A record whose
+    ``clone`` returns itself is looked up there by the tuple of its JSON
+    leaves in field order, nested records flattened, and built through its
+    constructor only on a miss: each check runs once per distinct value,
+    and a value that fails one never enters the memo. An int, str or bool
+    leaf enters the key after its exact-type check, so ``1``, ``1.0`` and
+    ``true`` never share a key; an id or enum leaf enters as it is, since a
+    key in the memo holds only leaves that decoded, and those are strings,
+    which equal no other JSON value.
+
     The methods are generated once, like a dataclass ``__init__``; a second
     call returns at once.
     """
@@ -273,11 +288,20 @@ def derive_codec(cls: type) -> type:
     clone = "return self" if shared else "\n    ".join(
         ["new = _new(_cls)"] + [assign.format(name, copy) for name, copy in zip(names, copied)]
         + ["return new"])
+    build = f"_cls({', '.join(decoded)})"
+    leaves = source.leaves(cls, "data") if shared else None
+    # TypeError: an id or enum leaf that cannot hash, which the build rejects
+    decode = f"return {build}" if leaves is None else (
+        f"key = (_cls, {', '.join(leaves)})\n    try:\n        return memo[key]\n"
+        f"    except (KeyError, TypeError):\n        value = memo[key] = {build}\n"
+        f"        return value")
     namespace = dict(source.names, _cls=cls, _new=object.__new__, _set=object.__setattr__)
     run_generated(f"def to_dict(self):\n    return {encoded}\n"
-                  f"def from_dict(cls, data):\n    return cls({', '.join(decoded)})\n"
+                  f"def decode(data, memo):\n    {decode}\n"
+                  f"def from_dict(cls, data):\n    return decode(data, {{}})\n"
                   f"def clone(self):\n    {clone}\n", f"<codec {cls.__qualname__}>", namespace)
     cls.to_dict, cls.clone = namespace["to_dict"], namespace["clone"]
+    cls.decode = staticmethod(namespace["decode"])
     cls.from_dict = classmethod(namespace["from_dict"])
     _SHARED[cls] = shared
     return cls
@@ -303,8 +327,8 @@ class _CodecSource:
         self.names = {"Quantity": Quantity, "parse_id": EntityId.parse, "_wrong": _wrong}
         self._count = 0
 
-    def _name(self, value) -> str:
-        name = f"{value.__name__}_{len(self.names)}"
+    def _name(self, value, label: str = "") -> str:
+        name = f"{label or value.__name__}_{len(self.names)}"
         self.names[name] = value
         return name
 
@@ -344,12 +368,18 @@ class _CodecSource:
         if hint is Quantity:
             return f"{x}.value", f"Quantity({self._exact(int, d)})", x
         if isinstance(hint, type) and issubclass(hint, Enum):
-            return f"{x}._value_", f"{self._name(hint)}({d})", x
+            enum = self._name(hint)
+            table = self._name(hint._value2member_map_, f"{hint.__name__}_members")
+            return (f"{x}._value_",
+                    f"({d}.__class__ is str and {table}.get({d}) or {enum}({d}))", x)
         if isinstance(hint, type) and issubclass(hint, Record):
             derive_codec(hint)
-            enc = f"{x}.to_dict()" if _SHARED[hint] is None else self.record(hint, x, d)[0]
-            return (enc, f"{self._name(hint)}.from_dict({d})",
-                    x if _SHARED[hint] else f"{x}.clone()")
+            if _SHARED[hint] is None:  # still being derived: no decode to bind yet
+                enc, decode = f"{x}.to_dict()", f"{self._name(hint)}.decode"
+            else:
+                enc = self.record(hint, x, d)[0]
+                decode = self._name(hint.decode, f"{hint.__name__}_decode")
+            return enc, f"{decode}({d}, memo)", x if _SHARED[hint] else f"{x}.clone()"
         if origin in (list, set):
             v, target, (enc, dec, copy) = self._element(args[0])
             d = self._exact(list, d)
@@ -368,6 +398,37 @@ class _CodecSource:
                     f"{self._exact(dict, d)}.items()}}",
                     f"dict({x})" if copy == v else f"{{{k}: {copy} for {k}, {v} in {x}.items()}}")
         raise TypeError(hint)
+
+    def leaves(self, cls: type, d: str) -> list[str] | None:
+        """The memo key leaves of ``d``, a ``cls`` record (see ``derive_codec``),
+        or None when a field cannot enter a key."""
+        hints, leaves = typing.get_type_hints(cls), []
+        for f in dataclasses.fields(cls):
+            field_leaves = self._key(hints[f.name], f"{d}[{f.name!r}]")
+            if field_leaves is None:
+                return None
+            leaves += field_leaves
+        return leaves
+
+    def _key(self, hint, d: str) -> list[str] | None:
+        args = typing.get_args(hint)
+        if (typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 2
+                and type(None) in args):
+            inner = args[args[0] is type(None)]
+            if isinstance(inner, type) and issubclass(inner, Record):
+                return None  # null and a record's leaves would not line up in one key
+            leaves = self._key(inner, d)
+            if leaves is None or leaves == [d]:
+                return leaves
+            return [f"(None if {d} is None else {leaves[0]})"]
+        if hint in (int, str, bool) or hint is Quantity:
+            return [self._exact(int if hint is Quantity else hint, d)]
+        if hint is EntityId or (isinstance(hint, type) and issubclass(hint, Enum)
+                                and all(m._value_.__class__ is str for m in hint)):
+            return [d]
+        if isinstance(hint, type) and issubclass(hint, Record) and _SHARED.get(hint):
+            return self.leaves(hint, d)
+        return None
 
     @staticmethod
     def _exact(hint, d: str) -> str:

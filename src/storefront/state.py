@@ -42,6 +42,9 @@ KIND_TO_STORE = {kind: store for store, (kind, _) in STORES.items()}
 for _, entity_class in STORES.values():
     derive_codec(entity_class)
 
+# store name -> (entity kind, the decoder of its entities): one lookup per put fact
+_PUTS = {store: (kind, entity_class.decode) for store, (kind, entity_class) in STORES.items()}
+
 
 class UnknownFactKind(DomainError):
     code = "UnknownFactKind"
@@ -88,8 +91,8 @@ def _json_key(key) -> str:
 
 
 # record fields kept as raw JSON -> the JSON types each may hold
-_RAW_FIELD_TYPES = {"command": str, "payload": dict, "access": dict,
-                    "outcome": str, "error": (str, type(None)), "deltas": list}
+_RAW_FIELD_TYPES = {"command": (str,), "payload": (dict,), "access": (dict,),
+                    "outcome": (str,), "error": (str, type(None)), "deltas": (list,)}
 # the one encoder of every log line; a record holds no cycle to check for
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
@@ -132,25 +135,21 @@ class EventRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> EventRecord:
-        for name, expected in _RAW_FIELD_TYPES.items():
-            if not isinstance(data[name], expected):
-                raise SchemaError(
-                    f"record field {name!r} has the wrong JSON type: {data[name]!r}")
+        command, payload, access = data["command"], data["payload"], data["access"]
+        outcome, error, deltas = data["outcome"], data["error"], data["deltas"]
+        if (command.__class__ is not str or payload.__class__ is not dict
+                or access.__class__ is not dict or outcome.__class__ is not str
+                or error is not None and error.__class__ is not str
+                or deltas.__class__ is not list):
+            name = next(name for name, expected in _RAW_FIELD_TYPES.items()
+                        if data[name].__class__ not in expected)
+            raise SchemaError(
+                f"record field {name!r} has the wrong JSON type: {data[name]!r}")
         seq, tick = data["seq"], data["tick"]
         if seq.__class__ is not int or tick.__class__ is not int:
             raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
-        return cls(
-            seq=seq,
-            tick=tick,
-            actor=EntityId.parse(data["actor"]),
-            command=data["command"],
-            payload=data["payload"],
-            access=data["access"],
-            outcome=data["outcome"],
-            error=data["error"],
-            result=data["result"],
-            deltas=data["deltas"],
-        )
+        return cls(seq, tick, EntityId.parse(data["actor"]), command, payload, access,
+                   outcome, error, data["result"], deltas)
 
 
 @dataclass
@@ -245,17 +244,33 @@ class Txn:
         return deltas
 
 
-def apply_fact(state: EngineState, fact: dict) -> None:
-    """Replay one delta: a mechanical write, no business logic."""
+def apply_fact(state: EngineState, fact: dict, memo: dict | None = None) -> None:
+    """Replay one delta: a mechanical write, no business logic.
+
+    A fact the engine could not have written is a ``SchemaError``: a serial
+    that is not an int for a stored kind, or a put whose entity has another
+    id than the fact, or an id of another kind than the store's. ``memo``
+    is the replay's (see ``derive_codec``); without one, the put's frozen
+    values are shared with nothing.
+    """
     kind = fact.get("f")
-    if kind == "serial":
-        state.serials[fact["kind"]] = fact["value"]
-    elif kind == "put":
+    if kind == "put":
         store = fact["store"]
-        if store not in STORES:
+        put = _PUTS.get(store)
+        if put is None:
             raise UnknownFactKind(f"no store named {store!r}")
-        entity_class = STORES[store][1]
-        state.stores[store][EntityId.parse(fact["id"])] = entity_class.from_dict(fact["data"])
+        entity_id = EntityId.parse(fact["id"])
+        entity = put[1](fact["data"], {} if memo is None else memo)
+        if entity.id != entity_id or entity_id.kind != put[0]:
+            raise SchemaError(f"put of {entity_id} to store {store!r} holds entity {entity.id}")
+        state.stores[store][entity_id] = entity
+    elif kind == "serial":
+        entity_kind, value = fact["kind"], fact["value"]
+        if (value.__class__ is not int or entity_kind.__class__ is not str
+                or entity_kind not in KIND_TO_STORE):
+            raise SchemaError(f"serial fact needs an int value for a stored kind: "
+                              f"{entity_kind!r}, {value!r}")
+        state.serials[entity_kind] = value
     else:
         raise UnknownFactKind(f"unsupported fact {kind!r}")
 
@@ -265,8 +280,11 @@ def replay(initial: EngineState, records: list[EventRecord]) -> EngineState:
 
     The initial state is the seeded baseline; the result carries the
     replayed records as its log so it compares whole against a live state.
+    Each distinct frozen value of the facts is built once, through the
+    memo of this call; the memo is dropped when the call returns.
     """
     state = initial.clone_without_log()
+    memo: dict = {}
     expected_seq = 1
     for record in records:
         if record.seq != expected_seq:
@@ -275,7 +293,7 @@ def replay(initial: EngineState, records: list[EventRecord]) -> EngineState:
         expected_seq += 1
         try:
             for fact in record.deltas:
-                apply_fact(state, fact)
+                apply_fact(state, fact, memo)
         except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
             raise SchemaError(f"seq {record.seq}: bad fact: "
                               f"{type(exc).__name__}: {exc}") from exc

@@ -1,7 +1,8 @@
 """The Record codec: every entity round-trips through its JSON form, which
 the flat generated encoder builds as a reference nested encoder does, a
-clone shares no mutable container with its original, and a field type the
-codec cannot encode is refused when the codec is derived."""
+clone shares no mutable container with its original, a decode shares each
+frozen value through its memo, and a field type the codec cannot encode is
+refused when the codec is derived."""
 
 import types
 import typing
@@ -12,7 +13,8 @@ import pytest
 
 from helpers import assert_plain_json, bench_engines
 from storefront import EntityId, Money, Quantity, bundled, default_matrix, load_scenario, run_scenario
-from storefront.foundation import NegativeQuantity, Record, derive_codec
+from storefront.foundation import NegativeQuantity, Record, SchemaError, derive_codec
+from storefront.shopping_cart import CartItem
 from storefront.state import STORES
 
 from conftest import fresh_engine
@@ -181,3 +183,21 @@ def test_a_record_nested_in_itself_derives_and_round_trips():
     copy = tree.clone()
     copy.children[0].children.append(_Tree("new", EntityId("customer", 5)))
     assert tree.to_dict() == encoded
+
+
+def test_decode_shares_each_frozen_value_through_one_memo():
+    data = {"product": "product:1", "quantity": 2, "unit_price": {"amount": 5, "currency": "USD"}}
+    memo = {}
+    item = CartItem.decode(data, memo)
+    assert CartItem.decode(dict(data), memo) is item
+    assert Money.decode({"amount": 5, "currency": "USD"}, memo) is item.unit_price
+    assert CartItem.from_dict(data) == item and CartItem.from_dict(data) is not item
+    # a leaf that fails its check, hashable or not, never enters the memo
+    for bad, error in [({**data, "quantity": True}, SchemaError),
+                       ({**data, "quantity": 2.0}, SchemaError),
+                       ({**data, "quantity": -2}, NegativeQuantity),
+                       ({**data, "product": ["product:1"]}, SchemaError),
+                       ({**data, "unit_price": {"amount": 5.0, "currency": "USD"}}, SchemaError)]:
+        with pytest.raises(error):
+            CartItem.decode(bad, memo)
+    assert len(memo) == 2  # the item and its unit price

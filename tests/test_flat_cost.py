@@ -1,16 +1,25 @@
 """Per-command cost stays flat as state grows: the commands of a purchase
 session read derived values from the entities that own them instead of
-walking whole stores, and an id text is parsed once however often it
-recurs. Deterministic: it counts walks and parses, not time."""
+walking whole stores; an id text is parsed once however often it recurs,
+and a replay builds each distinct frozen value once. Deterministic: it
+counts walks, parses and constructions, not time."""
 
 from collections import Counter
 
 from storefront import SYSTEM, Engine, foundation, permissive_matrix
+from storefront.catalog import ProductInfo
 from storefront.engine import read_log
+from storefront.foundation import Money
+from storefront.invoice import InvoiceItem
+from storefront.order_shipment import ShippedItem
+from storefront.shopping_cart import CartItem
+from storefront.state import STORES
 
 SESSIONS = 200
 PRODUCTS = 8  # the last one is a service: no stock item
 WATCHED = ("payments", "shipments", "stock_items")
+# the frozen records whose clone returns the record itself
+FROZEN = (Money, CartItem, InvoiceItem, ShippedItem, ProductInfo)
 
 
 class CountingStore(dict):
@@ -140,3 +149,43 @@ def test_replay_parses_each_id_text_once(tmp_path, monkeypatch):
 
     assert replayed.to_dict() == engine.state.to_dict()
     assert max(slow.values()) == 1
+
+
+def test_replay_builds_each_frozen_value_once(tmp_path, monkeypatch):
+    engine, products = shop_engine()
+    # every later put of the product repeats its info
+    engine.dispatch(SYSTEM, "set_product_info", {"product": products[0], "description": "P0"})
+    run_sessions(engine, products,
+                 lambda actor, command, **args: engine.dispatch(actor, command, args).result)
+    path = tmp_path / "events.jsonl"
+    engine.write_log(path)
+    records = read_log(path)
+
+    built = Counter()
+    for cls in FROZEN:
+        assert foundation._SHARED[cls], cls  # its clone returns the record itself
+
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built[self] += 1
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    # decoded one put at a time, with nothing shared between puts
+    for record in records:
+        for fact in record.deltas:
+            if fact["f"] == "put":
+                STORES[fact["store"]][1].from_dict(fact["data"])
+    one_by_one = sum(built.values())
+    built.clear()
+
+    replayed = engine.replayed_state(records)
+    assert replayed.to_dict() == engine.state.to_dict()
+    first = Counter(built)
+    assert {type(value) for value in first} == set(FROZEN)
+    assert max(first.values()) == 1
+    assert sum(first.values()) < one_by_one / 2  # the log repeats its values
+
+    # the memo does not outlive a replay: the next one builds each value again
+    built.clear()
+    engine.replayed_state(records)
+    assert built == first

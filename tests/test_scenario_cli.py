@@ -295,6 +295,12 @@ def test_explicit_policy_and_currency_flags(tmp_path):
     ("--seed-catalog", [{"name": "W", "price": 1, "info": "text"}]),
     ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": {"Main": 2.7}}]),
     ("--seed-stock", [{"item": "x", "kind": "nope", "rooms": {"Main": 2}}]),
+    # wrongly shaped seeds, which ended in a traceback before
+    ("--seed-catalog", [{"name": "W", "price": 1, "similar": 5}]),
+    ("--seed-catalog", [{"name": "W", "price": 1, "similar": "V"}]),
+    ("--seed-catalog", {"name": "W", "price": 1}),
+    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": ["Main"]}]),
+    ("--seed-stock", [5]),
 ])
 def test_malformed_seed_value_exits_two(tmp_path, flag, seed):
     path = tmp_path / "seed.json"
@@ -347,6 +353,20 @@ def _edit_first_record(log, edit):
     log.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
+def _edit_first_fact(log, f, edit):
+    """Apply ``edit`` to the first fact of kind ``f`` in the log."""
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    fact = next(fact for r in records for fact in r["deltas"] if fact["f"] == f)
+    edit(fact)
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _edit_line(log, edit):
+    """Replace the first line of the log with ``edit(line)``."""
+    first, rest = log.read_text().split("\n", 1)
+    log.write_text(edit(first) + "\n" + rest)
+
+
 @pytest.mark.parametrize("malform", [
     lambda log: _edit_last_put(log, "orders", lambda d: d.pop("source_cart")),
     lambda log: _edit_last_put(log, "orders", lambda d: d.update(state="Teleported")),
@@ -365,10 +385,31 @@ def _edit_first_record(log, edit):
     lambda log: _edit_first_record(log, lambda r: {**r, "tick": str(r["tick"])}),
     # a string where a list belongs would decode as its characters
     lambda log: _edit_last_put(log, "customers", lambda d: d.update(roles="Shopper")),
+    # serial and put facts the engine never writes
+    lambda log: _edit_first_fact(log, "serial", lambda f: f.update(value="1")),
+    lambda log: _edit_first_fact(log, "serial", lambda f: f.update(value=True)),
+    lambda log: _edit_first_fact(log, "serial", lambda f: f.update(kind=5)),
+    lambda log: _edit_first_fact(log, "serial", lambda f: f.update(kind="system")),
+    lambda log: _edit_last_put(log, "customers", lambda d: d.update(id="customer:2")),
+    lambda log: _edit_first_fact(log, "put", lambda f: (f.update(id="cart:1"),
+                                                        f["data"].update(id="cart:1"))),
+    # the later occurrence of a frozen value that earlier puts hold intact
+    lambda log: _edit_last_put(log, "carts", lambda d: d["items"][1].update(quantity=True)),
+    lambda log: _edit_last_put(log, "carts", lambda d: d["items"][0]["unit_price"].update(
+        amount=float(d["items"][0]["unit_price"]["amount"]))),
+    lambda log: _edit_last_put(log, "invoices", lambda d: d["items"][0].update(
+        description=[d["items"][0]["description"]])),
+    lambda log: _edit_last_put(log, "carts", lambda d: d.update(state="open")),
+    lambda log: _edit_last_put(log, "carts", lambda d: d.update(state=["Open"])),
+    lambda log: _edit_line(log, lambda line: line + " {}"),
 ], ids=["missing-field", "bad-enum", "null-deltas", "old-format-invoice",
         "record-not-an-object", "actor-not-a-string", "access-not-an-object",
         "payload-not-an-object", "outcome-not-a-string", "float-in-int-field",
-        "string-in-int-field", "bool-seq", "string-tick", "string-for-a-list"])
+        "string-in-int-field", "bool-seq", "string-tick", "string-for-a-list",
+        "string-serial", "bool-serial", "int-serial-kind", "unstored-serial-kind",
+        "put-of-another-id", "put-of-another-kind", "bool-quantity-repeat",
+        "float-amount-repeat", "list-description-repeat", "enum-not-a-member",
+        "enum-not-a-string", "text-after-record"])
 def test_verify_rejects_malformed_log_with_exit_two(tmp_path, malform):
     log = _full_purchase_log(tmp_path)
     malform(log)
