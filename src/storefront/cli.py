@@ -21,23 +21,16 @@ from .scenario import ParseError, load_scenario, run_scenario
 from .state import GapInSequence, replay
 
 
-def _load_json(path, what: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read {what} {path}: {exc}")
-
-
 def build_engine(args, matrix: RbacMatrix | None) -> Engine:
     rulebook = None
     if args.policies:
-        rulebook = RuleBook.from_config(_load_json(args.policies, "policy config"))
+        rulebook = RuleBook.from_config(bundled.read_json(args.policies, "policy config"))
     engine = Engine(currency=args.currency, rulebook=rulebook, rbac_matrix=matrix,
                     add_policy=args.add_policy)
     if args.seed_catalog:
-        engine.seed_catalog(_load_json(args.seed_catalog, "catalog seed"))
+        engine.seed_catalog(bundled.read_json(args.seed_catalog, "catalog seed"))
     if args.seed_stock:
-        engine.seed_stock(_load_json(args.seed_stock, "stock seed"))
+        engine.seed_stock(bundled.read_json(args.seed_stock, "stock seed"))
     return engine
 
 
@@ -45,7 +38,7 @@ def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     matrix = None
     if args.rbac:
-        matrix = load_rbac_config(_load_json(args.rbac, "access config"))
+        matrix = load_rbac_config(bundled.read_json(args.rbac, "access config"))
     engine = build_engine(args, matrix)
     report = run_scenario(engine, scenario)
 

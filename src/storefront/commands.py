@@ -26,7 +26,7 @@ from .foundation import (
     SchemaError,
     run_generated,
 )
-from .invoice import InvoiceItem, PaymentMethod
+from .invoice import InvoiceItem, PaymentMethod, PolicyKind
 from .order_shipment import ShippedItem
 from .state import to_jsonable
 from .stock_manager import StockKind
@@ -38,9 +38,10 @@ class ParseContext:
 
 
 # --- argument declarations ----------------------------------------------------
-# The args of a command or a query are the ``Fields`` of one object. A field
-# is declared as ``str``, ``bool``, ``int``, ``Money``, ``Quantity``, an enum
-# class, ``Id``, ``list[X]``, ``dict[Id(kind), X]``, ``Fields`` or ``EDIT``.
+# The args of a command or a query are the ``Fields`` of one object; an input
+# file is one declaration (see ``INPUT_FILES``). A value is declared as ``str``,
+# ``bool``, ``int``, ``Money``, ``Quantity``, an enum class, ``Id``, ``list[X]``,
+# ``dict[Id(kind) or str, X]``, ``Fields``, ``EDIT``, ``JSON_OBJECT`` or ``JSON_VALUE``.
 
 
 class Id:
@@ -67,6 +68,8 @@ SHIPPED_ITEM = Fields({"product": Id("product"), "qty": Quantity,
 INVOICE_ITEM = Fields({"description": str, "product": Id("product"), "quantity": Quantity,
                        "unit_price": Money}, {"product"}, InvoiceItem)
 EDIT = "edit"  # {"add": INVOICE_ITEM, quantity at least 1} or {"delete": description}
+JSON_OBJECT = "json object"  # any object, kept as it is
+JSON_VALUE = "json value"  # any value, kept as it is
 
 # Each scalar kind's code template: lines that parse the raw value in local
 # ``{v}`` into ``{v}``, and the expression of its payload (its canonical JSON
@@ -78,7 +81,8 @@ _TEMPLATES = {
     int: ("if {v}.__class__ is not int and ({v}.__class__ is bool or not isinstance({v}, int)):"
           " _wrong({v}, 'integer')", "{v} if {v}.__class__ is int else to_jsonable({v})"),
     bool: ("if {v}.__class__ is not bool: _wrong({v}, 'boolean')", "{v}"),
-    Money: ("{v} = Money({v}, currency) if {v}.__class__ is int else _money({v}, currency)",
+    Money: ("{v} = Money({v}, ctx.currency) if {v}.__class__ is int "
+            "else _money({v}, ctx.currency)",
             "{{'amount': {v}.amount, 'currency': {v}.currency}}"),
     Quantity: ("if {v}.__class__ is not Quantity: "
                "{v} = Quantity({v}) if {v}.__class__ is int else _qty({v})", "{v}.value"),
@@ -87,6 +91,8 @@ _TEMPLATES = {
          "if {v}.kind not in {kinds!r}: _wrong({v}._text, {expected!r})", "{v}._text"),
     Enum: ("if {v}.__class__ is not {cls}: {v} = {get}({v}) or _enum({cls}, {v}) "
            "if {v}.__class__ is str else _enum({cls}, {v})", "{v}._value_"),
+    JSON_OBJECT: ("if not isinstance({v}, dict): _wrong({v}, 'object')", "{v}"),
+    JSON_VALUE: ("", "{v}"),
 }
 
 
@@ -135,9 +141,11 @@ def _indent(lines: list[str]) -> list[str]:
 
 
 class _ParserSource:
-    """The lines of one generated parser, and the names those lines use."""
+    """The lines of one generated parser, and the names those lines use; in
+    the ``payload`` form, also the lines that build the payload."""
 
-    def __init__(self):
+    def __init__(self, payload: bool):
+        self.payload = payload
         self.names = {"EntityId": EntityId, "Money": Money, "Quantity": Quantity,
                       "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
                       "to_jsonable": to_jsonable, "_wrong": _wrong, "_names": _names,
@@ -152,6 +160,16 @@ class _ParserSource:
     def var(self) -> str:
         self._count += 1
         return f"v{self._count}"
+
+    def assign(self, target: str, value: str, payload: str, payload_value: str) -> str:
+        """``target = value``, and in the payload form ``payload = payload_value``."""
+        if self.payload:
+            return f"{target}, {payload} = {value}, {payload_value}"
+        return f"{target} = {value}"
+
+    def also(self, line: str) -> list[str]:
+        """``line`` in the payload form only."""
+        return [line] if self.payload else []
 
     def lines(self, decl, v: str) -> tuple[list[str], str]:
         """Lines that parse the raw value in local ``v`` as ``decl`` into
@@ -170,26 +188,27 @@ class _ParserSource:
         else:
             return self.structure(decl, v)
         lines, payload = (part.format(v=v, **fill) for part in template)
-        return lines.split("\n"), payload
+        return [line for line in lines.split("\n") if line], payload
 
     def structure(self, decl, v: str) -> tuple[list[str], str]:
-        """The lines of a list, an id map or an edit."""
+        """The lines of a list, a map keyed by id or by string, or an edit."""
         origin, args = typing.get_origin(decl), typing.get_args(decl)
         parsed, payload, k, w = self.var(), self.var(), self.var(), self.var()
         if origin is list:
             item, item_payload = self.lines(args[0], w)
             return ([f"if not isinstance({v}, (list, tuple)): _wrong({v}, 'list')",
-                     f"{parsed}, {payload} = [], []", f"for {w} in {v}:", *_indent(item),
-                     f"    {parsed}.append({w})", f"    {payload}.append({item_payload})",
-                     f"{v} = {parsed}"], payload)
-        if origin is dict and isinstance(args[0], Id):
+                     self.assign(parsed, "[]", payload, "[]"), f"for {w} in {v}:",
+                     *_indent(item), f"    {parsed}.append({w})",
+                     *self.also(f"    {payload}.append({item_payload})"), f"{v} = {parsed}"],
+                    payload)
+        if origin is dict and (isinstance(args[0], Id) or args[0] is str):
             key, key_payload = self.lines(args[0], k)
             value, value_payload = self.lines(args[1], w)
             return ([f"if not isinstance({v}, dict): _wrong({v}, 'object')",
-                     f"{parsed}, {payload} = {{}}, {{}}", f"for {k}, {w} in {v}.items():",
+                     self.assign(parsed, "{}", payload, "{}"), f"for {k}, {w} in {v}.items():",
                      *_indent(key + value), f"    {parsed}[{k}] = {w}",
-                     f"    {payload}[{key_payload}] = {value_payload}", f"{v} = {parsed}"],
-                    payload)
+                     *self.also(f"    {payload}[{key_payload}] = {value_payload}"),
+                     f"{v} = {parsed}"], payload)
         if decl != EDIT:
             raise TypeError(decl)
         add, add_payload = self.fields(INVOICE_ITEM, w)
@@ -199,9 +218,10 @@ class _ParserSource:
                  f"(({k}, {w}),) = {v}.items()", f"if {k} == 'add':", *_indent(add),
                  f"    if {w}.quantity.value < 1: "
                  f"raise SchemaError('invoice item quantity must be at least 1')",
-                 f"    {v}, {payload} = {{'add': {w}}}, {{'add': {add_payload}}}",
+                 "    " + self.assign(v, f"{{'add': {w}}}", payload, f"{{'add': {add_payload}}}"),
                  f"elif {k} == 'delete':", *_indent(delete),
-                 f"    {v}, {payload} = {{'delete': {w}}}, {{'delete': {delete_payload}}}",
+                 "    " + self.assign(v, f"{{'delete': {w}}}",
+                                      payload, f"{{'delete': {delete_payload}}}"),
                  "else:", f"    _wrong({k}, 'edit action add or delete')"], payload)
 
     def fields(self, decl: Fields, v: str, label: str = "") -> tuple[list[str], str]:
@@ -221,7 +241,7 @@ class _ParserSource:
                          f"_names('missing fields:', {required}, {v}.keys())")
         parsed, payload = self.var(), self.var()
         if decl.into is None:
-            lines.append(f"{parsed}, {payload} = {{}}, {{}}")
+            lines.append(self.assign(parsed, "{}", payload, "{}"))
         fields, payloads = [], []
         for name, field_decl in decl.fields.items():
             f = self.var()
@@ -232,7 +252,8 @@ class _ParserSource:
             fields.append(f)
             payloads.append(field_payload)
             if decl.into is None:
-                field.append(f"{parsed}[{name!r}], {payload}[{name!r}] = {f}, {field_payload}")
+                field.append(self.assign(f"{parsed}[{name!r}]", f, f"{payload}[{name!r}]",
+                                         field_payload))
             if name in decl.optional:
                 lines += ([f"{f} = None"] if decl.into else []) + [
                     f"if {name!r} in {v}:", f"    {f} = {v}[{name!r}]", *_indent(field)]
@@ -251,15 +272,17 @@ class _ParserSource:
 
 
 @functools.cache
-def compile_parser(name: str, schema: Fields, filename: str):
-    """Generate ``parse(raw, ctx) -> (parsed, payload)`` for the args of
-    ``schema``: it takes them in declaration order and builds the payload
-    the event log records in the same pass. An undeclared kind raises
-    ``TypeError`` naming the arg. Cached, so a copy of a spec reuses its
-    parser."""
-    source = _ParserSource()
-    lines, payload = source.fields(schema, "raw", name)
-    body = ["currency = ctx.currency", *lines, f"return raw, {payload}"]
+def compile_parser(name: str, schema, filename: str, payload: bool = True):
+    """Generate ``parse(raw, ctx) -> (parsed, payload)`` for ``schema``: the
+    ``Fields`` of the args of the command or query ``name``, taken in
+    declaration order, or with no name any declaration (such as an input
+    file's). It builds the payload the event log records in the same pass;
+    a caller that writes no record asks for the form without ``payload``,
+    ``parse(raw, ctx) -> parsed``. An undeclared kind raises ``TypeError``
+    naming the arg. Cached, so a copy of a spec reuses its parser."""
+    source = _ParserSource(payload)
+    lines, expr = source.fields(schema, "raw", name) if name else source.lines(schema, "raw")
+    body = [*lines, f"return raw, {expr}" if payload else "return raw"]
     run_generated("def parse(raw, ctx):\n" + "".join(f"    {line}\n" for line in body),
                   filename, source.names)
     return source.names["parse"]
@@ -485,3 +508,56 @@ def canonical_payload(args: dict) -> dict:
     """The reference definition of the payload, which ``parse_args`` builds
     in its parse pass; dispatch does not call this."""
     return {name: to_jsonable(value) for name, value in sorted(args.items())}
+
+
+# --- input files ----------------------------------------------------------------
+# The shape of each file the engine reads, declared once. A seed entry takes
+# the declarations of the args of the commands it stands for.
+
+_ADD_PRODUCT = COMMANDS["add_product"].schema.fields
+_PRODUCT_INFO = COMMANDS["set_product_info"].schema.fields
+_STOCK_ITEM = COMMANDS["create_stock_item"].schema.fields
+_ROOM_QTY = typing.get_args(COMMANDS["add_to_stock"].schema.fields["allocation"])[1]
+
+INPUT_FILES = {
+    "access config": Fields({
+        "roles": list[Fields({"name": str, "rights": list[list[str]], "owner_only": bool},
+                             {"rights", "owner_only"})],
+        "assignments": list[Fields({"user": Id("customer", "employee"), "roles": list[str]})],
+    }, {"roles", "assignments"}),
+    "policy config": Fields({
+        "billing_policies": list[Fields(
+            {"name": str, "kind": PolicyKind, "percent": int, "amount": int,
+             "loyalty_only": bool}, {"percent", "amount", "loyalty_only"})],
+        "validation_rules": list[Fields(
+            {"name": str, "target": str, "kind": str, "methods": list[PaymentMethod]},
+            {"methods"})],
+    }, {"billing_policies", "validation_rules"}),
+    "scenario": Fields({
+        "name": str,
+        "commands": list[Fields(
+            {"op": str, "actor": str, "args": JSON_OBJECT, "as": str, "expect_error": str},
+            {"actor", "args", "as", "expect_error"})],
+        "expectations": list[Fields({"query": str, "args": JSON_OBJECT, "expect": JSON_VALUE},
+                                    {"args"})],
+    }, {"expectations"}),
+    "catalog seed": list[Fields({
+        **{key: _ADD_PRODUCT[key] for key in ("name", "price", "status")},
+        "info": Fields({key: _PRODUCT_INFO[key] for key in ("description", "comparison_notes")},
+                       {"description", "comparison_notes"}),
+        "similar": list[str],
+    }, {"status", "info", "similar"})],
+    "stock seed": list[Fields({"item": _STOCK_ITEM["name"], "kind": _STOCK_ITEM["kind"],
+                               "rooms": dict[str, _ROOM_QTY]}, {"rooms"})],
+}
+
+
+def parse_input(name: str, raw, ctx: ParseContext | None = None):
+    """``raw`` parsed as the input file ``name`` by the payload-free form of
+    its generated parser (``ctx`` is needed only for money); a wrong type, a
+    missing or an unknown field, at any level, is a ``SchemaError``."""
+    parse = compile_parser("", INPUT_FILES[name], f"<input parser {name}>", payload=False)
+    try:
+        return parse(raw, ctx)
+    except SchemaError as exc:
+        raise SchemaError(f"{name}: {exc}") from None

@@ -21,10 +21,12 @@ from . import stock_manager
 # dispatch takes the payload from parse_args and never calls canonical_payload;
 # the name stays here, where the bench's tracer hooks each envelope layer
 from .commands import COMMANDS, ParseContext, canonical_payload, parse_args  # noqa: F401
+from .commands import parse_input
 from .foundation import (
     AccessDenied,
     DomainError,
     EntityId,
+    Quantity,
     SchemaError,
 )
 from .invoice import RuleBook, default_rulebook
@@ -66,91 +68,56 @@ class Engine:
         self._baseline = None
         return Txn(self.state)
 
-    def _seed_args(self, what: str, command: str, raw) -> dict:
-        """Seed values parsed as the args of ``command``, by its parser."""
-        try:
-            return COMMANDS[command].parse(raw, self.parse_context)[0]
-        except SchemaError as exc:
-            raise SchemaError(f"{what}: {exc}") from None
-
     def seed_catalog(self, entries: list[dict], catalog_name: str = "main") -> EntityId:
-        """Load the catalog seed: [{name, price, status?, info?, similar?}].
-
-        A product parses as the args of ``add_product`` (status ``Regular``
-        when absent), its info as those of ``set_product_info``.
-        """
+        """Load the catalog seed, declared in ``commands.INPUT_FILES``:
+        [{name, price, status?, info?, similar?}], status ``Regular`` when absent."""
+        entries = parse_input("catalog seed", entries, self.parse_context)
         txn = self._seed_txn()
         catalog_id = catalog_mod.create_catalog(txn, catalog_name)
         by_name: dict[str, EntityId] = {}
-        links: list[tuple[str, str]] = []
-        for entry in _seed_entries("catalog seed", entries):
-            unknown = set(entry) - {"name", "price", "status", "info", "similar"}
-            if unknown:
-                raise SchemaError(f"catalog seed: unexpected keys {sorted(unknown)}")
-            similar = entry.get("similar", [])
-            if not isinstance(similar, list) or not all(isinstance(n, str) for n in similar):
-                raise SchemaError(f"catalog seed: expected a list of product names for "
-                                  f"'similar', got {similar!r}")
-            args = self._seed_args("catalog seed", "add_product", {
-                "catalog": catalog_id, "status": "Regular",
-                **{key: entry[key] for key in ("name", "price", "status") if key in entry}})
-            name = args["name"]
+        for entry in entries:
+            name = entry["name"]
             if name in by_name:
                 raise SchemaError(f"catalog seed: duplicate product {name!r}")
-            product_id = catalog_mod.add_product(txn, catalog_id, name, args["price"],
-                                                 args["status"])
-            by_name[name] = product_id
+            by_name[name] = catalog_mod.add_product(
+                txn, catalog_id, name, entry["price"],
+                entry.get("status", catalog_mod.ProductStatus.REGULAR))
             info = entry.get("info")
             if info:
-                info = self._seed_args("catalog seed", "set_product_info", {
-                    "product": product_id, "description": "", **info}
-                    if isinstance(info, dict) else info)
-                catalog_mod.set_product_info(txn, product_id, info["description"],
+                catalog_mod.set_product_info(txn, by_name[name], info.get("description", ""),
                                              info.get("comparison_notes", ""))
-            for other in similar:
-                links.append((name, other))
-        for name, other in links:
-            if other not in by_name:
-                raise SchemaError(f"catalog seed: similar link to unknown {other!r}")
-            if by_name[other] not in self.state.stores["products"][by_name[name]].similar:
-                catalog_mod.link_similar(txn, by_name[name], by_name[other])
+        for entry in entries:
+            product_id = by_name[entry["name"]]
+            for other in entry.get("similar", ()):
+                if other not in by_name:
+                    raise SchemaError(f"catalog seed: similar link to unknown {other!r}")
+                if by_name[other] not in self.state.stores["products"][product_id].similar:
+                    catalog_mod.link_similar(txn, product_id, by_name[other])
         return catalog_id
 
     def seed_stock(self, entries: list[dict]) -> None:
-        """Load the stock seed: [{item, kind, rooms: {room-name: qty}}].
-
-        An item parses as the args of ``create_stock_item``, its rooms as
-        the allocation of ``add_to_stock``. Stockrooms are created in order
-        of first mention; product items link to the catalog product of the
-        same name when one exists.
-        """
+        """Load the stock seed, declared in ``commands.INPUT_FILES``: [{item,
+        kind, rooms?: {room name: qty}}]. Stockrooms are created in order of
+        first mention; product items link to the catalog product of the same
+        name when one exists."""
+        entries = parse_input("stock seed", entries, self.parse_context)
         txn = self._seed_txn()
         rooms: dict[str, EntityId] = {
             room.name: rid for rid, room in self.state.stores["stockrooms"].items()}
         products_by_name = {product.name: pid for pid, product
                             in self.state.stores["products"].items()}
-        for entry in _seed_entries("stock seed", entries):
-            unknown = set(entry) - {"item", "kind", "rooms"}
-            if unknown:
-                raise SchemaError(f"stock seed: unexpected keys {sorted(unknown)}")
-            item = self._seed_args("stock seed", "create_stock_item",
-                                   {"name": entry.get("item"), "kind": entry.get("kind")})
-            link = (products_by_name.get(item["name"])
-                    if item["kind"] is stock_manager.StockKind.PRODUCT else None)
-            item_id = stock_manager.create_stock_item(txn, item["name"], item["kind"], link)
-            placed = entry.get("rooms", {})
-            if not isinstance(placed, dict) or not all(isinstance(n, str) for n in placed):
-                raise SchemaError(f"stock seed: expected an object of room quantities for "
-                                  f"'rooms', got {placed!r}")
+        for entry in entries:
+            name, kind, placed = entry["item"], entry["kind"], entry.get("rooms", {})
+            link = (products_by_name.get(name)
+                    if kind is stock_manager.StockKind.PRODUCT else None)
+            item_id = stock_manager.create_stock_item(txn, name, kind, link)
             for room_name in placed:
                 if room_name not in rooms:
                     rooms[room_name] = stock_manager.create_stockroom(txn, room_name)
-            # a value that is not an int fails the parse of the allocation
-            stock = self._seed_args("stock seed", "add_to_stock", {
-                "item": item_id, "qty": sum(q for q in placed.values() if q.__class__ is int),
-                "allocation": {rooms[room_name]: qty for room_name, qty in placed.items()}})
-            if stock["qty"].value:
-                stock_manager.add_to_stock(txn, item_id, stock["qty"], stock["allocation"])
+            qty = Quantity(sum(placed.values()))
+            if qty.value:
+                stock_manager.add_to_stock(
+                    txn, item_id, qty, {rooms[room_name]: n for room_name, n in placed.items()})
 
     def baseline(self) -> EngineState:
         """The seeded pre-command state; replays start here."""
@@ -257,13 +224,6 @@ class Engine:
     def write_log(self, path) -> None:
         text = "".join(record.to_json_line() + "\n" for record in self.state.log)
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _seed_entries(what: str, entries) -> list[dict]:
-    """``entries`` if it is a list of JSON objects, else ``SchemaError``."""
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise SchemaError(f"{what}: expected a list of objects, got {entries!r}")
-    return entries
 
 
 _DECODE_JSON = json.JSONDecoder().raw_decode

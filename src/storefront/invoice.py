@@ -8,9 +8,11 @@ and accepted what is recorded on the documents themselves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import bundled
 from .catalog import UnknownCustomer
 from .foundation import (
     SYSTEM,
@@ -149,9 +151,14 @@ class Payment(Record):
 
 # --- declarative policies and rules -----------------------------------------
 
-BILLING_POLICY_KINDS = ("percentage-discount", "flat-fee")
-INVOICE_RULE_KINDS = ("nonempty-items", "nonnegative-total")
-PAYMENT_RULE_KINDS = ("amount-positive", "method-allowed", "overpayment-guard")
+class PolicyKind(str, Enum):
+    PERCENTAGE_DISCOUNT = "percentage-discount"
+    FLAT_FEE = "flat-fee"
+
+
+# the kinds of validation rule, by the document a rule targets
+RULE_KINDS = {"Invoice": ("nonempty-items", "nonnegative-total"),
+              "Payment": ("amount-positive", "method-allowed", "overpayment-guard")}
 
 
 @dataclass(frozen=True)
@@ -165,13 +172,13 @@ class BillingPolicy:
     """
 
     name: str
-    kind: str
+    kind: PolicyKind
     percent: int = 0
     fee: int = 0
     loyalty_only: bool = False
 
     def adjustment(self, item_subtotal: Money, loyalty_member: bool) -> Money:
-        if self.kind == "percentage-discount":
+        if self.kind is PolicyKind.PERCENTAGE_DISCOUNT:
             if self.loyalty_only and not loyalty_member:
                 return Money.zero(item_subtotal.currency)
             discount = round_half_away(item_subtotal.amount * self.percent, 100)
@@ -210,39 +217,33 @@ class RuleBook:
     rules: dict[str, ValidationRule]
 
     @classmethod
-    def from_config(cls, data: dict) -> RuleBook:
+    def from_config(cls, data) -> RuleBook:
+        """The rule book of a policy config, whose shape is declared in
+        ``commands.INPUT_FILES``."""
+        from .commands import parse_input  # commands imports this module
+        config = parse_input("policy config", data)
         policies: dict[str, BillingPolicy] = {}
-        for raw in data.get("billing_policies", []):
-            name, kind = raw.get("name"), raw.get("kind")
-            if not name or kind not in BILLING_POLICY_KINDS:
-                raise SchemaError(f"bad billing policy entry: {raw}")
-            if name in policies:
-                raise SchemaError(f"duplicate billing policy: {name}")
-            percent = int(raw.get("percent", 0))
-            fee = int(raw.get("amount", 0))
-            if kind == "percentage-discount" and not 0 <= percent <= 100:
+        for raw in config.get("billing_policies", ()):
+            name, kind = raw["name"], raw["kind"]
+            percent, fee = raw.get("percent", 0), raw.get("amount", 0)
+            if not name or name in policies:
+                raise SchemaError(f"billing policy name {name!r} empty or declared twice")
+            if kind is PolicyKind.PERCENTAGE_DISCOUNT and not 0 <= percent <= 100:
                 raise SchemaError(f"percent must be 0..100 in policy {name}")
-            if kind == "flat-fee" and fee < 0:
+            if kind is PolicyKind.FLAT_FEE and fee < 0:
                 raise SchemaError(f"fee must be >= 0 in policy {name}")
-            policies[name] = BillingPolicy(
-                name=name, kind=kind, percent=percent, fee=fee,
-                loyalty_only=bool(raw.get("loyalty_only", False)))
+            policies[name] = BillingPolicy(name, kind, percent, fee,
+                                           raw.get("loyalty_only", False))
 
         rules: dict[str, ValidationRule] = {}
-        for raw in data.get("validation_rules", []):
-            name, target, kind = raw.get("name"), raw.get("target"), raw.get("kind")
-            if not name or target not in ("Invoice", "Payment"):
-                raise SchemaError(f"bad validation rule entry: {raw}")
-            if name in rules:
-                raise SchemaError(f"duplicate validation rule: {name}")
-            expected = INVOICE_RULE_KINDS if target == "Invoice" else PAYMENT_RULE_KINDS
-            if kind not in expected:
-                raise SchemaError(f"rule kind {kind!r} invalid for target {target}")
-            methods = tuple(raw.get("methods", ()))
-            for method in methods:
-                PaymentMethod(method)
-            rules[name] = ValidationRule(name=name, target=target, kind=kind,
-                                         methods=methods)
+        for raw in config.get("validation_rules", ()):
+            name, target, kind = raw["name"], raw["target"], raw["kind"]
+            if not name or name in rules:
+                raise SchemaError(f"validation rule name {name!r} empty or declared twice")
+            if kind not in RULE_KINDS.get(target, ()):
+                raise SchemaError(f"rule kind {kind!r} invalid for target {target!r}")
+            rules[name] = ValidationRule(name, target, kind,
+                                         tuple(method.value for method in raw.get("methods", ())))
         return cls(policies=policies, rules=rules)
 
     def policy(self, name: str) -> BillingPolicy:
@@ -260,25 +261,11 @@ class RuleBook:
         return rule
 
 
-DEFAULT_RULEBOOK_CONFIG = {
-    "billing_policies": [
-        {"name": "loyalty-5pct", "kind": "percentage-discount", "percent": 5,
-         "loyalty_only": True},
-        {"name": "handling-fee", "kind": "flat-fee", "amount": 200},
-    ],
-    "validation_rules": [
-        {"name": "nonempty-items", "target": "Invoice", "kind": "nonempty-items"},
-        {"name": "nonnegative-total", "target": "Invoice", "kind": "nonnegative-total"},
-        {"name": "amount-positive", "target": "Payment", "kind": "amount-positive"},
-        {"name": "method-allowed", "target": "Payment", "kind": "method-allowed",
-         "methods": ["Card", "Transfer"]},
-        {"name": "overpayment-guard", "target": "Payment", "kind": "overpayment-guard"},
-    ],
-}
-
-
+@functools.cache
 def default_rulebook() -> RuleBook:
-    return RuleBook.from_config(DEFAULT_RULEBOOK_CONFIG)
+    """The rule book of the bundled ``config/policies.json``, loaded once per
+    process and shared by every engine, which only reads it."""
+    return RuleBook.from_config(bundled.read_json(bundled.policies_config(), "policy config"))
 
 
 # --- operations --------------------------------------------------------------

@@ -96,8 +96,9 @@ class Query:
 
     @functools.cached_property
     def parse(self):
-        """``parse(raw, ctx) -> (parsed, payload)``, generated on first use."""
-        return compile_parser(self.name, self.schema, f"<query parser {self.name}>")
+        """``parse(raw, ctx) -> parsed`` (a query logs no payload), generated on first use."""
+        return compile_parser(self.name, self.schema, f"<query parser {self.name}>",
+                              payload=False)
 
 
 def _by_id(name: str, arg: str, kind: str, fn) -> Query:
@@ -159,5 +160,5 @@ def run_query(engine, name: str, raw_args: dict):
     query = QUERIES.get(name)
     if query is None:
         raise SchemaError(f"unknown query {name!r}")
-    args, _ = query.parse(raw_args, engine.parse_context)
+    args = query.parse(raw_args, engine.parse_context)
     return query.fn(engine, args)

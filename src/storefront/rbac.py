@@ -10,11 +10,10 @@ acting customer, because a right alone cannot express "own cart".
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 from . import bundled
-from .commands import COMMANDS
+from .commands import COMMANDS, parse_input
 from .foundation import DomainError, EntityId, SchemaError
 
 
@@ -90,36 +89,28 @@ def permissive_matrix() -> RbacMatrix:
     return RbacMatrix(permissive=True)
 
 
-def _right(role: str, raw) -> tuple[str, str]:
-    """One declared right, which must name a declared command on its kind."""
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2
-            and all(isinstance(part, str) for part in raw)):
-        raise SchemaError(f"role {role!r}: a right is a [kind, command] pair of "
-                          f"strings, got {raw!r}")
-    right = (raw[0], raw[1])
-    if right not in DECLARED_RIGHTS:
-        raise SchemaError(f"role {role!r}: right {list(right)} names no declared command")
-    return right
-
-
-def load_rbac_config(config: dict) -> RbacMatrix:
-    """Build the matrix from {roles: [...], assignments: [...]} declarations.
-
-    A right that is not a ``[kind, command]`` pair of strings naming a
-    declared command is a ``SchemaError``: it would grant nothing.
-    """
+def load_rbac_config(config) -> RbacMatrix:
+    """Build the matrix from an access config, declared in
+    ``commands.INPUT_FILES``. A right that is no ``[kind, command]`` pair
+    naming a declared command (it would grant nothing) and a second
+    assignment for one user are each a ``SchemaError``."""
+    config = parse_input("access config", config)
     roles: dict[str, RoleDef] = {}
-    for raw in config.get("roles", []):
-        name = raw["name"]
+    for raw in config.get("roles", ()):
+        name, rights = raw["name"], raw.get("rights", ())
         if name in roles:
             raise DuplicateRole(f"role {name!r} declared twice")
-        rights = frozenset(_right(name, right) for right in raw.get("rights", []))
-        roles[name] = RoleDef(name=name, rights=rights,
-                              owner_only=bool(raw.get("owner_only", False)))
+        for right in rights:
+            if tuple(right) not in DECLARED_RIGHTS:
+                raise SchemaError(f"role {name!r}: right {right} names no declared command")
+        roles[name] = RoleDef(name=name, rights=frozenset(map(tuple, rights)),
+                              owner_only=raw.get("owner_only", False))
 
     assignments: dict[EntityId, frozenset[str]] = {}
-    for raw in config.get("assignments", []):
-        user = EntityId.parse(raw["user"])
+    for raw in config.get("assignments", ()):
+        user = raw["user"]
+        if user in assignments:
+            raise SchemaError(f"user {user} assigned twice")
         for role_name in raw["roles"]:
             if role_name not in roles:
                 raise UnknownRoleInAssignment(
@@ -166,4 +157,4 @@ def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
 
 def default_matrix() -> RbacMatrix:
     """The access matrix declared in the bundled ``config/rbac.json``."""
-    return load_rbac_config(json.loads(bundled.rbac_config().read_text(encoding="utf-8")))
+    return load_rbac_config(bundled.read_json(bundled.rbac_config(), "access config"))

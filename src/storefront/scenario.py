@@ -9,12 +9,12 @@ inputs — the only timestamps anywhere are logical ticks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from .bundled import read_json
+from .commands import parse_input
 from .engine import Engine
-from .foundation import DomainError
+from .foundation import DomainError, SchemaError
 from .queries import run_query
 
 NAMED_STORES = {
@@ -59,47 +59,26 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    return parse_scenario(read_json(path, "scenario"), source=str(path))
+
+
+def parse_scenario(data, source: str = "<memory>") -> Scenario:
+    """The scenario in ``data``, declared in ``commands.INPUT_FILES``; a
+    ``ParseError`` naming ``source`` for another shape or an empty name."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read scenario {path}: {exc}")
-    return parse_scenario(data, source=str(path))
-
-
-def parse_scenario(data: dict, source: str = "<memory>") -> Scenario:
-    if not isinstance(data, dict) or not isinstance(data.get("commands"), list):
-        raise ParseError(f"{source}: scenario must be an object with a commands list")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
+        data = parse_input("scenario", data)
+    except SchemaError as exc:
+        raise ParseError(f"{source}: {exc}") from None
+    if not data["name"]:
         raise ParseError(f"{source}: scenario needs a name")
-    unknown = set(data) - {"name", "commands", "expectations"}
-    if unknown:
-        raise ParseError(f"{source}: unexpected keys {sorted(unknown)}")
-
-    steps = []
-    for index, raw in enumerate(data["commands"]):
-        if not isinstance(raw, dict) or "op" not in raw:
-            raise ParseError(f"{source}: command #{index} needs an op")
-        unknown = set(raw) - {"op", "actor", "args", "as", "expect_error"}
-        if unknown:
-            raise ParseError(f"{source}: command #{index} unexpected keys {sorted(unknown)}")
-        args = raw.get("args", {})
-        if not isinstance(args, dict):
-            raise ParseError(f"{source}: command #{index} args must be an object")
-        steps.append(ScenarioStep(op=raw["op"], actor=raw.get("actor", "system"),
-                                  args=args, bind=raw.get("as"),
-                                  expect_error=raw.get("expect_error")))
-
-    expectations = []
-    for index, raw in enumerate(data.get("expectations", [])):
-        if not isinstance(raw, dict) or "query" not in raw or "expect" not in raw:
-            raise ParseError(f"{source}: expectation #{index} needs query and expect")
-        unknown = set(raw) - {"query", "args", "expect"}
-        if unknown:
-            raise ParseError(f"{source}: expectation #{index} unexpected keys {sorted(unknown)}")
-        expectations.append(Expectation(query=raw["query"], args=raw.get("args", {}),
-                                        expect=raw["expect"]))
-    return Scenario(name=name, steps=tuple(steps), expectations=tuple(expectations))
+    steps = tuple(ScenarioStep(op=raw["op"], actor=raw.get("actor", "system"),
+                               args=raw.get("args", {}), bind=raw.get("as"),
+                               expect_error=raw.get("expect_error"))
+                  for raw in data["commands"])
+    expectations = tuple(Expectation(query=raw["query"], args=raw.get("args", {}),
+                                     expect=raw["expect"])
+                         for raw in data.get("expectations", ()))
+    return Scenario(name=data["name"], steps=steps, expectations=expectations)
 
 
 class _Resolver:

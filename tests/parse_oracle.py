@@ -1,12 +1,30 @@
-"""The argument parsers as they were before each schema compiled to one
-generated function: a closure per argument kind, a generic loop over a
-command's schema, and the validation loop of ``run_query``. Kept only as
-the oracle of the differential test in ``test_parsers.py``."""
+"""The parsers as they were before each schema compiled to one generated
+function: a closure per argument kind, a generic loop over a command's
+schema and the validation loop of ``run_query``; and the hand-written
+loaders of the input files, before each file's shape was declared. Kept
+only as the oracle of the differential tests in ``test_parsers.py``."""
 
+from storefront import catalog as catalog_mod
+from storefront import stock_manager
 from storefront.catalog import ProductStatus
+from storefront.commands import COMMANDS
 from storefront.foundation import CurrencyMismatch, EntityId, Money, Quantity, SchemaError
-from storefront.invoice import InvoiceItem, PaymentMethod
+from storefront.invoice import (
+    BillingPolicy,
+    InvoiceItem,
+    PaymentMethod,
+    RuleBook,
+    ValidationRule,
+)
 from storefront.order_shipment import ShippedItem
+from storefront.rbac import (
+    DECLARED_RIGHTS,
+    DuplicateRole,
+    RbacMatrix,
+    RoleDef,
+    UnknownRoleInAssignment,
+)
+from storefront.scenario import Expectation, ParseError, Scenario, ScenarioStep
 from storefront.state import to_jsonable
 from storefront.stock_manager import StockKind
 
@@ -333,3 +351,199 @@ def query_args(name: str, raw_args: dict, ctx) -> dict:
     if missing:
         raise SchemaError(f"{name}: missing args {sorted(missing)}")
     return {key: schema[key](value, ctx) for key, value in raw_args.items()}
+
+
+# --- input files -------------------------------------------------------------
+
+def _right(role: str, raw) -> tuple[str, str]:
+    """One declared right, which must name a declared command on its kind."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2
+            and all(isinstance(part, str) for part in raw)):
+        raise SchemaError(f"role {role!r}: a right is a [kind, command] pair of "
+                          f"strings, got {raw!r}")
+    right = (raw[0], raw[1])
+    if right not in DECLARED_RIGHTS:
+        raise SchemaError(f"role {role!r}: right {list(right)} names no declared command")
+    return right
+
+
+def load_rbac_config(config: dict) -> RbacMatrix:
+    roles: dict[str, RoleDef] = {}
+    for raw in config.get("roles", []):
+        name = raw["name"]
+        if name in roles:
+            raise DuplicateRole(f"role {name!r} declared twice")
+        rights = frozenset(_right(name, right) for right in raw.get("rights", []))
+        roles[name] = RoleDef(name=name, rights=rights,
+                              owner_only=bool(raw.get("owner_only", False)))
+
+    assignments: dict[EntityId, frozenset[str]] = {}
+    for raw in config.get("assignments", []):
+        user = EntityId.parse(raw["user"])
+        for role_name in raw["roles"]:
+            if role_name not in roles:
+                raise UnknownRoleInAssignment(
+                    f"assignment for {user} names undeclared role {role_name!r}")
+        assignments[user] = frozenset(raw["roles"])
+    return RbacMatrix(roles=roles, assignments=assignments)
+
+
+BILLING_POLICY_KINDS = ("percentage-discount", "flat-fee")
+INVOICE_RULE_KINDS = ("nonempty-items", "nonnegative-total")
+PAYMENT_RULE_KINDS = ("amount-positive", "method-allowed", "overpayment-guard")
+
+
+def rulebook_from_config(data: dict) -> RuleBook:
+    policies: dict[str, BillingPolicy] = {}
+    for raw in data.get("billing_policies", []):
+        name, kind = raw.get("name"), raw.get("kind")
+        if not name or kind not in BILLING_POLICY_KINDS:
+            raise SchemaError(f"bad billing policy entry: {raw}")
+        if name in policies:
+            raise SchemaError(f"duplicate billing policy: {name}")
+        percent = int(raw.get("percent", 0))
+        fee = int(raw.get("amount", 0))
+        if kind == "percentage-discount" and not 0 <= percent <= 100:
+            raise SchemaError(f"percent must be 0..100 in policy {name}")
+        if kind == "flat-fee" and fee < 0:
+            raise SchemaError(f"fee must be >= 0 in policy {name}")
+        policies[name] = BillingPolicy(
+            name=name, kind=kind, percent=percent, fee=fee,
+            loyalty_only=bool(raw.get("loyalty_only", False)))
+
+    rules: dict[str, ValidationRule] = {}
+    for raw in data.get("validation_rules", []):
+        name, target, kind = raw.get("name"), raw.get("target"), raw.get("kind")
+        if not name or target not in ("Invoice", "Payment"):
+            raise SchemaError(f"bad validation rule entry: {raw}")
+        if name in rules:
+            raise SchemaError(f"duplicate validation rule: {name}")
+        expected = INVOICE_RULE_KINDS if target == "Invoice" else PAYMENT_RULE_KINDS
+        if kind not in expected:
+            raise SchemaError(f"rule kind {kind!r} invalid for target {target}")
+        methods = tuple(raw.get("methods", ()))
+        for method in methods:
+            PaymentMethod(method)
+        rules[name] = ValidationRule(name=name, target=target, kind=kind,
+                                     methods=methods)
+    return RuleBook(policies=policies, rules=rules)
+
+
+def parse_scenario(data: dict, source: str = "<memory>") -> Scenario:
+    if not isinstance(data, dict) or not isinstance(data.get("commands"), list):
+        raise ParseError(f"{source}: scenario must be an object with a commands list")
+    name = data.get("name")
+    if not isinstance(name, str) or not name:
+        raise ParseError(f"{source}: scenario needs a name")
+    unknown = set(data) - {"name", "commands", "expectations"}
+    if unknown:
+        raise ParseError(f"{source}: unexpected keys {sorted(unknown)}")
+
+    steps = []
+    for index, raw in enumerate(data["commands"]):
+        if not isinstance(raw, dict) or "op" not in raw:
+            raise ParseError(f"{source}: command #{index} needs an op")
+        unknown = set(raw) - {"op", "actor", "args", "as", "expect_error"}
+        if unknown:
+            raise ParseError(f"{source}: command #{index} unexpected keys {sorted(unknown)}")
+        args = raw.get("args", {})
+        if not isinstance(args, dict):
+            raise ParseError(f"{source}: command #{index} args must be an object")
+        steps.append(ScenarioStep(op=raw["op"], actor=raw.get("actor", "system"),
+                                  args=args, bind=raw.get("as"),
+                                  expect_error=raw.get("expect_error")))
+
+    expectations = []
+    for index, raw in enumerate(data.get("expectations", [])):
+        if not isinstance(raw, dict) or "query" not in raw or "expect" not in raw:
+            raise ParseError(f"{source}: expectation #{index} needs query and expect")
+        unknown = set(raw) - {"query", "args", "expect"}
+        if unknown:
+            raise ParseError(f"{source}: expectation #{index} unexpected keys {sorted(unknown)}")
+        expectations.append(Expectation(query=raw["query"], args=raw.get("args", {}),
+                                        expect=raw["expect"]))
+    return Scenario(name=name, steps=tuple(steps), expectations=tuple(expectations))
+
+
+def _seed_args(engine, what: str, command: str, raw) -> dict:
+    """Seed values parsed as the args of ``command``, by its parser."""
+    try:
+        return COMMANDS[command].parse(raw, engine.parse_context)[0]
+    except SchemaError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
+
+
+def _seed_entries(what: str, entries) -> list[dict]:
+    """``entries`` if it is a list of JSON objects, else ``SchemaError``."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError(f"{what}: expected a list of objects, got {entries!r}")
+    return entries
+
+
+def seed_catalog(engine, entries: list[dict], catalog_name: str = "main") -> EntityId:
+    txn = engine._seed_txn()
+    catalog_id = catalog_mod.create_catalog(txn, catalog_name)
+    by_name: dict[str, EntityId] = {}
+    links: list[tuple[str, str]] = []
+    for entry in _seed_entries("catalog seed", entries):
+        unknown = set(entry) - {"name", "price", "status", "info", "similar"}
+        if unknown:
+            raise SchemaError(f"catalog seed: unexpected keys {sorted(unknown)}")
+        similar = entry.get("similar", [])
+        if not isinstance(similar, list) or not all(isinstance(n, str) for n in similar):
+            raise SchemaError(f"catalog seed: expected a list of product names for "
+                              f"'similar', got {similar!r}")
+        args = _seed_args(engine, "catalog seed", "add_product", {
+            "catalog": catalog_id, "status": "Regular",
+            **{key: entry[key] for key in ("name", "price", "status") if key in entry}})
+        name = args["name"]
+        if name in by_name:
+            raise SchemaError(f"catalog seed: duplicate product {name!r}")
+        product_id = catalog_mod.add_product(txn, catalog_id, name, args["price"],
+                                             args["status"])
+        by_name[name] = product_id
+        info = entry.get("info")
+        if info:
+            info = _seed_args(engine, "catalog seed", "set_product_info", {
+                "product": product_id, "description": "", **info}
+                if isinstance(info, dict) else info)
+            catalog_mod.set_product_info(txn, product_id, info["description"],
+                                         info.get("comparison_notes", ""))
+        for other in similar:
+            links.append((name, other))
+    for name, other in links:
+        if other not in by_name:
+            raise SchemaError(f"catalog seed: similar link to unknown {other!r}")
+        if by_name[other] not in engine.state.stores["products"][by_name[name]].similar:
+            catalog_mod.link_similar(txn, by_name[name], by_name[other])
+    return catalog_id
+
+
+def seed_stock(engine, entries: list[dict]) -> None:
+    txn = engine._seed_txn()
+    rooms: dict[str, EntityId] = {
+        room.name: rid for rid, room in engine.state.stores["stockrooms"].items()}
+    products_by_name = {product.name: pid for pid, product
+                        in engine.state.stores["products"].items()}
+    for entry in _seed_entries("stock seed", entries):
+        unknown = set(entry) - {"item", "kind", "rooms"}
+        if unknown:
+            raise SchemaError(f"stock seed: unexpected keys {sorted(unknown)}")
+        item = _seed_args(engine, "stock seed", "create_stock_item",
+                          {"name": entry.get("item"), "kind": entry.get("kind")})
+        link = (products_by_name.get(item["name"])
+                if item["kind"] is stock_manager.StockKind.PRODUCT else None)
+        item_id = stock_manager.create_stock_item(txn, item["name"], item["kind"], link)
+        placed = entry.get("rooms", {})
+        if not isinstance(placed, dict) or not all(isinstance(n, str) for n in placed):
+            raise SchemaError(f"stock seed: expected an object of room quantities for "
+                              f"'rooms', got {placed!r}")
+        for room_name in placed:
+            if room_name not in rooms:
+                rooms[room_name] = stock_manager.create_stockroom(txn, room_name)
+        # a value that is not an int fails the parse of the allocation
+        stock = _seed_args(engine, "stock seed", "add_to_stock", {
+            "item": item_id, "qty": sum(q for q in placed.values() if q.__class__ is int),
+            "allocation": {rooms[room_name]: qty for room_name, qty in placed.items()}})
+        if stock["qty"].value:
+            stock_manager.add_to_stock(txn, item_id, stock["qty"], stock["allocation"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import new_customer, new_employee, product_id, validated_invoice
 from storefront import DomainError, EntityId, bundled
-from storefront.invoice import DEFAULT_RULEBOOK_CONFIG, RuleBook
+from storefront.invoice import RuleBook, default_rulebook
 
 from conftest import fresh_engine
 
@@ -22,8 +22,12 @@ def discount_oracle(subtotal, percent):
 
 def test_bundled_policy_config_matches_defaults():
     on_disk = json.loads(bundled.policies_config().read_text(encoding="utf-8"))
-    assert on_disk == DEFAULT_RULEBOOK_CONFIG
-    RuleBook.from_config(on_disk)  # loads cleanly
+    rulebook = default_rulebook()
+    assert rulebook == RuleBook.from_config(on_disk)
+    assert sorted(rulebook.policies) == ["handling-fee", "loyalty-5pct"]
+    assert sorted(rulebook.rules) == ["amount-positive", "method-allowed", "nonempty-items",
+                                      "nonnegative-total", "overpayment-guard"]
+    assert default_rulebook() is rulebook  # loaded once per process
 
 
 def test_rulebook_rejects_malformed_config():

@@ -1,6 +1,8 @@
-"""The generated argument parsers against the closure parsers they replaced
+"""The generated parsers against the closure parsers they replaced
 (``parse_oracle``), on inputs drawn from each command's and query's own
-declarations: JSON forms and Python API values, right and wrong."""
+declarations: JSON forms and Python API values, right and wrong. Each
+parser's payload-free form against its payload form, and the loader of
+each input file against the hand-written loader it replaced."""
 
 import typing
 from enum import Enum
@@ -9,14 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
-from storefront import SYSTEM, EntityId, Money, Quantity
+from conftest import fresh_engine
+from storefront import (
+    SYSTEM, Engine, EntityId, Money, Quantity, load_rbac_config, parse_scenario,
+)
 from storefront.catalog import ProductStatus
 from storefront.commands import (
     COMMANDS, EDIT, INVOICE_ITEM, Fields, Id, ParseContext, compile_parser,
 )
 from storefront.foundation import DomainError, SchemaError
-from storefront.invoice import Invoice, PaymentMethod
+from storefront.invoice import RULE_KINDS, Invoice, PaymentMethod, RuleBook
 from storefront.queries import QUERIES
+from storefront.rbac import DECLARED_RIGHTS
 from storefront.stock_manager import StockKind
 
 CTX = ParseContext(currency="USD")
@@ -52,14 +58,19 @@ def ids(kinds) -> st.SearchStrategy:
         st.builds(EntityId, kind, serial))
 
 
-def fields(decl: Fields) -> st.SearchStrategy:
-    """Objects of the declared fields: now and then one short or one over."""
-    objects = st.fixed_dictionaries(
-        {name: value(field) for name, field in decl.fields.items() if name not in decl.optional},
-        optional={name: value(decl.fields[name]) for name in decl.optional})
-    return objects.flatmap(lambda obj: rarely(
+def objects(required: dict, optional: dict | None = None) -> st.SearchStrategy:
+    """Objects of the given fields' values: now and then one short or one over."""
+    drawn = st.fixed_dictionaries(required, optional=optional or {})
+    return drawn.flatmap(lambda obj: rarely(
         st.sampled_from([dict(list(obj.items())[1:]), {**obj, "extra": 1}, {**obj, 7: 1}]),
         st.just(obj)))
+
+
+def fields(decl: Fields) -> st.SearchStrategy:
+    """Objects of the declared fields: now and then one short or one over."""
+    return objects(
+        {name: value(field) for name, field in decl.fields.items() if name not in decl.optional},
+        {name: value(decl.fields[name]) for name in decl.optional})
 
 
 def right(decl) -> st.SearchStrategy:
@@ -156,7 +167,7 @@ def test_generated_query_parser_matches_the_query_validation(query, data):
     # run_query took the values in the order given, the generated parser
     # takes them in schema order: given in that order, the two agree
     in_schema_order = {**{name: raw[name] for name in schema.fields if name in raw}, **raw}
-    new = outcome(lambda raw: QUERIES[query].parse(raw, CTX)[0], raw)
+    new = outcome(lambda raw: QUERIES[query].parse(raw, CTX), raw)
     old = outcome(lambda raw: parse_oracle.query_args(query, raw, CTX), in_schema_order)
     assert same_outcome(new, old), (raw, new, old)
 
@@ -175,7 +186,7 @@ def test_every_command_and_query_has_a_reference_schema():
     assert set(parse_oracle.QUERY_SCHEMAS) == set(QUERIES)
 
 
-@pytest.mark.parametrize("decl", [float, list[float], dict[str, int], Fields({"at": float})])
+@pytest.mark.parametrize("decl", [float, list[float], dict[int, int], Fields({"at": float})])
 def test_an_unsupported_declaration_fails_naming_its_arg(decl):
     with pytest.raises(TypeError, match=r"demo: arg 'when'"):
         compile_parser("demo", Fields({"name": str, "when": decl}, {"when"}), "<parser demo>")
@@ -185,3 +196,146 @@ def test_generated_code_is_compiled_under_a_name_that_says_what_it_is():
     assert Invoice.to_dict.__code__.co_filename == "<codec Invoice>"
     assert COMMANDS["create_shipment"].parse.__code__.co_filename == "<parser create_shipment>"
     assert QUERIES["cart_total"].parse.__code__.co_filename == "<query parser cart_total>"
+
+
+SCHEMAS = {**{f"command {name}": (spec.parse, name, spec.schema, True)
+              for name, spec in COMMANDS.items()},
+           **{f"query {name}": (query.parse, name, query.schema, False)
+              for name, query in QUERIES.items()}}
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_payload_free_parser_parses_as_the_payload_form(schema, data):
+    live, name, fields_decl, payload = SCHEMAS[schema]
+    other = compile_parser(name, fields_decl, f"<other form {schema}>", payload=not payload)
+    with_payload, free = (live, other) if payload else (other, live)
+    raw = data.draw(raw_args(fields_decl))
+    assert outcome(lambda raw: free(raw, CTX), raw) == \
+        outcome(lambda raw: with_payload(raw, CTX)[0], raw), raw
+
+
+# --- input files ---------------------------------------------------------------
+
+def maybe(usual: st.SearchStrategy) -> st.SearchStrategy:
+    return rarely(WRONG, usual)
+
+
+def some(item: st.SearchStrategy) -> st.SearchStrategy:
+    return maybe(st.lists(item, max_size=3))
+
+
+def one_of(*values) -> st.SearchStrategy:
+    return maybe(st.sampled_from(values))
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=2),
+                    lambda inner: st.lists(inner, max_size=2)
+                    | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=4)
+NAMES = one_of("", "A", "B", "Shopper")
+RIGHTS = [list(right) for right in sorted(DECLARED_RIGHTS)][:4]
+
+ACCESS_CONFIGS = objects({}, {
+    "roles": some(objects({"name": NAMES}, {
+        "rights": some(one_of(*RIGHTS, ["cart"], ["cart", "checkout", "x"], "cart", ["cart", 7])),
+        "owner_only": maybe(st.booleans() | st.sampled_from(["no", 0, 1]))})),
+    "assignments": some(objects({
+        "user": one_of("customer:1", "customer:01", "employee:2", "product:1", "system:0"),
+        "roles": maybe(st.lists(NAMES, max_size=2) | st.just("A"))}))})
+
+POLICY_CONFIGS = objects({}, {
+    "billing_policies": some(objects(
+        {"name": NAMES, "kind": one_of("percentage-discount", "flat-fee", "mystery")},
+        {"percent": maybe(st.integers(-5, 150) | st.sampled_from([5.9, "5"])),
+         "amount": maybe(st.integers(-5, 500)), "loyalty_only": maybe(st.booleans())})),
+    "validation_rules": some(objects(
+        {"name": NAMES, "target": one_of(*RULE_KINDS, "Elsewhere"),
+         "kind": one_of(*{kind for kinds in RULE_KINDS.values() for kind in kinds})},
+        {"methods": maybe(st.lists(one_of("Card", "Transfer", "Cheque"), max_size=2)
+                          | st.just("Card"))}))})
+
+ARGS = maybe(st.dictionaries(st.text(max_size=2), JSON, max_size=2))
+SCENARIOS = objects({"name": NAMES, "commands": some(objects(
+    {"op": one_of("create_cart", "checkout", 5)},
+    {"actor": one_of("system", "$a", 5), "args": ARGS, "as": one_of("a"),
+     "expect_error": one_of("EmptyCart", None)}))},
+    {"expectations": some(objects({"query": one_of("event_count"), "expect": JSON},
+                                  {"args": ARGS}))})
+
+CATALOG_SEEDS = some(objects(
+    {"name": one_of("W", "V", "X"),
+     "price": maybe(st.integers(-1, 500)
+                    | st.sampled_from([12.9, "12", {"amount": 5, "currency": "USD"}]))},
+    {"status": one_of("New", "Regular", "Bogus"),
+     "info": maybe(objects({}, {"description": maybe(st.text(max_size=2)),
+                                "comparison_notes": maybe(st.text(max_size=2))})),
+     "similar": maybe(st.lists(one_of("W", "V", "Z"), max_size=2))}))
+
+STOCK_SEEDS = some(objects(
+    {"item": one_of("WidgetA", "Gadget", "frame"), "kind": one_of("Product", "Component", "nope")},
+    {"rooms": maybe(st.dictionaries(st.sampled_from(["Main", "Annex", "Back"]),
+                                    maybe(st.integers(-2, 9) | st.sampled_from([2.7, "3"])),
+                                    max_size=2))}))
+
+
+def seeded(seed, over_catalog: bool):
+    """A loader of a seed: the state of an engine, over the bundled catalog
+    or over nothing, after ``seed(engine, entries)``."""
+    def load(entries):
+        engine = fresh_engine(seed_catalog=over_catalog, seed_stock=False)
+        seed(engine, entries)
+        return engine.state.to_dict()
+    return load
+
+
+LOADERS = {
+    "access config": (ACCESS_CONFIGS, load_rbac_config, parse_oracle.load_rbac_config,
+                      lambda matrix: (matrix.roles, matrix.assignments)),
+    "policy config": (POLICY_CONFIGS, RuleBook.from_config, parse_oracle.rulebook_from_config,
+                      lambda rulebook: rulebook),
+    "scenario": (SCENARIOS, parse_scenario, parse_oracle.parse_scenario,
+                 lambda scenario: scenario),
+    "catalog seed": (CATALOG_SEEDS, seeded(Engine.seed_catalog, False),
+                     seeded(parse_oracle.seed_catalog, False), lambda state: state),
+    "stock seed": (STOCK_SEEDS, seeded(Engine.seed_stock, True),
+                   seeded(parse_oracle.seed_stock, True), lambda state: state),
+}
+
+
+def lists(raw):
+    """``raw`` with each tuple a list: a declared list takes either, as a
+    command's args do, where the hand-written seed loaders took only a list."""
+    if isinstance(raw, (list, tuple)):
+        return [lists(item) for item in raw]
+    if isinstance(raw, dict):
+        return {key: lists(item) for key, item in raw.items()}
+    return raw
+
+
+def loaded(load, result, raw):
+    """``("ok", result(what the loader gave))``, ``("error", code)`` for a
+    ``DomainError``, or ``("raised", class name)`` for any other exception."""
+    try:
+        return ("ok", result(load(raw)))
+    except DomainError as exc:
+        return ("error", exc.code)
+    except Exception as exc:  # the hand-written loaders let these out
+        return ("raised", type(exc).__name__)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_input_file_loader_accepts_only_what_the_hand_written_one_did(name, data):
+    """What the declared loader accepts, the hand-written one accepted with
+    the same result; what it rejects, it rejects with a ``DomainError``. The
+    inputs only the hand-written one accepted are the ones it let through
+    wrongly (``"owner_only": "no"``, ``"percent": 5.9``, ``"op": 5``, ...)."""
+    inputs, load, old_load, result = LOADERS[name]
+    raw = data.draw(inputs)
+    new = loaded(load, result, raw)
+    if new[0] == "ok":
+        assert loaded(old_load, result, lists(raw)) == new, raw
+    else:
+        assert new[0] == "error", (raw, new)

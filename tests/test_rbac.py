@@ -47,6 +47,16 @@ def test_assignment_to_undeclared_role_rejected():
         load_rbac_config(config)
 
 
+@pytest.mark.parametrize("second", ["customer:1", "customer:01"])
+def test_second_assignment_for_one_user_rejected(second):
+    # the second assignment used to replace the first, however it spelled the id
+    config = {"roles": [{"name": "A", "rights": []}],
+              "assignments": [{"user": "customer:1", "roles": ["A"]},
+                              {"user": second, "roles": []}]}
+    with pytest.raises(SchemaError, match="user customer:1 assigned twice"):
+        load_rbac_config(config)
+
+
 def _with_shopper_right(right) -> dict:
     config = json.loads(json.dumps(BUNDLED_RBAC_CONFIG))
     shopper = next(role for role in config["roles"] if role["name"] == "Shopper")
@@ -57,11 +67,12 @@ def _with_shopper_right(right) -> dict:
 @pytest.mark.parametrize("right, message", [
     (["cart", "chekout"], "right ['cart', 'chekout'] names no declared command"),
     (["order", "checkout"], "right ['order', 'checkout'] names no declared command"),
-    (["cart", "checkout", "extra"], "a right is a [kind, command] pair of strings"),
-    (["cart"], "a right is a [kind, command] pair of strings"),
-    ("cart", "a right is a [kind, command] pair of strings"),
-    (["cart", 7], "a right is a [kind, command] pair of strings"),
-    ([None, "checkout"], "a right is a [kind, command] pair of strings"),
+    (["cart", "checkout", "extra"], "right ['cart', 'checkout', 'extra'] names no declared"),
+    (["cart"], "right ['cart'] names no declared command"),
+    # not a list of strings: rejected by the access config's declared shape
+    ("cart", "access config: expected list, got 'cart'"),
+    (["cart", 7], "access config: expected string, got 7"),
+    ([None, "checkout"], "access config: expected string, got None"),
 ], ids=["misspelled", "wrong-kind", "three-elements", "one-element", "string",
         "int-command", "null-kind"])
 def test_right_naming_no_command_rejected(right, message):

@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from storefront import bundled, cli, default_matrix, load_scenario, read_log, run_scenario
 from storefront.cli import main
@@ -320,6 +323,71 @@ def test_parse_scenario_rejects_unknown_keys():
     with pytest.raises(ParseError):
         parse_scenario({"name": "x", "commands": [],
                         "expectations": [{"query": "cart_total"}]})
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--rbac", {"roles": [{"rights": []}]}),
+    ("--rbac", {"roles": 5}),
+    ("--rbac", []),
+    ("--rbac", {"roles": [], "extra": 1}),
+    ("--rbac", {"roles": [{"name": "Shopper", "rights": [], "extra": 1}]}),
+    ("--rbac", {"roles": [{"name": "Shopper", "rights": [], "owner_only": "no"}]}),
+    ("--policies", []),
+    ("--policies", {"billing_policies": [5]}),
+    ("--policies", {"validation_rules": [{"name": "m", "target": "Payment",
+                                          "kind": "method-allowed", "methods": "Card"}]}),
+    ("--policies", {"billing_policies": [{"name": "l", "kind": "percentage-discount",
+                                          "percent": 5, "loyalty_only": "false"}]}),
+    ("--policies", {"billing_policies": [{"name": "l", "kind": "percentage-discount",
+                                          "percent": 5.9}]}),
+    ("--policies", {"billing_policies": [{"name": "l", "kind": "percentage-discount",
+                                          "percent": "5"}]}),
+    ("--policies", {"billing_policies": [], "extra": 1}),
+    (None, {"name": "x", "commands": [], "expectations": 5}),
+    (None, {"name": "x", "commands": [{"op": 5}]}),
+], ids=["rbac-role-without-name", "rbac-roles-not-a-list", "rbac-top-level-list",
+        "rbac-unknown-key", "rbac-unknown-role-key", "rbac-owner-only-string",
+        "policies-top-level-list", "policies-entry-not-an-object", "policies-methods-string",
+        "policies-loyalty-only-string", "policies-float-percent", "policies-string-percent",
+        "policies-unknown-key", "scenario-expectations-not-a-list", "scenario-op-not-a-string"])
+def test_malformed_input_file_exits_two(tmp_path, flag, content):
+    """Each of these ended in a traceback, or loaded as something else."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    scenario = bundled.scenario_dir() / "cart-checkout.json"
+    argv = ["run", str(path)] if flag is None else ["run", str(scenario), flag, str(path)]
+    code, output = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code == 2, output
+    assert "error: " in output
+    assert "Traceback" not in output
+
+
+JSON_LEAF = st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
+STEPS = st.fixed_dictionaries(
+    {"op": st.integers(0, 9).flatmap(
+        lambda n: JSON_LEAF if n == 0 else st.sampled_from(["create_customer", "create_cart",
+                                                             "add_item", "bogus"]))},
+    optional={"actor": st.sampled_from(["system", "customer:1", "$c"]),
+              "args": st.dictionaries(st.sampled_from(["name", "customer", "cart", "qty"]),
+                                      JSON_LEAF | st.just("customer:1"), max_size=3),
+              "as": st.just("c")})
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(STEPS, max_size=4))
+def test_every_scenario_the_loader_accepts_runs_to_a_log_that_verifies(steps):
+    scenario = {"name": "generated", "commands": steps}
+    try:
+        parse_scenario(scenario)
+    except ParseError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(json.dumps(scenario))
+        code, output = run_cli("run", str(path), "--out", str(out))
+        assert code in (0, 1), output
+        code, output = run_cli("verify", str(out / "events.jsonl"))
+        assert code == 0, (scenario, output)
 
 
 def _full_purchase_log(tmp_path):
