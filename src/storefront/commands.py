@@ -100,6 +100,14 @@ def _wrong(value, expected: str):
     raise SchemaError(f"expected {expected}, got {value!r}")
 
 
+def _at(exc: SchemaError, step: str):
+    """Raise ``exc`` again with ``step`` (``.field``, ``[index]`` or ``[key]``)
+    in front of the path its message names; a parse that succeeds never calls it."""
+    exc.path = path = step + getattr(exc, "path", "")
+    exc.args = (f"{path.removeprefix('.')}: {exc.__dict__.setdefault('detail', str(exc))}",)
+    raise exc
+
+
 def _names(what: str, names, others):
     """Reject ``names`` not among ``others``, listed in repr order."""
     raise SchemaError(f"{what} {sorted(names - others, key=repr)}")
@@ -140,6 +148,13 @@ def _indent(lines: list[str]) -> list[str]:
     return [f"    {line}" for line in lines]
 
 
+def _located(lines: list[str], step: str) -> list[str]:
+    """``lines``, whose ``SchemaError`` gains the path step ``step`` (an
+    expression) on its way out."""
+    return ["try:", *_indent(lines), "except SchemaError as exc:",
+            f"    _at(exc, {step})"] if lines else lines
+
+
 class _ParserSource:
     """The lines of one generated parser, and the names those lines use; in
     the ``payload`` form, also the lines that build the payload."""
@@ -148,7 +163,7 @@ class _ParserSource:
         self.payload = payload
         self.names = {"EntityId": EntityId, "Money": Money, "Quantity": Quantity,
                       "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
-                      "to_jsonable": to_jsonable, "_wrong": _wrong, "_names": _names,
+                      "to_jsonable": to_jsonable, "_wrong": _wrong, "_names": _names, "_at": _at,
                       "_money": _money, "_qty": _qty, "_enum": _enum}
         self._count = 0
 
@@ -198,7 +213,8 @@ class _ParserSource:
             item, item_payload = self.lines(args[0], w)
             return ([f"if not isinstance({v}, (list, tuple)): _wrong({v}, 'list')",
                      self.assign(parsed, "[]", payload, "[]"), f"for {w} in {v}:",
-                     *_indent(item), f"    {parsed}.append({w})",
+                     *_indent(_located(item, f"'[%d]' % len({parsed})")),
+                     f"    {parsed}.append({w})",
                      *self.also(f"    {payload}.append({item_payload})"), f"{v} = {parsed}"],
                     payload)
         if origin is dict and (isinstance(args[0], Id) or args[0] is str):
@@ -206,7 +222,8 @@ class _ParserSource:
             value, value_payload = self.lines(args[1], w)
             return ([f"if not isinstance({v}, dict): _wrong({v}, 'object')",
                      self.assign(parsed, "{}", payload, "{}"), f"for {k}, {w} in {v}.items():",
-                     *_indent(key + value), f"    {parsed}[{k}] = {w}",
+                     *_indent(_located(key + value, f"'[%s]' % ({k},)")),
+                     f"    {parsed}[{k}] = {w}",
                      *self.also(f"    {payload}[{key_payload}] = {value_payload}"),
                      f"{v} = {parsed}"], payload)
         if decl != EDIT:
@@ -215,9 +232,11 @@ class _ParserSource:
         delete, delete_payload = self.lines(str, w)
         return ([f"if not isinstance({v}, dict) or len({v}) != 1: "
                  f"_wrong({v}, 'one add or delete object per edit')",
-                 f"(({k}, {w}),) = {v}.items()", f"if {k} == 'add':", *_indent(add),
-                 f"    if {w}.quantity.value < 1: "
-                 f"raise SchemaError('invoice item quantity must be at least 1')",
+                 f"(({k}, {w}),) = {v}.items()", f"if {k} == 'add':",
+                 *_indent(_located(add + [
+                     f"if {w}.quantity.value < 1: "
+                     f"raise SchemaError('invoice item quantity must be at least 1')"],
+                     "'.add'")),
                  "    " + self.assign(v, f"{{'add': {w}}}", payload, f"{{'add': {add_payload}}}"),
                  f"elif {k} == 'delete':", *_indent(delete),
                  "    " + self.assign(v, f"{{'delete': {w}}}",
@@ -254,6 +273,7 @@ class _ParserSource:
             if decl.into is None:
                 field.append(self.assign(f"{parsed}[{name!r}]", f, f"{payload}[{name!r}]",
                                          field_payload))
+            field = _located(field, repr(f".{name}"))
             if name in decl.optional:
                 lines += ([f"{f} = None"] if decl.into else []) + [
                     f"if {name!r} in {v}:", f"    {f} = {v}[{name!r}]", *_indent(field)]

@@ -127,8 +127,8 @@ class Engine:
 
     # -- access ------------------------------------------------------------
 
-    def access_decision(self, actor: EntityId, command: str, args: dict):
-        spec = COMMANDS[command]
+    def access_decision(self, actor: EntityId, command: str, args: dict, spec=None):
+        spec = spec or COMMANDS[command]  # dispatch passes the spec it looked up
         owner, target_missing = spec.owner(self.state, args)
         return check_access(self.rbac, actor,
                             getattr(self.state.entity(actor), "roles", _NO_ROLES),
@@ -143,13 +143,14 @@ class Engine:
         after the audit record lands; the record for a failed command
         never carries deltas.
         """
-        self.baseline()
+        if self._baseline is None:
+            self.baseline()
         args = args or {}
         if isinstance(actor, str):
             actor = EntityId.parse(actor)
-        seq = len(self.state.log) + 1
-        self.state.clock += 1
-        tick = self.state.clock
+        state = self.state
+        seq = len(state.log) + 1
+        state.clock = tick = state.clock + 1
 
         spec = COMMANDS.get(command)
         if spec is None:
@@ -164,25 +165,23 @@ class Engine:
                         "error", exc.code)
             raise
 
-        decision = self.access_decision(actor, command, parsed)
+        decision = self.access_decision(actor, command, parsed, spec)
         if not decision.allowed():
             self._audit(seq, tick, actor, command, payload, "denied",
-                        AccessDenied.code, access=decision.as_dict)
+                        AccessDenied.code, decision.as_dict)
             raise AccessDenied(decision.reason)
 
-        txn = Txn(self.state)
+        txn = Txn(state)
         try:
             result = spec.run(self, txn, actor, parsed)
         except DomainError as exc:
             txn.rollback()
             self._audit(seq, tick, actor, command, payload, "error", exc.code,
-                        access=decision.as_dict)
+                        decision.as_dict)
             raise
-        record = EventRecord(seq=seq, tick=tick, actor=actor, command=command,
-                             payload=payload, access=decision.as_dict,
-                             outcome="ok", result=result,
-                             deltas=txn.facts())
-        self.state.log.append(record)
+        record = EventRecord(seq, tick, actor, command, payload, decision.as_dict,
+                             "ok", None, result, txn.facts())
+        state.log.append(record)
         return record
 
     def execute(self, actor, command: str, **args):
@@ -190,13 +189,9 @@ class Engine:
         return self.dispatch(actor, command, args).result
 
     def _audit(self, seq, tick, actor, command, payload, outcome, error,
-               access=None) -> EventRecord:
-        record = EventRecord(
-            seq=seq, tick=tick, actor=actor, command=command, payload=payload,
-            access=access or _NOT_EVALUATED,
-            outcome=outcome, error=error)
-        self.state.log.append(record)
-        return record
+               access=_NOT_EVALUATED) -> None:
+        self.state.log.append(
+            EventRecord(seq, tick, actor, command, payload, access, outcome, error))
 
     @staticmethod
     def _best_effort(args) -> dict:

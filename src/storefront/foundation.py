@@ -8,6 +8,7 @@ in the engine's entity stores, never inside these values.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import linecache
 import types
 import typing
@@ -19,21 +20,14 @@ class DomainError(Exception):
     """Base for every business-rule rejection.
 
     ``code`` is the stable machine-readable name used in event-log audit
-    records and scenario ``expect_error`` clauses.
+    records and scenario ``expect_error`` clauses. The message is
+    ``args[0]``; with none, ``str`` gives the code.
     """
 
     code = "DomainError"
 
-    def __init__(self, message: str = "", **details):
-        self.message = message or self.code
-        self.details = details
-        super().__init__(self.message)
-
     def __str__(self) -> str:
-        if self.details:
-            extras = ", ".join(f"{k}={v}" for k, v in sorted(self.details.items()))
-            return f"{self.message} ({extras})"
-        return self.message
+        return super().__str__() or self.code
 
 
 class CurrencyMismatch(DomainError):
@@ -123,83 +117,83 @@ def priced_sum(lines, currency: str) -> Money:
     return Money(total, currency)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Quantity:
     """A non-negative count of discrete items."""
 
     value: int
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise NegativeQuantity(f"quantity cannot be negative: {self.value}")
+    def __init__(self, value: int):
+        if value < 0:
+            raise NegativeQuantity(f"quantity cannot be negative: {value}")
+        _set(self, "value", value)
 
     def add(self, other: Quantity) -> Quantity:
         return Quantity(self.value + other.value)
 
 
-@dataclass(frozen=True, order=True, init=False)
+@functools.total_ordering
+@dataclass(frozen=True, eq=False, init=False)
 class EntityId:
     """Identity of one stored entity: a kind tag plus a per-kind serial.
 
     Serials are allocated monotonically by the engine, so the string form
     ``kind:serial`` is unique and stable across replays.
 
-    Ids are shared immutable values. ``parse`` and ``of`` return the one
-    instance the process holds for each id text, from a table with one
-    entry per distinct id text the process has seen; it has no size limit
-    and no setting. Each instance computes its hash and its text once, so
-    a dict lookup with a shared id is an identity hit. A directly
-    constructed id is a separate instance that still equals, hashes and
-    orders by ``(kind, serial)`` exactly like the shared one.
+    The process holds one instance per id: the constructor, ``of``,
+    ``parse``, pickle, ``copy`` and ``dataclasses.replace`` all return it,
+    so ids hash and compare by identity, and sort by ``(kind, serial)``;
+    the table of ids has no size limit. A kind is a non-empty ``str`` with
+    no ``:``, a serial an exact ``int``; anything else is a ``SchemaError``.
     """
 
-    __slots__ = ("kind", "serial", "_hash", "_text")
+    __slots__ = ("kind", "serial", "_text", "_key")
 
     kind: str
     serial: int
 
-    def __init__(self, kind: str, serial: int):
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", kind)
-        setattr_(self, "serial", serial)
-        setattr_(self, "_hash", hash((kind, serial)))
-        setattr_(self, "_text", f"{kind}:{serial}")
+    def __new__(cls, kind: str, serial: int):
+        if serial.__class__ is int and kind.__class__ is str:
+            try:
+                return _BY_KEY[kind, serial]
+            except KeyError:
+                pass
+        if kind.__class__ is not str or not kind or ":" in kind or serial.__class__ is not int:
+            raise SchemaError(f"malformed entity id: kind {kind!r}, serial {serial!r}")
+        entity_id, key, text = object.__new__(cls), (kind, serial), f"{kind}:{serial}"
+        for name, value in (("kind", kind), ("serial", serial), ("_text", text), ("_key", key)):
+            _set(entity_id, name, value)
+        _BY_KEY[key] = _IDS[text] = entity_id
+        return entity_id
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not EntityId:
-            return NotImplemented
-        return self.serial == other.serial and self.kind == other.kind
+    def __lt__(self, other):
+        return self._key < other._key if other.__class__ is EntityId else NotImplemented
 
     def __str__(self) -> str:
         return self._text
 
-    def __reduce__(self):
-        # the hash of a str is randomized per process: rebuild, never copy it
-        return EntityId, (self.kind, self.serial)
+    def __reduce__(self):  # copies and unpickled ids go through the constructor
+        return EntityId, self._key
 
     @classmethod
     def parse(cls, text: str) -> EntityId:
-        """The shared id for ``kind:serial`` text; ``SchemaError`` for
-        anything else, a non-string included."""
+        """The id of ``kind:serial`` text; ``SchemaError`` for anything
+        else, a non-string included."""
         try:
             return _IDS[text]
         except (KeyError, TypeError):  # TypeError: an unhashable non-string
             return _parse_new(text)
 
-    @classmethod
-    def of(cls, kind: str, serial: int) -> EntityId:
-        """The shared id of an engine-allocated kind (no ``:``) and int serial."""
-        entity_id = cls(kind, serial)
-        return _IDS.setdefault(entity_id._text, entity_id)
+    of = classmethod(__new__)  # EntityId.of(kind, serial) is EntityId(kind, serial)
 
 
+_BY_KEY: dict[tuple[str, int], EntityId] = {}
+"""(kind, serial) -> its id, for every id the process has built."""
 _IDS: dict[str, EntityId] = {}
-"""Id text seen by ``EntityId.parse`` or ``EntityId.of`` -> its shared id."""
+"""Every id text ``EntityId.parse`` has accepted, and every id's own text -> its id."""
 
 
 def _parse_new(text) -> EntityId:
@@ -211,12 +205,12 @@ def _parse_new(text) -> EntityId:
     digits = serial[1:] if serial.startswith("-") else serial
     if not sep or not kind or not (digits.isascii() and digits.isdigit()):
         raise SchemaError(f"malformed entity id: {text!r}")
-    entity_id = EntityId.of(kind, int(serial))
+    entity_id = EntityId(kind, int(serial))
     _IDS[text] = entity_id  # a non-canonical text such as "kind:07" maps to "kind:7"
     return entity_id
 
 
-SYSTEM = EntityId.of("system", 0)
+SYSTEM = EntityId("system", 0)
 """Sentinel actor for engine-internal command paths (seeding, checkout)."""
 
 

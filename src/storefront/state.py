@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
 from .foundation import DomainError, EntityId, Quantity, Record, SchemaError, derive_codec
@@ -184,30 +185,34 @@ class EngineState:
         }
 
 
-class Txn:
-    """Mutation scope of one command; see the module docstring."""
+_UNWRITTEN = MappingProxyType({})  # a Txn's bookkeeping until its first write
 
-    __slots__ = ("state", "_originals", "_created", "_serials_before", "_touched")
+
+class Txn:
+    """Mutation scope of one command; see the module docstring. ``_originals``
+    maps each touched ``(store, id)``, in first-touch order, to its pre-image
+    clone, or to None for an entity this transaction created."""
+
+    __slots__ = ("state", "_originals", "_serials_before")
 
     def __init__(self, state: EngineState):
         self.state = state
-        self._originals: dict = {}
-        self._created: set = set()
-        self._serials_before: dict = {}
-        self._touched: list = []
+        self._originals = self._serials_before = _UNWRITTEN
 
     def next_id(self, kind: str) -> EntityId:
-        if kind not in self._serials_before:
-            self._serials_before[kind] = self.state.serials.get(kind, 0)
-        serial = self.state.serials.get(kind, 0) + 1
-        self.state.serials[kind] = serial
-        return EntityId.of(kind, serial)
+        serials, before = self.state.serials, self._serials_before
+        if kind not in before:
+            if before is _UNWRITTEN:
+                before = self._serials_before = {}
+            before[kind] = serials.get(kind, 0)
+        serial = serials[kind] = serials.get(kind, 0) + 1
+        return EntityId(kind, serial)
 
     def create(self, store: str, entity) -> None:
-        key = (store, entity.id)
         self.state.stores[store][entity.id] = entity
-        self._created.add(key)
-        self._touched.append(key)
+        if self._originals is _UNWRITTEN:
+            self._originals = {}
+        self._originals[store, entity.id] = None
 
     def get_mut(self, store: str, entity_id: EntityId, missing_error):
         """Fetch an entity for mutation, snapshotting it once for rollback."""
@@ -215,16 +220,19 @@ class Txn:
         if entity is None:
             raise missing_error(f"no {store[:-1].replace('_', ' ')} {entity_id}")
         key = (store, entity_id)
-        if key not in self._originals and key not in self._created:
+        if key not in self._originals:
+            if self._originals is _UNWRITTEN:
+                self._originals = {}
             self._originals[key] = entity.clone()
-            self._touched.append(key)
         return entity
 
     def rollback(self) -> None:
-        for store, entity_id in self._created:
-            self.state.stores[store].pop(entity_id, None)
+        stores = self.state.stores
         for (store, entity_id), original in self._originals.items():
-            self.state.stores[store][entity_id] = original
+            if original is None:
+                stores[store].pop(entity_id, None)
+            else:
+                stores[store][entity_id] = original
         for kind, serial in self._serials_before.items():
             if serial == 0:
                 self.state.serials.pop(kind, None)
@@ -237,7 +245,7 @@ class Txn:
         for kind in sorted(self._serials_before):
             deltas.append({"f": "serial", "kind": kind,
                            "value": self.state.serials[kind]})
-        for store, entity_id in self._touched:
+        for store, entity_id in self._originals:
             entity = self.state.stores[store][entity_id]
             deltas.append({"f": "put", "store": store, "id": entity_id._text,
                            "data": entity.to_dict()})

@@ -4,16 +4,18 @@ walking whole stores; an id text is parsed once however often it recurs,
 and a replay builds each distinct frozen value once. Deterministic: it
 counts walks, parses and constructions, not time."""
 
+import sys
 from collections import Counter
 
-from storefront import SYSTEM, Engine, foundation, permissive_matrix
+from storefront import SYSTEM, Engine, default_matrix, foundation, permissive_matrix
 from storefront.catalog import ProductInfo
 from storefront.engine import read_log
-from storefront.foundation import Money
+from storefront.foundation import AccessDenied, DomainError, EntityId, Money
 from storefront.invoice import InvoiceItem
 from storefront.order_shipment import ShippedItem
 from storefront.shopping_cart import CartItem
-from storefront.state import STORES
+from storefront.state import _UNWRITTEN, STORES
+from storefront.stock_manager import UnknownRoom
 
 SESSIONS = 200
 PRODUCTS = 8  # the last one is a service: no stock item
@@ -189,3 +191,53 @@ def test_replay_builds_each_frozen_value_once(tmp_path, monkeypatch):
     built.clear()
     engine.replayed_state(records)
     assert built == first
+
+
+def test_the_envelope_runs_no_python_frame_for_ids_errors_or_bookkeeping():
+    """Three transfers, one rejected by the operation, one denied and one
+    accepted, profiled call by call: ids hash and compare in C, a raised
+    error runs no Python ``__init__``, and a Txn allocates its bookkeeping
+    only when the command writes."""
+    engine = Engine(rbac_matrix=default_matrix())
+    engine.seed_stock([{"item": "bolt", "kind": "Component", "rooms": {"Main": 5, "Annex": 1}}])
+    manager = engine.execute(SYSTEM, "create_employee", name="M", roles=["StockManager"])
+    clerk = engine.execute(SYSTEM, "create_employee", name="C", roles=["ShippingClerk"])
+    item, = engine.state.stores["stock_items"]
+    main, annex = sorted(engine.state.stores["stockrooms"])
+    missing = EntityId("stockroom", 99)  # built now, not while profiled
+    commands = [(manager["employee"], main, missing, UnknownRoom),
+                (clerk["employee"], main, annex, AccessDenied),
+                (manager["employee"], main, annex, None)]
+    for actor, source, target, error in commands:
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append((frame.f_code.co_qualname, frame.f_locals.get("self")))
+        args = {"item": item, "qty": 1, "from_room": source, "to_room": target}
+        sys.setprofile(profile)
+        try:
+            engine.dispatch(actor, "transfer", args)
+        except (UnknownRoom, AccessDenied) as exc:
+            raised = exc
+        else:
+            raised = None
+        finally:
+            sys.setprofile(None)
+        assert type(raised) is error if error else raised is None
+        names = [name for name, _ in frames]
+        assert not [name for name in names if name.startswith("EntityId.")
+                    and name.split(".")[1] in ("__hash__", "__eq__", "__ne__")], names
+        assert not [name for name, owner in frames if name.endswith("__init__")
+                    and isinstance(owner, DomainError)], names
+        txns = [owner for name, owner in frames if name == "Txn.__init__"]
+        if error is AccessDenied:
+            assert txns == []
+        elif error is UnknownRoom:
+            txn, = txns
+            assert txn._originals is _UNWRITTEN and txn._serials_before is _UNWRITTEN
+            assert "Txn.rollback" in names
+        else:
+            txn, = txns
+            assert list(txn._originals) == [("stock_items", item)]
+            assert txn._serials_before is _UNWRITTEN

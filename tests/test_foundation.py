@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from storefront import foundation
 from storefront.foundation import (
     CurrencyMismatch,
     EntityId,
@@ -116,13 +117,37 @@ def test_entity_id_parse_shares_one_instance_per_text():
 
 def test_shared_and_constructed_ids_are_one_value():
     shared, built = EntityId.parse("cart:7"), EntityId("cart", 7)
-    assert shared is not built
+    assert shared is built
     assert shared == built and not shared != built
-    assert hash(shared) == hash(built) == hash(("cart", 7))
+    assert hash(shared) == hash(built)
     assert {built: 1}[shared] == 1 and {shared: 1}[built] == 1
     assert str(built) == str(shared) == "cart:7"
     assert shared != EntityId("cart", 8) and shared != EntityId("carts", 7)
     assert shared != "cart:7" and shared != ("cart", 7)
+
+
+@pytest.mark.parametrize("kind,serial", [
+    ("a:b", 1), ("cart:", 1), ("", 1), (None, 1), (7, 1), (b"cart", 1),
+    ("cart", True), ("cart", False), ("cart", 1.0), ("cart", "1"), ("cart", None),
+])
+def test_entity_id_refuses_a_kind_or_serial_that_would_not_round_trip(kind, serial):
+    EntityId("cart", 1)  # the id an equal serial would collide with exists
+    with pytest.raises(SchemaError):
+        EntityId(kind, serial)
+    with pytest.raises(SchemaError):
+        EntityId.of(kind, serial)
+    assert EntityId.parse("cart:1").serial.__class__ is int
+
+
+def test_every_id_table_entry_round_trips_through_parse():
+    with pytest.raises(SchemaError):
+        EntityId.of("a:b", 1)
+    with pytest.raises(SchemaError):
+        EntityId.parse("a:b:1")
+    for text, eid in list(foundation._IDS.items()):
+        assert EntityId.parse(text) is eid
+        assert EntityId.parse(str(eid)) is eid is EntityId(eid.kind, eid.serial)
+        assert eid.kind.__class__ is str and eid.serial.__class__ is int
 
 
 def test_entity_id_is_a_two_field_frozen_dataclass():
@@ -143,8 +168,9 @@ def test_entity_id_is_a_two_field_frozen_dataclass():
 def test_entity_id_copies_stay_equal_dict_keys(rebuild, expected):
     for eid in (EntityId.parse("invoice:5"), EntityId("invoice", 5)):
         again = rebuild(eid)
+        assert again is EntityId(*expected) is EntityId.parse("%s:%d" % expected)
         assert (again.kind, again.serial) == expected
-        assert hash(again) == hash(expected)
+        assert hash(again) == hash(EntityId(*expected))
         assert str(again) == "%s:%d" % expected
         assert {again: "x"}[EntityId(*expected)] == "x"
         assert {EntityId.parse(str(again)): "y"}[again] == "y"
@@ -160,6 +186,7 @@ def test_id_pickled_in_another_process_hashes_in_this_one():
              "PYTHONPATH": os.pathsep.join(sys.path)})
     again = pickle.loads(bytes.fromhex(written.stdout))
     assert {EntityId("product", 9): "x"}[again] == "x"
+    assert again is EntityId.parse("product:9")
 
 
 _KINDS = st.sampled_from(["product", "cart", "customer", "invoice", "a", "b"])

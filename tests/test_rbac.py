@@ -69,15 +69,34 @@ def _with_shopper_right(right) -> dict:
     (["order", "checkout"], "right ['order', 'checkout'] names no declared command"),
     (["cart", "checkout", "extra"], "right ['cart', 'checkout', 'extra'] names no declared"),
     (["cart"], "right ['cart'] names no declared command"),
-    # not a list of strings: rejected by the access config's declared shape
-    ("cart", "access config: expected list, got 'cart'"),
-    (["cart", 7], "access config: expected string, got 7"),
-    ([None, "checkout"], "access config: expected string, got None"),
+    # not a list of strings: rejected by the access config's declared shape, at
+    # the path of the appended right
+    ("cart", "access config: {at}: expected list, got 'cart'"),
+    (["cart", 7], "access config: {at}[1]: expected string, got 7"),
+    ([None, "checkout"], "access config: {at}[0]: expected string, got None"),
 ], ids=["misspelled", "wrong-kind", "three-elements", "one-element", "string",
         "int-command", "null-kind"])
 def test_right_naming_no_command_rejected(right, message):
-    with pytest.raises(SchemaError, match=re.escape(message)):
-        load_rbac_config(_with_shopper_right(right))
+    config = _with_shopper_right(right)
+    role = next(i for i, role in enumerate(config["roles"]) if role["name"] == "Shopper")
+    at = f"roles[{role}].rights[{len(config['roles'][role]['rights']) - 1}]"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message.format(at=at))}$"
+                       if "{at}" in message else re.escape(message)):
+        load_rbac_config(config)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"roles": [{"name": "x", "rights": [["cart", 7]]}]}, "roles[0].rights[0][1]: expected "
+     "string, got 7"),
+    ({"roles": [{"name": "x"}, {"name": "y", "owner_only": "no"}]},
+     "roles[1].owner_only: expected boolean, got 'no'"),
+    ({"roles": [{"rights": []}]}, "roles[0]: missing fields: ['name']"),
+    ({"assignments": [{"user": "customer:1", "roles": ["x", None]}]},
+     "assignments[0].roles[1]: expected string, got None"),
+], ids=["right", "owner-only", "no-name", "assigned-role"])
+def test_access_config_error_names_the_path(config, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape('access config: ' + message)}$"):
+        load_rbac_config(config)
 
 
 @pytest.mark.parametrize("right", [["cart", "chekout"], ["cart", "checkout", "extra"]],

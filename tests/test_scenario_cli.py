@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from storefront import bundled, cli, default_matrix, load_scenario, read_log, run_scenario
 from storefront.cli import main
+from storefront.foundation import SchemaError
+from storefront.invoice import RuleBook
 from storefront.scenario import ParseError, parse_scenario
 
 RBAC = str(bundled.rbac_config())
@@ -97,6 +102,25 @@ def test_bundled_scenario_reports_match_golden_digests(tmp_path):
         digests[path.stem] = hashlib.sha256(
             (out_dir / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS
+
+
+def test_full_purchase_is_byte_identical_across_hash_seeds(tmp_path):
+    """Ids hash by address and strings by a per-process seed, so no output
+    may depend on the iteration order of a set: two processes with other
+    seeds write the same bytes, and the golden ones."""
+    scenario = bundled.scenario_dir() / "full-purchase.json"
+    outputs = []
+    for seed in ("1", "4242"):
+        out_dir = tmp_path / seed
+        subprocess.run([sys.executable, "-m", "storefront.cli", "run", str(scenario),
+                        "--rbac", RBAC, "--out", str(out_dir)], check=True,
+                       capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                                 "PYTHONPATH": os.pathsep.join(sys.path)})
+        outputs.append([(out_dir / name).read_bytes()
+                        for name in ("events.jsonl", "report.json")])
+    assert outputs[0] == outputs[1]
+    assert [hashlib.sha256(data).hexdigest() for data in outputs[0]] == [
+        GOLDEN_DIGESTS["full-purchase"], REPORT_DIGESTS["full-purchase"]]
 
 
 def _typed(value):
@@ -290,28 +314,64 @@ def test_explicit_policy_and_currency_flags(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("flag, seed", [
-    ("--seed-catalog", [{"name": "W", "price": 12.9}]),
-    ("--seed-catalog", [{"name": "W", "price": "12"}]),
-    ("--seed-catalog", [{"name": "W", "price": True}]),
-    ("--seed-catalog", [{"name": "W", "price": 1, "status": "Bogus"}]),
-    ("--seed-catalog", [{"name": "W", "price": 1, "info": "text"}]),
-    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": {"Main": 2.7}}]),
-    ("--seed-stock", [{"item": "x", "kind": "nope", "rooms": {"Main": 2}}]),
+MALFORMED_SEEDS = [
+    ("--seed-catalog", [{"name": "W", "price": 12.9}], "[0].price: "),
+    ("--seed-catalog", [{"name": "W", "price": "12"}], "[0].price: "),
+    ("--seed-catalog", [{"name": "W", "price": True}], "[0].price: "),
+    ("--seed-catalog", [{"name": "W", "price": 1, "status": "Bogus"}], "[0].status: "),
+    ("--seed-catalog", [{"name": "W", "price": 1, "info": "text"}], "[0].info: "),
+    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": {"Main": 2.7}}],
+     "[0].rooms[Main]: "),
+    ("--seed-stock", [{"item": "x", "kind": "nope", "rooms": {"Main": 2}}], "[0].kind: "),
     # wrongly shaped seeds, which ended in a traceback before
-    ("--seed-catalog", [{"name": "W", "price": 1, "similar": 5}]),
-    ("--seed-catalog", [{"name": "W", "price": 1, "similar": "V"}]),
-    ("--seed-catalog", {"name": "W", "price": 1}),
-    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": ["Main"]}]),
-    ("--seed-stock", [5]),
-])
-def test_malformed_seed_value_exits_two(tmp_path, flag, seed):
+    ("--seed-catalog", [{"name": "W", "price": 1, "similar": 5}], "[0].similar: "),
+    ("--seed-catalog", [{"name": "W", "price": 1, "similar": "V"}], "[0].similar: "),
+    ("--seed-catalog", {"name": "W", "price": 1}, ""),
+    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": ["Main"]}], "[0].rooms: "),
+    ("--seed-stock", [5], "[0]: "),
+    # the path of a value deep in a later entry
+    ("--seed-catalog", [{"name": "V", "price": 1},
+                        {"name": "W", "price": 1, "similar": ["V", 3]}], "[1].similar[1]: "),
+    ("--seed-stock", [{"item": "x", "kind": "Component"},
+                      {"item": "y", "kind": "Component", "rooms": {"A": 1, "B": "2"}}],
+     "[1].rooms[B]: "),
+]
+
+
+@pytest.mark.parametrize("flag, seed, at", MALFORMED_SEEDS,
+                         ids=[f"{flag}-seed{i}" for i, (flag, _, _) in enumerate(MALFORMED_SEEDS)])
+def test_malformed_seed_value_exits_two(tmp_path, flag, seed, at):
     path = tmp_path / "seed.json"
     path.write_text(json.dumps(seed))
     scenario = bundled.scenario_dir() / "invoice-preparation.json"
     code, output = run_cli("run", str(scenario), flag, str(path), "--out", str(tmp_path / "out"))
     assert code == 2
-    assert f"error: {flag[7:]} seed: expected " in output
+    assert f"error: {flag[7:]} seed: {at}expected " in output
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"name": "x", "commands": [{"op": "create_cart"}, {"op": 5}]},
+     "commands[1].op: expected string, got 5"),
+    ({"name": "x", "commands": [{"op": "create_cart", "args": []}]},
+     "commands[0].args: expected object, got []"),
+    ({"name": "x", "commands": [], "expectations": [{"query": "q", "expect": 1},
+                                                    {"query": "q", "expect": 1, "x": 1}]},
+     "expectations[1]: unexpected fields: ['x']"),
+], ids=["op", "args", "expectation-key"])
+def test_scenario_error_names_the_path(data, message):
+    with pytest.raises(ParseError) as raised:
+        parse_scenario(data, "s.json")
+    assert str(raised.value) == f"s.json: scenario: {message}"
+
+
+def test_policy_config_error_names_the_path():
+    config = {"billing_policies": [], "validation_rules": [
+        {"name": "m", "target": "Payment", "kind": "method-allowed", "methods": ["Card"]},
+        {"name": "n", "target": "Payment", "kind": "method-allowed", "methods": ["Card", 7]}]}
+    with pytest.raises(SchemaError) as raised:
+        RuleBook.from_config(config)
+    assert str(raised.value).startswith(
+        "policy config: validation_rules[1].methods[1]: expected one of [")
 
 
 def test_parse_scenario_rejects_unknown_keys():
