@@ -11,7 +11,6 @@ pinned.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 
@@ -210,8 +209,14 @@ class Engine:
 
     def replayed_state(self, records: list[EventRecord] | None = None) -> EngineState:
         """Rebuild state from the baseline plus event records — no business
-        logic runs; this is the independent oracle for dispatch."""
-        return replay(self.baseline(), self.state.log if records is None else records)
+        logic runs; this is the independent oracle for dispatch. With no
+        records, the log's records are written and read back in memory, so
+        the oracle checks the log writer and reader too."""
+        if records is None:
+            memo: dict = {}
+            records = [EventRecord.from_json_line(record.to_json_line(), memo)
+                       for record in self.state.log]
+        return replay(self.baseline(), records)
 
     def check_invariants(self) -> invariants_mod.InvariantReport:
         return invariants_mod.check_invariants(self)
@@ -221,23 +226,20 @@ class Engine:
         Path(path).write_text(text, encoding="utf-8")
 
 
-_DECODE_JSON = json.JSONDecoder().raw_decode
-
-
 def read_log(path) -> list[EventRecord]:
-    """The records of an ``events.jsonl`` file; ``SchemaError`` naming the
-    line for a line that is not exactly one record (blank lines are skipped)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data, end = _DECODE_JSON(line)
-                if end != len(line):
-                    raise SchemaError(f"text after the record at column {end + 1}")
-                records.append(EventRecord.from_dict(data))
-            except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as exc:
-                raise SchemaError(f"{path}:{line_number}: bad event record: {exc}")
+    """The records of an ``events.jsonl`` file, each put decoded into its
+    entity through one memo for this read (see ``derive_codec``). A line is
+    accepted only as ``write_log`` writes it: one record of ASCII JSON, then
+    a newline; empty lines are skipped. Anything else is a ``SchemaError``
+    naming the line and the error."""
+    records, memo = [], {}
+    for line_number, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+        if not line:
+            continue
+        try:
+            records.append(EventRecord.from_json_line(line.decode("ascii"), memo))
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                DomainError) as exc:
+            raise SchemaError(f"{path}:{line_number}: bad event record: "
+                              f"{type(exc).__name__}: {exc}") from None
     return records

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import linecache
 import types
 import typing
@@ -50,10 +51,11 @@ class Record:
     """Base of every entity and value dataclass.
 
     ``derive_codec`` gives each subclass ``to_dict`` (its JSON form),
-    ``from_dict`` (the inverse, with every value-domain check), ``decode``
-    (``from_dict`` within one replay, sharing frozen values through the
-    replay's memo) and ``clone`` (a copy whose containers can change
-    without touching the original), generated from the field declarations.
+    ``to_json`` (the text of that form in the log), ``from_dict`` (the
+    inverse, with every value-domain check), ``decode`` (``from_dict``
+    within one read of a log, sharing frozen values through the read's
+    memo) and ``clone`` (a copy whose containers can change without
+    touching the original), generated from the field declarations.
     The engine derives every stored entity class, and the records nested in
     it, when ``state`` is imported.
     """
@@ -231,21 +233,39 @@ def round_half_away(numerator: int, denominator: int) -> int:
 
 # --- the Record codec ------------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_SCAN = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, the one
+    encoder of the log, through a C scanner built once (``encode`` builds
+    one per call)."""
+    return _ENCODER.encode(value) if _SCAN is None else "".join(_SCAN(value, 0))
+
+
 _SHARED: dict[type, bool | None] = {}
 """Every derived Record class -> whether its ``clone`` returns the record
 itself (a frozen record with no mutable field); None while it is derived."""
 
 
 def derive_codec(cls: type) -> type:
-    """Generate ``to_dict``, ``from_dict`` and ``clone`` for a Record
-    dataclass from its field types, install them, and return the class.
+    """Generate ``to_dict``, ``to_json``, ``from_dict`` and ``clone`` for a
+    Record dataclass from its field types, install them, and return the class.
 
     Encoding per field type: ``EntityId`` -> ``kind:serial`` string;
     ``Quantity`` -> bare int; enum -> its value; ``set`` -> list sorted by
     encoded element; ``tuple`` (as a container element) -> list; ``list``
     and ``dict`` -> element-wise; nested Record -> dict; ``X | None`` ->
     ``null``; int, str and bool as they are. ``to_dict`` is one flat dict literal
-    (only a record nested in itself calls its ``to_dict``). Decoding requires each int,
+    (only a record nested in itself calls its ``to_dict``). ``to_json`` is
+    one f-string that writes the text ``json.dumps(to_dict(), sort_keys=True,
+    separators=(",", ":"))`` gives, byte for byte, with no dict in between
+    but a ``set``'s, a ``dict``'s or a tuple's form, which ``json_text``
+    writes: fields in name order, strings through the C string encoder, a
+    nested record inline (one call per record in a list or behind ``None``).
+    Decoding requires each int,
     str, bool, list and object to be exactly that JSON type (``SchemaError``
     otherwise) and goes back through each type's constructor (``EntityId.parse``, the
     enum, ``Quantity``, the record's ``__post_init__``), so every
@@ -257,7 +277,7 @@ def derive_codec(cls: type) -> type:
     Any other field type raises ``TypeError`` naming the field.
 
     ``decode(data, memo)`` is ``from_dict`` with a memo, a dict that lives
-    for one replay (``from_dict`` passes a new one). A record whose
+    for one read of a log (``from_dict`` passes a new one). A record whose
     ``clone`` returns itself is looked up there by the tuple of its JSON
     leaves in field order, nested records flattened, and built through its
     constructor only on a miss: each check runs once per distinct value,
@@ -275,6 +295,7 @@ def derive_codec(cls: type) -> type:
     _SHARED[cls] = None  # a record nested in itself is encoded by a call and cloned
     source = _CodecSource()
     encoded, decoded, copied = source.record(cls, "self", "data")
+    written = source.f_string(source.record_text(cls, "self"))
     names = [f.name for f in dataclasses.fields(cls)]
     frozen = cls.__dataclass_params__.frozen
     shared = frozen and copied == [f"self.{name}" for name in names]
@@ -291,10 +312,11 @@ def derive_codec(cls: type) -> type:
         f"        return value")
     namespace = dict(source.names, _cls=cls, _new=object.__new__, _set=object.__setattr__)
     run_generated(f"def to_dict(self):\n    return {encoded}\n"
+                  f"def to_json(self):\n    return {written}\n"
                   f"def decode(data, memo):\n    {decode}\n"
                   f"def from_dict(cls, data):\n    return decode(data, {{}})\n"
                   f"def clone(self):\n    {clone}\n", f"<codec {cls.__qualname__}>", namespace)
-    cls.to_dict, cls.clone = namespace["to_dict"], namespace["clone"]
+    cls.to_dict, cls.to_json, cls.clone = namespace["to_dict"], namespace["to_json"], namespace["clone"]
     cls.decode = staticmethod(namespace["decode"])
     cls.from_dict = classmethod(namespace["from_dict"])
     _SHARED[cls] = shared
@@ -313,12 +335,21 @@ def _wrong(value, expected: type):
     raise SchemaError(f"expected {expected.__name__}, got {value!r}")
 
 
+class _Lit(str):
+    """Literal JSON text among a generated writer's parts."""
+
+
+class _Int(str):
+    """A writer part whose value is an int; any other expression's is text."""
+
+
 class _CodecSource:
     """The expressions of one class's generated methods, and the names
     those expressions use."""
 
     def __init__(self):
-        self.names = {"Quantity": Quantity, "parse_id": EntityId.parse, "_wrong": _wrong}
+        self.names = {"Quantity": Quantity, "parse_id": EntityId.parse, "_wrong": _wrong,
+                      "_str": json.encoder.encode_basestring_ascii, "json_text": json_text}
         self._count = 0
 
     def _name(self, value, label: str = "") -> str:
@@ -392,6 +423,58 @@ class _CodecSource:
                     f"{self._exact(dict, d)}.items()}}",
                     f"dict({x})" if copy == v else f"{{{k}: {copy} for {k}, {v} in {x}.items()}}")
         raise TypeError(hint)
+
+    def record_text(self, cls: type, x: str) -> list[str]:
+        """The parts of the JSON text of ``x``, a ``cls`` record, its
+        fields in name order, as ``json.dumps(..., sort_keys=True)`` writes
+        them."""
+        hints, parts = typing.get_type_hints(cls), [_Lit("{")]
+        for f in sorted(dataclasses.fields(cls), key=lambda f: f.name):
+            parts += [_Lit(f'{"," if len(parts) > 1 else ""}"{f.name}":'),
+                      *self.text(hints[f.name], f"{x}.{f.name}")]
+        return parts + [_Lit("}")]
+
+    def text(self, hint, x: str) -> list[str]:
+        """The parts of the JSON text of ``x``, a value of type ``hint``."""
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+            return [f"('null' if {x} is None else {self.expr(args[args[0] is type(None)], x)})"]
+        if hint is int or hint is Quantity:
+            return [_Int(x if hint is int else f"{x}.value")]
+        if hint is bool:
+            return [f"('true' if {x} else 'false')"]
+        if hint is str or hint is EntityId:
+            return [f"_str({x})" if hint is str else f"_str({x}._text)"]
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            table = {member: json_text(member._value_) for member in hint}
+            return [f"{self._name(table, f'{hint.__name__}_json')}[{x}]"]
+        if isinstance(hint, type) and issubclass(hint, Record):
+            derive_codec(hint)
+            return [f"{x}.to_json()"] if _SHARED[hint] is None else self.record_text(hint, x)
+        if origin is list:
+            v, _, (enc, _, _) = self._element(args[0])
+            item = (f"json_text({enc})" if typing.get_origin(args[0]) is tuple
+                    else self.expr(args[0], v))
+            return [_Lit("["), f"','.join([{item} for {v} in {x}])", _Lit("]")]
+        return [f"json_text({self.expressions(hint, x, x)[0]})"]  # sorted as the encoder sorts
+
+    def expr(self, hint, x: str) -> str:
+        """An expression whose value is the JSON text of ``x``, a value of
+        type ``hint``: a record's is a call of its ``to_json``."""
+        if isinstance(hint, type) and issubclass(hint, Record) and _SHARED[derive_codec(hint)] is not None:
+            return f"{self._name(hint.to_json, f'{hint.__name__}_json')}({x})"
+        return " + ".join(f"'{part}'" if isinstance(part, _Lit) else
+                          f"str({part})" if isinstance(part, _Int) else part
+                          for part in self.text(hint, x))
+
+    @staticmethod
+    def f_string(parts: list[str]) -> str:
+        """One f-string of writer parts. Literal text is field names and
+        JSON punctuation, and no expression holds a quote ``"`` or a
+        backslash, so a literal needs only its quotes and braces escaped."""
+        return 'f"' + "".join(
+            part.replace('"', '\\"').replace("{", "{{").replace("}", "}}")
+            if isinstance(part, _Lit) else f"{{({part})}}" for part in parts) + '"'
 
     def leaves(self, cls: type, d: str) -> list[str] | None:
         """The memo key leaves of ``d``, a ``cls`` record (see ``derive_codec``),

@@ -19,9 +19,9 @@ from .shopping_cart import CartState
 from .state import KIND_TO_STORE, STORES
 from .stock_manager import ShopOrderStage, StockKind
 
-# stage name -> its position in the shop-order workflow
-_STAGE_RANK = {stage.value: rank for rank, stage in enumerate(ShopOrderStage)}
-_CREATED = ShopOrderStage.CREATED.value
+# stage -> its position in the shop-order workflow
+_STAGE_RANK = {stage: rank for rank, stage in enumerate(ShopOrderStage)}
+_CREATED = ShopOrderStage.CREATED
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,7 @@ class _Checker:
         stage_jumps: list[Violation] = []
         rewrites: list[Violation] = []
         stages: dict = {}  # shop order id -> its last stage
-        notes: dict = {}   # notification id -> the data of its last put
+        notes: dict = {}   # notification id -> the entity of its last put
         previous_tick = 0
         for index, record in enumerate(self.state.log, start=1):
             seq, tick = record.seq, record.tick
@@ -435,17 +435,17 @@ class _Checker:
                 if store == "shop_orders":
                     if fact.get("f") != "put":
                         continue
-                    entity, stage = fact["id"], fact["data"]["stage"]
+                    entity, stage = fact["id"], fact["data"].stage
                     previous = stages.get(entity)
                     if previous is None:
-                        if stage != _CREATED:
+                        if stage is not _CREATED:
                             stage_jumps.append(Violation(
                                 "shop-order-stage-monotone", str(entity),
-                                f"first stage was {stage}"))
+                                f"first stage was {stage.value}"))
                     elif _STAGE_RANK[stage] - _STAGE_RANK[previous] not in (0, 1):
                         stage_jumps.append(Violation(
                             "shop-order-stage-monotone", str(entity),
-                            f"stage jumped {previous} -> {stage}"))
+                            f"stage jumped {previous.value} -> {stage.value}"))
                     stages[entity] = stage
                 elif store == "notifications":
                     if fact.get("f") != "put":

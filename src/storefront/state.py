@@ -1,12 +1,21 @@
 """Engine state: one store per entity kind, serial counters, the logical
 clock, and the append-only event log.
 
-Commands mutate state only through a ``Txn``, which snapshots each entity
-before its first mutation. On success the transaction emits *facts* — full
-entity snapshots plus serial-counter updates — which become the event
-record's deltas; on failure it restores every touched entity, so an
-errored command contributes zero deltas. Replaying the facts alone (no
-business logic) reproduces the live state exactly.
+Commands mutate state only through a ``Txn``, which copies on write: the
+first ``get_mut`` of an entity installs a clone in the store and keeps the
+untouched original for rollback, so an entity a committed transaction left
+in a store is never mutated again. On success the transaction emits
+*facts* — a put carrying each created or changed entity object itself,
+plus serial-counter updates — which become the event record's deltas; on
+failure it restores every touched entity, so an errored command
+contributes zero deltas. A put's JSON exists only in the log file, written
+by the entity's ``to_json`` and decoded back into an entity on reading.
+Replaying the facts alone (no business logic) reproduces the live state.
+
+The rule for domain code: mutate an entity only through the object
+``Txn.get_mut`` returned (or ``Txn.create`` stored) in the same
+transaction. Changing an entity read from a store rewrites the records
+that hold it.
 """
 
 from __future__ import annotations
@@ -14,10 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _str
 from types import MappingProxyType
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .foundation import DomainError, EntityId, Quantity, Record, SchemaError, derive_codec
+from .foundation import DomainError, EntityId, Quantity, Record, SchemaError, derive_codec, json_text
 
 # store name -> (entity kind, entity class)
 STORES = {
@@ -94,8 +104,54 @@ def _json_key(key) -> str:
 # record fields kept as raw JSON -> the JSON types each may hold
 _RAW_FIELD_TYPES = {"command": (str,), "payload": (dict,), "access": (dict,),
                     "outcome": (str,), "error": (str, type(None)), "deltas": (list,)}
-# the one encoder of every log line; a record holds no cycle to check for
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_DECODE_JSON = json.JSONDecoder().raw_decode
+# id(access dict) -> (the dict, its text): a decision's dict is shared by
+# its records (``AccessDecision.as_dict``) and never mutated
+_ACCESS_TEXT: dict[int, tuple[dict, str]] = {}
+
+
+def _access_text(access: dict) -> str:
+    hit = _ACCESS_TEXT.get(id(access))
+    if hit is not None and hit[0] is access:
+        return hit[1]
+    if len(_ACCESS_TEXT) >= 1024:  # records read back hold a dict each
+        _ACCESS_TEXT.clear()
+    text = json_text(access)
+    _ACCESS_TEXT[id(access)] = (access, text)
+    return text
+
+
+def _fact_text(fact: dict) -> str:
+    if fact["f"] == "put":
+        return (f'{{"data":{fact["data"].to_json()},"f":"put","id":{_str(fact["id"])},'
+                f'"store":{_str(fact["store"])}}}')
+    return f'{{"f":"serial","kind":{_str(fact["kind"])},"value":{fact["value"]}}}'
+
+
+def _decode_fact(fact, memo: dict) -> dict:
+    """A fact read from the log, its put's data decoded through ``memo``
+    (see ``derive_codec``) into the entity. A fact the engine could not have
+    written is a ``DomainError``: another kind or store, a serial that is not
+    an int for a stored kind, a put of an entity with another id or kind."""
+    kind = fact["f"]
+    if kind == "put":
+        store = fact["store"]
+        put = _PUTS.get(store)
+        if put is None:
+            raise UnknownFactKind(f"no store named {store!r}")
+        entity_id = EntityId.parse(fact["id"])
+        entity = fact["data"] = put[1](fact["data"], memo)
+        if entity.id is not entity_id or entity_id.kind != put[0]:
+            raise SchemaError(f"put of {entity_id} to store {store!r} holds entity {entity.id}")
+    elif kind == "serial":
+        entity_kind, value = fact["kind"], fact["value"]
+        if (value.__class__ is not int or entity_kind.__class__ is not str
+                or entity_kind not in KIND_TO_STORE):
+            raise SchemaError(f"serial fact needs an int value for a stored kind: "
+                              f"{entity_kind!r}, {value!r}")
+    else:
+        raise UnknownFactKind(f"unsupported fact {kind!r}")
+    return fact
 
 
 @dataclass(slots=True)
@@ -103,7 +159,8 @@ class EventRecord:
     """One dispatched command: what was attempted, decided, and changed.
 
     ``deltas`` is empty for denied, errored, and read-only commands; replay
-    applies deltas and nothing else.
+    applies deltas and nothing else. A put fact's ``data`` is the entity
+    itself, live and read back alike.
     """
 
     seq: int
@@ -118,6 +175,7 @@ class EventRecord:
     deltas: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The JSON form of the record, each put's entity as its ``to_dict``."""
         return {
             "seq": self.seq,
             "tick": self.tick,
@@ -128,14 +186,26 @@ class EventRecord:
             "outcome": self.outcome,
             "error": self.error,
             "result": self.result,
-            "deltas": self.deltas,
+            "deltas": [{**fact, "data": fact["data"].to_dict()} if fact["f"] == "put"
+                       else fact for fact in self.deltas],
         }
 
     def to_json_line(self) -> str:
-        return _ENCODER.encode(self.to_dict())
+        """The log line: ``to_dict()`` as sorted compact JSON, each put
+        written by its entity's ``to_json``, with no dict built."""
+        deltas, error, result = self.deltas, self.error, self.result
+        return (f'{{"access":{_access_text(self.access)},"actor":{_str(self.actor._text)},'
+                f'"command":{_str(self.command)},'
+                f'"deltas":[{",".join([_fact_text(fact) for fact in deltas]) if deltas else ""}],'
+                f'"error":{"null" if error is None else _str(error)},'
+                f'"outcome":{_str(self.outcome)},"payload":{json_text(self.payload)},'
+                f'"result":{"null" if result is None else json_text(result)},'
+                f'"seq":{self.seq},"tick":{self.tick}}}')
 
     @classmethod
-    def from_dict(cls, data: dict) -> EventRecord:
+    def from_dict(cls, data: dict, memo: dict | None = None) -> EventRecord:
+        """The record of a parsed log line, its facts decoded through
+        ``memo`` (a new one when None)."""
         command, payload, access = data["command"], data["payload"], data["access"]
         outcome, error, deltas = data["outcome"], data["error"], data["deltas"]
         if (command.__class__ is not str or payload.__class__ is not dict
@@ -149,8 +219,20 @@ class EventRecord:
         seq, tick = data["seq"], data["tick"]
         if seq.__class__ is not int or tick.__class__ is not int:
             raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
+        if deltas:
+            memo = {} if memo is None else memo
+            deltas = [_decode_fact(fact, memo) for fact in deltas]
         return cls(seq, tick, EntityId.parse(data["actor"]), command, payload, access,
                    outcome, error, data["result"], deltas)
+
+    @classmethod
+    def from_json_line(cls, line: str, memo: dict) -> EventRecord:
+        """The record of one log line, without its newline; the text must
+        be exactly one JSON object."""
+        data, end = _DECODE_JSON(line)
+        if end != len(line):
+            raise SchemaError(f"text after the record at column {end + 1}")
+        return cls.from_dict(data, memo)
 
 
 @dataclass
@@ -167,10 +249,11 @@ class EngineState:
         return self.stores[store].get(entity_id)
 
     def clone_without_log(self) -> EngineState:
-        stores = {name: {eid: entity.clone() for eid, entity in store.items()}
-                  for name, store in self.stores.items()}
-        return EngineState(stores=stores, serials=dict(self.serials),
-                           clock=self.clock)
+        """A copy whose stores can change without touching these: the
+        store dicts are copied, the entities shared, since a committed
+        entity is never mutated."""
+        return EngineState(stores={name: dict(store) for name, store in self.stores.items()},
+                           serials=dict(self.serials), clock=self.clock)
 
     def to_dict(self) -> dict:
         """Canonical full-state snapshot (log excluded) for oracle equality."""
@@ -191,7 +274,8 @@ _UNWRITTEN = MappingProxyType({})  # a Txn's bookkeeping until its first write
 class Txn:
     """Mutation scope of one command; see the module docstring. ``_originals``
     maps each touched ``(store, id)``, in first-touch order, to its pre-image
-    clone, or to None for an entity this transaction created."""
+    (the entity the store held before the first ``get_mut``), or to None for
+    an entity this transaction created."""
 
     __slots__ = ("state", "_originals", "_serials_before")
 
@@ -215,15 +299,18 @@ class Txn:
         self._originals[store, entity.id] = None
 
     def get_mut(self, store: str, entity_id: EntityId, missing_error):
-        """Fetch an entity for mutation, snapshotting it once for rollback."""
-        entity = self.state.stores[store].get(entity_id)
+        """The entity to mutate: on its first touch in this transaction, a
+        clone that replaces it in the store, the original kept for rollback."""
+        entities = self.state.stores[store]
+        entity = entities.get(entity_id)
         if entity is None:
             raise missing_error(f"no {store[:-1].replace('_', ' ')} {entity_id}")
         key = (store, entity_id)
         if key not in self._originals:
             if self._originals is _UNWRITTEN:
                 self._originals = {}
-            self._originals[key] = entity.clone()
+            self._originals[key] = entity
+            entity = entities[entity_id] = entity.clone()
         return entity
 
     def rollback(self) -> None:
@@ -245,40 +332,26 @@ class Txn:
         for kind in sorted(self._serials_before):
             deltas.append({"f": "serial", "kind": kind,
                            "value": self.state.serials[kind]})
+        stores = self.state.stores
         for store, entity_id in self._originals:
-            entity = self.state.stores[store][entity_id]
             deltas.append({"f": "put", "store": store, "id": entity_id._text,
-                           "data": entity.to_dict()})
+                           "data": stores[store][entity_id]})
         return deltas
 
 
-def apply_fact(state: EngineState, fact: dict, memo: dict | None = None) -> None:
-    """Replay one delta: a mechanical write, no business logic.
-
-    A fact the engine could not have written is a ``SchemaError``: a serial
-    that is not an int for a stored kind, or a put whose entity has another
-    id than the fact, or an id of another kind than the store's. ``memo``
-    is the replay's (see ``derive_codec``); without one, the put's frozen
-    values are shared with nothing.
-    """
+def apply_fact(state: EngineState, fact: dict) -> None:
+    """Replay one delta, in its in-memory form (``_decode_fact`` checked it
+    when it was read): install the put's entity, or set the serial. A
+    mechanical write, no business logic."""
     kind = fact.get("f")
     if kind == "put":
-        store = fact["store"]
-        put = _PUTS.get(store)
-        if put is None:
-            raise UnknownFactKind(f"no store named {store!r}")
-        entity_id = EntityId.parse(fact["id"])
-        entity = put[1](fact["data"], {} if memo is None else memo)
-        if entity.id != entity_id or entity_id.kind != put[0]:
-            raise SchemaError(f"put of {entity_id} to store {store!r} holds entity {entity.id}")
-        state.stores[store][entity_id] = entity
+        store = state.stores.get(fact["store"])
+        if store is None:
+            raise UnknownFactKind(f"no store named {fact['store']!r}")
+        entity = fact["data"]
+        store[entity.id] = entity
     elif kind == "serial":
-        entity_kind, value = fact["kind"], fact["value"]
-        if (value.__class__ is not int or entity_kind.__class__ is not str
-                or entity_kind not in KIND_TO_STORE):
-            raise SchemaError(f"serial fact needs an int value for a stored kind: "
-                              f"{entity_kind!r}, {value!r}")
-        state.serials[entity_kind] = value
+        state.serials[fact["kind"]] = fact["value"]
     else:
         raise UnknownFactKind(f"unsupported fact {kind!r}")
 
@@ -288,11 +361,9 @@ def replay(initial: EngineState, records: list[EventRecord]) -> EngineState:
 
     The initial state is the seeded baseline; the result carries the
     replayed records as its log so it compares whole against a live state.
-    Each distinct frozen value of the facts is built once, through the
-    memo of this call; the memo is dropped when the call returns.
+    The entities are the records' own: replay copies store dicts, no entity.
     """
     state = initial.clone_without_log()
-    memo: dict = {}
     expected_seq = 1
     for record in records:
         if record.seq != expected_seq:
@@ -301,7 +372,7 @@ def replay(initial: EngineState, records: list[EventRecord]) -> EngineState:
         expected_seq += 1
         try:
             for fact in record.deltas:
-                apply_fact(state, fact, memo)
+                apply_fact(state, fact)
         except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
             raise SchemaError(f"seq {record.seq}: bad fact: "
                               f"{type(exc).__name__}: {exc}") from exc

@@ -1,6 +1,7 @@
 """Shared lookups and builders for driving a seeded engine in tests."""
 
 import sys
+import tempfile
 from pathlib import Path
 
 from storefront import SYSTEM, DomainError, Engine
@@ -62,9 +63,46 @@ def validated_invoice(engine: Engine, customer: str, items=((1000, 1), (500, 1))
     return invoice
 
 
-def bench_engines(seed: int = 3, scale: float = 0.05) -> list[Engine]:
+class LinesAtAppend(list):
+    """An engine's log that keeps the log line of each record as it was
+    when the record was appended."""
+
+    def __init__(self, records=()):
+        super().__init__(records)
+        self.lines = [record.to_json_line() for record in records]
+
+    def append(self, record) -> None:
+        super().append(record)
+        self.lines.append(record.to_json_line())
+
+
+def keep_lines_at_append(engine: Engine) -> Engine:
+    """Make ``engine`` keep each record's line as it was appended, for
+    ``assert_no_record_rewritten``."""
+    engine.state.log = LinesAtAppend(engine.state.log)
+    return engine
+
+
+def assert_no_record_rewritten(engine: Engine) -> None:
+    """Each record's line when it was appended equals its line in the
+    final ``write_log``. A put carries the entity object itself, so a
+    domain function that mutates an entity it did not get through
+    ``Txn.get_mut`` rewrites the earlier records that hold it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        engine.write_log(path)
+        written = path.read_text(encoding="utf-8").splitlines()
+    at_append = engine.state.log.lines
+    assert len(written) == len(at_append)
+    for seq, (then, now) in enumerate(zip(at_append, written), start=1):
+        assert now == then, f"record {seq} was rewritten after it was appended"
+
+
+def bench_engines(seed: int = 3, scale: float = 0.05, keep_lines: bool = False) -> list[Engine]:
     """The engine left by a short run of each dispatch workload of the
-    benchmark: its set-up, then every command its client sends."""
+    benchmark: its set-up, then every command its client sends. With
+    ``keep_lines``, each engine keeps its lines at append (see
+    ``keep_lines_at_append``) from its first command on."""
     if str(BENCH) not in sys.path:
         sys.path.append(str(BENCH))
     from workloads import DISPATCH_WORKLOADS
@@ -72,6 +110,8 @@ def bench_engines(seed: int = 3, scale: float = 0.05) -> list[Engine]:
     engines = []
     for name, (setup, client_fn) in DISPATCH_WORKLOADS.items():
         prepared, failures = setup(seed, scale), []
+        if keep_lines:
+            keep_lines_at_append(prepared.engine)
         client = client_fn(prepared, failures.append)
         try:
             actor, command, args, _ = next(client)

@@ -11,7 +11,13 @@ import random
 import time
 from collections import Counter
 
-from helpers import new_customer, new_employee, product_id
+from helpers import (
+    assert_no_record_rewritten,
+    keep_lines_at_append,
+    new_customer,
+    new_employee,
+    product_id,
+)
 from storefront import (
     SYSTEM,
     DomainError,
@@ -465,12 +471,13 @@ def test_c8_oracle_equivalence_and_determinism():
     for path in bundled.scenario_files():
         logs = []
         for _ in range(2):
-            engine = fresh_engine(rbac=default_matrix())
+            engine = keep_lines_at_append(fresh_engine(rbac=default_matrix()))
             report = run_scenario(engine, load_scenario(path))
             if not report.ok:
                 mismatches.append(f"{path.stem}: scenario failed")
             if engine.replayed_state().to_dict() != engine.state.to_dict():
                 mismatches.append(f"{path.stem}: replay differs")
+            assert_no_record_rewritten(engine)
             logs.append("".join(r.to_json_line() + "\n"
                                 for r in engine.state.log).encode())
         if logs[0] != logs[1]:

@@ -1,15 +1,18 @@
 """The Record codec: every entity round-trips through its JSON form, which
-the flat generated encoder builds as a reference nested encoder does, a
-clone shares no mutable container with its original, a decode shares each
-frozen value through its memo, and a field type the codec cannot encode is
-refused when the codec is derived."""
+the flat generated encoder builds as a reference nested encoder does, the
+generated writer writes that form's sorted compact JSON text byte for
+byte, a clone shares no mutable container with its original, a decode
+shares each frozen value through its memo, and a field type the codec
+cannot encode is refused when the codec is derived."""
 
+import json
 import types
 import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import assert_plain_json, bench_engines
 from storefront import EntityId, Money, Quantity, bundled, default_matrix, load_scenario, run_scenario
@@ -99,6 +102,78 @@ def test_flat_encoder_matches_the_reference_encoder(entities):
         assert_plain_json(encoded, store)
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_writer_writes_the_sorted_compact_dump(entities):
+    for store, entity in entities:
+        assert entity.to_json() == _dumps(entity.to_dict()), store
+
+
+# strings that need escapes, including lone surrogates, which JSON writes as
+# \u escapes; ids whose text order differs from serial order
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.lists(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+                              "\ud800", "\udfff", "\U0001d11e", "a", ":"]),
+             max_size=6).map("".join))
+_INTS = st.one_of(st.integers(), st.sampled_from([-1, -(2 ** 63), 2 ** 64, 10 ** 30]))
+_IDS = st.builds(EntityId, st.sampled_from(["stockroom", "customer", "product", "stock_item"]),
+                 st.one_of(st.sampled_from([1, 2, 9, 10, 11, 20, 100]),
+                           st.integers(-5, 10 ** 12)))
+
+
+def _values(hint):
+    """A strategy for every value of ``hint``; a record is built with no
+    ``__init__``, so the writer meets values no domain check would let
+    through."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return st.none() | _values(inner)
+    if hint is int:
+        return _INTS
+    if hint is str:
+        return _TEXT
+    if hint is bool:
+        return st.booleans()
+    if hint is EntityId:
+        return _IDS
+    if hint is Quantity:
+        return st.integers(0, 10 ** 20).map(Quantity)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return st.sampled_from(list(hint))
+    if isinstance(hint, type) and issubclass(hint, Record):
+        hints = typing.get_type_hints(hint)
+        return st.fixed_dictionaries({f.name: _values(hints[f.name]) for f in fields(hint)}).map(
+            lambda values: _bare(hint, values))
+    if origin is list:
+        return st.lists(_values(args[0]), max_size=4)
+    if origin is set:
+        return st.sets(_values(args[0]), max_size=4)
+    if origin is dict:
+        return st.dictionaries(_values(args[0]), _values(args[1]), max_size=4)
+    if origin is tuple:
+        return st.tuples(*map(_values, args))
+    raise AssertionError(hint)
+
+
+def _bare(cls, values):
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_writer_matches_the_dump_of_every_drawn_entity(data):
+    for store, (_, cls) in sorted(STORES.items()):
+        entity = data.draw(_values(cls), label=store)
+        assert entity.to_json() == _dumps(entity.to_dict()), store
+
+
 def _containers(record):
     """Every set, list and dict the record holds, in nested mutable records
     too (``StockItem.inventory.by_room``)."""
@@ -137,6 +212,7 @@ def test_encoding_rules_on_a_sample_record():
                      {EntityId("customer", 9), EntityId("customer", 10)},
                      {"a": [EntityId("customer", 1)]})
     encoded = sample.to_dict()
+    assert sample.to_json() == _dumps(encoded)
     assert encoded == {"pairs": [["product:2", 3]],
                        "members": ["customer:10", "customer:9"],  # by encoded string
                        "groups": {"a": ["customer:1"]}, "price": None}
@@ -176,6 +252,7 @@ def test_a_record_nested_in_itself_derives_and_round_trips():
                  parent=_Tree("up", EntityId("customer", 4)))
     encoded = tree.to_dict()
     assert encoded == _reference(tree, _Tree)
+    assert tree.to_json() == _dumps(encoded)
     assert encoded["children"][0] == {"label": "leaf", "owner": "customer:2", "children": [],
                                       "parent": None, "price": {"amount": 5, "currency": "USD"}}
     assert_plain_json(encoded)

@@ -1,12 +1,14 @@
 """Dispatch mechanics, the event log, the replay oracle, and the
 invariant checker."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from helpers import (
+    assert_no_record_rewritten,
     assert_plain_json,
     bench_engines,
     catalog_id,
@@ -161,10 +163,20 @@ def test_fresh_seeded_state_has_zero_violations(eng):
     assert report.checked >= 15
 
 
+def plant(engine, store: str, entity_id, **changes):
+    """Replace a stored entity with a copy carrying ``changes``, as a
+    command would: the object the store held, which the log and the
+    baseline may share, stays as it was."""
+    entities = engine.state.stores[store]
+    entities[entity_id] = dataclasses.replace(entities[entity_id], **changes)
+    return entities[entity_id]
+
+
 def test_planted_fault_reserved_above_on_hand(eng):
-    item = eng.state.stores["stock_items"][
-        EntityId.parse(stock_item_id(eng, "widget-frame"))]
-    item.inventory.reserved = item.inventory.on_hand + 5
+    item_id = EntityId.parse(stock_item_id(eng, "widget-frame"))
+    inventory = eng.state.stores["stock_items"][item_id].inventory
+    item = plant(eng, "stock_items", item_id, inventory=dataclasses.replace(
+        inventory, reserved=inventory.on_hand + 5))
     report = eng.check_invariants()
     flagged = [v for v in report.violations
                if v.invariant == "stock-conservation"]
@@ -174,7 +186,8 @@ def test_planted_fault_reserved_above_on_hand(eng):
 def test_planted_fault_similarity_asymmetry(eng):
     a = EntityId.parse(product_id(eng, "WidgetA"))
     b = EntityId.parse(product_id(eng, "Gadget"))
-    eng.state.stores["products"][a].similar.add(b)  # one-sided edit
+    # a one-sided edit
+    plant(eng, "products", a, similar=eng.state.stores["products"][a].similar | {b})
     report = eng.check_invariants()
     assert any(v.invariant == "product-similarity" for v in report.violations)
 
@@ -185,8 +198,9 @@ def test_planted_fault_separation_of_duty(eng):
     invoice = eng.execute(clerk, "create_invoice", creator=clerk,
                           customer=customer)["invoice"]
     entity = eng.state.stores["invoices"][EntityId.parse(invoice)]
-    entity.validated_by = entity.created_by  # forbidden by construction
-    entity.state = entity.state.__class__("Validated")
+    # forbidden by construction
+    plant(eng, "invoices", entity.id, validated_by=entity.created_by,
+          state=entity.state.__class__("Validated"))
     report = eng.check_invariants()
     assert any(v.invariant == "invoice-separation-of-duty"
                for v in report.violations)
@@ -241,6 +255,15 @@ def test_every_command_result_is_plain_json(logged_engines):
                 ok.add(record.command)
                 assert_plain_json(record.result, record.command)
     assert ok == set(COMMANDS)
+
+
+def test_no_record_is_rewritten_by_a_later_command():
+    """A short run of each dispatch workload of the benchmark: every
+    record's line when it was appended is its line in the final log."""
+    engines = bench_engines(keep_lines=True)
+    assert len(engines) == 2
+    for engine in engines:
+        assert_no_record_rewritten(engine)
 
 
 def test_log_line_is_the_sorted_compact_json_dump(logged_engines):

@@ -1,9 +1,11 @@
 """Per-command cost stays flat as state grows: the commands of a purchase
 session read derived values from the entities that own them instead of
-walking whole stores; an id text is parsed once however often it recurs,
-and a replay builds each distinct frozen value once. Deterministic: it
-counts walks, parses and constructions, not time."""
+walking whole stores; a commit builds no snapshot and clones only what it
+changes; an id text is parsed once however often it recurs, and a read of
+the log builds each distinct frozen value once. Deterministic: it counts
+walks, calls, parses and constructions, not time."""
 
+import json
 import sys
 from collections import Counter
 
@@ -22,6 +24,7 @@ PRODUCTS = 8  # the last one is a service: no stock item
 WATCHED = ("payments", "shipments", "stock_items")
 # the frozen records whose clone returns the record itself
 FROZEN = (Money, CartItem, InvoiceItem, ShippedItem, ProductInfo)
+STORE_OF = {cls: store for store, (_, cls) in STORES.items()}
 
 
 class CountingStore(dict):
@@ -161,7 +164,7 @@ def test_replay_builds_each_frozen_value_once(tmp_path, monkeypatch):
                  lambda actor, command, **args: engine.dispatch(actor, command, args).result)
     path = tmp_path / "events.jsonl"
     engine.write_log(path)
-    records = read_log(path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
 
     built = Counter()
     for cls in FROZEN:
@@ -173,23 +176,25 @@ def test_replay_builds_each_frozen_value_once(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting_init)
 
     # decoded one put at a time, with nothing shared between puts
-    for record in records:
-        for fact in record.deltas:
+    for line in lines:
+        for fact in line["deltas"]:
             if fact["f"] == "put":
                 STORES[fact["store"]][1].from_dict(fact["data"])
     one_by_one = sum(built.values())
     built.clear()
 
-    replayed = engine.replayed_state(records)
-    assert replayed.to_dict() == engine.state.to_dict()
+    # reading the log decodes its puts, through one memo
+    records = read_log(path)
     first = Counter(built)
     assert {type(value) for value in first} == set(FROZEN)
     assert max(first.values()) == 1
     assert sum(first.values()) < one_by_one / 2  # the log repeats its values
-
-    # the memo does not outlive a replay: the next one builds each value again
     built.clear()
-    engine.replayed_state(records)
+    assert engine.replayed_state(records).to_dict() == engine.state.to_dict()
+    assert built == Counter()  # replay installs the entities read, and builds none
+
+    # the memo does not outlive a read: the next one builds each value again
+    read_log(path)
     assert built == first
 
 
@@ -241,3 +246,69 @@ def test_the_envelope_runs_no_python_frame_for_ids_errors_or_bookkeeping():
             txn, = txns
             assert list(txn._originals) == [("stock_items", item)]
             assert txn._serials_before is _UNWRITTEN
+
+
+def _profiled(engine, actor, command, args):
+    """Dispatch one command under ``sys.setprofile``; its record, and the
+    (code name, ``self``) of every Python call it made."""
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append((frame.f_code.co_name, frame.f_locals.get("self")))
+    sys.setprofile(profile)
+    try:
+        record = engine.dispatch(actor, command, args)
+    finally:
+        sys.setprofile(None)
+    return record, frames
+
+
+def test_a_commit_builds_no_snapshot_and_clones_each_changed_entity_once():
+    """A put carries the committed entity itself: a successful command
+    calls no entity's ``to_dict``, and clones each entity that existed
+    before it and that it changed exactly once, when it first touches it."""
+    engine, products = shop_engine()
+    entity_classes = tuple(cls for _, cls in STORES.values())
+    validator = engine.execute(SYSTEM, "create_employee", name="Vik")["employee"]
+    customer = engine.execute(SYSTEM, "create_customer", name="c", loyalty_member=False,
+                              roles=["Shopper"])["customer"]
+    cart = engine.execute(customer, "create_cart", customer=customer)["cart"]
+    for product in products[:4]:  # four products with a stock item each
+        engine.execute(customer, "add_item", cart=cart, product=product, qty=2)
+    checkout = engine.execute(customer, "checkout", cart=cart)
+    engine.execute(validator, "validate_invoice", validator=validator,
+                   invoice=checkout["invoice"], rules=["nonempty-items"])
+    payment = engine.execute(customer, "record_payment", customer=customer,
+                             invoice=checkout["invoice"], amount=1, method="Card")["payment"]
+    commands = [
+        (validator, "validate_payment", {"validator": validator, "payment": payment,
+                                         "rules": ["amount-positive"]},
+         [("payments", payment), ("invoices", checkout["invoice"])]),
+        (SYSTEM, "create_shipment", {"order": checkout["order"], "receiver": customer,
+                                     "items": [{"product": p, "qty": 1} for p in products[:4]]},
+         [("stock_items", str(engine.state.stores["products"][EntityId.parse(p)].stock_item))
+          for p in products[:4]] + [("orders", checkout["order"])]),
+    ]
+    for actor, command, args, changed in commands:
+        before = {store: dict(entities) for store, entities in engine.state.stores.items()}
+        record, frames = _profiled(engine, actor, command, args)
+        assert record.outcome == "ok"
+        # the only to_dict calls are the parser's, for the payload of the
+        # shipped items: none builds a snapshot of an entity
+        encoded = [owner for name, owner in frames if name == "to_dict"]
+        assert [type(owner) for owner in encoded] == (
+            [ShippedItem] * len(args["items"]) if "items" in args else []), command
+        cloned = [owner for name, owner in frames
+                  if name == "clone" and isinstance(owner, entity_classes)]
+        assert len(cloned) == len(changed), command
+        assert [id(entity) for entity in cloned] == [
+            id(before[store][EntityId.parse(entity_id)]) for store, entity_id in changed]
+        puts = [fact for fact in record.deltas if fact["f"] == "put"]
+        for fact in puts:
+            assert fact["data"] is engine.state.stores[fact["store"]][fact["data"].id]
+        # the originals stay as they were: the baseline and older records hold them
+        for entity in cloned:
+            assert before[STORE_OF[type(entity)]][entity.id] is entity
+            assert engine.state.stores[STORE_OF[type(entity)]][entity.id] is not entity
+    assert len(puts) == 7

@@ -14,6 +14,7 @@ from helpers import new_customer, new_employee, product_id, validated_invoice
 from storefront import SYSTEM, EntityId, Money, Quantity
 from storefront.foundation import CurrencyMismatch
 from storefront.invariants import _CHECKS
+from storefront.stock_manager import ShopOrderStage
 
 from conftest import fresh_engine
 
@@ -31,6 +32,13 @@ def record_of(engine, command: str, nth: int = 0):
 def put_of(record, store: str) -> dict:
     (fact,) = [f for f in record.deltas if f["f"] == "put" and f["store"] == store]
     return fact
+
+
+def restage(record, stage: str) -> None:
+    """Make the record's shop-order put carry ``stage``: a new entity in
+    the fact, as a tampered log line would decode to."""
+    fact = put_of(record, "shop_orders")
+    fact["data"] = dataclasses.replace(fact["data"], stage=ShopOrderStage(stage))
 
 
 def test_sixteen_checks():
@@ -107,7 +115,7 @@ def test_deltas_without_allow():
 
 def test_first_stage_other_than_created():
     engine = shop_order_engine()
-    put_of(record_of(engine, "create_shop_order"), "shop_orders")["data"]["stage"] = "Cut"
+    restage(record_of(engine, "create_shop_order"), "Cut")
     assert violations(engine) == [
         ("shop-order-stage-monotone", "shop_order:1", "first stage was Cut"),
     ]
@@ -115,7 +123,7 @@ def test_first_stage_other_than_created():
 
 def test_stage_jump_created_to_picked():
     engine = shop_order_engine()
-    put_of(record_of(engine, "cut_shop_order"), "shop_orders")["data"]["stage"] = "Picked"
+    restage(record_of(engine, "cut_shop_order"), "Picked")
     assert violations(engine) == [
         ("shop-order-stage-monotone", "shop_order:1", "stage jumped Created -> Picked"),
     ]
@@ -123,7 +131,7 @@ def test_stage_jump_created_to_picked():
 
 def test_stage_moving_backwards():
     engine = shop_order_engine()
-    put_of(record_of(engine, "pick_components"), "shop_orders")["data"]["stage"] = "Created"
+    restage(record_of(engine, "pick_components"), "Created")
     assert violations(engine) == [
         ("shop-order-stage-monotone", "shop_order:1", "stage jumped Cut -> Created"),
     ]
@@ -154,7 +162,8 @@ def test_rewritten_notification():
     last = record_of(engine, "update_product", 1)
     # the same put again is not a rewrite; a changed one is
     last.deltas.append(dict(first))
-    last.deltas.append({**first, "data": {**first["data"], "change_summary": "nothing"}})
+    last.deltas.append({**first, "data": dataclasses.replace(first["data"],
+                                                             change_summary="nothing")})
     assert violations(engine) == [
         ("notification-append-only", "notification:1", "notification was rewritten"),
     ]

@@ -1,6 +1,8 @@
 """Order placement, cancellation, and shipment fulfillment with
 substitutions, partiality, and per-shipment invoicing."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,10 +45,10 @@ def test_checkout_order_carries_source_cart(eng):
     direct = eng.execute(customer, "place_order", customer=customer,
                          lines=[{"product": product_id(eng, "WidgetA"), "qty": 1}])
 
-    # field check against the event log, not just live state
+    # field check against the event log's lines, not just live state
     by_id = {}
     for record in eng.state.log:
-        for fact in record.deltas:
+        for fact in json.loads(record.to_json_line())["deltas"]:
             if fact["f"] == "put" and fact["store"] == "orders":
                 by_id[fact["id"]] = fact["data"]
     assert by_id[checked_out["order"]]["source_cart"] == cart

@@ -491,8 +491,21 @@ def _edit_first_fact(log, f, edit):
 
 def _edit_line(log, edit):
     """Replace the first line of the log with ``edit(line)``."""
-    first, rest = log.read_text().split("\n", 1)
-    log.write_text(edit(first) + "\n" + rest)
+    first, rest = log.read_text(encoding="utf-8").split("\n", 1)
+    log.write_text(edit(first) + "\n" + rest, encoding="utf-8")
+
+
+# the first line framed as the log writer never writes it: each of these
+# characters is whitespace to ``str.strip``, and ``\r`` ends a line in
+# universal-newline reading
+MISFRAMED = [
+    lambda line: "\u00a0" + line,
+    lambda line: line + "\x1f",
+    lambda line: line + "\r",
+    # the writer escapes every character outside ASCII
+    lambda line: line.replace('"actor":"system:0"', '"actor":"system:0","note":"\u00e9"', 1),
+]
+MISFRAMED_IDS = ["leading-nbsp", "trailing-unit-separator", "crlf-ending", "raw-non-ascii"]
 
 
 @pytest.mark.parametrize("malform", [
@@ -530,6 +543,9 @@ def _edit_line(log, edit):
     lambda log: _edit_last_put(log, "carts", lambda d: d.update(state="open")),
     lambda log: _edit_last_put(log, "carts", lambda d: d.update(state=["Open"])),
     lambda log: _edit_line(log, lambda line: line + " {}"),
+    *[lambda log, edit=edit: _edit_line(log, edit) for edit in MISFRAMED[:3]],
+    # deeper than the JSON decoder recurses
+    lambda log: _edit_line(log, lambda line: "[" * 100_000 + "]" * 100_000),
 ], ids=["missing-field", "bad-enum", "null-deltas", "old-format-invoice",
         "record-not-an-object", "actor-not-a-string", "access-not-an-object",
         "payload-not-an-object", "outcome-not-a-string", "float-in-int-field",
@@ -537,7 +553,7 @@ def _edit_line(log, edit):
         "string-serial", "bool-serial", "int-serial-kind", "unstored-serial-kind",
         "put-of-another-id", "put-of-another-kind", "bool-quantity-repeat",
         "float-amount-repeat", "list-description-repeat", "enum-not-a-member",
-        "enum-not-a-string", "text-after-record"])
+        "enum-not-a-string", "text-after-record", *MISFRAMED_IDS[:3], "nested-too-deep"])
 def test_verify_rejects_malformed_log_with_exit_two(tmp_path, malform):
     log = _full_purchase_log(tmp_path)
     malform(log)
@@ -545,6 +561,33 @@ def test_verify_rejects_malformed_log_with_exit_two(tmp_path, malform):
     assert code == 2, output
     assert "Traceback" not in output
     assert "error: " in output
+
+
+@pytest.mark.parametrize("edit", MISFRAMED, ids=MISFRAMED_IDS)
+def test_verify_names_the_line_of_a_misframed_record(tmp_path, edit):
+    log = _full_purchase_log(tmp_path)
+    assert '"actor":"system:0"' in log.read_text().split("\n", 1)[0]
+    _edit_line(log, edit)
+    code, output = run_cli("verify", str(log))
+    assert code == 2, output
+    assert "Traceback" not in output
+    assert f"error: {log}:1: bad event record: " in output
+
+
+def test_verify_names_the_line_of_bytes_that_are_not_text(tmp_path):
+    log = _full_purchase_log(tmp_path)
+    first, rest = log.read_bytes().split(b"\n", 1)
+    log.write_bytes(first + b"\n" + first.replace(b"system:0", b"system:\xff0", 1) + b"\n" + rest)
+    code, output = run_cli("verify", str(log))
+    assert code == 2, output
+    assert f"error: {log}:2: bad event record: UnicodeDecodeError: " in output
+
+
+def test_verify_skips_empty_lines(tmp_path):
+    log = _full_purchase_log(tmp_path)
+    log.write_text("\n" + log.read_text().replace("\n", "\n\n"))
+    code, output = run_cli("verify", str(log))
+    assert code == 0, output
 
 
 @pytest.mark.parametrize("store, edit, violation", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from helpers import room_id, stock_item_id
+from helpers import assert_no_record_rewritten, keep_lines_at_append, room_id, stock_item_id
 from storefront import SYSTEM, DomainError, Engine, EntityId, permissive_matrix
 from storefront.stock_manager import Inventory
 
@@ -367,7 +367,7 @@ class StockMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.engine = Engine(rbac_matrix=permissive_matrix())
+        self.engine = keep_lines_at_append(Engine(rbac_matrix=permissive_matrix()))
         self.engine.seed_stock([
             {"item": "c1", "kind": "Component", "rooms": {"R1": 25, "R2": 5}},
             {"item": "c2", "kind": "Component", "rooms": {"R1": 10}},
@@ -430,6 +430,7 @@ class StockMachine(RuleBasedStateMachine):
         assert self.engine.check_invariants().ok()
         live = self.engine.state.to_dict()
         assert self.engine.replayed_state().to_dict() == live
+        assert_no_record_rewritten(self.engine)
 
 
 StockMachine.TestCase.settings = settings(
