@@ -99,24 +99,34 @@ def money_sum(values, currency: str) -> Money:
     Raises ``CurrencyMismatch`` at the first value in another currency,
     with the message ``Money.add`` gives.
     """
+    return Money(money_amount(values, currency), currency)
+
+
+def money_amount(values, currency: str) -> int:
+    """``money_sum`` in minor units, building no ``Money``."""
     total = 0
     for value in values:
         if value.currency != currency:
             raise CurrencyMismatch(f"cannot add {value.currency} to {currency}")
         total += value.amount
-    return Money(total, currency)
+    return total
 
 
 def priced_sum(lines, currency: str) -> Money:
     """Sum of unit price times quantity over priced lines (cart items,
     order lines, invoice items), checked per line as ``money_sum``."""
+    return Money(priced_amount(lines, currency), currency)
+
+
+def priced_amount(lines, currency: str) -> int:
+    """``priced_sum`` in minor units, building no ``Money``."""
     total = 0
     for line in lines:
         price = line.unit_price
         if price.currency != currency:
             raise CurrencyMismatch(f"cannot add {price.currency} to {currency}")
         total += price.amount * line.quantity.value
-    return Money(total, currency)
+    return total
 
 
 _set = object.__setattr__

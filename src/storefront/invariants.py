@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .foundation import priced_sum
+from .foundation import priced_amount
 from .invoice import InvoiceState, PaymentState
 from .order_shipment import OrderState
 from .shopping_cart import CartState
@@ -48,15 +48,21 @@ class InvariantReport:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
-def _item_keys(items) -> list:
-    """Each priced line as (product, quantity, unit price amount)."""
-    return [(i.product, i.quantity.value, i.unit_price.amount) for i in items]
+def _item_keys(items) -> Counter:
+    """How often each priced line (product, quantity, unit price amount) occurs."""
+    return Counter((i.product, i.quantity.value, i.unit_price.amount) for i in items)
 
 
-def _same_multiset(keys: list, others: list) -> bool:
-    """Whether two key lists hold the same multiset; lists in the same
-    order, as checkout and shipping write them, need no counting."""
-    return keys == others or Counter(keys) == Counter(others)
+def _same_lines(items, lines) -> bool:
+    """Whether two priced-line lists hold, in order, the same products,
+    quantities and unit prices (currencies too)."""
+    if len(items) != len(lines):
+        return False
+    for item, line in zip(items, lines):
+        if (item.product is not line.product or item.quantity.value != line.quantity.value
+                or (item.unit_price is not line.unit_price and item.unit_price != line.unit_price)):
+            return False
+    return True
 
 
 def _per_line(quantities: dict) -> str:
@@ -156,14 +162,17 @@ class _Checker:
                           f"{len(orders)} orders and {len(invoices)} invoices for one checkout")
                 continue
             order, inv = orders[0], invoices[0]
-            cart_items = _item_keys(cart.items)
-            if not _same_multiset(_item_keys(order.line_items), cart_items):
-                self.flag(name, cart_id, f"order {order.id} line items differ from cart")
-            if not _same_multiset(_item_keys(inv.items), cart_items):
-                self.flag(name, cart_id, f"invoice {inv.id} items differ from cart")
-            cart_total = priced_sum(cart.items, currency).amount
-            order_total = priced_sum(order.line_items, currency).amount
-            inv_subtotal = inv.subtotal(currency).amount
+            # checkout shares the cart's lines: keys only for lists that differ
+            cart_items = cart.items
+            cart_total = order_total = inv_subtotal = priced_amount(cart_items, currency)
+            if order.line_items != cart_items:
+                order_total = priced_amount(order.line_items, currency)
+                if _item_keys(order.line_items) != _item_keys(cart_items):
+                    self.flag(name, cart_id, f"order {order.id} line items differ from cart")
+            if not _same_lines(inv.items, cart_items):
+                inv_subtotal = priced_amount(inv.items, currency)
+                if _item_keys(inv.items) != _item_keys(cart_items):
+                    self.flag(name, cart_id, f"invoice {inv.id} items differ from cart")
             if not cart_total == order_total == inv_subtotal:
                 self.flag(name, cart_id,
                           f"totals differ: cart {cart_total}, order {order_total}, "
@@ -201,13 +210,16 @@ class _Checker:
             amount = payment.amount.amount
             if amount <= 0:
                 self.flag(name, pid, f"non-positive amount {amount}")
+            foreign = payment.amount.currency != currency
+            if foreign:
+                self.flag(name, pid, f"amount in {payment.amount.currency}, not {currency}")
             if payment.invoice not in invoices:
                 self.flag(name, pid, f"invoice {payment.invoice} does not resolve")
                 continue
-            if payment.state is accepted_state:
+            if payment.state is accepted_state and not foreign:
                 accepted[payment.invoice] = accepted.get(payment.invoice, 0) + amount
         for iid, inv in invoices.items():
-            total = inv.total(currency).amount
+            total = inv.total_amount(currency)
             if total < 0:
                 self.flag(name, iid, f"negative total {total}")
             paid = accepted.get(iid, 0)
@@ -276,7 +288,7 @@ class _Checker:
     def check_shipment_invoice(self):
         name = "shipment-invoice"
         orders = self.state.stores["orders"]
-        payable = (InvoiceState.VALIDATED, InvoiceState.PARTIALLY_PAID, InvoiceState.PAID)
+        payable = {InvoiceState.VALIDATED, InvoiceState.PARTIALLY_PAID, InvoiceState.PAID}
         by_shipment: dict = {}
         for inv in self.state.stores["invoices"].values():
             if inv.source_shipment is not None:
@@ -294,12 +306,20 @@ class _Checker:
             order = orders.get(shipment.order)
             if order is None:
                 continue
-            expected = []
-            for item in shipment.items:
-                line = order.line_for(item.charged_line())
-                price = line.unit_price.amount if line else -1
-                expected.append((item.product, item.quantity.value, price))
-            if not _same_multiset(_item_keys(inv.items), expected):
+            # the price of each product's first line, as in line_for
+            prices = {line.product: line.unit_price.amount for line in reversed(order.line_items)}
+            items, shipped = inv.items, shipment.items
+            if len(items) == len(shipped):  # keys only for lists that differ line by line
+                for item, ship in zip(items, shipped):
+                    if (item.product is not ship.product
+                            or item.quantity.value != ship.quantity.value
+                            or item.unit_price.amount != prices.get(ship.charged_line(), -1)):
+                        break
+                else:
+                    continue
+            expected = Counter((ship.product, ship.quantity.value,
+                                prices.get(ship.charged_line(), -1)) for ship in shipped)
+            if _item_keys(items) != expected:
                 self.flag(name, sid, "invoice items do not match shipped items")
         for sid, invoices in sorted(by_shipment.items()):
             self.flag(name, sid, "invoice references a missing shipment")
@@ -347,38 +367,57 @@ class _Checker:
     # -- referential integrity ------------------------------------------------
 
     def check_referential_integrity(self):
+        """Each reference is looked up in the store its field refers to, then,
+        on a miss, in the store of the id's kind (a store holds only its kind)."""
         name = "referential-integrity"
         stores = self.state.stores
-        refs = []
-        for cid, cart in stores["carts"].items():
-            refs.append((cid, cart.customer))
-            refs.extend((cid, item.product) for item in cart.items)
-        for oid, order in stores["orders"].items():
-            refs.append((oid, order.customer))
-            refs.extend((oid, line.product) for line in order.line_items)
-            if order.source_cart is not None:
-                refs.append((oid, order.source_cart))
-        for sid, shipment in stores["shipments"].items():
-            refs.extend([(sid, shipment.receiver), (sid, shipment.invoice)])
-            refs.extend((sid, item.product) for item in shipment.items)
-        for iid, inv in stores["invoices"].items():
-            refs.append((iid, inv.customer))
-            if inv.created_by.kind != "system":
-                refs.append((iid, inv.created_by))
-            if inv.validated_by is not None and inv.validated_by.kind != "system":
-                refs.append((iid, inv.validated_by))
-        for pid, payment in stores["payments"].items():
-            refs.append((pid, payment.customer))
-            if payment.validated_by is not None and payment.validated_by.kind != "system":
-                refs.append((pid, payment.validated_by))
-        for item_id, item in stores["stock_items"].items():
-            if item.product_link is not None:
-                refs.append((item_id, item.product_link))
         store_of_kind = {kind: stores[store] for kind, store in KIND_TO_STORE.items()}
-        for holder, target in refs:
-            store = store_of_kind.get(target.kind)
-            if store is None or target not in store:
+        customers, products, employees = stores["customers"], stores["products"], stores["employees"]
+        carts, invoices = stores["carts"], stores["invoices"]
+
+        def missing(holder, target):
+            if target not in store_of_kind.get(target.kind, ()):
                 self.flag(name, holder, f"reference {target} does not resolve")
+
+        for cid, cart in carts.items():
+            if cart.customer not in customers:
+                missing(cid, cart.customer)
+            for item in cart.items:
+                if item.product not in products:
+                    missing(cid, item.product)
+        for oid, order in stores["orders"].items():
+            if order.customer not in customers:
+                missing(oid, order.customer)
+            for line in order.line_items:
+                if line.product not in products:
+                    missing(oid, line.product)
+            if order.source_cart is not None and order.source_cart not in carts:
+                missing(oid, order.source_cart)
+        for sid, shipment in stores["shipments"].items():
+            if shipment.receiver not in customers:
+                missing(sid, shipment.receiver)
+            if shipment.invoice not in invoices:
+                missing(sid, shipment.invoice)
+            for item in shipment.items:
+                if item.product not in products:
+                    missing(sid, item.product)
+        for iid, inv in invoices.items():
+            if inv.customer not in customers:
+                missing(iid, inv.customer)
+            if inv.created_by not in employees and inv.created_by.kind != "system":
+                missing(iid, inv.created_by)
+            if (inv.validated_by is not None and inv.validated_by not in employees
+                    and inv.validated_by.kind != "system"):
+                missing(iid, inv.validated_by)
+        for pid, payment in stores["payments"].items():
+            if payment.customer not in customers:
+                missing(pid, payment.customer)
+            if (payment.validated_by is not None and payment.validated_by not in employees
+                    and payment.validated_by.kind != "system"):
+                missing(pid, payment.validated_by)
+        for item_id, item in stores["stock_items"].items():
+            if item.product_link is not None and item.product_link not in products:
+                missing(item_id, item.product_link)
 
     def check_serial_bounds(self):
         name = "serial-bounds"

@@ -23,7 +23,8 @@ from .foundation import (
     Quantity,
     Record,
     SchemaError,
-    money_sum,
+    money_amount,
+    priced_amount,
     priced_sum,
     round_half_away,
 )
@@ -133,8 +134,12 @@ class Invoice(Record):
 
     def total(self, currency: str) -> Money:
         """The subtotal plus each adjustment, all in ``currency``."""
+        return Money(self.total_amount(currency), currency)
+
+    def total_amount(self, currency: str) -> int:
+        """``total`` in minor units, building no ``Money``."""
         adjustments = [adjustment for _, adjustment in self.adjustments]
-        return money_sum([self.subtotal(currency), *adjustments], currency)
+        return priced_amount(self.items, currency) + money_amount(adjustments, currency)
 
 
 @dataclass

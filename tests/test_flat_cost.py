@@ -1,15 +1,17 @@
 """Per-command cost stays flat as state grows: the commands of a purchase
 session read derived values from the entities that own them instead of
 walking whole stores; a commit builds no snapshot and clones only what it
-changes; an id text is parsed once however often it recurs, and a read of
-the log builds each distinct frozen value once. Deterministic: it counts
-walks, calls, parses and constructions, not time."""
+changes; an id text is parsed once however often it recurs, a read of
+the log builds each distinct frozen value once, and a clean invariant
+check builds no ``Money``. Deterministic: it counts walks, calls, parses
+and constructions, not time."""
 
 import json
 import sys
 from collections import Counter
 
-from storefront import SYSTEM, Engine, default_matrix, foundation, permissive_matrix
+from helpers import bench_engines
+from storefront import SYSTEM, Engine, default_matrix, foundation, invariants, permissive_matrix
 from storefront.catalog import ProductInfo
 from storefront.engine import read_log
 from storefront.foundation import AccessDenied, DomainError, EntityId, Money
@@ -312,3 +314,30 @@ def test_a_commit_builds_no_snapshot_and_clones_each_changed_entity_once():
             assert before[STORE_OF[type(entity)]][entity.id] is entity
             assert engine.state.stores[STORE_OF[type(entity)]][entity.id] is not entity
     assert len(puts) == 7
+
+
+def test_an_untampered_check_builds_no_money_and_keys_no_lines(monkeypatch):
+    """The invariant checker sums in minor units and compares line lists
+    before it keys them: on a clean state it builds no ``Money`` and calls
+    ``_item_keys`` never."""
+    engine = bench_engines()[0]  # shop-mix
+    stores = engine.state.stores
+    assert stores["invoices"] and stores["payments"] and stores["shipments"]
+    counts = Counter()
+
+    def counting_init(self, *args, _init=Money.__init__, **kwargs):
+        _init(self, *args, **kwargs)
+        counts["Money"] += 1
+
+    def counting_keys(items, _keys=invariants._item_keys):
+        counts["_item_keys"] += 1
+        return _keys(items)
+
+    monkeypatch.setattr(Money, "__init__", counting_init)
+    monkeypatch.setattr(invariants, "_item_keys", counting_keys)
+    Money(1, "USD")  # the wrappers count
+    invariants._item_keys([])
+    assert counts == {"Money": 1, "_item_keys": 1}
+    counts.clear()
+    assert engine.check_invariants().ok()
+    assert counts == Counter()

@@ -3,17 +3,27 @@
 Each case builds a small engine, breaks one thing in its log or its
 stores, and pins the exact (invariant, entity, detail) list the checker
 reports. A correct engine never reaches these states, so only tampering
-shows that the checker finds what it claims to find.
+shows that the checker finds what it claims to find. Every report is also
+compared with the one of the checker before its checks were cut down
+(``invariants_oracle``): on each tampered state here, on the bundled
+scenarios, on short benchmark runs, and on drawn corruptions of a
+shop-mix state.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import new_customer, new_employee, product_id, validated_invoice
-from storefront import SYSTEM, EntityId, Money, Quantity
+import invariants_oracle
+from helpers import bench_engines, new_customer, new_employee, product_id, validated_invoice
+from storefront import (SYSTEM, EntityId, Money, Quantity, bundled, default_matrix,
+                        load_scenario, run_scenario)
 from storefront.foundation import CurrencyMismatch
-from storefront.invariants import _CHECKS
+from storefront.invariants import _CHECKS, check_invariants
+from storefront.invoice import InvoiceState
+from storefront.order_shipment import OrderState
 from storefront.stock_manager import ShopOrderStage
 
 from conftest import fresh_engine
@@ -22,6 +32,7 @@ from conftest import fresh_engine
 def violations(engine) -> list[tuple[str, str, str]]:
     report = engine.check_invariants()
     assert report.checked == 16
+    assert report.to_dict() == invariants_oracle.check_invariants(engine).to_dict()
     return [(v.invariant, v.entity, v.detail) for v in report.violations]
 
 
@@ -212,6 +223,19 @@ def test_invoice_total_disagrees():
     ]
 
 
+def test_payment_in_another_currency():
+    engine, invoice = paid_invoice_engine()
+    payments = engine.state.stores["payments"]
+    (payment_id, payment), = payments.items()
+    payments[payment_id] = dataclasses.replace(payment, amount=Money(1425, "EUR"))
+    assert violations(engine) == [
+        ("payment-conservation", "invoice:1", "state Paid inconsistent with accepted 0 of 1425"),
+        ("payment-conservation", "invoice:1",
+         "stored accepted 1425, accepted payments sum to 0"),
+        ("payment-conservation", "payment:1", "amount in EUR, not USD"),
+    ]
+
+
 def checkout_engine():
     engine = fresh_engine()
     customer = new_customer(engine)
@@ -315,3 +339,171 @@ def test_checkout_cart_and_order_lines_in_another_currency_raise():
             lines[0], unit_price=Money(lines[0].unit_price.amount, "EUR"))
     with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
         engine.check_invariants()
+
+
+# -- the checker against its oracle ---------------------------------------------
+
+def same_as_oracle(engine) -> None:
+    assert check_invariants(engine).to_dict() == invariants_oracle.check_invariants(engine).to_dict()
+
+
+@pytest.mark.parametrize("path", bundled.scenario_files(), ids=lambda path: path.stem)
+def test_oracle_agrees_on_each_bundled_scenario(path):
+    engine = fresh_engine(rbac=default_matrix())
+    assert run_scenario(engine, load_scenario(path)).ok
+    same_as_oracle(engine)
+
+
+@pytest.mark.parametrize("seed", [3, 20261017])
+def test_oracle_agrees_on_short_benchmark_runs(seed):
+    for engine in bench_engines(seed=seed, scale=0.05):
+        same_as_oracle(engine)
+
+
+@pytest.fixture(scope="module")
+def shop_mix():
+    engine = bench_engines(seed=5, scale=0.05)[0]
+    assert engine.state.stores["shipments"] and engine.state.stores["payments"]
+    return engine
+
+
+def _entity(data, stores, store):
+    entity_id = data.draw(st.sampled_from(sorted(stores[store])))
+    return entity_id, stores[store][entity_id]
+
+
+def _lines(data, lines, products):
+    """``lines`` with one line changed, dropped, or repeated (the copy with
+    its own quantity and price, so only the first line of a product is the
+    one an order charges)."""
+    lines = list(lines)
+    if not lines:
+        return lines
+    index = data.draw(st.integers(0, len(lines) - 1))
+    change = data.draw(st.sampled_from(["quantity", "price", "product", "drop", "repeat"]))
+    line = lines[index]
+    if change == "quantity":
+        lines[index] = dataclasses.replace(line, quantity=Quantity(data.draw(st.integers(0, 4))))
+    elif change == "price":
+        lines[index] = dataclasses.replace(
+            line, unit_price=Money(data.draw(st.integers(-5, 3000)), "USD"))
+    elif change == "product":
+        lines[index] = dataclasses.replace(line, product=data.draw(st.sampled_from(products)))
+    elif change == "drop":
+        del lines[index]
+    else:
+        lines.append(dataclasses.replace(
+            line, quantity=Quantity(data.draw(st.integers(1, 3))),
+            unit_price=Money(line.unit_price.amount + data.draw(st.integers(1, 9)), "USD")))
+    return lines
+
+
+def _corrupt_invoice(data, stores, products):
+    iid, inv = _entity(data, stores, "invoices")
+    change = data.draw(st.sampled_from(["accepted", "state", "items"]))
+    if change == "accepted":
+        inv = dataclasses.replace(inv, accepted=inv.accepted + data.draw(st.integers(-900, 900)))
+    elif change == "state":
+        inv = dataclasses.replace(inv, state=data.draw(st.sampled_from(InvoiceState)))
+    else:
+        inv = dataclasses.replace(inv, items=_lines(data, inv.items, products))
+    stores["invoices"][iid] = inv
+
+
+def _corrupt_cart(data, stores, products):
+    cid, cart = _entity(data, stores, "carts")
+    stores["carts"][cid] = dataclasses.replace(cart, items=_lines(data, cart.items, products))
+
+
+def _corrupt_order(data, stores, products):
+    oid, order = _entity(data, stores, "orders")
+    change = data.draw(st.sampled_from(["shipped", "state", "lines"]))
+    if change == "shipped":
+        shipped = dict(order.shipped)
+        line = data.draw(st.sampled_from(products))
+        if line in shipped and data.draw(st.booleans()):
+            del shipped[line]
+        else:
+            shipped[line] = data.draw(st.integers(0, 4))
+        order = dataclasses.replace(order, shipped=shipped)
+    elif change == "state":
+        order = dataclasses.replace(order, state=data.draw(st.sampled_from(OrderState)))
+    else:
+        order = dataclasses.replace(order, line_items=_lines(data, order.line_items, products))
+    stores["orders"][oid] = order
+
+
+def _repeat_shipped_line(data, stores, products):
+    """Repeat, at another price, the order line a shipment charges: the
+    shipment's invoice must still match the first line of the product."""
+    _, shipment = _entity(data, stores, "shipments")
+    order = stores["orders"].get(shipment.order)
+    if order is None:
+        return
+    charged = data.draw(st.sampled_from([item.charged_line() for item in shipment.items]))
+    line = order.line_for(charged)
+    if line is None:
+        return
+    repeat = dataclasses.replace(line, unit_price=Money(line.unit_price.amount + 1, "USD"))
+    stores["orders"][order.id] = dataclasses.replace(order, line_items=[*order.line_items, repeat])
+
+
+def _corrupt_shipment(data, stores, products):
+    sid, shipment = _entity(data, stores, "shipments")
+    items = list(shipment.items)
+    index = data.draw(st.integers(0, len(items) - 1))
+    target = data.draw(st.none() | st.sampled_from(products))
+    items[index] = dataclasses.replace(items[index], substituted_for=target)
+    stores["shipments"][sid] = dataclasses.replace(shipment, items=items)
+
+
+def _corrupt_payment(data, stores, products):
+    pid, payment = _entity(data, stores, "payments")
+    currency = data.draw(st.sampled_from(["USD", "EUR"]))
+    amount = data.draw(st.sampled_from([payment.amount.amount, 0, payment.amount.amount + 1]))
+    stores["payments"][pid] = dataclasses.replace(payment, amount=Money(amount, currency))
+
+
+def _drop(data, stores, products):
+    store = data.draw(st.sampled_from(["payments", "shipments", "orders"]))
+    entity_id, _ = _entity(data, stores, store)
+    del stores[store][entity_id]
+
+
+# store -> its fields that hold one id
+_REFERENCES = {"carts": ("customer",), "orders": ("customer", "source_cart"),
+               "shipments": ("order", "receiver", "invoice"),
+               "invoices": ("customer", "created_by", "validated_by", "source_cart",
+                            "source_shipment"),
+               "payments": ("invoice", "customer", "validated_by")}
+
+
+def _repoint(data, stores, products):
+    """Point a reference at an id no store holds, at an id of another kind,
+    or at the system actor."""
+    store = data.draw(st.sampled_from(sorted(_REFERENCES)))
+    entity_id, entity = _entity(data, stores, store)
+    name = data.draw(st.sampled_from(_REFERENCES[store]))
+    kind = data.draw(st.sampled_from(["customer", "cart", "order", "invoice", "employee",
+                                      "product", "ghost"]))
+    target = data.draw(st.sampled_from([EntityId(kind, 1), EntityId(kind, 10**6), SYSTEM]))
+    stores[store][entity_id] = dataclasses.replace(entity, **{name: target})
+
+
+_CORRUPTIONS = [_corrupt_invoice, _corrupt_cart, _corrupt_order, _repeat_shipped_line,
+                _corrupt_shipment, _corrupt_payment, _drop, _repoint]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_oracle_agrees_on_drawn_corruptions(shop_mix, data):
+    """Corrupt a copy of a shop-mix state a few times over and compare the
+    two checkers' reports. Entities are replaced, never changed in place."""
+    state = shop_mix.state
+    stores = {name: dict(entities) for name, entities in state.stores.items()}
+    products = sorted(stores["products"])
+    for corrupt in data.draw(st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=3)):
+        corrupt(data, stores, products)
+    engine = SimpleNamespace(currency=shop_mix.currency, state=SimpleNamespace(
+        stores=stores, serials=state.serials, log=state.log))
+    same_as_oracle(engine)

@@ -590,6 +590,21 @@ def test_verify_skips_empty_lines(tmp_path):
     assert code == 0, output
 
 
+def test_verify_rejects_a_payment_in_another_currency(tmp_path):
+    log = _full_purchase_log(tmp_path)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    puts = [f for r in records for f in r["deltas"]
+            if f["f"] == "put" and f["store"] == "payments"]
+    assert puts
+    for fact in puts:
+        fact["data"]["amount"]["currency"] = "EUR"
+    log.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                           for r in records))
+    code, output = run_cli("verify", str(log))
+    assert code == 1, output
+    assert "VIOLATION payment-conservation @ payment:1: amount in EUR, not USD" in output
+
+
 @pytest.mark.parametrize("store, edit, violation", [
     ("invoices", lambda d: d.update(accepted=d["accepted"] + 1), "payment-conservation"),
     ("orders", lambda d: d["shipped"].update({k: v - 1 for k, v in d["shipped"].items()}),
