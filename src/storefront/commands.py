@@ -1,6 +1,6 @@
 """The finite command vocabulary: argument schemas, rights metadata,
-ownership resolution, and the handler of every engine operation, generated
-from the domain function it calls.
+ownership, and the handler and the envelope of every engine operation, each
+generated from these declarations and the domain function it calls.
 
 Scenario files and the Python API meet here: argument values may arrive as
 JSON primitives (ids as ``kind:serial`` strings, money as minor-unit ints)
@@ -9,17 +9,20 @@ or as the rich value types; parsing normalizes both to one canonical form.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
 from .catalog import ProductStatus
 from .foundation import (
     _IDS,
+    AccessDenied,
     CurrencyMismatch,
+    DomainError,
     EntityId,
     Money,
     Quantity,
@@ -28,7 +31,7 @@ from .foundation import (
 )
 from .invoice import InvoiceItem, PaymentMethod, PolicyKind
 from .order_shipment import ShippedItem
-from .state import to_jsonable
+from .state import KIND_TO_STORE, EventRecord, Txn, to_jsonable
 from .stock_manager import StockKind
 
 
@@ -74,18 +77,23 @@ JSON_VALUE = "json value"  # any value, kept as it is
 # Each scalar kind's code template: lines that parse the raw value in local
 # ``{v}`` into ``{v}``, and the expression of its payload (its canonical JSON
 # form). A value of the exact JSON class passes the first test; any other is
-# accepted as an isinstance check accepts it, or rejected.
+# accepted as an isinstance check accepts it, or rejected. A ``Money`` or a
+# ``Quantity`` is set field by field, as a codec's ``clone`` builds one, so no
+# ``__init__`` runs; a negative count still goes through ``Quantity``'s check.
 _TEMPLATES = {
     str: ("if not isinstance({v}, str): _wrong({v}, 'string')",
           "{v} if {v}.__class__ is str else to_jsonable({v})"),
     int: ("if {v}.__class__ is not int and ({v}.__class__ is bool or not isinstance({v}, int)):"
           " _wrong({v}, 'integer')", "{v} if {v}.__class__ is int else to_jsonable({v})"),
     bool: ("if {v}.__class__ is not bool: _wrong({v}, 'boolean')", "{v}"),
-    Money: ("{v} = Money({v}, ctx.currency) if {v}.__class__ is int "
-            "else _money({v}, ctx.currency)",
+    Money: ("if {v}.__class__ is not int: {v} = _money({v}, ctx.currency)\n"
+            "else: {v}_m = _new(Money); _set({v}_m, 'amount', {v}); "
+            "_set({v}_m, 'currency', ctx.currency); {v} = {v}_m",
             "{{'amount': {v}.amount, 'currency': {v}.currency}}"),
-    Quantity: ("if {v}.__class__ is not Quantity: "
-               "{v} = Quantity({v}) if {v}.__class__ is int else _qty({v})", "{v}.value"),
+    Quantity: ("if {v}.__class__ is not Quantity:\n"
+               "    if {v}.__class__ is not int or {v} < 0: {v} = _qty({v})\n"
+               "    else: {v}_q = _new(Quantity); _set({v}_q, 'value', {v}); {v} = {v}_q",
+               "{v}.value"),
     Id: ("if {v}.__class__ is not EntityId: {v} = ({v}.__class__ is str and ids_get({v})) "
          "or ({v} if isinstance({v}, EntityId) else parse_id({v}))\n"
          "if {v}.kind not in {kinds!r}: _wrong({v}._text, {expected!r})", "{v}._text"),
@@ -144,8 +152,8 @@ def _enum(enum_class, value):
         _wrong(value, f"one of {[e.value for e in enum_class]}")
 
 
-def _indent(lines: list[str]) -> list[str]:
-    return [f"    {line}" for line in lines]
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    return [f"{'    ' * depth}{line}" for line in lines]
 
 
 def _located(lines: list[str], step: str) -> list[str]:
@@ -164,7 +172,8 @@ class _ParserSource:
         self.names = {"EntityId": EntityId, "Money": Money, "Quantity": Quantity,
                       "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
                       "to_jsonable": to_jsonable, "_wrong": _wrong, "_names": _names, "_at": _at,
-                      "_money": _money, "_qty": _qty, "_enum": _enum}
+                      "_money": _money, "_qty": _qty, "_enum": _enum,
+                      "_new": object.__new__, "_set": object.__setattr__}
         self._count = 0
 
     def name(self, value, label: str) -> str:
@@ -287,8 +296,13 @@ class _ParserSource:
             return lines + [f"{v} = {parsed}"], payload
         if decl.into is tuple:
             return lines + [f"{v} = ({', '.join(fields)},)"], f"[{', '.join(payloads)}]"
+        # built as a codec's clone builds it: a __post_init__ would not run
+        attributes = [f.name for f in dataclasses.fields(decl.into)]
+        if len(attributes) != len(fields) or hasattr(decl.into, "__post_init__"):
+            raise TypeError(decl)
         into = self.name(decl.into, decl.into.__name__)
-        return lines + [f"{v} = {into}({', '.join(fields)})"], f"{v}.to_dict()"
+        return lines + [f"{v} = _new({into})", *(f"_set({v}, {name!r}, {f})" for name, f
+                                                 in zip(attributes, fields))], f"{v}.to_dict()"
 
 
 @functools.cache
@@ -303,30 +317,24 @@ def compile_parser(name: str, schema, filename: str, payload: bool = True):
     source = _ParserSource(payload)
     lines, expr = source.fields(schema, "raw", name) if name else source.lines(schema, "raw")
     body = [*lines, f"return raw, {expr}" if payload else "return raw"]
-    run_generated("def parse(raw, ctx):\n" + "".join(f"    {line}\n" for line in body),
-                  filename, source.names)
+    run_generated("def parse(raw, ctx):\n" + "\n".join(_indent(body)), filename, source.names)
     return source.names["parse"]
 
 
-# --- owner resolution ---------------------------------------------------------
+# --- ownership ----------------------------------------------------------------
+# A target's owner is declared as the arg naming the customer, or as ``(store,
+# arg, attribute)``: the attribute naming it on the entity the arg names.
 
-def _owner_none(state, args):
-    return None, False
-
-
-def _owner_arg(key):
-    def resolve(state, args):
-        return args[key], False
-    return resolve
-
-
-def _owner_via(store, key, attr):
-    def resolve(state, args):
-        entity = state.stores[store].get(args[key])
-        if entity is None:
-            return None, True
-        return getattr(entity, attr), False
-    return resolve
+def _owner_lines(owner) -> list[str]:
+    """Lines that set ``owner`` (the owning customer, or None) and
+    ``missing`` (the target does not exist) from ``state`` and ``args``."""
+    if owner is None:
+        return ["owner, missing = None, False"]
+    if isinstance(owner, str):
+        return [f"owner, missing = args[{owner!r}], False"]
+    store, arg, attribute = owner
+    return [f"target = state.stores[{store!r}].get(args[{arg!r}])",
+            f"owner, missing = (None, True) if target is None else (target.{attribute}, False)"]
 
 
 # --- command specs ------------------------------------------------------------
@@ -336,13 +344,113 @@ class CommandSpec:
     name: str
     kind: str  # target entity kind, the first element of the required right
     schema: Fields  # the args, declared as the fields of an object
-    owner: object  # callable(state, args) -> (owner id | None, target_missing)
+    owned_by: str | tuple[str, str, str] | None  # see "ownership"
     run: object  # callable(engine, txn, actor, args) -> its result, as plain JSON
+    # (call statement, result expression, names): what ``_spec`` generated ``run`` from
+    source: tuple = field(repr=False, compare=False)
 
     @functools.cached_property
     def parse(self):
         """``parse(raw, ctx) -> (parsed, payload)``, generated on first use."""
         return compile_parser(self.name, self.schema, f"<parser {self.name}>")
+
+    @functools.cached_property
+    def owner(self):
+        """``owner(state, args) -> (owner id | None, target missing)``."""
+        names = {}
+        run_generated("def owner(state, args):\n" + "\n".join(
+            _indent([*_owner_lines(self.owned_by), "return owner, missing"])),
+            f"<owner {self.name}>", names)
+        return names["owner"]
+
+    @functools.cached_property
+    def envelope(self):
+        """``envelope(engine, actor, raw, seq, tick) -> EventRecord``: the
+        whole dispatch of the command, generated once, on first use."""
+        return _envelope(self)
+
+
+# the source of an envelope: {parse} and {payload} are a parser's lines and the
+# name of its payload, {owned} the owner check of an owner-only role, {operation}
+# the domain call
+_ENVELOPE = """\
+def envelope(engine, actor, raw, seq, tick):
+    state, args, ctx = engine.state, raw, engine.parse_context
+    try:
+{parse}
+    except DomainError as exc:
+        state.log.append({record}best_effort(raw), NOT_EVALUATED, 'error', exc.code))
+        raise
+    rbac = engine.rbac
+    access = system if actor.kind == 'system' else permissive if rbac.permissive else None
+    if access is None:
+        granting = rbac.grants.get(right)
+        if granting is None:
+            granting = rbac.compile_grant(*right)
+        store = KIND_TO_STORE.get(actor.kind)
+        roles = getattr(store and state.stores[store].get(actor), 'roles', NO_ROLES)
+        assigned = rbac.assignments.get(actor, ())
+        denied = no_role
+        for role, owner_only, allow in granting:
+            if role not in roles and role not in assigned:
+                continue
+{owned}
+            access = allow.as_dict
+            break
+        else:
+            state.log.append({record}{payload}, denied.as_dict, 'denied', 'AccessDenied'))
+            raise AccessDenied(denied.reason)
+    txn = Txn(state)
+    try:
+{operation}
+    except DomainError as exc:
+        txn.rollback()
+        state.log.append({record}{payload}, access, 'error', exc.code))
+        raise
+    record = {record}{payload}, access, 'ok', None, result, txn.facts())
+    state.log.append(record)
+    return record
+"""
+
+
+def _envelope(spec: CommandSpec):
+    """The parser's lines, ``check_access`` (the owner resolved only for an
+    owner-only role), and a ``Txn`` around ``run``'s source while ``run``
+    is the runner generated from it, else around a call of ``run``."""
+    from . import rbac  # rbac imports this module
+    parser = _ParserSource(payload=True)
+    parse, payload = parser.fields(spec.schema, "args", spec.name)
+    statement, result, names = spec.source
+    if names.get("run") is spec.run:
+        operation = [statement, f"result = {result}"]
+    else:
+        operation, names = ["result = run(engine, txn, actor, args)"], {"run": spec.run}
+    owned = [] if spec.owned_by is None else [
+        "if owner_only:", *_indent(_owner_lines(spec.owned_by)),
+        "    if missing or owner is not None and owner is not actor:",
+        "        denied = not_owner", "        continue"]
+    names = {**parser.names, **names, "DomainError": DomainError, "AccessDenied": AccessDenied,
+             "Txn": Txn, "EventRecord": EventRecord, "KIND_TO_STORE": KIND_TO_STORE,
+             "NO_ROLES": rbac.NO_ROLES, "NOT_EVALUATED": rbac.NOT_EVALUATED,
+             "best_effort": best_effort, "right": (spec.kind, spec.name),
+             "system": rbac.SYSTEM_ALLOW.as_dict, "permissive": rbac.PERMISSIVE_ALLOW.as_dict,
+             "no_role": rbac.NO_ROLE, "not_owner": rbac.NOT_OWNER}
+    run_generated(_ENVELOPE.format(
+        parse="\n".join(_indent(parse, 2)), payload=payload, owned="\n".join(_indent(owned, 3)),
+        operation="\n".join(_indent(operation, 2)),
+        record=f"EventRecord(seq, tick, actor, {spec.name!r}, "),
+        f"<envelope {spec.name}>", names)
+    return names["envelope"]
+
+
+def best_effort(args) -> dict:
+    """Args that failed to parse, as the JSON object an audit record holds,
+    or their repr when they are not one."""
+    try:
+        payload = to_jsonable(args)
+    except TypeError:  # a value or a key with no JSON form
+        payload = None
+    return payload if isinstance(payload, dict) else {"unparsed": repr(args)}
 
 
 # the engine attributes a domain operation may take, by parameter name
@@ -352,7 +460,7 @@ _RESULTS = {EntityId: "{}._text", Money: "{}.to_dict()", list[EntityId]: "[v._te
             str: "{}", list[str]: "{}", str | None: "{}"}
 
 
-def _spec(name, kind, args, fn, *keys, owner=_owner_none, optional=frozenset()) -> CommandSpec:
+def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> CommandSpec:
     """The spec of command ``name``, whose ``run(engine, txn, actor, args)``
     is generated under the filename ``<command name>``: one call of the
     domain operation ``fn``, and a dict of its result under ``keys``.
@@ -397,10 +505,11 @@ def _spec(name, kind, args, fn, *keys, owner=_owner_none, optional=frozenset()) 
         raise TypeError(f"{name}: {len(keys)} result keys for {fn.__qualname__} -> {returns!r}")
     targets = ", ".join(f"r{i}" for i in range(len(hints))) or "_"
     result = ", ".join(f"{key!r}: {value}" for key, value in zip(keys, results))
-    run_generated(f"def run(engine, txn, actor, args):\n"
-                  f"    {targets} = {fn.__name__}({', '.join(call)})\n"
-                  f"    return {{{result}}}\n", f"<command {name}>", names)
-    return CommandSpec(name=name, kind=kind, schema=schema, owner=owner, run=names["run"])
+    statement, result = f"{targets} = {fn.__name__}({', '.join(call)})", f"{{{result}}}"
+    run_generated(f"def run(engine, txn, actor, args):\n    {statement}\n    return {result}\n",
+                  f"<command {name}>", names)
+    return CommandSpec(name=name, kind=kind, schema=schema, owned_by=owner, run=names["run"],
+                       source=(statement, result, names))
 
 
 COMMANDS = {spec.name: spec for spec in [
@@ -427,7 +536,7 @@ COMMANDS = {spec.name: spec for spec in [
     _spec("link_similar", "product", {"a": Id("product"), "b": Id("product")},
           catalog.link_similar),
     _spec("subscribe", "product", {"customer": Id("customer"), "product": Id("product")},
-          catalog.subscribe, owner=_owner_arg("customer")),
+          catalog.subscribe, owner="customer"),
     _spec("search", "catalog",
           {"catalog": Id("catalog"), "name_substring": str, "status": ProductStatus,
            "max_price": Money},
@@ -435,16 +544,16 @@ COMMANDS = {spec.name: spec for spec in [
 
     # shopping cart
     _spec("create_cart", "cart", {"customer": Id("customer")},
-          shopping_cart.create_cart, "cart", owner=_owner_arg("customer")),
+          shopping_cart.create_cart, "cart", owner="customer"),
     _spec("add_item", "cart", {"cart": Id("cart"), "product": Id("product"), "qty": Quantity},
-          shopping_cart.add_item, owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.add_item, owner=("carts", "cart", "customer")),
     _spec("remove_item", "cart", {"cart": Id("cart"), "product": Id("product")},
-          shopping_cart.remove_item, owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.remove_item, owner=("carts", "cart", "customer")),
     _spec("cart_total", "cart", {"cart": Id("cart")},
-          shopping_cart.cart_total, "total", owner=_owner_via("carts", "cart", "customer")),
+          shopping_cart.cart_total, "total", owner=("carts", "cart", "customer")),
     _spec("checkout", "cart", {"cart": Id("cart")},
           shopping_cart.checkout, "order", "invoice",
-          owner=_owner_via("carts", "cart", "customer")),
+          owner=("carts", "cart", "customer")),
 
     # invoice
     _spec("create_invoice", "invoice",
@@ -459,26 +568,26 @@ COMMANDS = {spec.name: spec for spec in [
     _spec("record_payment", "payment",
           {"customer": Id("customer"), "invoice": Id("invoice"), "amount": Money,
            "method": PaymentMethod},
-          invoice.record_payment, "payment", owner=_owner_via("invoices", "invoice", "customer")),
+          invoice.record_payment, "payment", owner=("invoices", "invoice", "customer")),
     _spec("validate_payment", "payment",
           {"validator": Id("employee"), "payment": Id("payment"), "rules": list[str]},
           invoice.validate_payment, "verdict", "reasons", optional={"rules"}),
     _spec("invoice_balance", "invoice", {"invoice": Id("invoice")},
           invoice.invoice_balance, "balance",
-          owner=_owner_via("invoices", "invoice", "customer")),
+          owner=("invoices", "invoice", "customer")),
 
     # order and shipment
     _spec("place_order", "order", {"customer": Id("customer"), "lines": list[ORDER_LINE]},
-          order_shipment.place_order, "order", owner=_owner_arg("customer")),
+          order_shipment.place_order, "order", owner="customer"),
     _spec("cancel_order", "order", {"order": Id("order")},
-          order_shipment.cancel_order, owner=_owner_via("orders", "order", "customer")),
+          order_shipment.cancel_order, owner=("orders", "order", "customer")),
     _spec("create_shipment", "shipment",
           {"order": Id("order"), "items": list[SHIPPED_ITEM], "receiver": Id("customer")},
           order_shipment.create_shipment, "shipment", "invoice"),
     _spec("record_receipt", "shipment",
           {"shipment": Id("shipment"), "receiver": Id("customer")},
           order_shipment.record_receipt,
-          owner=_owner_via("shipments", "shipment", "receiver")),
+          owner=("shipments", "shipment", "receiver")),
 
     # stock manager
     _spec("create_stockroom", "stockroom", {"name": str},
@@ -513,20 +622,13 @@ COMMANDS = {spec.name: spec for spec in [
 ]}
 
 
-def parse_args(spec: CommandSpec, raw_args: dict,
-               ctx: ParseContext) -> tuple[dict, dict]:
-    """Parse ``raw_args`` against the spec's schema in one pass.
-
-    Returns the parsed values and the payload recorded in the event log:
-    each parsed value's canonical JSON form, built by the spec's generated
-    parser in the same pass.
-    """
+def parse_args(spec: CommandSpec, raw_args: dict, ctx: ParseContext) -> tuple[dict, dict]:
+    """The parsed args and their payload, as the command's envelope parses them."""
     return spec.parse(raw_args, ctx)
 
 
 def canonical_payload(args: dict) -> dict:
-    """The reference definition of the payload, which ``parse_args`` builds
-    in its parse pass; dispatch does not call this."""
+    """The reference definition of the payload, which the parsers build."""
     return {name: to_jsonable(value) for name, value in sorted(args.items())}
 
 

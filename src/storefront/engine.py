@@ -4,7 +4,9 @@ check in front, an append-only event log behind, and a replay oracle.
 Every command follows one path: schema-parse the arguments, consult the
 access matrix, run the target operation inside a transaction, and append
 exactly one event record. Denied and failed commands append a non-mutating
-audit record and raise. Two runs over the same seeds and commands produce
+audit record and raise. That path is one generated function per command,
+its ``CommandSpec.envelope``: dispatch interns the actor, takes the seq and
+the tick, and hands over. Two runs over the same seeds and commands produce
 byte-identical logs — the clock is logical and every iteration order is
 pinned.
 """
@@ -17,27 +19,17 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import invariants as invariants_mod
 from . import stock_manager
-# dispatch takes the payload from parse_args and never calls canonical_payload;
-# the name stays here, where the bench's tracer hooks each envelope layer
+# dispatch calls neither parse_args nor canonical_payload, which each
+# envelope inlines; the names stay here, where the bench's tracer hooks them
 from .commands import COMMANDS, ParseContext, canonical_payload, parse_args  # noqa: F401
-from .commands import parse_input
-from .foundation import (
-    AccessDenied,
-    DomainError,
-    EntityId,
-    Quantity,
-    SchemaError,
-)
+from .commands import best_effort, parse_input
+from .foundation import _IDS, DomainError, EntityId, Quantity, SchemaError
 from .invoice import RuleBook, default_rulebook
 from .queries import run_query
-from .rbac import RbacMatrix, check_access, permissive_matrix
-from .state import EngineState, EventRecord, Txn, replay, to_jsonable
+from .rbac import NO_ROLES, NOT_EVALUATED, RbacMatrix, check_access, permissive_matrix
+from .state import EngineState, EventRecord, Txn, replay
 
 logger = logging.getLogger("storefront.engine")
-
-_NO_ROLES = frozenset()  # the roles of an actor whose entity carries none
-# the access of a record whose command failed before the check: shared, never mutated
-_NOT_EVALUATED = {"verdict": None, "matched_role": None, "reason": "not evaluated"}
 
 
 class Engine:
@@ -126,11 +118,13 @@ class Engine:
 
     # -- access ------------------------------------------------------------
 
-    def access_decision(self, actor: EntityId, command: str, args: dict, spec=None):
-        spec = spec or COMMANDS[command]  # dispatch passes the spec it looked up
+    def access_decision(self, actor: EntityId, command: str, args: dict):
+        """The decision the envelope of ``command`` takes for ``actor`` on
+        the parsed ``args``."""
+        spec = COMMANDS[command]
         owner, target_missing = spec.owner(self.state, args)
         return check_access(self.rbac, actor,
-                            getattr(self.state.entity(actor), "roles", _NO_ROLES),
+                            getattr(self.state.entity(actor), "roles", NO_ROLES),
                             spec.kind, command, owner, target_missing)
 
     # -- dispatch ------------------------------------------------------------
@@ -144,63 +138,21 @@ class Engine:
         """
         if self._baseline is None:
             self.baseline()
-        args = args or {}
         if isinstance(actor, str):
-            actor = EntityId.parse(actor)
+            actor = _IDS.get(actor) or EntityId.parse(actor)
         state = self.state
         seq = len(state.log) + 1
         state.clock = tick = state.clock + 1
-
         spec = COMMANDS.get(command)
         if spec is None:
-            self._audit(seq, tick, actor, command, self._best_effort(args),
-                        "error", "SchemaError")
+            state.log.append(EventRecord(seq, tick, actor, command, best_effort(args or {}),
+                                         NOT_EVALUATED, "error", "SchemaError"))
             raise SchemaError(f"unknown command {command!r}")
-
-        try:
-            parsed, payload = parse_args(spec, args, self.parse_context)
-        except DomainError as exc:
-            self._audit(seq, tick, actor, command, self._best_effort(args),
-                        "error", exc.code)
-            raise
-
-        decision = self.access_decision(actor, command, parsed, spec)
-        if not decision.allowed():
-            self._audit(seq, tick, actor, command, payload, "denied",
-                        AccessDenied.code, decision.as_dict)
-            raise AccessDenied(decision.reason)
-
-        txn = Txn(state)
-        try:
-            result = spec.run(self, txn, actor, parsed)
-        except DomainError as exc:
-            txn.rollback()
-            self._audit(seq, tick, actor, command, payload, "error", exc.code,
-                        decision.as_dict)
-            raise
-        record = EventRecord(seq, tick, actor, command, payload, decision.as_dict,
-                             "ok", None, result, txn.facts())
-        state.log.append(record)
-        return record
+        return spec.envelope(self, actor, args or {}, seq, tick)
 
     def execute(self, actor, command: str, **args):
         """Dispatch and return the command's result value."""
         return self.dispatch(actor, command, args).result
-
-    def _audit(self, seq, tick, actor, command, payload, outcome, error,
-               access=_NOT_EVALUATED) -> None:
-        self.state.log.append(
-            EventRecord(seq, tick, actor, command, payload, access, outcome, error))
-
-    @staticmethod
-    def _best_effort(args) -> dict:
-        """Args that failed to parse, as the JSON object an audit record
-        holds, or their repr when they are not one."""
-        try:
-            payload = to_jsonable(args)
-        except TypeError:  # a value or a key with no JSON form
-            payload = None
-        return payload if isinstance(payload, dict) else {"unparsed": repr(args)}
 
     # -- queries, oracle, verification -----------------------------------------
 
@@ -230,10 +182,14 @@ def read_log(path) -> list[EventRecord]:
     """The records of an ``events.jsonl`` file, each put decoded into its
     entity through one memo for this read (see ``derive_codec``). A line is
     accepted only as ``write_log`` writes it: one record of ASCII JSON, then
-    a newline; empty lines are skipped. Anything else is a ``SchemaError``
-    naming the line and the error."""
+    a newline; empty lines are skipped. Anything else, or a path that
+    cannot be read, is a ``SchemaError`` naming the line or the path."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise SchemaError(f"cannot read log {path}: {exc}") from None
     records, memo = [], {}
-    for line_number, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+    for line_number, line in enumerate(data.split(b"\n"), start=1):
         if not line:
             continue
         try:

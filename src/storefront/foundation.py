@@ -93,17 +93,10 @@ class Money(Record):
         return Money(0, currency)
 
 
-def money_sum(values, currency: str) -> Money:
-    """Sum of values that must all be in ``currency``; empty input is zero.
-
-    Raises ``CurrencyMismatch`` at the first value in another currency,
-    with the message ``Money.add`` gives.
-    """
-    return Money(money_amount(values, currency), currency)
-
-
 def money_amount(values, currency: str) -> int:
-    """``money_sum`` in minor units, building no ``Money``."""
+    """Sum in minor units of ``Money`` values that must all be in
+    ``currency``; empty input is zero. Raises ``CurrencyMismatch`` at the
+    first value in another currency, with the message ``Money.add`` gives."""
     total = 0
     for value in values:
         if value.currency != currency:
@@ -114,7 +107,7 @@ def money_amount(values, currency: str) -> int:
 
 def priced_sum(lines, currency: str) -> Money:
     """Sum of unit price times quantity over priced lines (cart items,
-    order lines, invoice items), checked per line as ``money_sum``."""
+    order lines, invoice items), checked per line as ``money_amount``."""
     return Money(priced_amount(lines, currency), currency)
 
 

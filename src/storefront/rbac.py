@@ -45,9 +45,6 @@ class AccessDecision:
     matched_role: str | None
     reason: str
 
-    def allowed(self) -> bool:
-        return self.verdict == ALLOW
-
     @functools.cached_property
     def as_dict(self) -> dict:
         """The ``access`` of the records of this decision, which is built once
@@ -119,10 +116,13 @@ def load_rbac_config(config) -> RbacMatrix:
     return RbacMatrix(roles=roles, assignments=assignments)
 
 
-_SYSTEM_ALLOW = AccessDecision(ALLOW, "system", "system actor")
-_PERMISSIVE_ALLOW = AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded")
-_NOT_OWNER = AccessDecision(DENY, None, "not owner")
-_NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
+SYSTEM_ALLOW = AccessDecision(ALLOW, "system", "system actor")
+PERMISSIVE_ALLOW = AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded")
+NOT_OWNER = AccessDecision(DENY, None, "not owner")
+NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
+NO_ROLES = frozenset()  # the roles of an actor whose entity carries none
+# the access of a record whose command failed before the check: shared, never mutated
+NOT_EVALUATED = {"verdict": None, "matched_role": None, "reason": "not evaluated"}
 
 
 def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
@@ -134,12 +134,14 @@ def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
     the roles its own entity carries. ``owner`` is the customer owning the
     target entity, or None for kinds without an owner. Owner-constrained
     roles are denied when the target does not resolve. The first granting
-    role by name decides. Deny is a result, never an exception.
+    role by name decides. Deny is a result, never an exception. Each
+    command's envelope inlines this decision; ``Engine.access_decision``
+    makes it through this function.
     """
     if user.kind == "system":
-        return _SYSTEM_ALLOW
+        return SYSTEM_ALLOW
     if matrix.permissive:
-        return _PERMISSIVE_ALLOW
+        return PERMISSIVE_ALLOW
     assigned = matrix.assignments.get(user, ())
     saw_ownership_failure = False
     granting = matrix.grants.get((kind, operation))
@@ -152,7 +154,7 @@ def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
             saw_ownership_failure = True
             continue
         return allow
-    return _NOT_OWNER if saw_ownership_failure else _NO_ROLE
+    return NOT_OWNER if saw_ownership_failure else NO_ROLE
 
 
 def default_matrix() -> RbacMatrix:

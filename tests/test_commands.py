@@ -5,12 +5,13 @@ input form, the Python API's rich values included. And the runners
 generated from each command's domain function, with the checks that
 reject a declaration they cannot serve."""
 
+import dataclasses
 import json
 import linecache
 
 import pytest
 
-from storefront import SYSTEM, EntityId, Money, Quantity
+from storefront import SYSTEM, Engine, EntityId, Money, Quantity, permissive_matrix
 from storefront.catalog import ProductStatus
 from storefront.commands import COMMANDS, Id, ParseContext, _spec, canonical_payload, parse_args
 from storefront.invoice import PaymentMethod
@@ -142,6 +143,23 @@ def test_every_runner_is_generated_from_its_domain_function():
         filename = spec.run.__code__.co_filename
         assert filename == f"<command {name}>"
         assert "**" not in "".join(linecache.getlines(filename)), name
+
+
+def test_the_envelope_of_a_spec_copy_calls_its_run(monkeypatch):
+    """A copy of a spec with another ``run`` (the benchmark's tracer wraps
+    each one) gets its own envelope, which calls that ``run`` instead of
+    inlining the domain call."""
+    spec, calls = COMMANDS["create_catalog"], []
+
+    def run(engine, txn, actor, args):
+        calls.append(args)
+        return spec.run(engine, txn, actor, args)
+    monkeypatch.setitem(COMMANDS, "create_catalog", dataclasses.replace(spec, run=run))
+    engine = Engine(rbac_matrix=permissive_matrix())
+    assert engine.dispatch(SYSTEM, "create_catalog", {"name": "main"}).result == {
+        "catalog": "catalog:1"}
+    assert calls == [{"name": "main"}]
+    assert COMMANDS["create_catalog"].envelope is not spec.envelope
 
 
 def op_name(txn, name: str) -> EntityId:

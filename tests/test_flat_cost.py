@@ -2,9 +2,10 @@
 session read derived values from the entities that own them instead of
 walking whole stores; a commit builds no snapshot and clones only what it
 changes; an id text is parsed once however often it recurs, a read of
-the log builds each distinct frozen value once, and a clean invariant
-check builds no ``Money``. Deterministic: it counts walks, calls, parses
-and constructions, not time."""
+the log builds each distinct frozen value once, a clean invariant check
+builds no ``Money``, and a command's envelope is one generated frame,
+compiled once per process. Deterministic: it counts walks, calls, parses,
+constructions and compilations, not time."""
 
 import json
 import sys
@@ -12,6 +13,7 @@ from collections import Counter
 
 from helpers import bench_engines
 from storefront import SYSTEM, Engine, default_matrix, foundation, invariants, permissive_matrix
+from storefront import commands as commands_module
 from storefront.catalog import ProductInfo
 from storefront.engine import read_log
 from storefront.foundation import AccessDenied, DomainError, EntityId, Money
@@ -341,3 +343,75 @@ def test_an_untampered_check_builds_no_money_and_keys_no_lines(monkeypatch):
     counts.clear()
     assert engine.check_invariants().ok()
     assert counts == Counter()
+
+
+def stock_commands(engine: Engine) -> list[tuple]:
+    """Seed ``engine`` for the fixed stock sequence and return it as
+    ``(actor, command, args)``: an accepted, a rejected and a denied
+    ``transfer``, an ``add_to_stock``, and a ``remove_from_stock`` whose
+    negative quantity fails to parse."""
+    engine.seed_stock([{"item": "bolt", "kind": "Component", "rooms": {"Main": 5, "Annex": 1}}])
+    manager = engine.execute(SYSTEM, "create_employee", name="M", roles=["StockManager"])
+    clerk = engine.execute(SYSTEM, "create_employee", name="C", roles=["ShippingClerk"])
+    manager, clerk = manager["employee"], clerk["employee"]
+    item, = (str(item) for item in engine.state.stores["stock_items"])
+    main, annex = (str(room) for room in sorted(engine.state.stores["stockrooms"]))
+    return [(manager, "transfer", {"item": item, "qty": 1, "from_room": main, "to_room": annex}),
+            (manager, "transfer", {"item": item, "qty": 1, "from_room": main,
+                                   "to_room": "stockroom:99"}),
+            (clerk, "transfer", {"item": item, "qty": 1, "from_room": main, "to_room": annex}),
+            (manager, "add_to_stock", {"item": item, "qty": 3}),
+            (manager, "remove_from_stock", {"item": item, "qty": -1})]
+
+
+def dispatch_all(engine: Engine, commands: list[tuple]) -> list[str]:
+    outcomes = []
+    for actor, command, args in commands:
+        try:
+            engine.dispatch(actor, command, args)
+        except DomainError:
+            pass
+        outcomes.append(engine.state.log[-1].outcome)
+    return outcomes
+
+
+def test_a_stock_command_makes_at_most_twelve_python_calls():
+    """Each command's envelope is one generated frame around the domain
+    call: parse, access check, transaction and record make no Python call
+    but ``dispatch``, the envelope, ``Txn``'s and ``EventRecord``'s."""
+    engine = Engine(rbac_matrix=default_matrix())
+    commands = stock_commands(engine)
+    # the first run compiles each envelope and each right's grants
+    assert dispatch_all(engine, commands) == ["ok", "error", "denied", "ok", "error"]
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+    for command in commands:
+        sys.setprofile(profile)
+        try:
+            dispatch_all(engine, [command])
+        finally:
+            sys.setprofile(None)
+    calls.pop("dispatch_all")
+    assert [record.outcome for record in engine.state.log[-5:]] == [
+        "ok", "error", "denied", "ok", "error"]
+    assert engine.state.log[-1].error == "NegativeQuantity"
+    assert calls["Engine.dispatch"] == calls["envelope"] == len(commands)
+    assert sum(calls.values()) / len(commands) <= 12, calls
+
+
+def test_a_second_engine_or_matrix_compiles_no_envelope(monkeypatch):
+    engine = Engine(rbac_matrix=default_matrix())
+    dispatch_all(engine, stock_commands(engine))
+    compiled = []
+    run_generated = commands_module.run_generated
+    monkeypatch.setattr(commands_module, "run_generated", lambda source, filename, names: (
+        compiled.append(filename), run_generated(source, filename, names)))
+    second = Engine(rbac_matrix=default_matrix())
+    commands = stock_commands(second)
+    assert dispatch_all(second, commands) == ["ok", "error", "denied", "ok", "error"]
+    second.rbac = default_matrix()
+    assert dispatch_all(second, commands) == ["ok", "error", "denied", "ok", "error"]
+    assert compiled == []

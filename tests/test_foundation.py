@@ -22,7 +22,7 @@ from storefront.foundation import (
     Record,
     SchemaError,
     derive_codec,
-    money_sum,
+    money_amount,
     priced_sum,
     round_half_away,
 )
@@ -53,7 +53,7 @@ def test_priced_sum():
     with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
         priced_sum([line(1, 1), line(1, 1, "EUR")], "USD")
     with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
-        money_sum([usd(1), Money(1, "EUR")], "USD")
+        money_amount([usd(1), Money(1, "EUR")], "USD")
 
 
 def test_money_sub():
@@ -64,13 +64,13 @@ def test_money_sub():
 
 @given(st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1,
                 max_size=30), st.randoms())
-def test_money_sum_order_independent(amounts, rng):
+def test_money_amount_order_independent(amounts, rng):
     """Same-currency addition commutes and associates: any fold order agrees."""
-    base = money_sum((usd(a) for a in amounts), "USD")
+    base = money_amount((usd(a) for a in amounts), "USD")
     shuffled = list(amounts)
     rng.shuffle(shuffled)
-    assert money_sum((usd(a) for a in shuffled), "USD") == base
-    assert base.amount == sum(amounts)
+    assert money_amount((usd(a) for a in shuffled), "USD") == base
+    assert base == sum(amounts)
 
 
 def test_quantity_domain():

@@ -4,6 +4,8 @@ declarations: JSON forms and Python API values, right and wrong. Each
 parser's payload-free form against its payload form, and the loader of
 each input file against the hand-written loader it replaced."""
 
+import dataclasses
+import sys
 import typing
 from enum import Enum
 
@@ -17,10 +19,11 @@ from storefront import (
 )
 from storefront.catalog import ProductStatus
 from storefront.commands import (
-    COMMANDS, EDIT, INVOICE_ITEM, Fields, Id, ParseContext, compile_parser,
+    COMMANDS, EDIT, INVOICE_ITEM, Fields, Id, ParseContext, best_effort, compile_parser,
 )
-from storefront.foundation import DomainError, SchemaError
-from storefront.invoice import RULE_KINDS, Invoice, PaymentMethod, RuleBook
+from storefront.foundation import DomainError, NegativeQuantity, SchemaError
+from storefront.invoice import RULE_KINDS, Invoice, InvoiceItem, PaymentMethod, RuleBook
+from storefront.order_shipment import ShippedItem
 from storefront.queries import QUERIES
 from storefront.rbac import DECLARED_RIGHTS
 from storefront.stock_manager import StockKind
@@ -170,6 +173,65 @@ def test_generated_query_parser_matches_the_query_validation(query, data):
     new = outcome(lambda raw: QUERIES[query].parse(raw, CTX), raw)
     old = outcome(lambda raw: parse_oracle.query_args(query, raw, CTX), in_schema_order)
     assert same_outcome(new, old), (raw, new, old)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_envelope_parses_as_the_parser(command, data):
+    """Each command's envelope inlines its parser's lines: denied by a
+    matrix with no roles, the record holds the payload the parser builds;
+    when the parser raises, the raw args and the parser's error code."""
+    raw = data.draw(raw_args(COMMANDS[command].schema))
+    engine = Engine(rbac_matrix=load_rbac_config({}))
+    try:
+        _, payload = COMMANDS[command].parse(raw or {}, CTX)
+        expected = ("denied", "AccessDenied", repr(payload))
+    except DomainError as exc:
+        expected = ("error", exc.code, repr(best_effort(raw or {})))
+    except TypeError:
+        expected = TypeError
+    try:
+        engine.dispatch("customer:1", command, raw)
+    except DomainError:
+        record, = engine.state.log
+        assert (record.outcome, record.error, repr(record.payload)) == expected, raw
+    except TypeError:
+        assert expected is TypeError, raw
+    else:
+        raise AssertionError(f"not denied: {raw!r}")
+
+
+def test_parsed_values_are_built_without_init_equal_and_frozen():
+    """Money, quantities and the records of a list of objects are set
+    field by field, as a codec's ``clone`` builds them: no ``__init__``
+    runs, and they equal, hash and stay frozen as the constructor's do."""
+    shipment = {"order": "order:1", "receiver": "customer:1",
+                "items": [{"product": "product:1", "qty": 2},
+                          {"product": "product:2", "qty": 0, "substituted_for": "product:1"}]}
+    edits = {"invoice": "invoice:1", "edits": [{"add": {"description": "fee", "quantity": 3,
+                                                        "unit_price": 250}}]}
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(
+        frame.f_code.co_name))
+    try:
+        (shipped, _), (prepared, _) = (COMMANDS["create_shipment"].parse(shipment, CTX),
+                                       COMMANDS["prepare_invoice"].parse(edits, CTX))
+    finally:
+        sys.setprofile(None)
+    assert "__init__" not in calls, calls
+    p1, p2 = EntityId.parse("product:1"), EntityId.parse("product:2")
+    built = [*shipped["items"], prepared["edits"][0]["add"]]
+    expected = [ShippedItem(p1, Quantity(2), None), ShippedItem(p2, Quantity(0), p1),
+                InvoiceItem("fee", None, Quantity(3), Money(250, "USD"))]
+    assert built == expected
+    assert [hash(value) for value in built] == [hash(value) for value in expected]
+    for value in built + [value.quantity for value in built] + [built[2].unit_price]:
+        assert type(value).__init__ is not object.__init__  # the check is not vacuous
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+    with pytest.raises(NegativeQuantity, match="^quantity cannot be negative: -1$"):
+        COMMANDS["add_to_stock"].parse({"item": "stock_item:1", "qty": -1}, CTX)
 
 
 def test_object_field_names_of_several_types_are_a_logged_schema_error(eng):

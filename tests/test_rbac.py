@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from helpers import new_customer, new_employee, product_id, stock_item_id
-from storefront import SYSTEM, AccessDenied, EntityId, SchemaError, bundled
+from helpers import catalog_id, new_customer, new_employee, product_id, stock_item_id
+from storefront import SYSTEM, AccessDenied, DomainError, EntityId, SchemaError, bundled
 from storefront.cli import main
 from storefront.commands import COMMANDS
 from storefront.rbac import (
@@ -277,7 +277,7 @@ def test_need_to_know_exhaustive():
             has_right = (spec.kind, command) in declared[role_name]
             own_args = _args_for(engine, command, own=True, actor=actor)
             decision = engine.access_decision(actor, command, own_args)
-            assert decision.allowed() == has_right, \
+            assert (decision.verdict == "Allow") == has_right, \
                 f"{role_name} x {command} (own): expected {has_right}"
             checked += 1
 
@@ -287,7 +287,7 @@ def test_need_to_know_exhaustive():
                 owner, missing = spec.owner(engine.state, other_args)
                 decision = engine.access_decision(actor, command, other_args)
                 expect_deny = owner is not None or missing
-                assert decision.allowed() == (not expect_deny), \
+                assert (decision.verdict == "Allow") == (not expect_deny), \
                     f"{role_name} x {command} (other): unexpected verdict"
                 checked += 1
     assert checked >= 6 * len(COMMANDS)
@@ -360,3 +360,181 @@ def test_grant_table_decides_like_the_declared_matrix():
                     assert got == expected, (sorted(held), command, case, source)
                     checked += 1
     assert checked == (1 << len(names)) * len(COMMANDS) * len(ownership) * 2
+
+
+# each owned command's arg that names its target, and each target kind's
+# attribute that names the owning customer: the reference for ownership
+OWNING_ARG = {"subscribe": "customer", "create_cart": "customer", "place_order": "customer",
+              "add_item": "cart", "remove_item": "cart", "cart_total": "cart",
+              "checkout": "cart", "record_payment": "invoice", "invoice_balance": "invoice",
+              "cancel_order": "order", "record_receipt": "shipment"}
+OWNER_ATTRIBUTE = {"cart": "customer", "invoice": "customer", "order": "customer",
+                   "shipment": "receiver"}
+# args every command parses; "$x" is the id named x of the case's targets
+DISPATCH_ARGS = {
+    "create_customer": {"name": "n"},
+    "create_employee": {"name": "n"},
+    "create_catalog": {"name": "n"},
+    "add_product": {"catalog": "$catalog", "name": "n", "price": 1, "status": "Regular"},
+    "set_product_info": {"product": "$product", "description": "d"},
+    "update_product": {"product": "$product", "changes": {}},
+    "link_similar": {"a": "$product", "b": "$product"},
+    "subscribe": {"customer": "$customer", "product": "$product"},
+    "search": {"catalog": "$catalog"},
+    "create_cart": {"customer": "$customer"},
+    "add_item": {"cart": "$cart", "product": "$product", "qty": 0},
+    "remove_item": {"cart": "$cart", "product": "$product"},
+    "cart_total": {"cart": "$cart"},
+    "checkout": {"cart": "$cart"},
+    "create_invoice": {"creator": "$employee", "customer": "$customer"},
+    "prepare_invoice": {"invoice": "$invoice"},
+    "validate_invoice": {"validator": "$employee", "invoice": "$invoice"},
+    "record_payment": {"customer": "$customer", "invoice": "$invoice", "amount": 0,
+                       "method": "Card"},
+    "validate_payment": {"validator": "$employee", "payment": "payment:9999"},
+    "invoice_balance": {"invoice": "$invoice"},
+    "place_order": {"customer": "$customer", "lines": []},
+    "cancel_order": {"order": "$order"},
+    "create_shipment": {"order": "$order", "items": [], "receiver": "$customer"},
+    "record_receipt": {"shipment": "$shipment", "receiver": "$customer"},
+    "create_stockroom": {"name": "n"},
+    "create_stock_item": {"name": "n", "kind": "Component"},
+    "add_to_stock": {"item": "$stock_item", "qty": 0},
+    "remove_from_stock": {"item": "$stock_item", "qty": 0},
+    "transfer": {"item": "$stock_item", "qty": 0, "from_room": "stockroom:1",
+                 "to_room": "stockroom:2"},
+    "create_shop_order": {"product": "$stock_item", "output_qty": 1, "bill_of_materials": {}},
+    "cut_shop_order": {"order": "shop_order:9999"},
+    "pick_components": {"order": "shop_order:9999"},
+    "finish_fabrication": {"order": "shop_order:9999", "room": "stockroom:1"},
+}
+
+
+def _targets(engine, customer: str) -> dict:
+    """A cart, an order, an invoice and a shipment of ``customer``, made
+    by the system actor, with the ids every command's args share."""
+    cart = engine.execute(SYSTEM, "create_cart", customer=customer)["cart"]
+    widget = product_id(engine, "WidgetA")
+    engine.execute(SYSTEM, "add_to_stock", item=stock_item_id(engine, "WidgetA"), qty=1)
+    order = engine.execute(SYSTEM, "place_order", customer=customer,
+                           lines=[{"product": widget, "qty": 2}])["order"]
+    shipped = engine.execute(SYSTEM, "create_shipment", order=order, receiver=customer,
+                             items=[{"product": widget, "qty": 1}])
+    return {"customer": customer, "cart": cart, "order": order, "invoice": shipped["invoice"],
+            "shipment": shipped["shipment"], "product": widget,
+            "catalog": catalog_id(engine), "employee": "employee:1",
+            "stock_item": stock_item_id(engine, "widget-frame")}
+
+
+def _ownership_cases(command: str, own: dict, other: dict) -> dict:
+    """The args of ``command`` for each ownership case it has: a target of
+    the actor's own, another customer's, and one that does not exist;
+    ``no owner`` alone for a command whose target has no owner."""
+    def fill(ids):
+        return {key: ids[value[1:]] if isinstance(value, str) and value.startswith("$")
+                else value for key, value in DISPATCH_ARGS[command].items()}
+    if command not in OWNING_ARG:
+        return {"no owner": fill(own)}
+    missing = {kind: f"{kind}:9999" for kind in ("customer", *OWNER_ATTRIBUTE)}
+    return {"own": fill(own), "other's": fill({**own, **{
+                key: other[key] for key in ("customer", *OWNER_ATTRIBUTE)}}),
+            "target missing": fill({**own, **missing})}
+
+
+def _reference_owner(engine, command: str, args: dict) -> tuple:
+    """(owner, target missing) of the target ``args`` name, read from the
+    stores as the declaration says, independently of the generated code."""
+    if command not in OWNING_ARG:
+        return None, False
+    target = EntityId.parse(args[OWNING_ARG[command]])
+    if target.kind == "customer":
+        return target, False
+    entity = engine.state.entity(target)
+    return (None, True) if entity is None else (getattr(entity, OWNER_ATTRIBUTE[target.kind]),
+                                                False)
+
+
+def _dispatched(engine, actor, command: str, args: dict):
+    """The record ``dispatch`` appends, whatever the command's outcome."""
+    try:
+        engine.dispatch(actor, command, args)
+    except AccessDenied:
+        assert engine.state.log[-1].outcome == "denied"
+    except DomainError:
+        assert engine.state.log[-1].outcome == "error"
+    return engine.state.log[-1]
+
+
+def test_dispatch_decides_like_the_declared_matrix():
+    """The access check each envelope inlines, through ``Engine.dispatch``:
+    every subset of the bundled roles, held through the actor's entity and
+    through an assignment, x every command x each ownership case, against
+    the brute-force reference; the record's access is the reference's, and
+    the command is denied exactly when the reference denies."""
+    names = sorted(role["name"] for role in BUNDLED_RBAC_CONFIG["roles"])
+    entity_matrix = default_matrix()
+    engine = fresh_engine(rbac=entity_matrix)
+    other = _targets(engine, new_customer(engine, name="Other"))
+    checked, reasons = 0, set()
+    for mask in range(1 << len(names)):
+        held = sorted(name for bit, name in enumerate(names) if mask >> bit & 1)
+        by_entity = new_customer(engine, name=f"e{mask}", roles=[*held, "Undeclared"])
+        by_assignment = new_customer(engine, name=f"a{mask}", roles=())
+        assigned_matrix = load_rbac_config({"roles": BUNDLED_RBAC_CONFIG["roles"],
+                                            "assignments": [{"user": by_assignment,
+                                                             "roles": held}]})
+        for actor, matrix in ((by_entity, entity_matrix), (by_assignment, assigned_matrix)):
+            engine.rbac = matrix
+            own = _targets(engine, actor)
+            for command, spec in COMMANDS.items():
+                for case, args in _ownership_cases(command, own, other).items():
+                    owner, missing = _reference_owner(engine, command, args)
+                    verdict, role, reason = _reference_decision(
+                        entity_matrix, EntityId.parse(actor), held, spec.kind, command,
+                        owner, missing)
+                    record = _dispatched(engine, actor, command, args)
+                    assert record.access == {"verdict": verdict, "matched_role": role,
+                                             "reason": reason}, (held, command, case, actor)
+                    assert (record.outcome == "denied") == (verdict == "Deny")
+                    reasons.add(reason)
+                    checked += 1
+    assert checked == (1 << len(names)) * 2 * sum(
+        len(_ownership_cases(command, own, other)) for command in COMMANDS)
+    assert {"not owner", "no role grants operation"} <= reasons
+
+
+def test_dispatch_access_of_the_system_actor_a_permissive_engine_and_an_actor_with_no_entity():
+    """The envelope's early allows, and an actor whose roles come from an
+    assignment alone, over every command and ownership case."""
+    engine = fresh_engine(rbac=default_matrix())
+    own = _targets(engine, new_customer(engine, name="Own"))
+    other = _targets(engine, new_customer(engine, name="Other"))
+    ghost = "customer:9999"  # assigned roles, but no entity
+    ghost_matrix = load_rbac_config({"roles": BUNDLED_RBAC_CONFIG["roles"], "assignments": [
+        {"user": ghost, "roles": ["Shopper", "StockManager"]}]})
+    system = {"verdict": "Allow", "matched_role": "system", "reason": "system actor"}
+    permissive = {"verdict": "Allow", "matched_role": "*",
+                  "reason": "permissive mode, no matrix loaded"}
+    refused_missing, checked = set(), 0
+    for command, spec in COMMANDS.items():
+        for case, args in _ownership_cases(command, own, other).items():
+            engine.rbac = default_matrix()
+            assert _dispatched(engine, SYSTEM, command, args).access == system
+            engine.rbac = permissive_matrix()
+            assert _dispatched(engine, ghost, command, args).access == permissive
+            assert _dispatched(engine, "employee:9999", command, args).access == permissive
+            engine.rbac = ghost_matrix
+            owner, missing = _reference_owner(engine, command, args)
+            verdict, role, reason = _reference_decision(
+                ghost_matrix, EntityId.parse(ghost), {"Shopper", "StockManager"}, spec.kind,
+                command, owner, missing)
+            record = _dispatched(engine, ghost, command, args)
+            assert record.access == {"verdict": verdict, "matched_role": role,
+                                     "reason": reason}, (command, case)
+            assert (record.outcome == "denied") == (verdict == "Deny")
+            if case == "target missing":
+                refused_missing.add(reason)
+            checked += 1
+    # an owner-only role is refused a target that does not exist
+    assert "not owner" in refused_missing
+    assert checked == 11 * 3 + 22

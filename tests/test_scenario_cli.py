@@ -583,6 +583,16 @@ def test_verify_names_the_line_of_bytes_that_are_not_text(tmp_path):
     assert f"error: {log}:2: bad event record: UnicodeDecodeError: " in output
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_verify_of_a_path_it_cannot_read_exits_two(tmp_path, where):
+    # both ended in a traceback and exit 1, the code for violations found
+    path = tmp_path / "no-such-events.jsonl" if where == "missing" else tmp_path
+    code, output = run_cli("verify", str(path))
+    assert code == 2, output
+    assert output.startswith(f"error: cannot read log {path}: "), output
+    assert output.count("\n") == 1, output
+
+
 def test_verify_skips_empty_lines(tmp_path):
     log = _full_purchase_log(tmp_path)
     log.write_text("\n" + log.read_text().replace("\n", "\n\n"))
