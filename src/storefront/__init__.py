@@ -20,7 +20,7 @@ from .rbac import default_matrix, load_rbac_config, permissive_matrix
 from .scenario import Scenario, load_scenario, parse_scenario, run_scenario
 from .state import EngineState, EventRecord, replay
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AccessDenied",

@@ -58,7 +58,7 @@ class Id:
 class Fields:
     """An object of the declared fields, each required unless ``optional``,
     parsed to a dict of those present or to ``into(*fields)`` (None for an
-    absent one); a tuple's payload is a list, a record's its ``to_dict()``."""
+    absent one); its payload, the object of those present, parses back."""
 
     fields: dict
     optional: set | frozenset = frozenset()
@@ -268,9 +268,9 @@ class _ParserSource:
             lines.append(f"if not {v}.keys() >= {required}: "
                          f"_names('missing fields:', {required}, {v}.keys())")
         parsed, payload = self.var(), self.var()
-        if decl.into is None:
-            lines.append(self.assign(parsed, "{}", payload, "{}"))
-        fields, payloads = [], []
+        lines += ([self.assign(parsed, "{}", payload, "{}")] if decl.into is None
+                  else self.also(f"{payload} = {{}}"))
+        fields = []
         for name, field_decl in decl.fields.items():
             f = self.var()
             try:  # the outermost arg is the one named
@@ -278,10 +278,9 @@ class _ParserSource:
             except TypeError:
                 raise TypeError(f"{label}: arg {name!r}: no kind parses {field_decl!r}") from None
             fields.append(f)
-            payloads.append(field_payload)
-            if decl.into is None:
-                field.append(self.assign(f"{parsed}[{name!r}]", f, f"{payload}[{name!r}]",
-                                         field_payload))
+            field += ([self.assign(f"{parsed}[{name!r}]", f, f"{payload}[{name!r}]",
+                                   field_payload)] if decl.into is None
+                      else self.also(f"{payload}[{name!r}] = {field_payload}"))
             field = _located(field, repr(f".{name}"))
             if name in decl.optional:
                 lines += ([f"{f} = None"] if decl.into else []) + [
@@ -295,14 +294,14 @@ class _ParserSource:
         if decl.into is None:
             return lines + [f"{v} = {parsed}"], payload
         if decl.into is tuple:
-            return lines + [f"{v} = ({', '.join(fields)},)"], f"[{', '.join(payloads)}]"
+            return lines + [f"{v} = ({', '.join(fields)},)"], payload
         # built as a codec's clone builds it: a __post_init__ would not run
         attributes = [f.name for f in dataclasses.fields(decl.into)]
         if len(attributes) != len(fields) or hasattr(decl.into, "__post_init__"):
             raise TypeError(decl)
         into = self.name(decl.into, decl.into.__name__)
         return lines + [f"{v} = _new({into})", *(f"_set({v}, {name!r}, {f})" for name, f
-                                                 in zip(attributes, fields))], f"{v}.to_dict()"
+                                                 in zip(attributes, fields))], payload
 
 
 @functools.cache
@@ -628,7 +627,7 @@ def parse_args(spec: CommandSpec, raw_args: dict, ctx: ParseContext) -> tuple[di
 
 
 def canonical_payload(args: dict) -> dict:
-    """The reference definition of the payload, which the parsers build."""
+    """The payload as log format 2 wrote it; the parsers build format 3's."""
     return {name: to_jsonable(value) for name, value in sorted(args.items())}
 
 

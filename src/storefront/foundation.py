@@ -279,6 +279,12 @@ def derive_codec(cls: type) -> type:
     ``__post_init__`` runs.
     Any other field type raises ``TypeError`` naming the field.
 
+    A put of a stored entity writes ``changes_json(old)``: the fields but
+    ``id`` that differ from the pre-image ``old``. ``decode_changes`` decodes
+    them as ``decode`` would, refusing an undeclared field or ``id``;
+    ``changes_text`` writes them back; ``merge(old, changes)`` is a new record
+    holding them and sharing every other field with ``old``, left unchanged.
+
     ``decode(data, memo)`` is ``from_dict`` with a memo, a dict that lives
     for one read of a log (``from_dict`` passes a new one). A record whose
     ``clone`` returns itself is looked up there by the tuple of its JSON
@@ -313,14 +319,20 @@ def derive_codec(cls: type) -> type:
         f"key = (_cls, {', '.join(leaves)})\n    try:\n        return memo[key]\n"
         f"    except (KeyError, TypeError):\n        value = memo[key] = {build}\n"
         f"        return value")
+    changes = source.changes(cls)
     namespace = dict(source.names, _cls=cls, _new=object.__new__, _set=object.__setattr__)
     run_generated(f"def to_dict(self):\n    return {encoded}\n"
                   f"def to_json(self):\n    return {written}\n"
                   f"def decode(data, memo):\n    {decode}\n"
                   f"def from_dict(cls, data):\n    return decode(data, {{}})\n"
-                  f"def clone(self):\n    {clone}\n", f"<codec {cls.__qualname__}>", namespace)
+                  f"def clone(self):\n    {clone}\n{changes}"
+                  "def merge(old, changes):\n    new = _new(_cls)\n"
+                  "    new.__dict__.update(old.__dict__, **changes)\n    return new\n",
+                  f"<codec {cls.__qualname__}>", namespace)
     cls.to_dict, cls.to_json, cls.clone = namespace["to_dict"], namespace["to_json"], namespace["clone"]
-    cls.decode = staticmethod(namespace["decode"])
+    cls.changes_json = namespace["changes_json"]
+    for name in ("decode", "decode_changes", "changes_text", "merge"):
+        setattr(cls, name, staticmethod(namespace[name]))
     cls.from_dict = classmethod(namespace["from_dict"])
     _SHARED[cls] = shared
     return cls
@@ -338,6 +350,10 @@ def _wrong(value, expected: type):
     raise SchemaError(f"expected {expected.__name__}, got {value!r}")
 
 
+def _undeclared(data: dict, declared: frozenset):
+    raise SchemaError(f"undeclared fields: {sorted(data.keys() - declared, key=repr)}")
+
+
 class _Lit(str):
     """Literal JSON text among a generated writer's parts."""
 
@@ -352,7 +368,8 @@ class _CodecSource:
 
     def __init__(self):
         self.names = {"Quantity": Quantity, "parse_id": EntityId.parse, "_wrong": _wrong,
-                      "_str": json.encoder.encode_basestring_ascii, "json_text": json_text}
+                      "_str": json.encoder.encode_basestring_ascii, "json_text": json_text,
+                      "_undeclared": _undeclared}
         self._count = 0
 
     def _name(self, value, label: str = "") -> str:
@@ -426,6 +443,28 @@ class _CodecSource:
                     f"{self._exact(dict, d)}.items()}}",
                     f"dict({x})" if copy == v else f"{{{k}: {copy} for {k}, {v} in {x}.items()}}")
         raise TypeError(hint)
+
+    def changes(self, cls: type) -> str:
+        """The source of ``changes_json``, ``changes_text`` and ``decode_changes``."""
+        hints = typing.get_type_hints(cls)
+        names = sorted(f.name for f in dataclasses.fields(cls) if f.name != "id")
+        declared = self._name(frozenset(names), "declared")
+        written = ["def changes_json(self, old):", "parts = []"]
+        texts = ["def changes_text(changes):", "parts = []"]
+        decoded = ["def decode_changes(data, memo):", "changes = {}",
+                   f"if not data.keys() <= {declared}: _undeclared(data, {declared})"]
+        for name in names:
+            key, hint = _Lit(f'"{name}":'), hints[name]
+            mine, value = f"self.{name}", f"changes[{name!r}]"
+            written += [f"if {mine} is not old.{name} and {mine} != old.{name}:",
+                        f"    parts.append({self.f_string([key, *self.text(hint, mine)])})"]
+            texts += [f"if {name!r} in changes:",
+                      f"    parts.append({self.f_string([key, *self.text(hint, value)])})"]
+            decoded += [f"if {name!r} in data: {value} = "
+                        + self.expressions(hint, "self", f"data[{name!r}]")[1]]
+        end = "return '{' + ','.join(parts) + '}'"
+        return "".join("\n    ".join(lines) + "\n"
+                       for lines in (written + [end], texts + [end], decoded + ["return changes"]))
 
     def record_text(self, cls: type, x: str) -> list[str]:
         """The parts of the JSON text of ``x``, a ``cls`` record, its

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .foundation import priced_amount
+from .foundation import CurrencyMismatch, money_amount, priced_amount
 from .invoice import InvoiceState, PaymentState
 from .order_shipment import OrderState
 from .shopping_cart import CartState
@@ -79,6 +79,20 @@ class _Checker:
     def flag(self, invariant: str, entity, detail: str) -> None:
         self.violations.append(Violation(invariant, str(entity), detail))
 
+    def priced(self, name: str, entity, lines, adjustments=()) -> int | None:
+        """The total of the priced ``lines`` and ``(reason, Money)`` adjustments of
+        ``entity``, or None after flagging under ``name`` each in another currency."""
+        currency = self.currency
+        try:
+            return priced_amount(lines, currency) + money_amount([a for _, a in adjustments],
+                                                                 currency)
+        except CurrencyMismatch:
+            foreign = [(f"line {index}", line.unit_price) for index, line in enumerate(lines)]
+            for what, money in foreign + [(f"adjustment {r}", a) for r, a in adjustments]:
+                if money.currency != currency:
+                    self.flag(name, entity, f"{what} in {money.currency}, not {currency}")
+            return None
+
     # -- catalog ---------------------------------------------------------
 
     def check_catalog_references(self):
@@ -140,7 +154,7 @@ class _Checker:
 
     def check_checkout_bijection(self):
         name = "checkout-bijection"
-        stores, currency, open_state = self.state.stores, self.currency, CartState.OPEN
+        stores, open_state = self.state.stores, CartState.OPEN
         orders_by_cart: dict = {}
         for order in stores["orders"].values():
             if order.source_cart is not None:
@@ -162,17 +176,20 @@ class _Checker:
                           f"{len(orders)} orders and {len(invoices)} invoices for one checkout")
                 continue
             order, inv = orders[0], invoices[0]
-            # checkout shares the cart's lines: keys only for lists that differ
+            # checkout shares the cart's lines: keys and totals only for lists
+            # that differ, or for all when the cart's are in another currency
             cart_items = cart.items
-            cart_total = order_total = inv_subtotal = priced_amount(cart_items, currency)
-            if order.line_items != cart_items:
-                order_total = priced_amount(order.line_items, currency)
+            cart_total = order_total = inv_subtotal = self.priced(name, cart_id, cart_items)
+            if cart_total is None or order.line_items != cart_items:
+                order_total = self.priced(name, order.id, order.line_items)
                 if _item_keys(order.line_items) != _item_keys(cart_items):
                     self.flag(name, cart_id, f"order {order.id} line items differ from cart")
-            if not _same_lines(inv.items, cart_items):
-                inv_subtotal = priced_amount(inv.items, currency)
+            if cart_total is None or not _same_lines(inv.items, cart_items):
+                inv_subtotal = self.priced(name, inv.id, inv.items)
                 if _item_keys(inv.items) != _item_keys(cart_items):
                     self.flag(name, cart_id, f"invoice {inv.id} items differ from cart")
+            if None in (cart_total, order_total, inv_subtotal):
+                continue
             if not cart_total == order_total == inv_subtotal:
                 self.flag(name, cart_id,
                           f"totals differ: cart {cart_total}, order {order_total}, "
@@ -219,13 +236,15 @@ class _Checker:
             if payment.state is accepted_state and not foreign:
                 accepted[payment.invoice] = accepted.get(payment.invoice, 0) + amount
         for iid, inv in invoices.items():
-            total = inv.total_amount(currency)
-            if total < 0:
-                self.flag(name, iid, f"negative total {total}")
+            total = self.priced(name, iid, inv.items, inv.adjustments)
             paid = accepted.get(iid, 0)
             if inv.accepted != paid:
                 self.flag(name, iid, f"stored accepted {inv.accepted}, "
                                      f"accepted payments sum to {paid}")
+            if total is None:
+                continue
+            if total < 0:
+                self.flag(name, iid, f"negative total {total}")
             if paid > total:
                 self.flag(name, iid, f"accepted {paid} exceeds total {total}")
             if inv.state == paid_state:

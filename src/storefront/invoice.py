@@ -134,12 +134,9 @@ class Invoice(Record):
 
     def total(self, currency: str) -> Money:
         """The subtotal plus each adjustment, all in ``currency``."""
-        return Money(self.total_amount(currency), currency)
-
-    def total_amount(self, currency: str) -> int:
-        """``total`` in minor units, building no ``Money``."""
         adjustments = [adjustment for _, adjustment in self.adjustments]
-        return priced_amount(self.items, currency) + money_amount(adjustments, currency)
+        return Money(priced_amount(self.items, currency) + money_amount(adjustments, currency),
+                     currency)
 
 
 @dataclass

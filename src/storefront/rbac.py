@@ -47,10 +47,13 @@ class AccessDecision:
 
     @functools.cached_property
     def as_dict(self) -> dict:
-        """The ``access`` of the records of this decision, which is built once
-        per grant: one dict, shared by them all, so never mutate it."""
-        return {"verdict": self.verdict, "matched_role": self.matched_role,
-                "reason": self.reason}
+        """The ``access`` of the records of this decision, built once per
+        grant: one dict, shared by them all, so never mutate it. A Deny's
+        holds its reason code; ``reason_text`` gives the reason back."""
+        access = {"role": self.matched_role, "verdict": self.verdict}
+        if self.verdict == DENY:
+            access["reason"] = _DENY_CODES[self.reason]
+        return access
 
 
 @dataclass
@@ -97,6 +100,8 @@ def load_rbac_config(config) -> RbacMatrix:
         name, rights = raw["name"], raw.get("rights", ())
         if name in roles:
             raise DuplicateRole(f"role {name!r} declared twice")
+        if name in _ALLOWS:  # the log could not tell its grants from these
+            raise SchemaError(f"role name {name!r} is reserved")
         for right in rights:
             if tuple(right) not in DECLARED_RIGHTS:
                 raise SchemaError(f"role {name!r}: right {right} names no declared command")
@@ -122,7 +127,20 @@ NOT_OWNER = AccessDecision(DENY, None, "not owner")
 NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
 NO_ROLES = frozenset()  # the roles of an actor whose entity carries none
 # the access of a record whose command failed before the check: shared, never mutated
-NOT_EVALUATED = {"verdict": None, "matched_role": None, "reason": "not evaluated"}
+NOT_EVALUATED = {"role": None, "verdict": None}
+_DENY_CODES = {NOT_OWNER.reason: "not-owner", NO_ROLE.reason: "no-role"}
+# reason code -> reason, of a Deny and (None) of a command that did not parse
+_DENIALS = {None: "not evaluated", **{code: reason for reason, code in _DENY_CODES.items()}}
+_ALLOWS = {decision.matched_role: decision.reason for decision in (SYSTEM_ALLOW, PERMISSIVE_ALLOW)}
+
+
+def reason_text(access: dict, command: str) -> str:
+    """The ``reason`` of the decision a record of ``command`` holds as its
+    ``access``: a Deny's from its code, an Allow's from its role."""
+    if access["verdict"] != ALLOW:
+        return _DENIALS[access.get("reason")]
+    role = access["role"]
+    return _ALLOWS.get(role) or f"role {role} grants {command} on {COMMANDS[command].kind}"
 
 
 def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,

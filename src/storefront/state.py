@@ -5,12 +5,13 @@ Commands mutate state only through a ``Txn``, which copies on write: the
 first ``get_mut`` of an entity installs a clone in the store and keeps the
 untouched original for rollback, so an entity a committed transaction left
 in a store is never mutated again. On success the transaction emits
-*facts* — a put carrying each created or changed entity object itself,
-plus serial-counter updates — which become the event record's deltas; on
-failure it restores every touched entity, so an errored command
-contributes zero deltas. A put's JSON exists only in the log file, written
-by the entity's ``to_json`` and decoded back into an entity on reading.
-Replaying the facts alone (no business logic) reproduces the live state.
+*facts* — a put carrying each created or changed entity object itself
+and its pre-image, plus serial-counter updates — which become the event
+record's deltas; on failure it restores every touched entity, so an
+errored command contributes zero deltas. A put's JSON exists only in the
+log file: a created entity whole, a changed one as the fields that differ
+from its pre-image. Replaying the facts alone (no business logic)
+reproduces the live state.
 
 The rule for domain code: mutate an entity only through the object
 ``Txn.get_mut`` returned (or ``Txn.create`` stored) in the same
@@ -27,7 +28,8 @@ from json.encoder import encode_basestring_ascii as _str
 from types import MappingProxyType
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .foundation import DomainError, EntityId, Quantity, Record, SchemaError, derive_codec, json_text
+from .foundation import (DomainError, EntityId, Quantity, Record, SchemaError, _undeclared,
+                         derive_codec, json_text)
 
 # store name -> (entity kind, entity class)
 STORES = {
@@ -52,10 +54,6 @@ KIND_TO_STORE = {kind: store for store, (kind, _) in STORES.items()}
 # fails at import, and no command pays the build cost
 for _, entity_class in STORES.values():
     derive_codec(entity_class)
-
-# store name -> (entity kind, the decoder of its entities): one lookup per put fact
-_PUTS = {store: (kind, entity_class.decode) for store, (kind, entity_class) in STORES.items()}
-
 
 class UnknownFactKind(DomainError):
     code = "UnknownFactKind"
@@ -123,26 +121,37 @@ def _access_text(access: dict) -> str:
 
 def _fact_text(fact: dict) -> str:
     if fact["f"] == "put":
-        return (f'{{"data":{fact["data"].to_json()},"f":"put","id":{_str(fact["id"])},'
+        data, old = fact["data"], fact["old"]
+        data = (data.changes_json(old) if old is not None else data.to_json()
+                if data.__class__ is not dict else STORES[fact["store"]][1].changes_text(data))
+        return (f'{{"data":{data},"f":"put","id":{_str(fact["id"])},'
                 f'"store":{_str(fact["store"])}}}')
     return f'{{"f":"serial","kind":{_str(fact["kind"])},"value":{fact["value"]}}}'
 
 
 def _decode_fact(fact, memo: dict) -> dict:
     """A fact read from the log, its put's data decoded through ``memo``
-    (see ``derive_codec``) into the entity. A fact the engine could not have
-    written is a ``DomainError``: another kind or store, a serial that is not
-    an int for a stored kind, a put of an entity with another id or kind."""
+    (see ``derive_codec``): into the entity a put holding ``id`` creates, else
+    into the changed fields ``apply_fact`` merges. A fact the engine could
+    not have written is a ``DomainError``: another kind or store, a serial
+    that is not an int for a stored kind, a put of an entity with another id
+    or kind, or of a field not declared."""
     kind = fact["f"]
     if kind == "put":
-        store = fact["store"]
-        put = _PUTS.get(store)
+        store, data = fact["store"], fact["data"]
+        put = STORES.get(store)
         if put is None:
             raise UnknownFactKind(f"no store named {store!r}")
         entity_id = EntityId.parse(fact["id"])
-        entity = fact["data"] = put[1](fact["data"], memo)
+        fact["old"] = None
+        if "id" not in data:
+            fact["data"] = put[1].decode_changes(data, memo)
+            return fact
+        entity = fact["data"] = put[1].decode(data, memo)
         if entity.id is not entity_id or entity_id.kind != put[0]:
             raise SchemaError(f"put of {entity_id} to store {store!r} holds entity {entity.id}")
+        if len(data) != len(put[1].__dataclass_fields__):
+            _undeclared(data, put[1].__dataclass_fields__.keys())
     elif kind == "serial":
         entity_kind, value = fact["kind"], fact["value"]
         if (value.__class__ is not int or entity_kind.__class__ is not str
@@ -175,7 +184,7 @@ class EventRecord:
     deltas: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The JSON form of the record, each put's entity as its ``to_dict``."""
+        """The JSON form of the record, each put as its log line writes it."""
         return {
             "seq": self.seq,
             "tick": self.tick,
@@ -186,8 +195,8 @@ class EventRecord:
             "outcome": self.outcome,
             "error": self.error,
             "result": self.result,
-            "deltas": [{**fact, "data": fact["data"].to_dict()} if fact["f"] == "put"
-                       else fact for fact in self.deltas],
+            "deltas": [json.loads(_fact_text(fact)) if fact["f"] == "put" else fact
+                       for fact in self.deltas],
         }
 
     def to_json_line(self) -> str:
@@ -304,7 +313,7 @@ class Txn:
         entities = self.state.stores[store]
         entity = entities.get(entity_id)
         if entity is None:
-            raise missing_error(f"no {store[:-1].replace('_', ' ')} {entity_id}")
+            raise missing_error(f"no {store[:-1].replace('_', ' ')} {entity_id._text}")
         key = (store, entity_id)
         if key not in self._originals:
             if self._originals is _UNWRITTEN:
@@ -333,22 +342,32 @@ class Txn:
             deltas.append({"f": "serial", "kind": kind,
                            "value": self.state.serials[kind]})
         stores = self.state.stores
-        for store, entity_id in self._originals:
+        for (store, entity_id), old in self._originals.items():
             deltas.append({"f": "put", "store": store, "id": entity_id._text,
-                           "data": stores[store][entity_id]})
+                           "data": stores[store][entity_id], "old": old})
         return deltas
 
 
 def apply_fact(state: EngineState, fact: dict) -> None:
     """Replay one delta, in its in-memory form (``_decode_fact`` checked it
     when it was read): install the put's entity, or set the serial. A
-    mechanical write, no business logic."""
+    mechanical write, no business logic. A put read as changed fields becomes
+    a live put: its entity merged into the pre-image, which it keeps. A put
+    that creates a stored entity, or changes one not stored, is refused."""
     kind = fact.get("f")
     if kind == "put":
         store = state.stores.get(fact["store"])
         if store is None:
             raise UnknownFactKind(f"no store named {fact['store']!r}")
-        entity = fact["data"]
+        entity, old = fact["data"], fact["old"]
+        if entity.__class__ is dict:
+            old = fact["old"] = store.get(EntityId.parse(fact["id"]))
+            if old is None:
+                raise SchemaError(f"put changes {fact['id']}, which is not stored")
+            entity = fact["data"] = old.merge(old, entity)
+        elif (entity.id in store) is (old is None):
+            raise SchemaError(f"put {'creates stored' if old is None else 'changes unstored'} "
+                              f"{fact['id']}")
         store[entity.id] = entity
     elif kind == "serial":
         state.serials[fact["kind"]] = fact["value"]

@@ -148,7 +148,7 @@ def create_stock_item(txn, name: str, kind: StockKind,
         if kind is not StockKind.PRODUCT:
             raise WrongItemKind("only product items can link to catalog products")
         if product_link not in txn.state.stores["products"]:
-            raise UnknownStockItem(f"no catalog product {product_link}")
+            raise UnknownStockItem(f"no catalog product {product_link._text}")
     item_id = txn.next_id("stock_item")
     txn.create("stock_items", StockItem(id=item_id, name=name, kind=kind,
                                         product_link=product_link))
@@ -170,7 +170,7 @@ def item_for_product(state, product_id: EntityId):
 def _require_item(state, item_id: EntityId) -> StockItem:
     item = state.stores["stock_items"].get(item_id)
     if item is None:
-        raise UnknownStockItem(f"no stock item {item_id}")
+        raise UnknownStockItem(f"no stock item {item_id._text}")
     return item
 
 
@@ -193,7 +193,7 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
     if allocation is not None:
         for room_id in allocation:
             if room_id not in txn.state.stores["stockrooms"]:
-                raise UnknownRoom(f"no stockroom {room_id}")
+                raise UnknownRoom(f"no stockroom {room_id._text}")
             if allocation[room_id] < 0:
                 raise AllocationMismatch("allocations must be non-negative")
         if sum(allocation.values()) != amount:
@@ -211,6 +211,8 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
             placement = {room: base + (1 if index < remainder else 0)
                          for index, room in enumerate(rooms)}
 
+    if not amount:  # changes nothing: no put
+        return None if allocation is not None else add_policy
     item = txn.get_mut("stock_items", item_id, UnknownStockItem)
     item.inventory.on_hand += amount
     for room_id, quantity in placement.items():
@@ -240,11 +242,13 @@ def remove_from_stock(txn, item_id: EntityId, qty: Quantity,
             f"{item.name}: {item.inventory.available()} unreserved, need {amount}")
     if room_id is not None:
         if room_id not in txn.state.stores["stockrooms"]:
-            raise UnknownRoom(f"no stockroom {room_id}")
+            raise UnknownRoom(f"no stockroom {room_id._text}")
         if amount > item.inventory.local(room_id):
             raise InsufficientLocalStock(
-                f"{item.name}: room {room_id} holds {item.inventory.local(room_id)}, need {amount}")
-
+                f"{item.name}: room {room_id._text} holds {item.inventory.local(room_id)}, "
+                f"need {amount}")
+    if not amount:  # changes nothing: no put
+        return
     item = txn.get_mut("stock_items", item_id, UnknownStockItem)
     item.inventory.on_hand -= amount
     if room_id is not None:
@@ -257,15 +261,18 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
              from_room: EntityId, to_room: EntityId) -> None:
     """Move goods between rooms; aggregate quantities never change."""
     if from_room == to_room:
-        raise SameRoom(f"transfer within room {from_room} is meaningless")
+        raise SameRoom(f"transfer within room {from_room._text} is meaningless")
     item = _require_item(txn.state, item_id)
     for room_id in (from_room, to_room):
         if room_id not in txn.state.stores["stockrooms"]:
-            raise UnknownRoom(f"no stockroom {room_id}")
+            raise UnknownRoom(f"no stockroom {room_id._text}")
     amount = qty.value
     if amount > item.inventory.local(from_room):
         raise InsufficientLocalStock(
-            f"{item.name}: room {from_room} holds {item.inventory.local(from_room)}, need {amount}")
+            f"{item.name}: room {from_room._text} holds {item.inventory.local(from_room)}, "
+            f"need {amount}")
+    if not amount:  # changes nothing: no put
+        return
     item = txn.get_mut("stock_items", item_id, UnknownStockItem)
     item.inventory.shift(from_room, -amount)
     item.inventory.shift(to_room, amount)
@@ -297,7 +304,7 @@ def create_shop_order(txn, product_id: EntityId, output_qty: int,
 def _require_shop_order(state, order_id: EntityId) -> ShopOrder:
     order = state.stores["shop_orders"].get(order_id)
     if order is None:
-        raise UnknownShopOrder(f"no shop order {order_id}")
+        raise UnknownShopOrder(f"no shop order {order_id._text}")
     return order
 
 
@@ -305,7 +312,7 @@ def cut_shop_order(txn, order_id: EntityId) -> None:
     """Earmark every component the order needs; all lines or none."""
     order = _require_shop_order(txn.state, order_id)
     if order.stage is not ShopOrderStage.CREATED:
-        raise WrongStage(f"shop order {order_id} is {order.stage.value}")
+        raise WrongStage(f"shop order {order_id._text} is {order.stage._value_}")
     short = []
     for component_id in sorted(order.bill_of_materials):
         component = _require_item(txn.state, component_id)
@@ -330,22 +337,22 @@ def pick_components(txn, order_id: EntityId,
     """
     order = _require_shop_order(txn.state, order_id)
     if order.stage is not ShopOrderStage.CUT:
-        raise WrongStage(f"shop order {order_id} is {order.stage.value}")
+        raise WrongStage(f"shop order {order_id._text} is {order.stage._value_}")
     drains = {item: {room: qty.value for room, qty in rooms.items()}
               for item, rooms in (room_drains or {}).items()}
     for component_id, rooms in drains.items():
         if component_id not in order.bill_of_materials:
-            raise UnknownStockItem(f"{component_id} is not on the bill of materials")
+            raise UnknownStockItem(f"{component_id._text} is not on the bill of materials")
         component = _require_item(txn.state, component_id)
         if sum(rooms.values()) != order.need(component_id):
             raise AllocationMismatch(
                 f"drain for {component.name} must total {order.need(component_id)}")
         for room_id, quantity in rooms.items():
             if room_id not in txn.state.stores["stockrooms"]:
-                raise UnknownRoom(f"no stockroom {room_id}")
+                raise UnknownRoom(f"no stockroom {room_id._text}")
             if quantity > component.inventory.local(room_id):
                 raise InsufficientLocalStock(
-                    f"{component.name}: room {room_id} holds "
+                    f"{component.name}: room {room_id._text} holds "
                     f"{component.inventory.local(room_id)}, need {quantity}")
 
     for component_id in sorted(order.bill_of_materials):
@@ -366,9 +373,9 @@ def finish_fabrication(txn, order_id: EntityId, room_id: EntityId) -> None:
     """Book the finished units into stock, localized in one room."""
     order = _require_shop_order(txn.state, order_id)
     if order.stage is not ShopOrderStage.PICKED:
-        raise WrongStage(f"shop order {order_id} is {order.stage.value}")
+        raise WrongStage(f"shop order {order_id._text} is {order.stage._value_}")
     if room_id not in txn.state.stores["stockrooms"]:
-        raise UnknownRoom(f"no stockroom {room_id}")
+        raise UnknownRoom(f"no stockroom {room_id._text}")
     product = txn.get_mut("stock_items", order.product, UnknownStockItem)
     product.inventory.on_hand += order.output_qty
     product.inventory.shift(room_id, order.output_qty)

@@ -98,11 +98,13 @@ def assert_no_record_rewritten(engine: Engine) -> None:
         assert now == then, f"record {seq} was rewritten after it was appended"
 
 
-def bench_engines(seed: int = 3, scale: float = 0.05, keep_lines: bool = False) -> list[Engine]:
+def bench_engines(seed: int = 3, scale: float = 0.05, keep_lines: bool = False,
+                  log=None) -> list[Engine]:
     """The engine left by a short run of each dispatch workload of the
     benchmark: its set-up, then every command its client sends. With
     ``keep_lines``, each engine keeps its lines at append (see
-    ``keep_lines_at_append``) from its first command on."""
+    ``keep_lines_at_append``) from its first command on; with ``log``, its
+    log from then on is ``log(engine)``."""
     if str(BENCH) not in sys.path:
         sys.path.append(str(BENCH))
     from workloads import DISPATCH_WORKLOADS
@@ -112,6 +114,8 @@ def bench_engines(seed: int = 3, scale: float = 0.05, keep_lines: bool = False) 
         prepared, failures = setup(seed, scale), []
         if keep_lines:
             keep_lines_at_append(prepared.engine)
+        if log is not None:
+            prepared.engine.state.log = log(prepared.engine)
         client = client_fn(prepared, failures.append)
         try:
             actor, command, args, _ = next(client)

@@ -1,8 +1,10 @@
 """The invariant checker as it was before its checks were cut down to
 what they compare: every total a ``Money``, every reference a
 ``(holder, target)`` pair, every line list keyed before it is compared.
-Its one change is the payment-currency check. Kept only as the oracle of
-the differential tests in ``test_invariants.py``."""
+Its changes are the currency checks: a payment, and a priced line or an
+adjustment a check sums, in another currency is a violation naming the
+entity that holds it. Kept only as the oracle of the differential tests in
+``test_invariants.py``."""
 
 from collections import Counter
 from functools import cached_property
@@ -44,6 +46,23 @@ class _Checker:
 
     def flag(self, invariant: str, entity, detail: str) -> None:
         self.violations.append(Violation(invariant, str(entity), detail))
+
+    def foreign(self, name: str, entity, lines, adjustments=()) -> bool:
+        """Flag each priced line and adjustment of ``entity`` in another
+        currency; whether there was one."""
+        found = [(f"line {index}", line.unit_price.currency) for index, line in enumerate(lines)
+                 if line.unit_price.currency != self.currency]
+        found += [(f"adjustment {reason}", adjustment.currency)
+                  for reason, adjustment in adjustments if adjustment.currency != self.currency]
+        for what, currency in found:
+            self.flag(name, entity, f"{what} in {currency}, not {self.currency}")
+        return bool(found)
+
+    def priced(self, name: str, entity, lines):
+        """The total of the priced ``lines``, or None when one is foreign."""
+        if self.foreign(name, entity, lines):
+            return None
+        return priced_sum(lines, self.currency).amount
 
     # -- catalog ---------------------------------------------------------
 
@@ -133,9 +152,12 @@ class _Checker:
                 self.flag(name, cart_id, f"order {order.id} line items differ from cart")
             if not _same_multiset(_item_keys(inv.items), cart_items):
                 self.flag(name, cart_id, f"invoice {inv.id} items differ from cart")
-            cart_total = priced_sum(cart.items, currency).amount
-            order_total = priced_sum(order.line_items, currency).amount
-            inv_subtotal = inv.subtotal(currency).amount
+            totals = [self.priced(name, cart_id, cart.items),
+                      self.priced(name, order.id, order.line_items),
+                      self.priced(name, inv.id, inv.items)]
+            if None in totals:
+                continue
+            cart_total, order_total, inv_subtotal = totals
             if not cart_total == order_total == inv_subtotal:
                 self.flag(name, cart_id,
                           f"totals differ: cart {cart_total}, order {order_total}, "
@@ -182,13 +204,16 @@ class _Checker:
             if payment.state is accepted_state and not foreign:
                 accepted[payment.invoice] = accepted.get(payment.invoice, 0) + amount
         for iid, inv in invoices.items():
-            total = inv.total(currency).amount
-            if total < 0:
-                self.flag(name, iid, f"negative total {total}")
             paid = accepted.get(iid, 0)
             if inv.accepted != paid:
                 self.flag(name, iid, f"stored accepted {inv.accepted}, "
                                      f"accepted payments sum to {paid}")
+            foreign = self.foreign(name, iid, inv.items, inv.adjustments)
+            if foreign:
+                continue
+            total = inv.total(currency).amount
+            if total < 0:
+                self.flag(name, iid, f"negative total {total}")
             if paid > total:
                 self.flag(name, iid, f"accepted {paid} exceeds total {total}")
             if inv.state == paid_state:

@@ -310,8 +310,24 @@ def parse_args(command: str, raw_args: dict, ctx) -> tuple[dict, dict]:
         elif cls is Quantity:
             payload[name] = value.value
         else:
-            payload[name] = to_jsonable(value)
+            payload[name] = input_form(command, name, to_jsonable(value))
     return parsed, payload
+
+
+def input_form(command: str, name: str, payload):
+    """The payload of an arg as log format 3 writes it, an input its parser
+    accepts, from its format-2 form: an order line as an object, not a
+    pair; a shipped item under its input names, and no absent field."""
+    if (command, name) == ("place_order", "lines"):
+        return [{"product": product, "qty": qty} for product, qty in payload]
+    if (command, name) == ("create_shipment", "items"):
+        return [{"product": item["product"], "qty": item["quantity"],
+                 **({} if item["substituted_for"] is None
+                    else {"substituted_for": item["substituted_for"]})} for item in payload]
+    if (command, name) == ("prepare_invoice", "edits"):
+        return [{"add": {key: value for key, value in edit["add"].items() if value is not None}}
+                if "add" in edit else edit for edit in payload]
+    return payload
 
 
 QUERY_SCHEMAS = {

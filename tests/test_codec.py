@@ -5,6 +5,7 @@ byte, a clone shares no mutable container with its original, a decode
 shares each frozen value through its memo, and a field type the codec
 cannot encode is refused when the codec is derived."""
 
+import functools
 import json
 import types
 import typing
@@ -12,12 +13,13 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import assert_plain_json, bench_engines
 from storefront import EntityId, Money, Quantity, bundled, default_matrix, load_scenario, run_scenario
 from storefront.foundation import NegativeQuantity, Record, SchemaError, derive_codec
 from storefront.shopping_cart import CartItem
+from storefront.stock_manager import Inventory
 from storefront.state import STORES
 
 from conftest import fresh_engine
@@ -124,14 +126,16 @@ _IDS = st.builds(EntityId, st.sampled_from(["stockroom", "customer", "product", 
                            st.integers(-5, 10 ** 12)))
 
 
-def _values(hint):
+def _values(hint, counts=_INTS):
     """A strategy for every value of ``hint``; a record is built with no
     ``__init__``, so the writer meets values no domain check would let
-    through."""
+    through. ``counts`` draws each int of an ``Inventory``, which must not
+    be negative to decode."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    values = functools.partial(_values, counts=counts)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [arg for arg in args if arg is not type(None)]
-        return st.none() | _values(inner)
+        return st.none() | values(inner)
     if hint is int:
         return _INTS
     if hint is str:
@@ -146,16 +150,21 @@ def _values(hint):
         return st.sampled_from(list(hint))
     if isinstance(hint, type) and issubclass(hint, Record):
         hints = typing.get_type_hints(hint)
-        return st.fixed_dictionaries({f.name: _values(hints[f.name]) for f in fields(hint)}).map(
-            lambda values: _bare(hint, values))
+        if hint is Inventory:
+            hints = {name: counts if value is int else dict[EntityId, counts]
+                     for name, value in hints.items()}
+        return st.fixed_dictionaries({f.name: values(hints[f.name]) for f in fields(hint)}).map(
+            lambda drawn: _bare(hint, drawn))
+    if isinstance(hint, st.SearchStrategy):
+        return hint
     if origin is list:
-        return st.lists(_values(args[0]), max_size=4)
+        return st.lists(values(args[0]), max_size=4)
     if origin is set:
-        return st.sets(_values(args[0]), max_size=4)
+        return st.sets(values(args[0]), max_size=4)
     if origin is dict:
-        return st.dictionaries(_values(args[0]), _values(args[1]), max_size=4)
+        return st.dictionaries(values(args[0]), values(args[1]), max_size=4)
     if origin is tuple:
-        return st.tuples(*map(_values, args))
+        return st.tuples(*map(values, args))
     raise AssertionError(hint)
 
 
@@ -172,6 +181,47 @@ def test_writer_matches_the_dump_of_every_drawn_entity(data):
     for store, (_, cls) in sorted(STORES.items()):
         entity = data.draw(_values(cls), label=store)
         assert entity.to_json() == _dumps(entity.to_dict()), store
+
+
+def _round_trip(cls, value):
+    """``value``, which must decode back from its JSON form to itself, as a
+    string holding a surrogate pair does not."""
+    assume(cls.from_dict(json.loads(value.to_json())) == value)
+    return value
+
+
+_COUNTS = st.integers(0, 2 ** 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_put_writes_exactly_the_changed_fields_and_merges_back(data):
+    """For each stored class and a drawn pair (old, new) of one entity, the
+    put writes exactly the fields but ``id`` that differ, and merging what
+    it decodes to into ``old`` gives ``new``, leaving ``old`` as it was."""
+    for store, (_, cls) in sorted(STORES.items()):
+        old = _round_trip(cls, data.draw(_values(cls, _COUNTS), label=store))
+        hints = typing.get_type_hints(cls)
+        names = [f.name for f in fields(cls) if f.name != "id"]
+        changed = data.draw(st.sets(st.sampled_from(names)), label=f"{store} changed")
+        new = _round_trip(cls, _bare(cls, {**vars(old), **{
+            name: data.draw(_values(hints[name], _COUNTS), label=name)
+            for name in sorted(changed)}}))
+        before = old.to_json()
+        written = new.changes_json(old)
+        assert set(json.loads(written)) == {
+            name for name in names if getattr(new, name) != getattr(old, name)}, store
+        changes = cls.decode_changes(json.loads(written), {})
+        assert cls.changes_text(changes) == written, store
+        assert cls.merge(old, changes) == new, store
+        assert old.to_json() == before, store
+
+
+def test_a_put_of_changed_fields_refuses_an_undeclared_one_and_id():
+    for store, (_, cls) in STORES.items():
+        for field_name in ("id", "no_such_field"):
+            with pytest.raises(SchemaError, match=f"undeclared fields: \\['{field_name}'\\]"):
+                cls.decode_changes({field_name: None}, {})
 
 
 def _containers(record):

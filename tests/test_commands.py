@@ -11,6 +11,7 @@ import linecache
 
 import pytest
 
+from parse_oracle import input_form
 from storefront import SYSTEM, Engine, EntityId, Money, Quantity, permissive_matrix
 from storefront.catalog import ProductStatus
 from storefront.commands import COMMANDS, Id, ParseContext, _spec, canonical_payload, parse_args
@@ -109,8 +110,14 @@ def test_cases_cover_every_command():
 
 @pytest.mark.parametrize("command, args", CASES)
 def test_one_pass_payload_equals_the_canonical_form(command, args):
+    """The payload is the canonical form in the input names (log format 3),
+    so it parses back to the same args and is its own payload."""
     parsed, payload = parse_args(COMMANDS[command], args, CTX)
-    assert payload == canonical_payload(parsed)
+    assert payload == {name: input_form(command, name, value)
+                       for name, value in canonical_payload(parsed).items()}
+    reparsed, again = parse_args(COMMANDS[command], payload, CTX)
+    assert canonical_payload(reparsed) == canonical_payload(parsed)
+    assert again == payload
     assert json.loads(json.dumps(payload, sort_keys=True)) == payload
 
 
@@ -127,7 +134,7 @@ def test_one_pass_payload_equals_the_canonical_form(command, args):
      "bill_of_materials", {"stock_item:1": 2}),
     ("place_order", {"customer": "customer:1",
                      "lines": [{"product": "product:1", "qty": 2}]},
-     "lines", [["product:1", 2]]),
+     "lines", [{"product": "product:1", "qty": 2}]),
     ("prepare_invoice", {"invoice": "invoice:1", "edits": [{"delete": "fee"}]},
      "edits", [{"delete": "fee"}]),
 ])

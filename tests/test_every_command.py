@@ -7,7 +7,8 @@ import hashlib
 
 import pytest
 
-from storefront import SYSTEM
+import log_v2_oracle
+from storefront import SYSTEM, read_log
 from storefront.commands import COMMANDS
 
 from conftest import fresh_engine
@@ -105,8 +106,12 @@ STEPS = [
 ]
 
 # sha256 of the log that STEPS write, under each stock distribution policy
-DIGESTS = {"first-room": "38a6470422d3da428d30b1e11a38c54f26ac88861c4eeb669faf1236131492fd",
-           "round-robin": "24f330bfeef0d87efb582dd79a15545746edeeb10e089618c4aea3c1abe2a065"}
+DIGESTS = {"first-room": "f03676e56dce0422621ccc65144f824163ddcd052b8ad3743aa170c59a1c3b27",
+           "round-robin": "513d04c6e93c29246475eeb8d55945e0d8979655bacbebc628533db12a4d1b32"}
+# the same logs in log format 2, as ``log_v2_oracle`` writes them back
+FORMAT2_DIGESTS = {
+    "first-room": "38a6470422d3da428d30b1e11a38c54f26ac88861c4eeb669faf1236131492fd",
+    "round-robin": "24f330bfeef0d87efb582dd79a15545746edeeb10e089618c4aea3c1abe2a065"}
 
 
 def test_steps_omit_and_give_every_optional_arg_of_every_command():
@@ -129,3 +134,6 @@ def test_every_command_writes_the_pinned_log(tmp_path, add_policy):
     engine.write_log(tmp_path / "events.jsonl")
     digest = hashlib.sha256((tmp_path / "events.jsonl").read_bytes()).hexdigest()
     assert digest == DIGESTS[add_policy]
+    records = read_log(tmp_path / "events.jsonl")
+    format2 = log_v2_oracle.format2_text(fresh_engine(add_policy=add_policy), records)
+    assert hashlib.sha256(format2.encode()).hexdigest() == FORMAT2_DIGESTS[add_policy]

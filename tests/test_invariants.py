@@ -20,7 +20,6 @@ import invariants_oracle
 from helpers import bench_engines, new_customer, new_employee, product_id, validated_invoice
 from storefront import (SYSTEM, EntityId, Money, Quantity, bundled, default_matrix,
                         load_scenario, run_scenario)
-from storefront.foundation import CurrencyMismatch
 from storefront.invariants import _CHECKS, check_invariants
 from storefront.invoice import InvoiceState
 from storefront.order_shipment import OrderState
@@ -113,7 +112,7 @@ def test_error_record_with_deltas():
 def test_deltas_without_allow():
     engine = shop_order_engine()
     record_of(engine, "create_stockroom").access = {
-        "verdict": "Deny", "matched_role": None, "reason": "no role grants operation"}
+        "reason": "no-role", "role": None, "verdict": "Deny"}
     record_of(engine, "add_to_stock").access = {}
     # a denied record without deltas is what the engine writes: no finding
     record_of(engine, "pick_components").deltas = []
@@ -312,24 +311,26 @@ def test_item_in_another_currency_raises():
     engine, invoice = paid_invoice_engine()
     item = invoice.items[1]
     invoice.items[1] = dataclasses.replace(item, unit_price=Money(500, "EUR"))
-    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
-        engine.check_invariants()
+    # a violation naming the invoice, as a payment's is; it raised CurrencyMismatch
+    assert violations(engine) == [
+        ("payment-conservation", "invoice:1", "line 1 in EUR, not USD")]
 
 
 def test_adjustment_in_another_currency_raises():
     engine, invoice = paid_invoice_engine()
     reason, adjustment = invoice.adjustments[0]
     invoice.adjustments[0] = (reason, Money(adjustment.amount, "EUR"))
-    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
-        engine.check_invariants()
+    assert violations(engine) == [
+        ("payment-conservation", "invoice:1", "adjustment loyalty-5pct in EUR, not USD")]
 
 
 def test_checkout_item_in_another_currency_raises():
     engine, cart, order, invoice = checkout_engine()
     item = invoice.items[0]
     invoice.items[0] = dataclasses.replace(item, unit_price=Money(item.unit_price.amount, "EUR"))
-    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
-        engine.check_invariants()
+    assert violations(engine) == [
+        ("checkout-bijection", "invoice:1", "line 0 in EUR, not USD"),
+        ("payment-conservation", "invoice:1", "line 0 in EUR, not USD")]
 
 
 def test_checkout_cart_and_order_lines_in_another_currency_raise():
@@ -337,8 +338,9 @@ def test_checkout_cart_and_order_lines_in_another_currency_raise():
     for lines in (cart.items, order.line_items):
         lines[0] = dataclasses.replace(
             lines[0], unit_price=Money(lines[0].unit_price.amount, "EUR"))
-    with pytest.raises(CurrencyMismatch, match="^cannot add EUR to USD$"):
-        engine.check_invariants()
+    assert violations(engine) == [
+        ("checkout-bijection", "cart:1", "line 0 in EUR, not USD"),
+        ("checkout-bijection", "order:1", "line 0 in EUR, not USD")]
 
 
 # -- the checker against its oracle ---------------------------------------------

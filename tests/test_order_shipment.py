@@ -49,8 +49,8 @@ def test_checkout_order_carries_source_cart(eng):
     by_id = {}
     for record in eng.state.log:
         for fact in json.loads(record.to_json_line())["deltas"]:
-            if fact["f"] == "put" and fact["store"] == "orders":
-                by_id[fact["id"]] = fact["data"]
+            if fact["f"] == "put" and fact["store"] == "orders":  # created, then changed
+                by_id.setdefault(fact["id"], {}).update(fact["data"])
     assert by_id[checked_out["order"]]["source_cart"] == cart
     assert by_id[direct["order"]]["source_cart"] is None
 

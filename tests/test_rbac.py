@@ -18,6 +18,7 @@ from storefront.rbac import (
     default_matrix,
     load_rbac_config,
     permissive_matrix,
+    reason_text,
 )
 
 from conftest import fresh_engine
@@ -38,6 +39,15 @@ def test_duplicate_role_rejected():
     config = {"roles": [{"name": "A", "rights": []}, {"name": "A", "rights": []}]}
     with pytest.raises(DuplicateRole):
         load_rbac_config(config)
+
+
+@pytest.mark.parametrize("name", ["system", "*"])
+def test_role_named_as_an_early_allow_rejected(name):
+    """A record's access holds the role, not the reason: a grant by a role
+    named ``system`` or ``*`` would read back as the system actor's or the
+    permissive engine's."""
+    with pytest.raises(SchemaError, match="is reserved"):
+        load_rbac_config({"roles": [{"name": name, "rights": []}]})
 
 
 def test_assignment_to_undeclared_role_rejected():
@@ -160,8 +170,8 @@ def test_user_without_roles_denied(rbac_eng):
 def test_system_actor_bypasses_matrix(rbac_eng):
     record = rbac_eng.dispatch(SYSTEM, "create_customer",
                                {"name": "X", "roles": []})
-    assert record.access == {"verdict": "Allow", "matched_role": "system",
-                             "reason": "system actor"}
+    assert record.access == {"verdict": "Allow", "role": "system"}
+    assert reason_text(record.access, "create_customer") == "system actor"
 
 
 def test_permissive_mode_allows_everything(eng):
@@ -176,7 +186,7 @@ def test_decision_recorded_in_log(rbac_eng):
     rbac_eng.execute(ana, "create_cart", customer=ana)
     record = rbac_eng.state.log[-1]
     assert record.access["verdict"] == "Allow"
-    assert record.access["matched_role"] == "Shopper"
+    assert record.access["role"] == "Shopper"
     ben = new_customer(rbac_eng, name="Ben", roles=())
     with pytest.raises(AccessDenied):
         rbac_eng.execute(ben, "create_cart", customer=ben)
@@ -454,6 +464,14 @@ def _reference_owner(engine, command: str, args: dict) -> tuple:
                                                 False)
 
 
+def _access(verdict: str, role, reason: str) -> dict:
+    """A record's ``access`` for a decision: the role and the verdict, and
+    a Deny's reason code."""
+    codes = {"not owner": "not-owner", "no role grants operation": "no-role"}
+    return {"role": role, "verdict": verdict,
+            **({"reason": codes[reason]} if verdict == "Deny" else {})}
+
+
 def _dispatched(engine, actor, command: str, args: dict):
     """The record ``dispatch`` appends, whatever the command's outcome."""
     try:
@@ -493,8 +511,9 @@ def test_dispatch_decides_like_the_declared_matrix():
                         entity_matrix, EntityId.parse(actor), held, spec.kind, command,
                         owner, missing)
                     record = _dispatched(engine, actor, command, args)
-                    assert record.access == {"verdict": verdict, "matched_role": role,
-                                             "reason": reason}, (held, command, case, actor)
+                    assert record.access == _access(verdict, role, reason), (
+                        held, command, case, actor)
+                    assert reason_text(record.access, command) == reason
                     assert (record.outcome == "denied") == (verdict == "Deny")
                     reasons.add(reason)
                     checked += 1
@@ -512,9 +531,8 @@ def test_dispatch_access_of_the_system_actor_a_permissive_engine_and_an_actor_wi
     ghost = "customer:9999"  # assigned roles, but no entity
     ghost_matrix = load_rbac_config({"roles": BUNDLED_RBAC_CONFIG["roles"], "assignments": [
         {"user": ghost, "roles": ["Shopper", "StockManager"]}]})
-    system = {"verdict": "Allow", "matched_role": "system", "reason": "system actor"}
-    permissive = {"verdict": "Allow", "matched_role": "*",
-                  "reason": "permissive mode, no matrix loaded"}
+    system = _access("Allow", "system", "system actor")
+    permissive = _access("Allow", "*", "permissive mode, no matrix loaded")
     refused_missing, checked = set(), 0
     for command, spec in COMMANDS.items():
         for case, args in _ownership_cases(command, own, other).items():
@@ -529,8 +547,8 @@ def test_dispatch_access_of_the_system_actor_a_permissive_engine_and_an_actor_wi
                 ghost_matrix, EntityId.parse(ghost), {"Shopper", "StockManager"}, spec.kind,
                 command, owner, missing)
             record = _dispatched(engine, ghost, command, args)
-            assert record.access == {"verdict": verdict, "matched_role": role,
-                                     "reason": reason}, (command, case)
+            assert record.access == _access(verdict, role, reason), (command, case)
+            assert reason_text(record.access, command) == reason
             assert (record.outcome == "denied") == (verdict == "Deny")
             if case == "target missing":
                 refused_missing.add(reason)

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from storefront import bundled, cli, default_matrix, load_scenario, read_log, run_scenario
+import log_v2_oracle
+
+from storefront import (bundled, cli, default_matrix, load_scenario, permissive_matrix,
+                        read_log, run_scenario)
 from storefront.cli import main
 from storefront.foundation import SchemaError
 from storefront.invoice import RuleBook
@@ -43,9 +46,27 @@ def test_every_bundled_scenario_runs_clean(tmp_path):
 
 
 # sha256 of each bundled scenario's events.jsonl under the bundled access
-# matrix. A change here is a log-format change: bump the format version and
-# say why in CHANGES.md.
+# matrix, in log format 3. A change here is a log-format change: bump the
+# format version and say why in CHANGES.md.
 GOLDEN_DIGESTS = {
+    "cart-checkout": "b4e73c2ca409785800f6a34eb5f96a630bd15375913db539cdee01401d993baa",
+    "full-purchase": "f91bd142b5c719b167d2d05d15ef7d1155accf69b9cb77f137761bd25c62d91e",
+    "invoice-lifecycle": "0810743c32b17bd880cfd3673c358da22576ff3b92ff26498a74e0599040caae",
+    "invoice-payment": "23b153f3093fefc02095e507891238bad358a10d25cf732a03af28f4f00dde81",
+    "invoice-preparation": "cb820a5b9ee7b3ef0d317502fdb491ecaa121c3db3f7de6e8d0eec0b522371f6",
+    "order-fulfillment": "c0e0ab7fa7c4c03793cb215badb9d024edf200b1306ff3bd4102f219f8b09e24",
+    "order-receipt": "a9e53941949d8abdf124a3e3f07c308ae841449d3850116c709ba2db27ec6555",
+    "product-update-notify": "29fc2edc73e6ae1933b06d209e6f22d5784013606022933d100990cd1f0ede34",
+    "rbac-denials": "45bf775b6a5b9e739e8cd8464fd21d16df1b8dede59efd4a8dfa79bab0f44909",
+    "separation-of-duty": "3af9e68bf695152dc916f12eb2499cfbd93ae99296bb7c4bd2867d98d5f56ece",
+    "shop-order-fabrication": "fb3ac9a286c6c7b7263152191591552c1ea786e245139078283c326871b6ed80",
+    "stock-intake": "7719a099c81f8902a91662813c887ed5ca3a9e3ca3a0939f2b1710ffd083cc7f",
+    "stock-transfer": "cd2d4542d287fba94ad2e5d7fb7da6f8c623eac0318bcd1d2a4451f7f4546db8",
+}
+
+# the same logs in log format 2, as ``log_v2_oracle`` writes a format-3
+# log back: format 3 loses nothing these pinned
+FORMAT2_DIGESTS = {
     "cart-checkout": "369b0c33f1bcbae4aa8ae47e4068dd32e57c4cc0ec9ef340994ddc8cc49c5156",
     "full-purchase": "882cd36a92769f6300ec2b779f5a9db827e752eae98a4ed228e64dff915db379",
     "invoice-lifecycle": "d8ee1f3dd027e7fd57ec3915496843f39206546e3b17170ea1d5d1e437b12d16",
@@ -71,6 +92,20 @@ def test_bundled_scenario_logs_match_golden_digests(tmp_path):
         digests[path.stem] = hashlib.sha256(
             (out_dir / "events.jsonl").read_bytes()).hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+def test_bundled_scenario_logs_read_back_to_their_format2_digests(tmp_path):
+    digests = {}
+    for path in bundled.scenario_files():
+        out_dir = tmp_path / path.stem
+        code, output = run_cli("run", str(path), "--rbac", RBAC, "--out", str(out_dir))
+        assert code == 0, output
+        log = out_dir / "events.jsonl"
+        args = cli.make_parser().parse_args(["verify", str(log)])
+        engine = cli.build_engine(args, permissive_matrix())
+        digests[path.stem] = hashlib.sha256(
+            log_v2_oracle.format2_text(engine, read_log(log)).encode()).hexdigest()
+    assert digests == FORMAT2_DIGESTS
 
 
 # sha256 of each bundled scenario's report.json under the bundled access
@@ -458,12 +493,15 @@ def _full_purchase_log(tmp_path):
     return out_dir / "events.jsonl"
 
 
-def _edit_last_put(log, store, edit):
-    """Apply ``edit`` to the data of the last put on ``store``, so no later
-    record overwrites the change."""
+def _edit_last_put(log, store, edit, holding=None):
+    """Apply ``edit`` to the data of the last put on ``store`` that holds the
+    field ``holding`` (any put when None), so no later record overwrites
+    the change: a put writes only the fields that changed, and ``id`` only
+    when it creates the entity."""
     records = [json.loads(line) for line in log.read_text().splitlines()]
     for record in reversed(records):
-        puts = [f for f in record["deltas"] if f["f"] == "put" and f["store"] == store]
+        puts = [f for f in record["deltas"] if f["f"] == "put" and f["store"] == store
+                and (holding is None or holding in f["data"])]
         if puts:
             edit(puts[-1]["data"])
             break
@@ -509,39 +547,42 @@ MISFRAMED_IDS = ["leading-nbsp", "trailing-unit-separator", "crlf-ending", "raw-
 
 
 @pytest.mark.parametrize("malform", [
-    lambda log: _edit_last_put(log, "orders", lambda d: d.pop("source_cart")),
-    lambda log: _edit_last_put(log, "orders", lambda d: d.update(state="Teleported")),
+    lambda log: _edit_last_put(log, "orders", lambda d: d.pop("source_cart"), "source_cart"),
+    lambda log: _edit_last_put(log, "orders", lambda d: d.update(state="Teleported"), "state"),
     lambda log: _edit_first_record(log, lambda r: {**r, "deltas": None}),
     # an invoice put as written before invoices carried their accepted total
-    lambda log: _edit_last_put(log, "invoices", lambda d: d.pop("accepted")),
+    lambda log: _edit_last_put(log, "invoices", lambda d: d.pop("accepted"), "id"),
     lambda log: _edit_first_record(log, lambda r: [r]),
     lambda log: _edit_first_record(log, lambda r: {**r, "actor": 7}),
     lambda log: _edit_first_record(log, lambda r: {**r, "access": 5}),
     lambda log: _edit_first_record(log, lambda r: {**r, "payload": [1]}),
     lambda log: _edit_first_record(log, lambda r: {**r, "outcome": None}),
     # JSON types an int field must not take, though int(...) would accept them
-    lambda log: _edit_last_put(log, "invoices", lambda d: d.update(accepted=d["accepted"] + 0.9)),
-    lambda log: _edit_last_put(log, "invoices", lambda d: d.update(accepted=str(d["accepted"]))),
+    lambda log: _edit_last_put(log, "invoices", lambda d: d.update(accepted=d["accepted"] + 0.9),
+                                "accepted"),
+    lambda log: _edit_last_put(log, "invoices", lambda d: d.update(accepted=str(d["accepted"])),
+                                "accepted"),
     lambda log: _edit_first_record(log, lambda r: {**r, "seq": True}),
     lambda log: _edit_first_record(log, lambda r: {**r, "tick": str(r["tick"])}),
     # a string where a list belongs would decode as its characters
-    lambda log: _edit_last_put(log, "customers", lambda d: d.update(roles="Shopper")),
+    lambda log: _edit_last_put(log, "customers", lambda d: d.update(roles="Shopper"), "roles"),
     # serial and put facts the engine never writes
     lambda log: _edit_first_fact(log, "serial", lambda f: f.update(value="1")),
     lambda log: _edit_first_fact(log, "serial", lambda f: f.update(value=True)),
     lambda log: _edit_first_fact(log, "serial", lambda f: f.update(kind=5)),
     lambda log: _edit_first_fact(log, "serial", lambda f: f.update(kind="system")),
-    lambda log: _edit_last_put(log, "customers", lambda d: d.update(id="customer:2")),
+    lambda log: _edit_last_put(log, "customers", lambda d: d.update(id="customer:2"), "id"),
     lambda log: _edit_first_fact(log, "put", lambda f: (f.update(id="cart:1"),
                                                         f["data"].update(id="cart:1"))),
     # the later occurrence of a frozen value that earlier puts hold intact
-    lambda log: _edit_last_put(log, "carts", lambda d: d["items"][1].update(quantity=True)),
+    lambda log: _edit_last_put(log, "carts", lambda d: d["items"][1].update(quantity=True),
+                                "items"),
     lambda log: _edit_last_put(log, "carts", lambda d: d["items"][0]["unit_price"].update(
-        amount=float(d["items"][0]["unit_price"]["amount"]))),
+        amount=float(d["items"][0]["unit_price"]["amount"])), "items"),
     lambda log: _edit_last_put(log, "invoices", lambda d: d["items"][0].update(
-        description=[d["items"][0]["description"]])),
-    lambda log: _edit_last_put(log, "carts", lambda d: d.update(state="open")),
-    lambda log: _edit_last_put(log, "carts", lambda d: d.update(state=["Open"])),
+        description=[d["items"][0]["description"]]), "items"),
+    lambda log: _edit_last_put(log, "carts", lambda d: d.update(state="open"), "state"),
+    lambda log: _edit_last_put(log, "carts", lambda d: d.update(state=["Open"]), "state"),
     lambda log: _edit_line(log, lambda line: line + " {}"),
     *[lambda log, edit=edit: _edit_line(log, edit) for edit in MISFRAMED[:3]],
     # deeper than the JSON decoder recurses
@@ -604,7 +645,7 @@ def test_verify_rejects_a_payment_in_another_currency(tmp_path):
     log = _full_purchase_log(tmp_path)
     records = [json.loads(line) for line in log.read_text().splitlines()]
     puts = [f for r in records for f in r["deltas"]
-            if f["f"] == "put" and f["store"] == "payments"]
+            if f["f"] == "put" and f["store"] == "payments" and "amount" in f["data"]]
     assert puts
     for fact in puts:
         fact["data"]["amount"]["currency"] = "EUR"
@@ -615,15 +656,16 @@ def test_verify_rejects_a_payment_in_another_currency(tmp_path):
     assert "VIOLATION payment-conservation @ payment:1: amount in EUR, not USD" in output
 
 
-@pytest.mark.parametrize("store, edit, violation", [
-    ("invoices", lambda d: d.update(accepted=d["accepted"] + 1), "payment-conservation"),
+@pytest.mark.parametrize("store, edit, violation, holding", [
+    ("invoices", lambda d: d.update(accepted=d["accepted"] + 1), "payment-conservation",
+     "accepted"),
     ("orders", lambda d: d["shipped"].update({k: v - 1 for k, v in d["shipped"].items()}),
-     "shipment-coverage"),
-    ("products", lambda d: d.update(stock_item=None), "catalog-references"),
+     "shipment-coverage", "shipped"),
+    ("products", lambda d: d.update(stock_item=None), "catalog-references", None),
 ], ids=["accepted", "shipped", "stock-item"])
-def test_verify_rejects_tampered_derived_value(tmp_path, store, edit, violation):
+def test_verify_rejects_tampered_derived_value(tmp_path, store, edit, violation, holding):
     log = _full_purchase_log(tmp_path)
-    _edit_last_put(log, store, edit)
+    _edit_last_put(log, store, edit, holding)
     code, output = run_cli("verify", str(log))
     assert code == 1, output
     assert f"VIOLATION {violation}" in output
