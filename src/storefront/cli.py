@@ -18,19 +18,28 @@ from .foundation import DomainError, SchemaError
 from .invoice import RuleBook
 from .rbac import RbacMatrix, load_rbac_config, permissive_matrix
 from .scenario import ParseError, load_scenario, run_scenario
-from .state import GapInSequence, replay
+from .state import EngineState, GapInSequence, replay
 
 
 def build_engine(args, matrix: RbacMatrix | None) -> Engine:
+    """The engine ``args`` configure, over ``matrix``. Its seeded baseline
+    is built once per distinct seed content, currency and stock policy in
+    this process, through ``seed_catalog`` and ``seed_stock``, and shared."""
     rulebook = None
     if args.policies:
-        rulebook = RuleBook.from_config(bundled.read_json(args.policies, "policy config"))
+        rulebook = bundled.load(args.policies, "policy config", RuleBook.from_config)
     engine = Engine(currency=args.currency, rulebook=rulebook, rbac_matrix=matrix,
                     add_policy=args.add_policy)
-    if args.seed_catalog:
-        engine.seed_catalog(bundled.read_json(args.seed_catalog, "catalog seed"))
-    if args.seed_stock:
-        engine.seed_stock(bundled.read_json(args.seed_stock, "stock seed"))
+    seeds = [(seed, what, path, bundled.read_bytes(path, what)) for seed, what, path in (
+        (engine.seed_catalog, "catalog seed", args.seed_catalog),
+        (engine.seed_stock, "stock seed", args.seed_stock)) if path]
+    key = ("seeds", args.currency, args.add_policy, *[(what, data) for _, what, _, data in seeds])
+
+    def seeded() -> EngineState:
+        for seed, what, path, data in seeds:
+            seed(bundled.parse_json(data, path, what))
+        return engine.baseline()
+    engine.start_from(bundled.memoized(key, seeded))
     return engine
 
 
@@ -38,16 +47,21 @@ def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     matrix = None
     if args.rbac:
-        matrix = load_rbac_config(bundled.read_json(args.rbac, "access config"))
+        matrix = bundled.load(args.rbac, "access config", load_rbac_config)
     engine = build_engine(args, matrix)
     report = run_scenario(engine, scenario)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_log(out_dir / "events.jsonl")
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        engine.write_log(out_dir / "events.jsonl")
+        (out_dir / "report.json").write_text(
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
     for step in report.steps:
         marker = "ok " if step.ok else "FAIL"

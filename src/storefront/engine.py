@@ -116,6 +116,15 @@ class Engine:
             self._baseline = self.state.clone_without_log()
         return self._baseline
 
+    def start_from(self, baseline: EngineState) -> None:
+        """Take ``baseline``, the ``baseline()`` of an engine seeded alike, as
+        this engine's seeded state instead of seeding again. It stays shared:
+        the state is a clone, and a committed entity is never mutated."""
+        if self.state.log:
+            raise SchemaError("seeds must load before the first command")
+        self._baseline = baseline
+        self.state = baseline.clone_without_log()
+
     # -- access ------------------------------------------------------------
 
     def access_decision(self, actor: EntityId, command: str, args: dict):

@@ -159,6 +159,8 @@ class _Checker:
         for order in stores["orders"].values():
             if order.source_cart is not None:
                 orders_by_cart.setdefault(order.source_cart, []).append(order)
+            else:  # placed directly: no cart to match, only lines to price
+                self.priced(name, order.id, order.line_items)
         invoices_by_cart: dict = {}
         for inv in stores["invoices"].values():
             if inv.source_cart is not None:
@@ -170,6 +172,7 @@ class _Checker:
             if cart.state is open_state:
                 if orders or invoices:
                     self.flag(name, cart_id, "open cart has checkout artifacts")
+                self.priced(name, cart_id, cart.items)
                 continue
             if len(orders) != 1 or len(invoices) != 1:
                 self.flag(name, cart_id,

@@ -8,7 +8,6 @@ and accepted what is recorded on the documents themselves.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -263,11 +262,11 @@ class RuleBook:
         return rule
 
 
-@functools.cache
 def default_rulebook() -> RuleBook:
-    """The rule book of the bundled ``config/policies.json``, loaded once per
-    process and shared by every engine, which only reads it."""
-    return RuleBook.from_config(bundled.read_json(bundled.policies_config(), "policy config"))
+    """The rule book of the bundled ``config/policies.json``, built once per
+    content of the file in this process and shared by every engine, which
+    only reads it."""
+    return bundled.load(bundled.policies_config(), "policy config", RuleBook.from_config)
 
 
 # --- operations --------------------------------------------------------------

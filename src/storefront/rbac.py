@@ -176,5 +176,6 @@ def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
 
 
 def default_matrix() -> RbacMatrix:
-    """The access matrix declared in the bundled ``config/rbac.json``."""
-    return load_rbac_config(bundled.read_json(bundled.rbac_config(), "access config"))
+    """The access matrix declared in the bundled ``config/rbac.json``, built
+    once per content of the file in this process and shared: never change it."""
+    return bundled.load(bundled.rbac_config(), "access config", load_rbac_config)

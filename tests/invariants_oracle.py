@@ -3,8 +3,9 @@ what they compare: every total a ``Money``, every reference a
 ``(holder, target)`` pair, every line list keyed before it is compared.
 Its changes are the currency checks: a payment, and a priced line or an
 adjustment a check sums, in another currency is a violation naming the
-entity that holds it. Kept only as the oracle of the differential tests in
-``test_invariants.py``."""
+entity that holds it; so is a line of an open cart or of an order placed
+without a cart, which no check sums. Kept only as the oracle of the
+differential tests in ``test_invariants.py``."""
 
 from collections import Counter
 from functools import cached_property
@@ -130,6 +131,8 @@ class _Checker:
         for order in stores["orders"].values():
             if order.source_cart is not None:
                 orders_by_cart.setdefault(order.source_cart, []).append(order)
+            else:
+                self.foreign(name, order.id, order.line_items)
         invoices_by_cart: dict = {}
         for inv in stores["invoices"].values():
             if inv.source_cart is not None:
@@ -141,6 +144,7 @@ class _Checker:
             if cart.state is open_state:
                 if orders or invoices:
                     self.flag(name, cart_id, "open cart has checkout artifacts")
+                self.foreign(name, cart_id, cart.items)
                 continue
             if len(orders) != 1 or len(invoices) != 1:
                 self.flag(name, cart_id,

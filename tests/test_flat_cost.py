@@ -3,21 +3,26 @@ session read derived values from the entities that own them instead of
 walking whole stores; a commit builds no snapshot and clones only what it
 changes; an id text is parsed once however often it recurs, a read of
 the log builds each distinct frozen value once, a clean invariant check
-builds no ``Money``, and a command's envelope is one generated frame,
-compiled once per process. Deterministic: it counts walks, calls, parses,
-constructions and compilations, not time."""
+builds no ``Money``, a command's envelope is one generated frame,
+compiled once per process, and the CLI builds what it reads from the access
+config, the policy config and the seeds once per content of those files.
+Deterministic: it counts walks, calls, parses, constructions and
+compilations, not time."""
 
+import contextlib
+import io
 import json
 import sys
 from collections import Counter
 
 from helpers import bench_engines
-from storefront import SYSTEM, Engine, default_matrix, foundation, invariants, permissive_matrix
+from storefront import (SYSTEM, Engine, bundled, cli, default_matrix, foundation, invariants,
+                        load_scenario, permissive_matrix, rbac, run_scenario)
 from storefront import commands as commands_module
 from storefront.catalog import ProductInfo
 from storefront.engine import read_log
 from storefront.foundation import AccessDenied, DomainError, EntityId, Money
-from storefront.invoice import InvoiceItem
+from storefront.invoice import InvoiceItem, RuleBook
 from storefront.order_shipment import ShippedItem
 from storefront.shopping_cart import CartItem
 from storefront.state import _UNWRITTEN, STORES
@@ -418,3 +423,54 @@ def test_a_second_engine_or_matrix_compiles_no_envelope(monkeypatch):
     second.rbac = default_matrix()
     assert dispatch_all(second, commands) == ["ok", "error", "denied", "ok", "error"]
     assert compiled == []
+
+
+def test_a_second_run_and_its_verify_build_nothing_from_their_input_files(tmp_path, monkeypatch):
+    """Once the access matrix, the rule book and the seeded baseline are built
+    from their files' content, another run and a verify build none of them;
+    a seed file rewritten in place is read again by its content."""
+    scenario = bundled.scenario_dir() / "cart-checkout.json"
+    catalog, stock = tmp_path / "catalog.json", tmp_path / "stock.json"
+    catalog.write_bytes(bundled.catalog_seed().read_bytes())
+    stock.write_bytes(bundled.stock_seed().read_bytes())
+    out = tmp_path / "out"
+    seeds = ["--seed-catalog", str(catalog), "--seed-stock", str(stock)]
+    run = ["run", str(scenario), "--rbac", str(bundled.rbac_config()),
+           "--policies", str(bundled.policies_config()), *seeds, "--out", str(out)]
+
+    def main(argv, code=0):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == code
+        return (out / "events.jsonl").read_bytes()
+    first = main(run)
+
+    calls = Counter()
+
+    def counted(owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrap(call))
+    counted(cli, "load_rbac_config")
+    counted(rbac, "load_rbac_config")
+    counted(RuleBook, "from_config", lambda f: classmethod(lambda cls, data: f(data)))
+    counted(Engine, "seed_catalog")
+    counted(Engine, "seed_stock")
+    assert main(run) == first
+    main(["verify", str(out / "events.jsonl"), *seeds])
+    assert calls == Counter()
+
+    entries = json.loads(catalog.read_text())
+    assert entries[0]["name"] == "WidgetA"
+    entries[0]["price"] += 1
+    catalog.write_text(json.dumps(entries))
+    changed = main(run, code=1)  # the scenario expects the old price
+    assert calls == Counter(seed_catalog=1, seed_stock=1)
+    engine = Engine(rbac_matrix=default_matrix())
+    engine.seed_catalog(entries)
+    engine.seed_stock(json.loads(stock.read_text()))
+    assert not run_scenario(engine, load_scenario(scenario)).ok
+    engine.write_log(tmp_path / "expected.jsonl")
+    assert changed == (tmp_path / "expected.jsonl").read_bytes() != first

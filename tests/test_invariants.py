@@ -343,6 +343,31 @@ def test_checkout_cart_and_order_lines_in_another_currency_raise():
         ("checkout-bijection", "order:1", "line 0 in EUR, not USD")]
 
 
+def test_open_cart_line_in_another_currency_is_flagged():
+    engine = fresh_engine()
+    customer = new_customer(engine)
+    cart = engine.execute(customer, "create_cart", customer=customer)["cart"]
+    for name in ("WidgetA", "Gadget"):
+        engine.execute(customer, "add_item", cart=cart, product=product_id(engine, name), qty=1)
+    items = engine.state.stores["carts"][EntityId.parse(cart)].items
+    items[1] = dataclasses.replace(items[1], unit_price=Money(items[1].unit_price.amount, "EUR"))
+    # no check summed an open cart's lines, so this went unflagged
+    assert violations(engine) == [("checkout-bijection", cart, "line 1 in EUR, not USD")]
+    same_as_oracle(engine)
+
+
+def test_directly_placed_order_line_in_another_currency_is_flagged():
+    engine = fresh_engine()
+    customer = new_customer(engine)
+    order = engine.execute(customer, "place_order", customer=customer,
+                           lines=[{"product": product_id(engine, "WidgetA"), "qty": 2}])["order"]
+    lines = engine.state.stores["orders"][EntityId.parse(order)].line_items
+    lines[0] = dataclasses.replace(lines[0], unit_price=Money(5, "EUR"))
+    # an order with no source cart was never visited, so this went unflagged
+    assert violations(engine) == [("checkout-bijection", order, "line 0 in EUR, not USD")]
+    same_as_oracle(engine)
+
+
 # -- the checker against its oracle ---------------------------------------------
 
 def same_as_oracle(engine) -> None:

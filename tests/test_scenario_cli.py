@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import log_v2_oracle
 
-from storefront import (bundled, cli, default_matrix, load_scenario, permissive_matrix,
+from storefront import (Engine, bundled, cli, default_matrix, load_scenario, permissive_matrix,
                         read_log, run_scenario)
 from storefront.cli import main
 from storefront.foundation import SchemaError
@@ -137,6 +137,36 @@ def test_bundled_scenario_reports_match_golden_digests(tmp_path):
         digests[path.stem] = hashlib.sha256(
             (out_dir / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS
+
+
+def test_runs_sharing_one_seeded_baseline_write_the_golden_bytes(tmp_path):
+    """Every run and verify in one process starts from one memoized seeded
+    baseline, whose entities they share: in either order, each run writes
+    its golden log and report, and the baseline stays as seeded, though
+    stock-transfer and product-update-notify change seeded entities."""
+    def shared_baseline():
+        args = cli.make_parser().parse_args(["verify", "events.jsonl"])
+        return cli.build_engine(args, permissive_matrix()).baseline()
+    baseline = shared_baseline()
+    paths = bundled.scenario_files()
+    for order in (paths, paths[::-1]):
+        logs, reports = {}, {}
+        for path in order:
+            out_dir = tmp_path / path.stem
+            code, output = run_cli("run", str(path), "--rbac", RBAC, "--out", str(out_dir))
+            assert code == 0, output
+            code, output = run_cli("verify", str(out_dir / "events.jsonl"))
+            assert code == 0, output
+            logs[path.stem], reports[path.stem] = (
+                hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in ("events.jsonl", "report.json"))
+        assert logs == GOLDEN_DIGESTS
+        assert reports == REPORT_DIGESTS
+    assert shared_baseline() is baseline
+    fresh = Engine()
+    fresh.seed_catalog(bundled.read_json(bundled.catalog_seed(), "catalog seed"))
+    fresh.seed_stock(bundled.read_json(bundled.stock_seed(), "stock seed"))
+    assert baseline.to_dict() == fresh.baseline().to_dict()
 
 
 def test_full_purchase_is_byte_identical_across_hash_seeds(tmp_path):
@@ -631,6 +661,26 @@ def test_verify_of_a_path_it_cannot_read_exits_two(tmp_path, where):
     code, output = run_cli("verify", str(path))
     assert code == 2, output
     assert output.startswith(f"error: cannot read log {path}: "), output
+    assert output.count("\n") == 1, output
+
+
+@pytest.mark.parametrize("where", ["out-is-a-file", "out-under-a-file", "log-is-a-directory",
+                                   "report-is-a-directory"])
+def test_run_to_an_output_it_cannot_write_exits_two(tmp_path, where):
+    # an --out naming a file ended in a traceback and exit 1, the code for violations found
+    (tmp_path / "file").write_text("")
+    out, failing = {
+        "out-is-a-file": (tmp_path / "file", tmp_path / "file"),
+        "out-under-a-file": (tmp_path / "file" / "out", tmp_path / "file" / "out"),
+        "log-is-a-directory": (tmp_path / "out", tmp_path / "out" / "events.jsonl"),
+        "report-is-a-directory": (tmp_path / "out", tmp_path / "out" / "report.json"),
+    }[where]
+    if where.endswith("directory"):
+        failing.mkdir(parents=True)
+    scenario = bundled.scenario_dir() / "cart-checkout.json"
+    code, output = run_cli("run", str(scenario), "--rbac", RBAC, "--out", str(out))
+    assert code == 2, output
+    assert output.startswith(f"error: cannot write {failing}: "), output
     assert output.count("\n") == 1, output
 
 
