@@ -31,7 +31,7 @@ from .foundation import (
 )
 from .invoice import InvoiceItem, PaymentMethod, PolicyKind
 from .order_shipment import ShippedItem
-from .state import KIND_TO_STORE, EventRecord, Txn, to_jsonable
+from .state import KIND_TO_STORE, NOT_EVALUATED, EventRecord, Txn, to_jsonable
 from .stock_manager import StockKind
 
 
@@ -430,7 +430,7 @@ def _envelope(spec: CommandSpec):
         "        denied = not_owner", "        continue"]
     names = {**parser.names, **names, "DomainError": DomainError, "AccessDenied": AccessDenied,
              "Txn": Txn, "EventRecord": EventRecord, "KIND_TO_STORE": KIND_TO_STORE,
-             "NO_ROLES": rbac.NO_ROLES, "NOT_EVALUATED": rbac.NOT_EVALUATED,
+             "NO_ROLES": rbac.NO_ROLES, "NOT_EVALUATED": NOT_EVALUATED,
              "best_effort": best_effort, "right": (spec.kind, spec.name),
              "system": rbac.SYSTEM_ALLOW.as_dict, "permissive": rbac.PERMISSIVE_ALLOW.as_dict,
              "no_role": rbac.NO_ROLE, "not_owner": rbac.NOT_OWNER}

@@ -26,8 +26,8 @@ from .commands import best_effort, parse_input
 from .foundation import _IDS, DomainError, EntityId, Quantity, SchemaError
 from .invoice import RuleBook, default_rulebook
 from .queries import run_query
-from .rbac import NO_ROLES, NOT_EVALUATED, RbacMatrix, check_access, permissive_matrix
-from .state import EngineState, EventRecord, Txn, replay
+from .rbac import NO_ROLES, RbacMatrix, check_access, permissive_matrix
+from .state import NOT_EVALUATED, EngineState, EventRecord, Txn, replay
 
 logger = logging.getLogger("storefront.engine")
 
@@ -183,28 +183,36 @@ class Engine:
         return invariants_mod.check_invariants(self)
 
     def write_log(self, path) -> None:
-        text = "".join(record.to_json_line() + "\n" for record in self.state.log)
-        Path(path).write_text(text, encoding="utf-8")
+        """Write the log one line at a time; a failed write removes the file."""
+        out = open(path, "w", encoding="utf-8")
+        try:
+            with out:
+                out.writelines(record.to_json_line() + "\n" for record in self.state.log)
+        except BaseException:
+            Path(path).unlink(missing_ok=True)
+            raise
 
 
 def read_log(path) -> list[EventRecord]:
-    """The records of an ``events.jsonl`` file, each put decoded into its
-    entity through one memo for this read (see ``derive_codec``). A line is
-    accepted only as ``write_log`` writes it: one record of ASCII JSON, then
-    a newline; empty lines are skipped. Anything else, or a path that
+    """The records of an ``events.jsonl`` file, read a line at a time, each put
+    decoded into its entity through one memo for this read (see ``derive_codec``).
+    A line is accepted only as ``write_log`` writes it: one record of ASCII JSON,
+    then a newline; empty lines are skipped. Anything else, or a path that
     cannot be read, is a ``SchemaError`` naming the line or the path."""
+    records, memo, line = [], {}, b"\n"
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as lines:
+            for line_number, line in enumerate(lines, start=1):
+                if line == b"\n":
+                    continue
+                try:
+                    records.append(EventRecord.from_json_line(line.decode("ascii"), memo))
+                except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                        DomainError) as exc:
+                    raise SchemaError(f"{path}:{line_number}: bad event record: "
+                                      f"{type(exc).__name__}: {exc}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read log {path}: {exc}") from None
-    records, memo = [], {}
-    for line_number, line in enumerate(data.split(b"\n"), start=1):
-        if not line:
-            continue
-        try:
-            records.append(EventRecord.from_json_line(line.decode("ascii"), memo))
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                DomainError) as exc:
-            raise SchemaError(f"{path}:{line_number}: bad event record: "
-                              f"{type(exc).__name__}: {exc}") from None
+    if line[-1:] != b"\n":
+        raise SchemaError(f"{path}:{line_number}: bad event record: no newline at its end")
     return records

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from . import bundled
 from .commands import COMMANDS, parse_input
 from .foundation import DomainError, EntityId, SchemaError
+from .state import ALLOW, DENIED_ACCESS, DENY
 
 
 class DuplicateRole(DomainError):
@@ -24,9 +25,6 @@ class DuplicateRole(DomainError):
 class UnknownRoleInAssignment(DomainError):
     code = "UnknownRoleInAssignment"
 
-
-ALLOW = "Allow"
-DENY = "Deny"
 
 # every right a role may hold: (target entity kind, command) per declared command
 DECLARED_RIGHTS = frozenset((spec.kind, name) for name, spec in COMMANDS.items())
@@ -50,10 +48,9 @@ class AccessDecision:
         """The ``access`` of the records of this decision, built once per
         grant: one dict, shared by them all, so never mutate it. A Deny's
         holds its reason code; ``reason_text`` gives the reason back."""
-        access = {"role": self.matched_role, "verdict": self.verdict}
         if self.verdict == DENY:
-            access["reason"] = _DENY_CODES[self.reason]
-        return access
+            return DENIED_ACCESS[_DENY_CODES[self.reason]]
+        return {"role": self.matched_role, "verdict": self.verdict}
 
 
 @dataclass
@@ -126,8 +123,6 @@ PERMISSIVE_ALLOW = AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded
 NOT_OWNER = AccessDecision(DENY, None, "not owner")
 NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
 NO_ROLES = frozenset()  # the roles of an actor whose entity carries none
-# the access of a record whose command failed before the check: shared, never mutated
-NOT_EVALUATED = {"role": None, "verdict": None}
 _DENY_CODES = {NOT_OWNER.reason: "not-owner", NO_ROLE.reason: "no-role"}
 # reason code -> reason, of a Deny and (None) of a command that did not parse
 _DENIALS = {None: "not evaluated", **{code: reason for reason, code in _DENY_CODES.items()}}

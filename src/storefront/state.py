@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _str
+from sys import intern
 from types import MappingProxyType
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
@@ -103,6 +104,12 @@ def _json_key(key) -> str:
 _RAW_FIELD_TYPES = {"command": (str,), "payload": (dict,), "access": (dict,),
                     "outcome": (str,), "error": (str, type(None)), "deltas": (list,)}
 _DECODE_JSON = json.JSONDecoder().raw_decode
+ALLOW, DENY = "Allow", "Deny"
+# the access of a record whose command failed before the check, and of a Deny by its
+# reason code: one dict each, shared by all their records, live and read back
+NOT_EVALUATED = {"role": None, "verdict": None}
+DENIED_ACCESS = {code: {"role": None, "verdict": DENY, "reason": code}
+           for code in ("not-owner", "no-role")}
 # id(access dict) -> (the dict, its text): a decision's dict is shared by
 # its records (``AccessDecision.as_dict``) and never mutated
 _ACCESS_TEXT: dict[int, tuple[dict, str]] = {}
@@ -112,11 +119,22 @@ def _access_text(access: dict) -> str:
     hit = _ACCESS_TEXT.get(id(access))
     if hit is not None and hit[0] is access:
         return hit[1]
-    if len(_ACCESS_TEXT) >= 1024:  # records read back hold a dict each
+    if len(_ACCESS_TEXT) >= 1024:  # each read of a log holds its own Allow dicts
         _ACCESS_TEXT.clear()
     text = json_text(access)
     _ACCESS_TEXT[id(access)] = (access, text)
     return text
+
+
+def _shared_access(access: dict) -> dict:
+    """The ``access`` that a decision's records read back share: an Allow's own
+    dict, the engine's for any other; a form no decision writes is refused."""
+    if len(access) == 2 and access.get("verdict") == ALLOW and access.get("role").__class__ is str:
+        return access
+    for shared in (NOT_EVALUATED, *DENIED_ACCESS.values()):
+        if access == shared:
+            return shared
+    raise SchemaError(f"access {access!r} is no decision the engine writes")
 
 
 def _fact_text(fact: dict) -> str:
@@ -213,8 +231,8 @@ class EventRecord:
 
     @classmethod
     def from_dict(cls, data: dict, memo: dict | None = None) -> EventRecord:
-        """The record of a parsed log line, its facts decoded through
-        ``memo`` (a new one when None)."""
+        """The record of a parsed log line, its facts decoded and its access
+        shared through ``memo`` (a new one when None)."""
         command, payload, access = data["command"], data["payload"], data["access"]
         outcome, error, deltas = data["outcome"], data["error"], data["deltas"]
         if (command.__class__ is not str or payload.__class__ is not dict
@@ -228,18 +246,26 @@ class EventRecord:
         seq, tick = data["seq"], data["tick"]
         if seq.__class__ is not int or tick.__class__ is not int:
             raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
+        memo = {} if memo is None else memo
+        if outcome not in ("ok", "error", "denied"):
+            raise SchemaError(f"record outcome {outcome!r} is none of ok, error, denied")
+        # each distinct decision of a read is checked once; its records share it, as live ones do
+        decisions = memo.setdefault("access", [])
+        for shared in decisions:
+            if access == shared:
+                break
+        else:
+            decisions.append(shared := _shared_access(access))
         if deltas:
-            memo = {} if memo is None else memo
             deltas = [_decode_fact(fact, memo) for fact in deltas]
-        return cls(seq, tick, EntityId.parse(data["actor"]), command, payload, access,
-                   outcome, error, data["result"], deltas)
+        return cls(seq, tick, EntityId.parse(data["actor"]), intern(command), payload, shared,
+                   intern(outcome), error and intern(error), data["result"], deltas)
 
     @classmethod
     def from_json_line(cls, line: str, memo: dict) -> EventRecord:
-        """The record of one log line, without its newline; the text must
-        be exactly one JSON object."""
+        """The record of one log line, one JSON object, with or without its newline."""
         data, end = _DECODE_JSON(line)
-        if end != len(line):
+        if end != len(line) and line[end:] != "\n":
             raise SchemaError(f"text after the record at column {end + 1}")
         return cls.from_dict(data, memo)
 

@@ -2,19 +2,24 @@
 session read derived values from the entities that own them instead of
 walking whole stores; a commit builds no snapshot and clones only what it
 changes; an id text is parsed once however often it recurs, a read of
-the log builds each distinct frozen value once, a clean invariant check
-builds no ``Money``, a command's envelope is one generated frame,
-compiled once per process, and the CLI builds what it reads from the access
-config, the policy config and the seeds once per content of those files.
-Deterministic: it counts walks, calls, parses, constructions and
-compilations, not time."""
+the log builds each distinct frozen value once and shares each decision's
+access, writing or reading a log holds about one line at a time beyond
+the records, a clean invariant check builds no ``Money``, a command's
+envelope is one generated frame, compiled once per process, and the CLI
+builds what it reads from the access config, the policy config and the
+seeds once per content of those files. Deterministic: it counts walks,
+calls, parses, constructions, compilations and traced bytes, not time."""
 
 import contextlib
 import io
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
+import pytest
+
+from conftest import fresh_engine
 from helpers import bench_engines
 from storefront import (SYSTEM, Engine, bundled, cli, default_matrix, foundation, invariants,
                         load_scenario, permissive_matrix, rbac, run_scenario)
@@ -25,7 +30,7 @@ from storefront.foundation import AccessDenied, DomainError, EntityId, Money
 from storefront.invoice import InvoiceItem, RuleBook
 from storefront.order_shipment import ShippedItem
 from storefront.shopping_cart import CartItem
-from storefront.state import _UNWRITTEN, STORES
+from storefront.state import _UNWRITTEN, NOT_EVALUATED, STORES
 from storefront.stock_manager import UnknownRoom
 
 SESSIONS = 200
@@ -209,6 +214,71 @@ def test_replay_builds_each_frozen_value_once(tmp_path, monkeypatch):
     # the memo does not outlive a read: the next one builds each value again
     read_log(path)
     assert built == first
+
+
+def _traced(run):
+    """What ``run()`` returns, and by how many bytes the traced allocations
+    grew while it ran: at their peak, and kept once it returned."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak - base, kept - base
+
+
+@pytest.fixture(scope="module")
+def stock_churn_log(tmp_path_factory):
+    """The engine of a short stock-churn run of over 4,000 records, and its
+    log written and read once, so that ids are parsed and codecs built."""
+    _, engine = bench_engines(scale=0.6)
+    assert len(engine.state.log) > 4000
+    path = tmp_path_factory.mktemp("stock-churn") / "events.jsonl"
+    engine.write_log(path)
+    read_log(path)
+    return engine, path
+
+
+def test_writing_a_log_holds_no_more_memory_as_the_log_grows(stock_churn_log, tmp_path):
+    engine, path = stock_churn_log[0], tmp_path / "events.jsonl"
+    log, peaks = engine.state.log, []
+    try:
+        for records in (250, 4000):
+            engine.state.log = log[:records]
+            peaks.append(_traced(lambda: engine.write_log(path))[1])
+    finally:
+        engine.state.log = log
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
+
+
+def test_reading_a_log_holds_little_more_than_the_records_it_keeps(stock_churn_log):
+    engine, path = stock_churn_log
+    records, peak, kept = _traced(lambda: read_log(path))
+    assert len(records) == len(engine.state.log)
+    assert peak <= 1.1 * kept, (peak, kept)
+
+
+def test_the_records_read_of_one_decision_share_its_access_and_names(tmp_path):
+    denials = fresh_engine(rbac=default_matrix())
+    run_scenario(denials, load_scenario(bundled.scenario_dir() / "rbac-denials.json"))
+    for _ in range(2):  # two records of a command that did not parse
+        with pytest.raises(DomainError):
+            denials.dispatch(SYSTEM, "no_such_command", {})
+    ungranted = {id(NOT_EVALUATED), id(rbac.NOT_OWNER.as_dict), id(rbac.NO_ROLE.as_dict)}
+    verdicts = set()
+    for engine in [denials, *bench_engines()]:
+        engine.write_log(tmp_path / "events.jsonl")
+        shared = {}
+        for record in read_log(tmp_path / "events.jsonl"):
+            access = record.access
+            assert shared.setdefault(tuple(sorted(access.items())), access) is access
+            assert (id(access) in ungranted) is (access["verdict"] != "Allow")
+            for name in (record.command, record.outcome, record.error or ""):
+                assert name is sys.intern(name)
+        verdicts.update(access["verdict"] for access in shared.values())
+    assert verdicts == {"Allow", "Deny", None}
 
 
 def test_the_envelope_runs_no_python_frame_for_ids_errors_or_bookkeeping():

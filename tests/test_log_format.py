@@ -272,6 +272,63 @@ def test_verify_of_a_mutated_log_exits_cleanly(tmp_path_factory, data):
     assert "Traceback" not in output
 
 
+def _with_record_field(lines, name, value, index=4) -> list[str]:
+    lines, record = list(lines), json.loads(lines[index])
+    record[name] = value
+    lines[index] = _dump(record)
+    return lines
+
+
+@pytest.mark.parametrize("access", [
+    {"role": None, "verdict": "Allow"},
+    {"role": 5, "verdict": "Allow"},
+    {"role": ["Shopper"], "verdict": "Allow"},
+    {"role": "Shopper", "verdict": "Allow", "reason": "no-role"},
+    {"role": "Shopper", "verdict": "Deny", "reason": "no-role"},
+    {"role": None, "verdict": "Deny", "reason": "not evaluated"},
+    {"role": None, "verdict": "Deny"},
+    {"role": None, "verdict": None, "reason": "no-role"},
+    {"role": None, "verdict": "Maybe"},
+    {"verdict": None},
+    {},
+], ids=["allow-without-role", "allow-int-role", "allow-list-role", "allow-with-reason",
+        "deny-with-role", "deny-unknown-reason", "deny-without-reason",
+        "not-evaluated-with-reason", "unknown-verdict", "no-role-key", "empty"])
+def test_verify_refuses_an_access_no_decision_writes(tmp_path, access):
+    code, output = _verify(tmp_path, _with_record_field(_full_purchase_lines(), "access", access))
+    assert code == 2, output
+    assert "Traceback" not in output
+    assert (f"events.jsonl:5: bad event record: SchemaError: access {dict(sorted(access.items()))}"
+            " is no decision the engine writes") in output
+
+
+@pytest.mark.parametrize("outcome", ["OK", "allowed", ""])
+def test_verify_refuses_an_outcome_no_command_writes(tmp_path, outcome):
+    code, output = _verify(tmp_path, _with_record_field(_full_purchase_lines(), "outcome", outcome))
+    assert code == 2, output
+    assert "Traceback" not in output
+    assert f"events.jsonl:5: bad event record: SchemaError: record outcome {outcome!r}" in output
+
+
+def test_verify_refuses_a_last_line_without_its_newline(tmp_path):
+    lines = _full_purchase_lines()
+    log = tmp_path / "events.jsonl"
+    log.write_text("\n".join(lines), encoding="utf-8")
+    code, output = run_cli("verify", str(log))
+    assert code == 2, output
+    assert "Traceback" not in output
+    assert f"events.jsonl:{len(lines)}: bad event record: no newline at its end" in output
+
+
+def test_a_write_that_fails_leaves_no_log(tmp_path):
+    engine = _run_steps(fresh_engine())
+    engine.state.log[len(engine.state.log) // 2].result = {"unencodable": object()}
+    path = tmp_path / "events.jsonl"
+    with pytest.raises(TypeError):
+        engine.write_log(path)
+    assert not path.exists()
+
+
 def test_verify_names_each_entity_of_an_all_eur_log():
     """A log whose every ``USD`` reads ``EUR``, verified in a USD engine:
     each line, item and payment in the other currency is a violation that
