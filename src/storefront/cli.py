@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import bundled
 from .engine import Engine, read_log
-from .foundation import DomainError, SchemaError
+from .foundation import DomainError, SchemaError, json_indented, json_spaced
 from .invoice import RuleBook
 from .rbac import RbacMatrix, load_rbac_config, permissive_matrix
 from .scenario import ParseError, load_scenario, run_scenario
@@ -55,33 +54,32 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         engine.write_log(out_dir / "events.jsonl")
-        (out_dir / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        (out_dir / "report.json").write_text(json_indented(report.to_dict()) + "\n",
+                                             encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
 
+    lines = []  # printed in one call
     for step in report.steps:
         marker = "ok " if step.ok else "FAIL"
         detail = step.error or ""
         if step.expect_error:
             detail = f"{detail} (expected {step.expect_error})"
-        print(f"[{step.seq:3d}] {marker} {step.op:<22} {detail}".rstrip())
+        lines.append(f"[{step.seq:3d}] {marker} {step.op:<22} {detail}".rstrip())
     for expectation in report.expectations:
         marker = "ok " if expectation.ok else "FAIL"
-        print(f"[exp] {marker} {expectation.query}: expected "
-              f"{json.dumps(expectation.expect, sort_keys=True)}, got "
-              f"{json.dumps(expectation.actual, sort_keys=True)}")
+        lines.append(f"[exp] {marker} {expectation.query}: expected "
+                     f"{json_spaced(expectation.expect)}, got {json_spaced(expectation.actual)}")
     violations = report.invariants.get("violations", [])
-    print(f"invariants: {report.invariants.get('checked', 0)} checked, "
-          f"{len(violations)} violations")
-    for violation in violations:
-        print(f"  VIOLATION {violation['invariant']} @ {violation['entity']}: "
-              f"{violation['detail']}")
-    print(f"scenario {report.scenario}: {'PASS' if report.ok else 'FAIL'}")
-    print(f"log: {out_dir / 'events.jsonl'}  report: {out_dir / 'report.json'}")
+    lines.append(f"invariants: {report.invariants.get('checked', 0)} checked, "
+                 f"{len(violations)} violations")
+    lines += [f"  VIOLATION {violation['invariant']} @ {violation['entity']}: "
+              f"{violation['detail']}" for violation in violations]
+    lines.append(f"scenario {report.scenario}: {'PASS' if report.ok else 'FAIL'}")
+    lines.append(f"log: {out_dir / 'events.jsonl'}  report: {out_dir / 'report.json'}")
+    print("\n".join(lines))
     return 0 if report.ok else 1
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import json
+import re
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,6 +29,7 @@ from .foundation import (
     Money,
     Quantity,
     SchemaError,
+    json_text,
     run_generated,
 )
 from .invoice import InvoiceItem, PaymentMethod, PolicyKind
@@ -77,11 +80,13 @@ JSON_VALUE = "json value"  # any value, kept as it is
 # Each scalar kind's code template: lines that parse the raw value in local
 # ``{v}`` into ``{v}``, and the expression of its payload (its canonical JSON
 # form). A value of the exact JSON class passes the first test; any other is
-# accepted as an isinstance check accepts it, or rejected. A ``Money`` or a
-# ``Quantity`` is set field by field, as a codec's ``clone`` builds one, so no
-# ``__init__`` runs; a negative count still goes through ``Quantity``'s check.
+# accepted as an isinstance check accepts it, or rejected. A ``str`` that is
+# not ASCII is searched for surrogate code points (see ``_text``). A ``Money``
+# or a ``Quantity`` is set field by field, as a codec's ``clone`` builds one, so
+# no ``__init__`` runs; a negative count still goes through ``Quantity``'s check.
 _TEMPLATES = {
-    str: ("if not isinstance({v}, str): _wrong({v}, 'string')",
+    str: ("if not isinstance({v}, str): _wrong({v}, 'string')\n"
+          "elif not {v}.isascii(): _text({v})",
           "{v} if {v}.__class__ is str else to_jsonable({v})"),
     int: ("if {v}.__class__ is not int and ({v}.__class__ is bool or not isinstance({v}, int)):"
           " _wrong({v}, 'integer')", "{v} if {v}.__class__ is int else to_jsonable({v})"),
@@ -106,6 +111,17 @@ _TEMPLATES = {
 
 def _wrong(value, expected: str):
     raise SchemaError(f"expected {expected}, got {value!r}")
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _text(value: str):
+    """Reject a surrogate code point (U+D800-U+DFFF): the log writes it as a
+    ``\\u`` escape, and a read joins an escaped pair into one character, so
+    the value read back would not be the value logged."""
+    if _SURROGATE.search(value):
+        _wrong(value, "text with no surrogate code point")
 
 
 def _at(exc: SchemaError, step: str):
@@ -171,8 +187,8 @@ class _ParserSource:
         self.payload = payload
         self.names = {"EntityId": EntityId, "Money": Money, "Quantity": Quantity,
                       "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
-                      "to_jsonable": to_jsonable, "_wrong": _wrong, "_names": _names, "_at": _at,
-                      "_money": _money, "_qty": _qty, "_enum": _enum,
+                      "to_jsonable": to_jsonable, "_wrong": _wrong, "_text": _text,
+                      "_names": _names, "_at": _at, "_money": _money, "_qty": _qty, "_enum": _enum,
                       "_new": object.__new__, "_set": object.__setattr__}
         self._count = 0
 
@@ -444,12 +460,17 @@ def _envelope(spec: CommandSpec):
 
 def best_effort(args) -> dict:
     """Args that failed to parse, as the JSON object an audit record holds,
-    or their repr when they are not one."""
+    or their repr when they are not one, or not one that reads back from the
+    log as it is (a str holding a surrogate code point, see ``_text``)."""
     try:
         payload = to_jsonable(args)
     except TypeError:  # a value or a key with no JSON form
         payload = None
-    return payload if isinstance(payload, dict) else {"unparsed": repr(args)}
+    if isinstance(payload, dict):
+        text = json_text(payload)  # a surrogate is written as a \udXXX escape
+        if "\\ud" not in text or json.loads(text) == payload:
+            return payload
+    return {"unparsed": repr(args)}
 
 
 # the engine attributes a domain operation may take, by parameter name

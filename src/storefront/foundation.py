@@ -248,6 +248,83 @@ def json_text(value) -> str:
     return _ENCODER.encode(value) if _SCAN is None else "".join(_SCAN(value, 0))
 
 
+_SPACED = json.JSONEncoder(sort_keys=True)
+_SPACED_SCAN = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _SPACED.default, json.encoder.encode_basestring_ascii, None, ": ", ", ",
+    True, False, True)
+
+
+def json_spaced(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, the form of the values in
+    ``storefront run``'s summary lines, through a C scanner built once."""
+    return _SPACED.encode(value) if _SPACED_SCAN is None else "".join(_SPACED_SCAN(value, 0))
+
+
+_ascii = json.encoder.encode_basestring_ascii
+# the writer of each scalar class json_indented writes itself
+_SCALARS = {str: _ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def json_indented(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` with an indent of two spaces,
+    the form of ``report.json``. An indent sends ``json.dumps`` through the
+    pure-Python encoder; this walks dicts, lists and tuples itself, writes an
+    exact str, int, bool or None from ``_SCALARS`` and leaves any other value
+    to ``json_text``, which writes it as ``json.dumps`` does. A key that is
+    not a str is written as ``json.dumps`` writes it. Unlike ``json.dumps``,
+    it does not look for cycles."""
+    parts: list[str] = []
+    _indented(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _indented(value, newline: str, out) -> None:
+    """Write ``value`` through ``out``, each of its inner lines after
+    ``newline`` and two more spaces."""
+    if isinstance(value, dict):
+        if not value:
+            return out("{}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            head = f"{sep}{_ascii(key if key.__class__ is str else _json_key(key))}: "
+            sep = "," + inner
+            write = _SCALARS.get(item.__class__)
+            if write is None:
+                out(head)
+                _indented(item, inner, out)
+            else:
+                out(head + write(item))
+        return out(newline + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return out("[]")
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write = _SCALARS.get(item.__class__)
+            if write is None:
+                out(sep)
+                _indented(item, inner, out)
+            else:
+                out(sep + write(item))
+            sep = "," + inner
+        return out(newline + "]")
+    return out((_SCALARS.get(value.__class__) or json_text)(value))
+
+
+def _json_key(key) -> str:
+    """The text of a dict key in JSON, as ``json.dumps`` makes it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 _SHARED: dict[type, bool | None] = {}
 """Every derived Record class -> whether its ``clone`` returns the record
 itself (a frozen record with no mutable field); None while it is derived."""

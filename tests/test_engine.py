@@ -118,6 +118,46 @@ def test_unparseable_args_are_schema_errors_with_one_audit_record(eng, tmp_path,
     assert read_log(tmp_path / "events.jsonl") == eng.state.log
 
 
+PAIR = "\ud800\udfff"  # two code points; the log's escapes of them read back as one
+
+
+@pytest.mark.parametrize("command, args, path, payload", [
+    ("create_customer", {"name": "x" + PAIR}, "name: ", None),
+    ("create_customer", {"name": "é\udc00"}, "name: ", {"name": "é\udc00"}),
+    ("create_customer", {"name": "Ana", "roles": ["Shopper", PAIR]}, "roles[1]: ", None),
+    ("prepare_invoice", {"invoice": "invoice:1",
+                         "edits": [{"delete": "ok"}, {"delete": PAIR}]}, "edits[1]: ", None),
+    ("set_product_info", {"product": "product:1", "description": "d",
+                          "comparison_notes": PAIR}, "comparison_notes: ", None),
+    # an undeclared field is rejected first; its value still reaches the payload
+    ("create_customer", {"name": "Ana", PAIR: 1}, "create_customer: unexpected args", None),
+], ids=["pair", "lone", "list", "edit", "field", "key"])
+def test_surrogate_args_are_schema_errors_with_one_audit_record(eng, tmp_path, command,
+                                                                args, path, payload):
+    """A surrogate code point is rejected where it is, and the audit record
+    keeps the args only as they read back: as they are when the log's escapes
+    decode to the same text (a lone surrogate), else as their repr."""
+    before_len = len(eng.state.log)
+    with pytest.raises(SchemaError) as exc:
+        eng.dispatch(SYSTEM, command, args)
+    assert str(exc.value).startswith(path)
+    [record] = eng.state.log[before_len:]
+    assert (record.outcome, record.error, record.deltas) == ("error", "SchemaError", [])
+    assert record.payload == (payload or {"unparsed": repr(args)})
+    assert eng.replayed_state() == eng.state
+    eng.write_log(tmp_path / "events.jsonl")
+    assert read_log(tmp_path / "events.jsonl") == eng.state.log
+
+
+def test_surrogate_query_arg_is_a_schema_error(eng):
+    customer = new_customer(eng)
+    eng.execute(customer, "create_cart", customer=customer)
+    with pytest.raises(SchemaError, match="^cart: "):
+        eng.query("cart_state", cart="cart:1" + PAIR)
+    with pytest.raises(SchemaError, match="^name_substring: expected text with no surrogate"):
+        eng.query("search_products", catalog="catalog:1", name_substring=PAIR)
+
+
 def test_currency_rejected_at_schema_level(eng):
     customer = new_customer(eng)
     cart = eng.execute(customer, "create_cart", customer=customer)["cart"]

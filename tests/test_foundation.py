@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import decimal
+import json
+import math
 import os
 import pickle
 import subprocess
@@ -10,7 +12,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from storefront import foundation
 from storefront.foundation import (
@@ -257,3 +259,35 @@ def test_clone_of_a_frozen_record_copies_its_containers_without_post_init():
     assert copy_ == bag and copy_ is not bag and copy_.items is not bag.items
     with pytest.raises(dataclasses.FrozenInstanceError):
         copy_.items = []
+
+
+# what json.dumps takes: every code point (surrogates and control characters
+# too), bools, ints, the floats it writes by name, tuples, empty containers,
+# and dicts keyed by str, int, float, bool or None
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers() | _TEXT
+            | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_KEYS = st.sampled_from([_TEXT, st.integers(), st.floats(allow_nan=False), st.booleans(),
+                         st.none()])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | _KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4))),
+    max_leaves=25)
+
+
+@settings(max_examples=600)
+@given(_JSON)
+def test_writers_equal_json_dumps(value):
+    assert foundation.json_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert foundation.json_spaced(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], {(1, 2): 1}, {1: 1, "a": 2}],
+                         ids=["set", "object", "tuple-key", "mixed-keys"])
+def test_indented_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as dumps_error:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as writer_error:
+        foundation.json_indented(value)
+    assert str(writer_error.value) == str(dumps_error.value)

@@ -139,6 +139,38 @@ def test_bundled_scenario_reports_match_golden_digests(tmp_path):
     assert digests == REPORT_DIGESTS
 
 
+# sha256 of each bundled scenario's `storefront run` stdout under the bundled
+# access matrix, its --out directory written as OUT: the step lines, the
+# [exp] lines with their values in json.dumps(value, sort_keys=True) form,
+# the invariant count, the verdict and the output paths.
+STDOUT_DIGESTS = {
+    "cart-checkout": "a63a040e5cff52fe99f88c96c33cac8043c23bf85b7c52e4095a8b527d795701",
+    "full-purchase": "b7cca00236cd813ea4e3c724f33c7ed2f88667905e3fc4b6f9d7c30d7f92764a",
+    "invoice-lifecycle": "cb4bbd65c71abebbe9208211370c127766f46328638020bfc641c3a91ed18a72",
+    "invoice-payment": "ca465c525cc6df20889e05fceeb1b84e12e0d676c44f29459622608b192e6640",
+    "invoice-preparation": "10d9d40285c05649ecc90010849ceb8f765d8fa7cba523552160127cf8957d2d",
+    "order-fulfillment": "3d4e3ec8e5c289c4b58331e192590904b723a3f3bd60a237a95efcae5bfd1d44",
+    "order-receipt": "42ec0e7001b4d2da20574d3d718f4f1808d61d5aadc4ad1b3beeedc30b044a0c",
+    "product-update-notify": "d5d752cbd3796b3b9cdc298ffcef526f802d3cf717b3db61c5f873fadc924d95",
+    "rbac-denials": "f50f3248282a1978ebcf6919edb05e82f9419998860a206a46f1095133ea2c97",
+    "separation-of-duty": "0f401702ec5c92fcc8b12447622485a24c00554b7a1a90182dc2b1f114905a7d",
+    "shop-order-fabrication": "6fedcfb132b947bd81f11ac3c53318afe7ec8eebbf9947b18b4713afed595c7a",
+    "stock-intake": "63dc300567c1d19e61fd323f6a186559b20a275f77e27171331b80f899b779c6",
+    "stock-transfer": "f2635bc5ae8b39d4fc3694c1c06476086d23007f37da9fde6b9c26b64f7569f1",
+}
+
+
+def test_bundled_scenario_stdout_matches_golden_digests(tmp_path):
+    digests = {}
+    for path in bundled.scenario_files():
+        out_dir = tmp_path / path.stem
+        code, output = run_cli("run", str(path), "--rbac", RBAC, "--out", str(out_dir))
+        assert code == 0, output
+        digests[path.stem] = hashlib.sha256(
+            output.replace(str(out_dir), "OUT").encode()).hexdigest()
+    assert digests == STDOUT_DIGESTS
+
+
 def test_runs_sharing_one_seeded_baseline_write_the_golden_bytes(tmp_path):
     """Every run and verify in one process starts from one memoized seeded
     baseline, whose entities they share: in either order, each run writes
@@ -400,6 +432,10 @@ MALFORMED_SEEDS = [
     ("--seed-stock", [{"item": "x", "kind": "Component"},
                       {"item": "y", "kind": "Component", "rooms": {"A": 1, "B": "2"}}],
      "[1].rooms[B]: "),
+    # a surrogate code point, which a JSON file can hold alone as an escape
+    ("--seed-catalog", [{"name": "W\ud800", "price": 1}], "[0].name: "),
+    ("--seed-stock", [{"item": "x", "kind": "Component", "rooms": {"M\udc00": 2}}],
+     "[0].rooms[M\udc00]: "),
 ]
 
 
@@ -470,11 +506,13 @@ def test_parse_scenario_rejects_unknown_keys():
     ("--policies", {"billing_policies": [], "extra": 1}),
     (None, {"name": "x", "commands": [], "expectations": 5}),
     (None, {"name": "x", "commands": [{"op": 5}]}),
+    (None, {"name": "x", "commands": [{"op": "create_cart", "actor": "\udfff"}]}),
 ], ids=["rbac-role-without-name", "rbac-roles-not-a-list", "rbac-top-level-list",
         "rbac-unknown-key", "rbac-unknown-role-key", "rbac-owner-only-string",
         "policies-top-level-list", "policies-entry-not-an-object", "policies-methods-string",
         "policies-loyalty-only-string", "policies-float-percent", "policies-string-percent",
-        "policies-unknown-key", "scenario-expectations-not-a-list", "scenario-op-not-a-string"])
+        "policies-unknown-key", "scenario-expectations-not-a-list", "scenario-op-not-a-string",
+        "scenario-actor-surrogate"])
 def test_malformed_input_file_exits_two(tmp_path, flag, content):
     """Each of these ended in a traceback, or loaded as something else."""
     path = tmp_path / "input.json"
