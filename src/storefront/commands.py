@@ -28,13 +28,14 @@ from .foundation import (
     EntityId,
     Money,
     Quantity,
+    Ref,
     SchemaError,
     json_text,
     run_generated,
 )
 from .invoice import InvoiceItem, PaymentMethod, PolicyKind
 from .order_shipment import ShippedItem
-from .state import KIND_TO_STORE, NOT_EVALUATED, EventRecord, Txn, to_jsonable
+from .state import KIND_TO_STORE, NOT_EVALUATED, STORES, EventRecord, Txn, to_jsonable
 from .stock_manager import StockKind
 
 
@@ -337,19 +338,24 @@ def compile_parser(name: str, schema, filename: str, payload: bool = True):
 
 
 # --- ownership ----------------------------------------------------------------
-# A target's owner is declared as the arg naming the customer, or as ``(store,
-# arg, attribute)``: the attribute naming it on the entity the arg names.
+# A target's owner is declared as the arg naming the target: a customer, who
+# owns it, or an entity whose one ``Ref`` to a customer names the owner.
 
-def _owner_lines(owner) -> list[str]:
-    """Lines that set ``owner`` (the owning customer, or None) and
-    ``missing`` (the target does not exist) from ``state`` and ``args``."""
-    if owner is None:
-        return ["owner, missing = None, False"]
-    if isinstance(owner, str):
-        return [f"owner, missing = args[{owner!r}], False"]
-    store, arg, attribute = owner
-    return [f"target = state.stores[{store!r}].get(args[{arg!r}])",
-            f"owner, missing = (None, True) if target is None else (target.{attribute}, False)"]
+def _foreign(name: str, schema: Fields, arg: str) -> str:
+    """The condition, on ``state``, ``args`` and ``actor``, that the target
+    the owner arg ``arg`` names is not the actor's own. An arg that resolves
+    to no single owner raises ``TypeError``."""
+    kinds = getattr(schema.fields.get(arg), "kinds", ())
+    if kinds == ("customer",):
+        return f"args[{arg!r}] is not actor"
+    store = KIND_TO_STORE.get(kinds[0]) if len(kinds) == 1 else None
+    hints = typing.get_type_hints(STORES[store][1], include_extras=True) if store else {}
+    owners = [attribute for attribute, hint in hints.items()
+              if "customer" in getattr(Ref.of(hint), "kinds", ())]
+    if len(owners) != 1:
+        raise TypeError(f"{name}: owner arg {arg!r} names no entity with one customer Ref")
+    return (f"(target := state.stores[{store!r}].get(args[{arg!r}])) is None"
+            f" or target.{owners[0]} is not actor")
 
 
 # --- command specs ------------------------------------------------------------
@@ -359,7 +365,7 @@ class CommandSpec:
     name: str
     kind: str  # target entity kind, the first element of the required right
     schema: Fields  # the args, declared as the fields of an object
-    owned_by: str | tuple[str, str, str] | None  # see "ownership"
+    foreign: str  # when the target is not the actor's own (see "ownership"); "False": no owner
     run: object  # callable(engine, txn, actor, args) -> its result, as plain JSON
     # (call statement, result expression, names): what ``_spec`` generated ``run`` from
     source: tuple = field(repr=False, compare=False)
@@ -370,35 +376,26 @@ class CommandSpec:
         return compile_parser(self.name, self.schema, f"<parser {self.name}>")
 
     @functools.cached_property
-    def owner(self):
-        """``owner(state, args) -> (owner id | None, target missing)``."""
-        names = {}
-        run_generated("def owner(state, args):\n" + "\n".join(
-            _indent([*_owner_lines(self.owned_by), "return owner, missing"])),
-            f"<owner {self.name}>", names)
-        return names["owner"]
-
-    @functools.cached_property
     def envelope(self):
         """``envelope(engine, actor, raw, seq, tick) -> EventRecord``: the
         whole dispatch of the command, generated once, on first use."""
         return _envelope(self)
 
+    @functools.cached_property
+    def decide(self):
+        """``decide(engine, actor, args) -> AccessDecision``: the decision
+        the envelope takes for ``actor`` on the parsed ``args``."""
+        access, names = _access(self)
+        run_generated(f"def decide(engine, actor, args):\n    state = engine.state\n{access}\n"
+                      "            return denied\n    return allow\n",
+                      f"<decide {self.name}>", names)
+        return names["decide"]
 
-# the source of an envelope: {parse} and {payload} are a parser's lines and the
-# name of its payload, {owned} the owner check of an owner-only role, {operation}
-# the domain call
-_ENVELOPE = """\
-def envelope(engine, actor, raw, seq, tick):
-    state, args, ctx = engine.state, raw, engine.parse_context
-    try:
-{parse}
-    except DomainError as exc:
-        state.log.append({record}best_effort(raw), NOT_EVALUATED, 'error', exc.code))
-        raise
+
+_ACCESS = """\
     rbac = engine.rbac
-    access = system if actor.kind == 'system' else permissive if rbac.permissive else None
-    if access is None:
+    allow = system if actor.kind == 'system' else permissive if rbac.permissive else None
+    if allow is None:
         granting = rbac.grants.get(right)
         if granting is None:
             granting = rbac.compile_grant(*right)
@@ -409,12 +406,38 @@ def envelope(engine, actor, raw, seq, tick):
         for role, owner_only, allow in granting:
             if role not in roles and role not in assigned:
                 continue
-{owned}
-            access = allow.as_dict
+            if owner_only and ({foreign}):
+                denied = not_owner
+                continue
             break
-        else:
+        else:"""
+
+
+def _access(spec: CommandSpec) -> tuple[str, dict]:
+    """The access decision of ``spec``'s envelope and its ``decide``: ``allow``,
+    or ``denied`` in the ``else`` it ends in, which the caller fills; and its names."""
+    from . import rbac  # rbac imports this module
+    return (_ACCESS.format(foreign=spec.foreign),
+            {"KIND_TO_STORE": KIND_TO_STORE, "NO_ROLES": frozenset(),
+             "right": (spec.kind, spec.name), "system": rbac.SYSTEM_ALLOW,
+             "permissive": rbac.PERMISSIVE_ALLOW, "no_role": rbac.NO_ROLE,
+             "not_owner": rbac.NOT_OWNER})
+
+
+# the source of an envelope: {parse} and {payload} are a parser's lines and the
+# name of its payload, {access} the access decision, {operation} the domain call
+_ENVELOPE = """\
+def envelope(engine, actor, raw, seq, tick):
+    state, args, ctx = engine.state, raw, engine.parse_context
+    try:
+{parse}
+    except DomainError as exc:
+        state.log.append({record}best_effort(raw), NOT_EVALUATED, 'error', exc.code))
+        raise
+{access}
             state.log.append({record}{payload}, denied.as_dict, 'denied', 'AccessDenied'))
             raise AccessDenied(denied.reason)
+    access = allow.as_dict
     txn = Txn(state)
     try:
 {operation}
@@ -429,10 +452,9 @@ def envelope(engine, actor, raw, seq, tick):
 
 
 def _envelope(spec: CommandSpec):
-    """The parser's lines, ``check_access`` (the owner resolved only for an
-    owner-only role), and a ``Txn`` around ``run``'s source while ``run``
+    """The parser's lines, the access decision (the owner resolved only for
+    an owner-only role), and a ``Txn`` around ``run``'s source while ``run``
     is the runner generated from it, else around a call of ``run``."""
-    from . import rbac  # rbac imports this module
     parser = _ParserSource(payload=True)
     parse, payload = parser.fields(spec.schema, "args", spec.name)
     statement, result, names = spec.source
@@ -440,18 +462,12 @@ def _envelope(spec: CommandSpec):
         operation = [statement, f"result = {result}"]
     else:
         operation, names = ["result = run(engine, txn, actor, args)"], {"run": spec.run}
-    owned = [] if spec.owned_by is None else [
-        "if owner_only:", *_indent(_owner_lines(spec.owned_by)),
-        "    if missing or owner is not None and owner is not actor:",
-        "        denied = not_owner", "        continue"]
-    names = {**parser.names, **names, "DomainError": DomainError, "AccessDenied": AccessDenied,
-             "Txn": Txn, "EventRecord": EventRecord, "KIND_TO_STORE": KIND_TO_STORE,
-             "NO_ROLES": rbac.NO_ROLES, "NOT_EVALUATED": NOT_EVALUATED,
-             "best_effort": best_effort, "right": (spec.kind, spec.name),
-             "system": rbac.SYSTEM_ALLOW.as_dict, "permissive": rbac.PERMISSIVE_ALLOW.as_dict,
-             "no_role": rbac.NO_ROLE, "not_owner": rbac.NOT_OWNER}
+    access, access_names = _access(spec)
+    names = {**parser.names, **names, **access_names, "DomainError": DomainError,
+             "AccessDenied": AccessDenied, "Txn": Txn, "EventRecord": EventRecord,
+             "NOT_EVALUATED": NOT_EVALUATED, "best_effort": best_effort}
     run_generated(_ENVELOPE.format(
-        parse="\n".join(_indent(parse, 2)), payload=payload, owned="\n".join(_indent(owned, 3)),
+        parse="\n".join(_indent(parse, 2)), payload=payload, access=access,
         operation="\n".join(_indent(operation, 2)),
         record=f"EventRecord(seq, tick, actor, {spec.name!r}, "),
         f"<envelope {spec.name}>", names)
@@ -490,8 +506,10 @@ def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> Comm
     ``x_id`` the arg ``x`` (an optional one defaults to the parameter's
     default), else the engine attribute of its name. The return annotation
     picks the encoding in ``_RESULTS``; a ``tuple`` gives one key per
-    element, ``None`` none. An unmatched parameter or arg, or a result with
-    no encoding, raises ``TypeError`` naming the command."""
+    element, ``None`` none. ``owner`` is the arg naming the target whose
+    owner an owner-only role must be (see "ownership"). An unmatched
+    parameter or arg, a result with no encoding, or an owner arg that
+    resolves to no owner raises ``TypeError`` naming the command."""
     schema = Fields(args, optional)
     params = list(inspect.signature(fn).parameters.values())
     names, taken = {fn.__name__: fn}, set()
@@ -528,7 +546,8 @@ def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> Comm
     statement, result = f"{targets} = {fn.__name__}({', '.join(call)})", f"{{{result}}}"
     run_generated(f"def run(engine, txn, actor, args):\n    {statement}\n    return {result}\n",
                   f"<command {name}>", names)
-    return CommandSpec(name=name, kind=kind, schema=schema, owned_by=owner, run=names["run"],
+    foreign = _foreign(name, schema, owner) if owner else "False"
+    return CommandSpec(name=name, kind=kind, schema=schema, foreign=foreign, run=names["run"],
                        source=(statement, result, names))
 
 
@@ -566,14 +585,13 @@ COMMANDS = {spec.name: spec for spec in [
     _spec("create_cart", "cart", {"customer": Id("customer")},
           shopping_cart.create_cart, "cart", owner="customer"),
     _spec("add_item", "cart", {"cart": Id("cart"), "product": Id("product"), "qty": Quantity},
-          shopping_cart.add_item, owner=("carts", "cart", "customer")),
+          shopping_cart.add_item, owner="cart"),
     _spec("remove_item", "cart", {"cart": Id("cart"), "product": Id("product")},
-          shopping_cart.remove_item, owner=("carts", "cart", "customer")),
+          shopping_cart.remove_item, owner="cart"),
     _spec("cart_total", "cart", {"cart": Id("cart")},
-          shopping_cart.cart_total, "total", owner=("carts", "cart", "customer")),
+          shopping_cart.cart_total, "total", owner="cart"),
     _spec("checkout", "cart", {"cart": Id("cart")},
-          shopping_cart.checkout, "order", "invoice",
-          owner=("carts", "cart", "customer")),
+          shopping_cart.checkout, "order", "invoice", owner="cart"),
 
     # invoice
     _spec("create_invoice", "invoice",
@@ -588,26 +606,24 @@ COMMANDS = {spec.name: spec for spec in [
     _spec("record_payment", "payment",
           {"customer": Id("customer"), "invoice": Id("invoice"), "amount": Money,
            "method": PaymentMethod},
-          invoice.record_payment, "payment", owner=("invoices", "invoice", "customer")),
+          invoice.record_payment, "payment", owner="invoice"),
     _spec("validate_payment", "payment",
           {"validator": Id("employee"), "payment": Id("payment"), "rules": list[str]},
           invoice.validate_payment, "verdict", "reasons", optional={"rules"}),
     _spec("invoice_balance", "invoice", {"invoice": Id("invoice")},
-          invoice.invoice_balance, "balance",
-          owner=("invoices", "invoice", "customer")),
+          invoice.invoice_balance, "balance", owner="invoice"),
 
     # order and shipment
     _spec("place_order", "order", {"customer": Id("customer"), "lines": list[ORDER_LINE]},
           order_shipment.place_order, "order", owner="customer"),
     _spec("cancel_order", "order", {"order": Id("order")},
-          order_shipment.cancel_order, owner=("orders", "order", "customer")),
+          order_shipment.cancel_order, owner="order"),
     _spec("create_shipment", "shipment",
           {"order": Id("order"), "items": list[SHIPPED_ITEM], "receiver": Id("customer")},
           order_shipment.create_shipment, "shipment", "invoice"),
     _spec("record_receipt", "shipment",
           {"shipment": Id("shipment"), "receiver": Id("customer")},
-          order_shipment.record_receipt,
-          owner=("shipments", "shipment", "receiver")),
+          order_shipment.record_receipt, owner="shipment"),
 
     # stock manager
     _spec("create_stockroom", "stockroom", {"name": str},

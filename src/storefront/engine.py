@@ -26,7 +26,7 @@ from .commands import best_effort, parse_input
 from .foundation import _IDS, DomainError, EntityId, Quantity, SchemaError
 from .invoice import RuleBook, default_rulebook
 from .queries import run_query
-from .rbac import NO_ROLES, RbacMatrix, check_access, permissive_matrix
+from .rbac import RbacMatrix, permissive_matrix
 from .state import NOT_EVALUATED, EngineState, EventRecord, Txn, replay
 
 logger = logging.getLogger("storefront.engine")
@@ -129,12 +129,8 @@ class Engine:
 
     def access_decision(self, actor: EntityId, command: str, args: dict):
         """The decision the envelope of ``command`` takes for ``actor`` on
-        the parsed ``args``."""
-        spec = COMMANDS[command]
-        owner, target_missing = spec.owner(self.state, args)
-        return check_access(self.rbac, actor,
-                            getattr(self.state.entity(actor), "roles", NO_ROLES),
-                            spec.kind, command, owner, target_missing)
+        the parsed ``args``, made by the same generated lines."""
+        return COMMANDS[command].decide(self, actor, args)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -143,12 +139,14 @@ class Engine:
 
         Raises the operation's DomainError (or AccessDenied / SchemaError)
         after the audit record lands; the record for a failed command
-        never carries deltas.
+        never carries deltas. An actor that is neither an ``EntityId`` nor
+        id text is a ``SchemaError`` before the seq and the tick are taken,
+        so it leaves no record.
         """
         if self._baseline is None:
             self.baseline()
-        if isinstance(actor, str):
-            actor = _IDS.get(actor) or EntityId.parse(actor)
+        if actor.__class__ is not EntityId:
+            actor = (actor.__class__ is str and _IDS.get(actor)) or EntityId.parse(actor)
         state = self.state
         seq = len(state.log) + 1
         state.clock = tick = state.clock + 1

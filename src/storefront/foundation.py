@@ -219,6 +219,36 @@ SYSTEM = EntityId("system", 0)
 """Sentinel actor for engine-internal command paths (seeding, checkout)."""
 
 
+class Ref:
+    """An entity field holding the id of an entity of one of ``kinds``, as
+    ``Id(kind, ...)`` declares a command's arg: ``Ref(kind, ...)`` is the
+    annotation ``Annotated[EntityId, ref]``, an ``EntityId`` to the codec, and
+    one per ``kinds``, so typing's caches keep one. The kind ``system`` admits
+    ``SYSTEM``, which no store holds."""
+
+    @functools.cache
+    def __new__(cls, *kinds: str):
+        ref = super().__new__(cls)
+        ref.kinds = kinds
+        return typing.Annotated[EntityId, ref]
+
+    @staticmethod
+    def of(hint) -> Ref | None:
+        """The ``Ref`` of a field annotated ``Ref(...)`` or ``Ref(...) | None``
+        (read with ``include_extras``), else None."""
+        metadata = getattr(optional_of(hint) or hint, "__metadata__", ())
+        return next((ref for ref in metadata if isinstance(ref, Ref)), None)
+
+
+def optional_of(hint):
+    """The ``X`` of an ``X | None`` annotation, else None."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 2 \
+            and type(None) in args:
+        return args[args[0] is type(None)]
+    return None
+
+
 def round_half_away(numerator: int, denominator: int) -> int:
     """Integer division rounding halves away from zero.
 
@@ -477,9 +507,9 @@ class _CodecSource:
     def expressions(self, hint, x: str, d: str) -> tuple[str, str, str]:
         """Encode ``x``, decode ``d`` and copy ``x``, a value of type
         ``hint``; the copy is ``x`` itself when the value is immutable."""
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-            enc, dec, copy = self.expressions(args[args[0] is type(None)], x, d)
+        origin, args, inner = typing.get_origin(hint), typing.get_args(hint), optional_of(hint)
+        if inner is not None:
+            enc, dec, copy = self.expressions(inner, x, d)
             return (x if enc == x else f"(None if {x} is None else {enc})",
                     f"(None if {d} is None else {dec})",
                     x if copy == x else f"(None if {x} is None else {copy})")
@@ -555,9 +585,9 @@ class _CodecSource:
 
     def text(self, hint, x: str) -> list[str]:
         """The parts of the JSON text of ``x``, a value of type ``hint``."""
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-            return [f"('null' if {x} is None else {self.expr(args[args[0] is type(None)], x)})"]
+        origin, args, inner = typing.get_origin(hint), typing.get_args(hint), optional_of(hint)
+        if inner is not None:
+            return [f"('null' if {x} is None else {self.expr(inner, x)})"]
         if hint is int or hint is Quantity:
             return [_Int(x if hint is int else f"{x}.value")]
         if hint is bool:
@@ -607,10 +637,8 @@ class _CodecSource:
         return leaves
 
     def _key(self, hint, d: str) -> list[str] | None:
-        args = typing.get_args(hint)
-        if (typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 2
-                and type(None) in args):
-            inner = args[args[0] is type(None)]
+        inner = optional_of(hint)
+        if inner is not None:
             if isinstance(inner, type) and issubclass(inner, Record):
                 return None  # null and a record's leaves would not line up in one key
             leaves = self._key(inner, d)

@@ -8,11 +8,13 @@ id order, keeping the report a pure function of the state.
 
 from __future__ import annotations
 
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .foundation import CurrencyMismatch, money_amount, priced_amount
+from .foundation import (SYSTEM, CurrencyMismatch, Record, Ref, money_amount, optional_of,
+                         priced_amount, run_generated)
 from .invoice import InvoiceState, PaymentState
 from .order_shipment import OrderState
 from .shopping_cart import CartState
@@ -69,9 +71,50 @@ def _per_line(quantities: dict) -> str:
     return ", ".join(f"{line} x{qty}" for line, qty in sorted(quantities.items())) or "nothing"
 
 
+def _reference_lines(cls: type, x: str, depth: int = 1) -> list[str]:
+    """Lines that flag each id in a ``Ref`` field of ``x``, a ``cls`` record,
+    or of a record ``x`` lists, that the store of the id's own kind lacks,
+    unless it is a ``system`` id the ``Ref`` admits. The store of the declared
+    kind is tried first: when the model is sound, it holds the id."""
+    lines = []
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        ref, args = Ref.of(hint), typing.get_args(hint)
+        if ref is not None:
+            tests = [f"v not in {KIND_TO_STORE[kind]}" if kind != SYSTEM.kind
+                     else f"v.kind != {kind!r}" for kind in ref.kinds]
+            if optional_of(hint) is not None:
+                tests.insert(0, "v is not None")
+            lines += [f"v = {x}.{name}",
+                      f"if {' and '.join(tests)} and v not in by_kind.get(v.kind, ()):",
+                      "    flag('referential-integrity', holder,"
+                      " f'reference {v} does not resolve')"]
+        elif typing.get_origin(hint) is list and isinstance(args[0], type) \
+                and issubclass(args[0], Record):
+            inside = _reference_lines(args[0], f"r{depth}", depth + 1)
+            if inside:
+                lines += [f"for r{depth} in {x}.{name}:", *("    " + line for line in inside)]
+    return lines
+
+
+def _referential_integrity():
+    """``_Checker.check_referential_integrity``: one walk over the stores,
+    bound to locals, generated from the ``Ref`` fields (``_reference_lines``)."""
+    lines = ["flag, stores = self.flag, self.state.stores",
+             "by_kind = {kind: stores[store] for kind, store in KIND_TO_STORE.items()}",
+             *(f"{store} = stores[{store!r}]" for store in STORES)]
+    for store, (_, cls) in STORES.items():
+        inside = _reference_lines(cls, "entity")
+        if inside:
+            lines += [f"for holder, entity in {store}.items():",
+                      *("    " + line for line in inside)]
+    namespace = {"KIND_TO_STORE": KIND_TO_STORE}
+    run_generated("def check_referential_integrity(self):\n    " + "\n    ".join(lines) + "\n",
+                  "<referential integrity>", namespace)
+    return namespace["check_referential_integrity"]
+
+
 class _Checker:
     def __init__(self, engine):
-        self.engine = engine
         self.state = engine.state
         self.currency = engine.currency
         self.violations: list[Violation] = []
@@ -388,58 +431,7 @@ class _Checker:
 
     # -- referential integrity ------------------------------------------------
 
-    def check_referential_integrity(self):
-        """Each reference is looked up in the store its field refers to, then,
-        on a miss, in the store of the id's kind (a store holds only its kind)."""
-        name = "referential-integrity"
-        stores = self.state.stores
-        store_of_kind = {kind: stores[store] for kind, store in KIND_TO_STORE.items()}
-        customers, products, employees = stores["customers"], stores["products"], stores["employees"]
-        carts, invoices = stores["carts"], stores["invoices"]
-
-        def missing(holder, target):
-            if target not in store_of_kind.get(target.kind, ()):
-                self.flag(name, holder, f"reference {target} does not resolve")
-
-        for cid, cart in carts.items():
-            if cart.customer not in customers:
-                missing(cid, cart.customer)
-            for item in cart.items:
-                if item.product not in products:
-                    missing(cid, item.product)
-        for oid, order in stores["orders"].items():
-            if order.customer not in customers:
-                missing(oid, order.customer)
-            for line in order.line_items:
-                if line.product not in products:
-                    missing(oid, line.product)
-            if order.source_cart is not None and order.source_cart not in carts:
-                missing(oid, order.source_cart)
-        for sid, shipment in stores["shipments"].items():
-            if shipment.receiver not in customers:
-                missing(sid, shipment.receiver)
-            if shipment.invoice not in invoices:
-                missing(sid, shipment.invoice)
-            for item in shipment.items:
-                if item.product not in products:
-                    missing(sid, item.product)
-        for iid, inv in invoices.items():
-            if inv.customer not in customers:
-                missing(iid, inv.customer)
-            if inv.created_by not in employees and inv.created_by.kind != "system":
-                missing(iid, inv.created_by)
-            if (inv.validated_by is not None and inv.validated_by not in employees
-                    and inv.validated_by.kind != "system"):
-                missing(iid, inv.validated_by)
-        for pid, payment in stores["payments"].items():
-            if payment.customer not in customers:
-                missing(pid, payment.customer)
-            if (payment.validated_by is not None and payment.validated_by not in employees
-                    and payment.validated_by.kind != "system"):
-                missing(pid, payment.validated_by)
-        for item_id, item in stores["stock_items"].items():
-            if item.product_link is not None and item.product_link not in products:
-                missing(item_id, item.product_link)
+    check_referential_integrity = _referential_integrity()
 
     def check_serial_bounds(self):
         name = "serial-bounds"

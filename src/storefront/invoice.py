@@ -21,6 +21,7 @@ from .foundation import (
     Money,
     Quantity,
     Record,
+    Ref,
     SchemaError,
     money_amount,
     priced_amount,
@@ -115,11 +116,11 @@ class InvoiceItem(Record):
 @dataclass
 class Invoice(Record):
     id: EntityId
-    customer: EntityId
+    customer: Ref("customer")
     items: list[InvoiceItem] = field(default_factory=list)
     state: InvoiceState = InvoiceState.DRAFT
-    created_by: EntityId = SYSTEM
-    validated_by: EntityId | None = None
+    created_by: Ref("employee", "system") = SYSTEM
+    validated_by: Ref("employee", "system") | None = None
     applied_policies: list[str] = field(default_factory=list)
     adjustments: list[tuple[str, Money]] = field(default_factory=list)
     # provenance back-references for cross-subsystem audits
@@ -142,11 +143,11 @@ class Invoice(Record):
 class Payment(Record):
     id: EntityId
     invoice: EntityId
-    customer: EntityId
+    customer: Ref("customer")
     amount: Money
     method: PaymentMethod
     state: PaymentState = PaymentState.RECEIVED
-    validated_by: EntityId | None = None
+    validated_by: Ref("employee", "system") | None = None
     reasons: list[str] = field(default_factory=list)
 
 

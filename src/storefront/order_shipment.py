@@ -15,7 +15,7 @@ from enum import Enum
 from . import invoice as invoice_mod
 from . import stock_manager
 from .catalog import UnknownCustomer, UnknownProduct
-from .foundation import DomainError, EntityId, Quantity, Record
+from .foundation import DomainError, EntityId, Quantity, Record, Ref
 from .invoice import InvoiceItem
 from .shopping_cart import CartItem, ZeroQuantity
 
@@ -71,10 +71,10 @@ class ShipmentState(str, Enum):
 @dataclass
 class Order(Record):
     id: EntityId
-    customer: EntityId
+    customer: Ref("customer")
     line_items: list[CartItem] = field(default_factory=list)
     state: OrderState = OrderState.PLACED
-    source_cart: EntityId | None = None
+    source_cart: Ref("cart") | None = None
     # cumulative shipped quantity per order line, substitutes included
     shipped: dict[EntityId, int] = field(default_factory=dict)
 
@@ -89,7 +89,7 @@ class Order(Record):
 class ShippedItem(Record):
     """One dispatched line; substituted goods name the order line they fill."""
 
-    product: EntityId
+    product: Ref("product")
     quantity: Quantity
     substituted_for: EntityId | None = None
 
@@ -102,8 +102,8 @@ class Shipment(Record):
     id: EntityId
     order: EntityId
     items: list[ShippedItem]
-    receiver: EntityId
-    invoice: EntityId
+    receiver: Ref("customer")
+    invoice: Ref("invoice")
     state: ShipmentState = ShipmentState.DISPATCHED
 
 

@@ -4,7 +4,8 @@ every command.
 Rights are (entity-kind, operation) pairs and roles hold exactly what the
 config declares — nothing implicit. Customer-facing roles additionally
 carry an ownership constraint: they act only on entities owned by the
-acting customer, because a right alone cannot express "own cart".
+acting customer, because a right alone cannot express "own cart". Each
+command's envelope decides from the grants here (``commands._ACCESS``).
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ SYSTEM_ALLOW = AccessDecision(ALLOW, "system", "system actor")
 PERMISSIVE_ALLOW = AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded")
 NOT_OWNER = AccessDecision(DENY, None, "not owner")
 NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
-NO_ROLES = frozenset()  # the roles of an actor whose entity carries none
 _DENY_CODES = {NOT_OWNER.reason: "not-owner", NO_ROLE.reason: "no-role"}
 # reason code -> reason, of a Deny and (None) of a command that did not parse
 _DENIALS = {None: "not evaluated", **{code: reason for reason, code in _DENY_CODES.items()}}
@@ -136,38 +136,6 @@ def reason_text(access: dict, command: str) -> str:
         return _DENIALS[access.get("reason")]
     role = access["role"]
     return _ALLOWS.get(role) or f"role {role} grants {command} on {COMMANDS[command].kind}"
-
-
-def check_access(matrix: RbacMatrix, user: EntityId, entity_roles,
-                 kind: str, operation: str, owner: EntityId | None,
-                 target_missing: bool = False) -> AccessDecision:
-    """Decide one (user, operation, target) triple.
-
-    The user holds the roles the matrix assigns to it and ``entity_roles``,
-    the roles its own entity carries. ``owner`` is the customer owning the
-    target entity, or None for kinds without an owner. Owner-constrained
-    roles are denied when the target does not resolve. The first granting
-    role by name decides. Deny is a result, never an exception. Each
-    command's envelope inlines this decision; ``Engine.access_decision``
-    makes it through this function.
-    """
-    if user.kind == "system":
-        return SYSTEM_ALLOW
-    if matrix.permissive:
-        return PERMISSIVE_ALLOW
-    assigned = matrix.assignments.get(user, ())
-    saw_ownership_failure = False
-    granting = matrix.grants.get((kind, operation))
-    if granting is None:
-        granting = matrix.compile_grant(kind, operation)
-    for role_name, owner_only, allow in granting:
-        if role_name not in entity_roles and role_name not in assigned:
-            continue
-        if owner_only and (target_missing or (owner is not None and owner != user)):
-            saw_ownership_failure = True
-            continue
-        return allow
-    return NOT_OWNER if saw_ownership_failure else NO_ROLE
 
 
 def default_matrix() -> RbacMatrix:

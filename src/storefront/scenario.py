@@ -16,15 +16,11 @@ from .commands import parse_input
 from .engine import Engine
 from .foundation import DomainError, SchemaError
 from .queries import run_query
+from .state import STORES
 
-NAMED_STORES = {
-    "customer": "customers",
-    "employee": "employees",
-    "product": "products",
-    "catalog": "catalogs",
-    "stock_item": "stock_items",
-    "stockroom": "stockrooms",
-}
+# kind -> its store, for each kind of entity an ``@kind:name`` reference can name
+NAMED_STORES = {kind: store for store, (kind, cls) in STORES.items()
+                if "name" in cls.__dataclass_fields__}
 
 
 class ParseError(DomainError):

@@ -17,7 +17,7 @@ from enum import Enum
 from . import invoice as invoice_mod
 from . import order_shipment
 from .catalog import UnknownCustomer, UnknownProduct
-from .foundation import DomainError, EntityId, Money, Quantity, Record, priced_sum
+from .foundation import DomainError, EntityId, Money, Quantity, Record, Ref, priced_sum
 
 
 class CartClosed(DomainError):
@@ -62,7 +62,7 @@ class CartItem(Record):
     totals stable between selection and checkout.
     """
 
-    product: EntityId
+    product: Ref("product")
     quantity: Quantity
     unit_price: Money
 
@@ -70,7 +70,7 @@ class CartItem(Record):
 @dataclass
 class ShoppingCart(Record):
     id: EntityId
-    customer: EntityId
+    customer: Ref("customer")
     items: list[CartItem] = field(default_factory=list)
     state: CartState = CartState.OPEN
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .foundation import DomainError, EntityId, NegativeQuantity, Quantity, Record
+from .foundation import DomainError, EntityId, NegativeQuantity, Quantity, Record, Ref
 
 
 class UnknownStockItem(DomainError):
@@ -106,7 +106,7 @@ class StockItem(Record):
     id: EntityId
     name: str
     kind: StockKind
-    product_link: EntityId | None = None
+    product_link: Ref("product") | None = None
     inventory: Inventory = field(default_factory=Inventory)
 
 

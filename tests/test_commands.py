@@ -192,3 +192,19 @@ def test_a_declaration_the_runner_cannot_serve_is_a_type_error(args, fn, keys, o
                                                                  named):
     with pytest.raises(TypeError, match=f"^demo: .*{named}"):
         _spec("demo", "customer", args, fn, *keys, optional=optional)
+
+
+def op_named_room(txn, room_id: EntityId, name: str, validator_id: EntityId) -> None:
+    """A stand-in domain operation whose args name no owner."""
+
+
+@pytest.mark.parametrize("owner", [
+    "room",  # a stockroom holds no customer Ref
+    "validator",  # an id of two kinds
+    "name",  # no id
+    "absent",  # no arg
+])
+def test_an_owner_arg_that_resolves_to_no_owner_is_a_type_error(owner):
+    args = {"room": Id("stockroom"), "name": str, "validator": Id("employee", "system")}
+    with pytest.raises(TypeError, match=f"^demo: owner arg '{owner}'"):
+        _spec("demo", "stockroom", args, op_named_room, owner=owner)

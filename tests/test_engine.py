@@ -82,6 +82,18 @@ def test_malformed_args_leave_audit_record_only(eng):
     assert all(r.error == "SchemaError" and r.deltas == [] for r in records)
 
 
+@pytest.mark.parametrize("matrix", [None, default_matrix()], ids=["permissive", "bundled"])
+@pytest.mark.parametrize("actor", [5, None, ["customer:1"], "customer", b"customer:1"])
+def test_an_actor_that_is_no_id_is_refused_before_the_clock_moves(matrix, actor):
+    engine = fresh_engine(rbac=matrix)
+    customer = new_customer(engine)
+    clock, records = engine.state.clock, len(engine.state.log)
+    with pytest.raises(SchemaError, match="malformed entity id"):
+        engine.dispatch(actor, "create_cart", {"customer": customer})
+    assert (engine.state.clock, len(engine.state.log)) == (clock, records)
+    assert engine.replayed_state().to_dict() == engine.state.to_dict()
+
+
 @pytest.mark.parametrize("command,args", [
     ("add_product", {"catalog": "catalog:1", "name": "X", "status": "Regular",
                      "price": {"amount": "abc", "currency": "USD"}}),

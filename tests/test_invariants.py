@@ -11,6 +11,7 @@ shop-mix state.
 """
 
 import dataclasses
+import typing
 from types import SimpleNamespace
 
 import pytest
@@ -20,9 +21,11 @@ import invariants_oracle
 from helpers import bench_engines, new_customer, new_employee, product_id, validated_invoice
 from storefront import (SYSTEM, EntityId, Money, Quantity, bundled, default_matrix,
                         load_scenario, run_scenario)
+from storefront.foundation import Record, Ref
 from storefront.invariants import _CHECKS, check_invariants
 from storefront.invoice import InvoiceState
 from storefront.order_shipment import OrderState
+from storefront.state import STORES
 from storefront.stock_manager import ShopOrderStage
 
 from conftest import fresh_engine
@@ -502,23 +505,41 @@ _REFERENCES = {"carts": ("customer",), "orders": ("customer", "source_cart"),
                "shipments": ("order", "receiver", "invoice"),
                "invoices": ("customer", "created_by", "validated_by", "source_cart",
                             "source_shipment"),
-               "payments": ("invoice", "customer", "validated_by")}
+               "payments": ("invoice", "customer", "validated_by"),
+               "stock_items": ("product_link",)}
+# store -> its field listing records that each hold a product id
+_LINES = {"carts": "items", "orders": "line_items", "shipments": "items"}
+
+
+def _elsewhere(data) -> EntityId:
+    """An id no store holds, an id of another kind, or the system actor."""
+    kind = data.draw(st.sampled_from(["customer", "cart", "order", "invoice", "employee",
+                                      "product", "ghost"]))
+    return data.draw(st.sampled_from([EntityId(kind, 1), EntityId(kind, 10**6), SYSTEM]))
 
 
 def _repoint(data, stores, products):
-    """Point a reference at an id no store holds, at an id of another kind,
-    or at the system actor."""
+    """Point a reference elsewhere."""
     store = data.draw(st.sampled_from(sorted(_REFERENCES)))
     entity_id, entity = _entity(data, stores, store)
     name = data.draw(st.sampled_from(_REFERENCES[store]))
-    kind = data.draw(st.sampled_from(["customer", "cart", "order", "invoice", "employee",
-                                      "product", "ghost"]))
-    target = data.draw(st.sampled_from([EntityId(kind, 1), EntityId(kind, 10**6), SYSTEM]))
-    stores[store][entity_id] = dataclasses.replace(entity, **{name: target})
+    stores[store][entity_id] = dataclasses.replace(entity, **{name: _elsewhere(data)})
+
+
+def _repoint_line(data, stores, products):
+    """Point the product of a cart item, an order line or a shipped item
+    elsewhere."""
+    store = data.draw(st.sampled_from(sorted(_LINES)))
+    entity_id, entity = _entity(data, stores, store)
+    lines = list(getattr(entity, _LINES[store]))
+    if lines:
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = dataclasses.replace(lines[index], product=_elsewhere(data))
+        stores[store][entity_id] = dataclasses.replace(entity, **{_LINES[store]: lines})
 
 
 _CORRUPTIONS = [_corrupt_invoice, _corrupt_cart, _corrupt_order, _repeat_shipped_line,
-                _corrupt_shipment, _corrupt_payment, _drop, _repoint]
+                _corrupt_shipment, _corrupt_payment, _drop, _repoint, _repoint_line]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -534,3 +555,59 @@ def test_oracle_agrees_on_drawn_corruptions(shop_mix, data):
     engine = SimpleNamespace(currency=shop_mix.currency, state=SimpleNamespace(
         stores=stores, serials=state.serials, log=state.log))
     same_as_oracle(engine)
+
+
+# -- which check resolves each reference ----------------------------------------
+
+# each field holding an EntityId, of a stored entity or a record nested in one,
+# that is no ``Ref`` (so referential-integrity does not resolve it): the
+# invariant that does, or None, and how
+NOT_A_REF = {
+    "Product.catalog": ("catalog-references", "resolved in catalogs"),
+    "Product.similar": ("product-similarity", "resolved in products"),
+    "Product.subscribers": ("catalog-references", "resolved in customers"),
+    "Product.stock_item": ("catalog-references", "equal to the first stock item linked"),
+    "Notification.customer": ("catalog-references", "resolved in customers"),
+    "Notification.product": ("catalog-references", "resolved in products"),
+    "Invoice.source_cart": (None, "checkout-bijection counts the invoices of each cart that "
+                                  "exists, so a ghost shows only at the cart it left"),
+    "Invoice.source_shipment": ("shipment-invoice", "an invoice of a missing shipment"),
+    "InvoiceItem.product": (None, "compared with cart or shipped lines, never resolved"),
+    "Payment.invoice": ("payment-conservation", "resolved in invoices"),
+    "Order.shipped": ("shipment-coverage", "equal to what the shipments hold"),
+    "Shipment.order": ("shipment-coverage", "resolved in orders"),
+    "ShippedItem.substituted_for": (None, "shipment-coverage requires a line of the order, "
+                                          "never a product that resolves"),
+    "Inventory.by_room": ("stock-conservation", "resolved in stockrooms"),
+    "ShopOrder.product": ("shop-order-structure", "a stock item of the product kind"),
+    "ShopOrder.bill_of_materials": ("shop-order-structure", "stock items of component kind"),
+}
+
+
+def _types_in(hint) -> set:
+    """``hint`` and every type argument within it, at any depth."""
+    return {hint}.union(*map(_types_in, typing.get_args(hint)))
+
+
+def test_every_reference_field_is_a_ref_or_names_its_check():
+    """A field added to the model that holds an id fails here, by name,
+    until it is declared a ``Ref`` or given its entry in ``NOT_A_REF``."""
+    refs, others, todo, seen = set(), set(), [cls for _, cls in STORES.values()], set()
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for f in dataclasses.fields(cls):
+            types = _types_in(hints[f.name])
+            todo += [t for t in types if isinstance(t, type) and issubclass(t, Record)]
+            if EntityId in types and f.name != "id":  # an entity's own id keys its store
+                (refs if Ref.of(hints[f.name]) else others).add(f"{cls.__name__}.{f.name}")
+    assert sorted(others - NOT_A_REF.keys()) == [], "declare a Ref, or name its check"
+    assert sorted(NOT_A_REF.keys() - others) == []
+    assert refs == {"ShoppingCart.customer", "CartItem.product", "Order.customer",
+                    "Order.source_cart", "Shipment.receiver", "Shipment.invoice",
+                    "ShippedItem.product", "Invoice.customer", "Invoice.created_by",
+                    "Invoice.validated_by", "Payment.customer", "Payment.validated_by",
+                    "StockItem.product_link"}
