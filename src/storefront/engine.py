@@ -23,11 +23,11 @@ from . import stock_manager
 # envelope inlines; the names stay here, where the bench's tracer hooks them
 from .commands import COMMANDS, ParseContext, canonical_payload, parse_args  # noqa: F401
 from .commands import best_effort, parse_input
-from .foundation import _IDS, DomainError, EntityId, Quantity, SchemaError
+from .foundation import _IDS, EntityId, Quantity, SchemaError
 from .invoice import RuleBook, default_rulebook
 from .queries import run_query
 from .rbac import RbacMatrix, permissive_matrix
-from .state import NOT_EVALUATED, EngineState, EventRecord, Txn, replay
+from .state import NOT_EVALUATED, EngineState, EventRecord, Txn, read_records, replay
 
 logger = logging.getLogger("storefront.engine")
 
@@ -172,9 +172,8 @@ class Engine:
         records, the log's records are written and read back in memory, so
         the oracle checks the log writer and reader too."""
         if records is None:
-            memo: dict = {}
-            records = [EventRecord.from_json_line(record.to_json_line(), memo)
-                       for record in self.state.log]
+            records = read_records((f"{record.to_json_line()}\n".encode()
+                                    for record in self.state.log), "engine log")
         return replay(self.baseline(), records)
 
     def check_invariants(self) -> invariants_mod.InvariantReport:
@@ -192,25 +191,12 @@ class Engine:
 
 
 def read_log(path) -> list[EventRecord]:
-    """The records of an ``events.jsonl`` file, read a line at a time, each put
-    decoded into its entity through one memo for this read (see ``derive_codec``).
-    A line is accepted only as ``write_log`` writes it: one record of ASCII JSON,
-    then a newline; empty lines are skipped. Anything else, or a path that
-    cannot be read, is a ``SchemaError`` naming the line or the path."""
-    records, memo, line = [], {}, b"\n"
+    """The records of an ``events.jsonl`` file, read as ``read_records`` reads
+    lines, so that no more than 64 of its lines are held at a time. A fault
+    in the log, or a path that cannot be read, is a ``SchemaError`` naming
+    the line or the path."""
     try:
         with open(path, "rb") as lines:
-            for line_number, line in enumerate(lines, start=1):
-                if line == b"\n":
-                    continue
-                try:
-                    records.append(EventRecord.from_json_line(line.decode("ascii"), memo))
-                except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                        DomainError) as exc:
-                    raise SchemaError(f"{path}:{line_number}: bad event record: "
-                                      f"{type(exc).__name__}: {exc}") from None
+            return read_records(lines, path)
     except OSError as exc:
         raise SchemaError(f"cannot read log {path}: {exc}") from None
-    if line[-1:] != b"\n":
-        raise SchemaError(f"{path}:{line_number}: bad event record: no newline at its end")
-    return records

@@ -73,9 +73,9 @@ def _per_line(quantities: dict) -> str:
 
 def _reference_lines(cls: type, x: str, depth: int = 1) -> list[str]:
     """Lines that flag each id in a ``Ref`` field of ``x``, a ``cls`` record,
-    or of a record ``x`` lists, that the store of the id's own kind lacks,
-    unless it is a ``system`` id the ``Ref`` admits. The store of the declared
-    kind is tried first: when the model is sound, it holds the id."""
+    or of a record ``x`` lists, that no store of a kind the ``Ref`` declares
+    holds, unless it is a ``system`` id the ``Ref`` admits: an id of another
+    kind is flagged even where its own kind's store holds it."""
     lines = []
     for name, hint in typing.get_type_hints(cls, include_extras=True).items():
         ref, args = Ref.of(hint), typing.get_args(hint)
@@ -85,7 +85,7 @@ def _reference_lines(cls: type, x: str, depth: int = 1) -> list[str]:
             if optional_of(hint) is not None:
                 tests.insert(0, "v is not None")
             lines += [f"v = {x}.{name}",
-                      f"if {' and '.join(tests)} and v not in by_kind.get(v.kind, ()):",
+                      f"if {' and '.join(tests)}:",
                       "    flag('referential-integrity', holder,"
                       " f'reference {v} does not resolve')"]
         elif typing.get_origin(hint) is list and isinstance(args[0], type) \
@@ -100,14 +100,13 @@ def _referential_integrity():
     """``_Checker.check_referential_integrity``: one walk over the stores,
     bound to locals, generated from the ``Ref`` fields (``_reference_lines``)."""
     lines = ["flag, stores = self.flag, self.state.stores",
-             "by_kind = {kind: stores[store] for kind, store in KIND_TO_STORE.items()}",
              *(f"{store} = stores[{store!r}]" for store in STORES)]
     for store, (_, cls) in STORES.items():
         inside = _reference_lines(cls, "entity")
         if inside:
             lines += [f"for holder, entity in {store}.items():",
                       *("    " + line for line in inside)]
-    namespace = {"KIND_TO_STORE": KIND_TO_STORE}
+    namespace: dict = {}
     run_generated("def check_referential_integrity(self):\n    " + "\n    ".join(lines) + "\n",
                   "<referential integrity>", namespace)
     return namespace["check_referential_integrity"]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _str
 from sys import intern
 from types import MappingProxyType
@@ -103,7 +104,10 @@ def _json_key(key) -> str:
 # record fields kept as raw JSON -> the JSON types each may hold
 _RAW_FIELD_TYPES = {"command": (str,), "payload": (dict,), "access": (dict,),
                     "outcome": (str,), "error": (str, type(None)), "deltas": (list,)}
-_DECODE_JSON = json.JSONDecoder().raw_decode
+_SCAN = json.JSONDecoder().scan_once  # the C scanner raw_decode calls: (value, end) at an index
+# what reading a line the engine could not have written raises; StopIteration: no value
+_BAD_LINE = (ValueError, KeyError, TypeError, AttributeError, RecursionError, StopIteration,
+             DomainError)
 ALLOW, DENY = "Allow", "Deny"
 # the access of a record whose command failed before the check, and of a Deny by its
 # reason code: one dict each, shared by all their records, live and read back
@@ -147,8 +151,8 @@ def _fact_text(fact: dict) -> str:
     return f'{{"f":"serial","kind":{_str(fact["kind"])},"value":{fact["value"]}}}'
 
 
-def _decode_fact(fact, memo: dict) -> dict:
-    """A fact read from the log, its put's data decoded through ``memo``
+def _decode_fact(fact, memo: dict) -> None:
+    """Decode a fact read from the log in place, its put's data through ``memo``
     (see ``derive_codec``): into the entity a put holding ``id`` creates, else
     into the changed fields ``apply_fact`` merges. A fact the engine could
     not have written is a ``DomainError``: another kind or store, a serial
@@ -164,7 +168,7 @@ def _decode_fact(fact, memo: dict) -> dict:
         fact["old"] = None
         if "id" not in data:
             fact["data"] = put[1].decode_changes(data, memo)
-            return fact
+            return
         entity = fact["data"] = put[1].decode(data, memo)
         if entity.id is not entity_id or entity_id.kind != put[0]:
             raise SchemaError(f"put of {entity_id} to store {store!r} holds entity {entity.id}")
@@ -178,7 +182,6 @@ def _decode_fact(fact, memo: dict) -> dict:
                               f"{entity_kind!r}, {value!r}")
     else:
         raise UnknownFactKind(f"unsupported fact {kind!r}")
-    return fact
 
 
 @dataclass(slots=True)
@@ -229,45 +232,88 @@ class EventRecord:
                 f'"result":{"null" if result is None else json_text(result)},'
                 f'"seq":{self.seq},"tick":{self.tick}}}')
 
-    @classmethod
-    def from_dict(cls, data: dict, memo: dict | None = None) -> EventRecord:
-        """The record of a parsed log line, its facts decoded and its access
-        shared through ``memo`` (a new one when None)."""
-        command, payload, access = data["command"], data["payload"], data["access"]
-        outcome, error, deltas = data["outcome"], data["error"], data["deltas"]
-        if (command.__class__ is not str or payload.__class__ is not dict
-                or access.__class__ is not dict or outcome.__class__ is not str
-                or error is not None and error.__class__ is not str
-                or deltas.__class__ is not list):
-            name = next(name for name, expected in _RAW_FIELD_TYPES.items()
-                        if data[name].__class__ not in expected)
-            raise SchemaError(
-                f"record field {name!r} has the wrong JSON type: {data[name]!r}")
-        seq, tick = data["seq"], data["tick"]
-        if seq.__class__ is not int or tick.__class__ is not int:
-            raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
-        memo = {} if memo is None else memo
-        if outcome not in ("ok", "error", "denied"):
-            raise SchemaError(f"record outcome {outcome!r} is none of ok, error, denied")
-        # each distinct decision of a read is checked once; its records share it, as live ones do
-        decisions = memo.setdefault("access", [])
-        for shared in decisions:
-            if access == shared:
-                break
-        else:
-            decisions.append(shared := _shared_access(access))
-        if deltas:
-            deltas = [_decode_fact(fact, memo) for fact in deltas]
-        return cls(seq, tick, EntityId.parse(data["actor"]), intern(command), payload, shared,
-                   intern(outcome), error and intern(error), data["result"], deltas)
 
-    @classmethod
-    def from_json_line(cls, line: str, memo: dict) -> EventRecord:
-        """The record of one log line, one JSON object, with or without its newline."""
-        data, end = _DECODE_JSON(line)
-        if end != len(line) and line[end:] != "\n":
-            raise SchemaError(f"text after the record at column {end + 1}")
-        return cls.from_dict(data, memo)
+def read_records(lines, source) -> list[EventRecord]:
+    """The records of log ``lines``, bytes as a binary file yields them, read
+    64 at a time (``_read_chunk``), each put decoded through one memo for this
+    read (see ``derive_codec``). A line is accepted only as ``write_log``
+    writes it: one record of ASCII JSON, then a newline; empty lines are
+    skipped. A line its chunk cannot read, and the rest of the chunk, are read
+    one at a time, so a fault is the ``SchemaError`` that reading its line
+    alone gives, naming ``source`` and the line."""
+    records, memo, decisions, read, last = [], {}, [], 0, b"\n"
+    lines = iter(lines)
+    while chunk := list(islice(lines, 64)):
+        done = _read_chunk(chunk, records, memo, decisions) if len(chunk) > 1 else 0
+        for number, line in enumerate(chunk[done:], read + done + 1):
+            try:
+                _read_chunk([line], records, memo, decisions)
+            except _BAD_LINE as exc:
+                raise SchemaError(f"{source}:{number}: bad event record: "
+                                  f"{type(exc).__name__}: {exc}") from None
+        read, last = read + len(chunk), chunk[-1]
+    if last[-1:] != b"\n":
+        raise SchemaError(f"{source}:{read}: bad event record: no newline at its end")
+    return records
+
+
+def _read_chunk(chunk: list, records: list, memo: dict, decisions: list) -> int:
+    """Append the record of each line of ``chunk`` to ``records``, and return
+    how many lines were read. The chunk is decoded from ASCII once, and the C
+    scanner reads each line's object in place, which must end at the line's
+    newline (or, on a last line with none, at its end). Reading stops at the
+    first line that is not such a record; a chunk of one line raises its
+    fault, as ``raw_decode`` of the line would. The records of one decision
+    share its ``access``: ``decisions`` holds each one checked so far."""
+    single, newline = len(chunk) == 1, chunk[-1][-1:] == b"\n"
+    try:
+        text = b"".join(chunk).decode("ascii")
+    except UnicodeDecodeError:
+        if single:
+            raise
+        return 0
+    end_of_line = 0
+    for index, line in enumerate(chunk):
+        start = end_of_line
+        end_of_line += len(line)
+        if line == b"\n":
+            continue
+        try:
+            data, end = _SCAN(text, start)
+            if end != end_of_line - newline:
+                raise SchemaError(f"text after the record at column {end - start + 1}")
+            command, payload, access = data["command"], data["payload"], data["access"]
+            outcome, error, deltas = data["outcome"], data["error"], data["deltas"]
+            if (command.__class__ is not str or payload.__class__ is not dict
+                    or access.__class__ is not dict or outcome.__class__ is not str
+                    or error is not None and error.__class__ is not str
+                    or deltas.__class__ is not list):
+                name = next(name for name, expected in _RAW_FIELD_TYPES.items()
+                            if data[name].__class__ not in expected)
+                raise SchemaError(
+                    f"record field {name!r} has the wrong JSON type: {data[name]!r}")
+            seq, tick = data["seq"], data["tick"]
+            if seq.__class__ is not int or tick.__class__ is not int:
+                raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
+            if outcome not in ("ok", "error", "denied"):
+                raise SchemaError(f"record outcome {outcome!r} is none of ok, error, denied")
+            for shared in decisions:
+                if access == shared:
+                    break
+            else:
+                decisions.append(shared := _shared_access(access))
+            for fact in deltas:
+                _decode_fact(fact, memo)
+            records.append(EventRecord(
+                seq, tick, EntityId.parse(data["actor"]), intern(command), payload, shared,
+                intern(outcome), error and intern(error), data["result"], deltas))
+        except _BAD_LINE as exc:
+            if not single:
+                return index
+            if exc.__class__ is StopIteration:
+                raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+            raise
+    return len(chunk)
 
 
 @dataclass

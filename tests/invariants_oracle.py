@@ -4,7 +4,8 @@ what they compare: every total a ``Money``, every reference a
 Its changes are the currency checks: a payment, and a priced line or an
 adjustment a check sums, in another currency is a violation naming the
 entity that holds it; so is a line of an open cart or of an order placed
-without a cart, which no check sums. Kept only as the oracle of the
+without a cart, which no check sums. A reference resolves only in the
+store of its declared kind. Kept only as the oracle of the
 differential tests in ``test_invariants.py``."""
 
 from collections import Counter
@@ -15,7 +16,7 @@ from storefront.invariants import InvariantReport, Violation
 from storefront.invoice import InvoiceState, PaymentState
 from storefront.order_shipment import OrderState
 from storefront.shopping_cart import CartState
-from storefront.state import KIND_TO_STORE, STORES
+from storefront.state import STORES
 from storefront.stock_manager import ShopOrderStage, StockKind
 
 # stage -> its position in the shop-order workflow
@@ -351,37 +352,38 @@ class _Checker:
     # -- referential integrity ------------------------------------------------
 
     def check_referential_integrity(self):
+        """Each reference must name an entity of its declared kind: an id of
+        another kind does not resolve, even where its own kind's store holds it."""
         name = "referential-integrity"
         stores = self.state.stores
-        refs = []
+        refs = []  # (holder, target, the store of the declared kind)
         for cid, cart in stores["carts"].items():
-            refs.append((cid, cart.customer))
-            refs.extend((cid, item.product) for item in cart.items)
+            refs.append((cid, cart.customer, "customers"))
+            refs.extend((cid, item.product, "products") for item in cart.items)
         for oid, order in stores["orders"].items():
-            refs.append((oid, order.customer))
-            refs.extend((oid, line.product) for line in order.line_items)
+            refs.append((oid, order.customer, "customers"))
+            refs.extend((oid, line.product, "products") for line in order.line_items)
             if order.source_cart is not None:
-                refs.append((oid, order.source_cart))
+                refs.append((oid, order.source_cart, "carts"))
         for sid, shipment in stores["shipments"].items():
-            refs.extend([(sid, shipment.receiver), (sid, shipment.invoice)])
-            refs.extend((sid, item.product) for item in shipment.items)
+            refs.extend([(sid, shipment.receiver, "customers"),
+                         (sid, shipment.invoice, "invoices")])
+            refs.extend((sid, item.product, "products") for item in shipment.items)
         for iid, inv in stores["invoices"].items():
-            refs.append((iid, inv.customer))
+            refs.append((iid, inv.customer, "customers"))
             if inv.created_by.kind != "system":
-                refs.append((iid, inv.created_by))
+                refs.append((iid, inv.created_by, "employees"))
             if inv.validated_by is not None and inv.validated_by.kind != "system":
-                refs.append((iid, inv.validated_by))
+                refs.append((iid, inv.validated_by, "employees"))
         for pid, payment in stores["payments"].items():
-            refs.append((pid, payment.customer))
+            refs.append((pid, payment.customer, "customers"))
             if payment.validated_by is not None and payment.validated_by.kind != "system":
-                refs.append((pid, payment.validated_by))
+                refs.append((pid, payment.validated_by, "employees"))
         for item_id, item in stores["stock_items"].items():
             if item.product_link is not None:
-                refs.append((item_id, item.product_link))
-        store_of_kind = {kind: stores[store] for kind, store in KIND_TO_STORE.items()}
-        for holder, target in refs:
-            store = store_of_kind.get(target.kind)
-            if store is None or target not in store:
+                refs.append((item_id, item.product_link, "products"))
+        for holder, target, store in refs:
+            if target not in stores[store]:
                 self.flag(name, holder, f"reference {target} does not resolve")
 
     def check_serial_bounds(self):

@@ -32,6 +32,7 @@ from storefront.order_shipment import ShippedItem
 from storefront.shopping_cart import CartItem
 from storefront.state import _UNWRITTEN, NOT_EVALUATED, STORES
 from storefront.stock_manager import UnknownRoom
+from test_every_command import STEPS
 
 SESSIONS = 200
 PRODUCTS = 8  # the last one is a service: no stock item
@@ -148,6 +149,32 @@ def test_session_commands_walk_no_growing_store():
     assert engine.check_invariants().ok()
     assert total_walks() > before
     assert engine.replayed_state().to_dict() == engine.state.to_dict()
+
+
+# command -> the stores it walks, of all 33 dispatched by ``test_every_command.STEPS``.
+# ROADMAP item 2 plans name indexes for the first two, which scan every room or
+# item for a duplicate name (``stock_manager.create_stockroom``, ``create_stock_item``).
+# ``search`` filters every product of every catalog (``catalog.search``), and
+# ``add_to_stock`` with no allocation sorts every room (``_rooms_ascending``).
+STORE_WALKERS = {"create_stockroom": {"stockrooms"}, "create_stock_item": {"stock_items"},
+                 "search": {"products"}, "add_to_stock": {"stockrooms"}}
+
+
+@pytest.mark.parametrize("add_policy", ["first-room", "round-robin"])
+def test_every_command_walks_only_the_stores_it_is_known_to_walk(add_policy):
+    engine = fresh_engine(add_policy=add_policy)
+    engine.baseline()  # the seeded state replays start from; watch the live stores
+    stores = engine.state.stores
+    for name in stores:
+        stores[name] = CountingStore(stores[name])
+    walked = {}
+    for command, args in STEPS:
+        before = {name: store.walks for name, store in stores.items()}
+        assert engine.dispatch(SYSTEM, command, args).outcome == "ok", command
+        walked.setdefault(command, set()).update(
+            name for name, store in stores.items() if store.walks != before[name])
+    assert len(walked) == len(commands_module.COMMANDS)
+    assert {command: names for command, names in walked.items() if names} == STORE_WALKERS
 
 
 def test_replay_parses_each_id_text_once(tmp_path, monkeypatch):

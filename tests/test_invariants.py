@@ -371,6 +371,18 @@ def test_directly_placed_order_line_in_another_currency_is_flagged():
     same_as_oracle(engine)
 
 
+def test_a_reference_to_an_entity_of_another_kind_does_not_resolve():
+    engine = fresh_engine()
+    customer = new_customer(engine)
+    cart = engine.execute(customer, "create_cart", customer=customer)["cart"]
+    engine.execute(customer, "add_item", cart=cart, product=product_id(engine, "WidgetA"), qty=1)
+    items = engine.state.stores["carts"][EntityId.parse(cart)].items
+    # the customer is stored, but a cart item names a product
+    items[0] = dataclasses.replace(items[0], product=EntityId.parse(customer))
+    assert violations(engine) == [
+        ("referential-integrity", cart, f"reference {customer} does not resolve")]
+
+
 # -- the checker against its oracle ---------------------------------------------
 
 def same_as_oracle(engine) -> None:

@@ -18,7 +18,7 @@ import log_v2_oracle
 from helpers import bench_engines
 from storefront import Engine, bundled, default_matrix, load_scenario, read_log, run_scenario
 from storefront.commands import COMMANDS
-from storefront.state import STORES, EventRecord, apply_fact, replay
+from storefront.state import STORES, apply_fact, replay
 from test_every_command import STEPS
 from test_scenario_cli import _full_purchase_log, run_cli
 
@@ -121,8 +121,7 @@ def test_a_read_record_writes_its_own_line_back_before_and_after_replay(engines,
         engine.write_log(tmp_path / "events.jsonl")
         lines = (tmp_path / "events.jsonl").read_text(encoding="ascii").splitlines()
         assert lines == _lines(engine), name
-        memo = {}
-        records = [EventRecord.from_json_line(line, memo) for line in lines]
+        records = read_log(tmp_path / "events.jsonl")
         assert [record.to_json_line() for record in records] == lines, name
         replay(engine.baseline(), records)
         assert [record.to_json_line() for record in records] == lines, name
