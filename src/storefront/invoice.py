@@ -124,7 +124,7 @@ class Invoice(Record):
     applied_policies: list[str] = field(default_factory=list)
     adjustments: list[tuple[str, Money]] = field(default_factory=list)
     # provenance back-references for cross-subsystem audits
-    source_cart: EntityId | None = None
+    source_cart: Ref("cart") | None = None
     source_shipment: EntityId | None = None
     # sum of accepted payments, in minor units of the engine currency
     accepted: int = 0

@@ -30,8 +30,8 @@ from sys import intern
 from types import MappingProxyType
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .foundation import (DomainError, EntityId, Quantity, Record, SchemaError, _undeclared,
-                         derive_codec, json_text)
+from .foundation import (_IDS, DomainError, EntityId, Quantity, Record, SchemaError,
+                         _undeclared, derive_codec, json_text)
 
 # store name -> (entity kind, entity class)
 STORES = {
@@ -51,6 +51,10 @@ STORES = {
 }
 
 KIND_TO_STORE = {kind: store for store, (kind, _) in STORES.items()}
+# the names a fact read back holds: store name -> (the STORES key, its kind,
+# its entity class), and kind -> the KIND_TO_STORE key
+_PUTS = {store: (store, kind, entity_class) for store, (kind, entity_class) in STORES.items()}
+_KINDS = {kind: kind for kind in KIND_TO_STORE}
 
 # generate every entity's codec now: a field type the codec cannot encode
 # fails at import, and no command pays the build cost
@@ -151,37 +155,41 @@ def _fact_text(fact: dict) -> str:
     return f'{{"f":"serial","kind":{_str(fact["kind"])},"value":{fact["value"]}}}'
 
 
-def _decode_fact(fact, memo: dict) -> None:
-    """Decode a fact read from the log in place, its put's data through ``memo``
-    (see ``derive_codec``): into the entity a put holding ``id`` creates, else
-    into the changed fields ``apply_fact`` merges. A fact the engine could
-    not have written is a ``DomainError``: another kind or store, a serial
-    that is not an int for a stored kind, a put of an entity with another id
-    or kind, or of a field not declared."""
+def _decode_fact(fact, memo: dict) -> dict:
+    """The fact read from the log, built as ``Txn.facts`` builds a live one:
+    its keys, its ``f``, its store or kind name and its id text are the
+    engine's own strings, so the line's copies are freed. A put's data is
+    decoded through ``memo`` (see ``derive_codec``): into the entity a put
+    holding ``id`` creates, else into the changed fields ``apply_fact``
+    merges. A fact the engine could not have written is a ``DomainError``:
+    another kind or store, a serial that is not an int for a stored kind, a
+    put of an entity with another id or kind, or of a field not declared."""
     kind = fact["f"]
     if kind == "put":
         store, data = fact["store"], fact["data"]
-        put = STORES.get(store)
+        put = _PUTS.get(store)
         if put is None:
             raise UnknownFactKind(f"no store named {store!r}")
-        entity_id = EntityId.parse(fact["id"])
-        fact["old"] = None
+        store, entity_kind, entity_class = put
+        text = fact["id"]
+        entity_id = text.__class__ is str and _IDS.get(text) or EntityId.parse(text)
         if "id" not in data:
-            fact["data"] = put[1].decode_changes(data, memo)
-            return
-        entity = fact["data"] = put[1].decode(data, memo)
-        if entity.id is not entity_id or entity_id.kind != put[0]:
+            return {"f": "put", "store": store, "id": entity_id._text,
+                    "data": entity_class.decode_changes(data, memo), "old": None}
+        entity = entity_class.decode(data, memo)
+        if entity.id is not entity_id or entity_id.kind != entity_kind:
             raise SchemaError(f"put of {entity_id} to store {store!r} holds entity {entity.id}")
-        if len(data) != len(put[1].__dataclass_fields__):
-            _undeclared(data, put[1].__dataclass_fields__.keys())
-    elif kind == "serial":
+        if len(data) != len(entity_class.__dataclass_fields__):
+            _undeclared(data, entity_class.__dataclass_fields__.keys())
+        return {"f": "put", "store": store, "id": entity_id._text, "data": entity, "old": None}
+    if kind == "serial":
         entity_kind, value = fact["kind"], fact["value"]
-        if (value.__class__ is not int or entity_kind.__class__ is not str
-                or entity_kind not in KIND_TO_STORE):
+        shared = entity_kind.__class__ is str and _KINDS.get(entity_kind)
+        if value.__class__ is not int or not shared:
             raise SchemaError(f"serial fact needs an int value for a stored kind: "
                               f"{entity_kind!r}, {value!r}")
-    else:
-        raise UnknownFactKind(f"unsupported fact {kind!r}")
+        return {"f": "serial", "kind": shared, "value": value}
+    raise UnknownFactKind(f"unsupported fact {kind!r}")
 
 
 @dataclass(slots=True)
@@ -302,11 +310,14 @@ def _read_chunk(chunk: list, records: list, memo: dict, decisions: list) -> int:
                     break
             else:
                 decisions.append(shared := _shared_access(access))
-            for fact in deltas:
-                _decode_fact(fact, memo)
+            if deltas:
+                for number, fact in enumerate(deltas):
+                    deltas[number] = _decode_fact(fact, memo)
+            actor = data["actor"]
             records.append(EventRecord(
-                seq, tick, EntityId.parse(data["actor"]), intern(command), payload, shared,
-                intern(outcome), error and intern(error), data["result"], deltas))
+                seq, tick, actor.__class__ is str and _IDS.get(actor) or EntityId.parse(actor),
+                intern(command), payload, shared, intern(outcome), error and intern(error),
+                data["result"], deltas))
         except _BAD_LINE as exc:
             if not single:
                 return index
@@ -395,6 +406,8 @@ class Txn:
         return entity
 
     def rollback(self) -> None:
+        if self._originals is self._serials_before:  # both _UNWRITTEN: nothing to undo
+            return
         stores = self.state.stores
         for (store, entity_id), original in self._originals.items():
             if original is None:
@@ -409,14 +422,16 @@ class Txn:
 
     def facts(self) -> list:
         """Deltas in deterministic order: serial bumps, then entity puts."""
-        deltas = []
-        for kind in sorted(self._serials_before):
-            deltas.append({"f": "serial", "kind": kind,
-                           "value": self.state.serials[kind]})
-        stores = self.state.stores
-        for (store, entity_id), old in self._originals.items():
-            deltas.append({"f": "put", "store": store, "id": entity_id._text,
-                           "data": stores[store][entity_id], "old": old})
+        deltas, before, originals = [], self._serials_before, self._originals
+        if before is not _UNWRITTEN:
+            serials = self.state.serials
+            for kind in sorted(before):
+                deltas.append({"f": "serial", "kind": kind, "value": serials[kind]})
+        if originals is not _UNWRITTEN:
+            stores = self.state.stores
+            for (store, entity_id), old in originals.items():
+                deltas.append({"f": "put", "store": store, "id": entity_id._text,
+                               "data": stores[store][entity_id], "old": old})
         return deltas
 
 
@@ -433,7 +448,8 @@ def apply_fact(state: EngineState, fact: dict) -> None:
             raise UnknownFactKind(f"no store named {fact['store']!r}")
         entity, old = fact["data"], fact["old"]
         if entity.__class__ is dict:
-            old = fact["old"] = store.get(EntityId.parse(fact["id"]))
+            text = fact["id"]
+            old = fact["old"] = store.get(_IDS.get(text) or EntityId.parse(text))
             if old is None:
                 raise SchemaError(f"put changes {fact['id']}, which is not stored")
             entity = fact["data"] = old.merge(old, entity)

@@ -375,6 +375,8 @@ class _Checker:
                 refs.append((iid, inv.created_by, "employees"))
             if inv.validated_by is not None and inv.validated_by.kind != "system":
                 refs.append((iid, inv.validated_by, "employees"))
+            if inv.source_cart is not None:
+                refs.append((iid, inv.source_cart, "carts"))
         for pid, payment in stores["payments"].items():
             refs.append((pid, payment.customer, "customers"))
             if payment.validated_by is not None and payment.validated_by.kind != "system":

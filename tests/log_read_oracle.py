@@ -69,7 +69,7 @@ def from_dict(data: dict, memo: dict | None = None) -> EventRecord:
             break
     else:
         decisions.append(shared := _shared_access(access))
-    for fact in deltas:
-        _decode_fact(fact, memo)
+    for number, fact in enumerate(deltas):
+        deltas[number] = _decode_fact(fact, memo)
     return EventRecord(seq, tick, EntityId.parse(data["actor"]), intern(command), payload,
                        shared, intern(outcome), error and intern(error), data["result"], deltas)

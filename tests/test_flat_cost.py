@@ -30,7 +30,7 @@ from storefront.foundation import AccessDenied, DomainError, EntityId, Money
 from storefront.invoice import InvoiceItem, RuleBook
 from storefront.order_shipment import ShippedItem
 from storefront.shopping_cart import CartItem
-from storefront.state import _UNWRITTEN, NOT_EVALUATED, STORES
+from storefront.state import _UNWRITTEN, KIND_TO_STORE, NOT_EVALUATED, STORES
 from storefront.stock_manager import UnknownRoom
 from test_every_command import STEPS
 
@@ -184,14 +184,20 @@ def test_replay_parses_each_id_text_once(tmp_path, monkeypatch):
     path = tmp_path / "events.jsonl"
     engine.write_log(path)
 
-    # replay in a process that has seen no id yet
-    monkeypatch.setattr(foundation, "_IDS", {})
+    # replay in a process that has seen no id yet: the table is emptied in
+    # place, since the reader looks ids up in it by its own name
+    ids = foundation._IDS
+    seen = dict(ids)
+    ids.clear()
     slow = Counter()
     parse_new = foundation._parse_new
     monkeypatch.setattr(foundation, "_parse_new",
                         lambda text: slow.update([text]) or parse_new(text))
-    records = read_log(path)
-    replayed = engine.replayed_state(records)
+    try:
+        records = read_log(path)
+        replayed = engine.replayed_state(records)
+    finally:
+        ids.update(seen)
 
     assert replayed.to_dict() == engine.state.to_dict()
     assert max(slow.values()) == 1
@@ -285,6 +291,31 @@ def test_reading_a_log_holds_little_more_than_the_records_it_keeps(stock_churn_l
     records, peak, kept = _traced(lambda: read_log(path))
     assert len(records) == len(engine.state.log)
     assert peak <= 1.1 * kept, (peak, kept)
+
+
+def test_the_facts_read_back_hold_the_engines_own_strings(stock_churn_log, tmp_path):
+    """A fact read back is built as ``Txn.facts`` builds a live one: its keys
+    are interned, its store and kind are the names that key ``STORES`` and
+    ``KIND_TO_STORE``, and its id is the text of the id itself. So the read
+    facts reach no more distinct strings than there are ids and names."""
+    stores, kinds = {name: name for name in STORES}, {kind: kind for kind in KIND_TO_STORE}
+    bench_engines()[0].write_log(tmp_path / "events.jsonl")  # shop-mix
+    for path in (stock_churn_log[1], tmp_path / "events.jsonl"):
+        names, ids = {}, set()
+        for record in read_log(path):
+            for fact in record.deltas:
+                assert all(key is sys.intern(key) for key in fact), fact
+                assert fact["f"] is sys.intern(fact["f"])
+                if fact["f"] == "put":
+                    assert fact["store"] is stores[fact["store"]]
+                    assert fact["id"] is EntityId.parse(fact["id"])._text
+                    ids.add(fact["id"])
+                    values = fact["store"], fact["id"]
+                else:
+                    assert fact["kind"] is kinds[fact["kind"]]
+                    values = (fact["kind"],)
+                names.update((id(value), value) for value in values)
+        assert ids and len(names) <= len(ids) + len(stores) + len(kinds)
 
 
 def test_the_records_read_of_one_decision_share_its_access_and_names(tmp_path):

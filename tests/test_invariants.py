@@ -383,6 +383,18 @@ def test_a_reference_to_an_entity_of_another_kind_does_not_resolve():
         ("referential-integrity", cart, f"reference {customer} does not resolve")]
 
 
+def test_the_source_cart_of_an_invoice_no_checkout_made_must_resolve():
+    engine = fresh_engine()
+    customer, clerk = new_customer(engine), new_employee(engine, roles=["InvoiceClerk"])
+    invoice = engine.execute(clerk, "create_invoice", creator=clerk, customer=customer)["invoice"]
+    invoices = engine.state.stores["invoices"]
+    invoice_id = EntityId.parse(invoice)
+    invoices[invoice_id] = dataclasses.replace(invoices[invoice_id],
+                                               source_cart=EntityId("cart", 999))
+    assert violations(engine) == [
+        ("referential-integrity", invoice, "reference cart:999 does not resolve")]
+
+
 # -- the checker against its oracle ---------------------------------------------
 
 def same_as_oracle(engine) -> None:
@@ -581,8 +593,6 @@ NOT_A_REF = {
     "Product.stock_item": ("catalog-references", "equal to the first stock item linked"),
     "Notification.customer": ("catalog-references", "resolved in customers"),
     "Notification.product": ("catalog-references", "resolved in products"),
-    "Invoice.source_cart": (None, "checkout-bijection counts the invoices of each cart that "
-                                  "exists, so a ghost shows only at the cart it left"),
     "Invoice.source_shipment": ("shipment-invoice", "an invoice of a missing shipment"),
     "InvoiceItem.product": (None, "compared with cart or shipped lines, never resolved"),
     "Payment.invoice": ("payment-conservation", "resolved in invoices"),
@@ -621,5 +631,5 @@ def test_every_reference_field_is_a_ref_or_names_its_check():
     assert refs == {"ShoppingCart.customer", "CartItem.product", "Order.customer",
                     "Order.source_cart", "Shipment.receiver", "Shipment.invoice",
                     "ShippedItem.product", "Invoice.customer", "Invoice.created_by",
-                    "Invoice.validated_by", "Payment.customer", "Payment.validated_by",
-                    "StockItem.product_link"}
+                    "Invoice.validated_by", "Invoice.source_cart", "Payment.customer",
+                    "Payment.validated_by", "StockItem.product_link"}
