@@ -93,8 +93,7 @@ def create_catalog(txn, name: str) -> EntityId:
 
 def add_product(txn, catalog_id: EntityId, name: str, price: Money,
                 status: ProductStatus) -> EntityId:
-    if catalog_id not in txn.state.stores["catalogs"]:
-        raise UnknownCatalog(f"no catalog {catalog_id}")
+    txn.state.need("catalogs", catalog_id)
     if price.amount < 0:
         raise NegativePrice(f"price must be >= 0, got {price.amount}")
     product_id = txn.next_id("product")
@@ -105,7 +104,7 @@ def add_product(txn, catalog_id: EntityId, name: str, price: Money,
 
 def set_product_info(txn, product_id: EntityId, description: str,
                      comparison_notes: str = "") -> None:
-    product = txn.get_mut("products", product_id, UnknownProduct)
+    product = txn.get_mut("products", product_id)
     product.info = ProductInfo(description, comparison_notes)
 
 
@@ -117,13 +116,10 @@ def update_product(txn, product_id: EntityId, changes: dict) -> list[EntityId]:
     """
     if not changes:
         raise EmptyChange("update requires at least one field change")
-    unknown = set(changes) - {"name", "price", "status"}
-    if unknown:
-        raise EmptyChange(f"unknown product fields: {sorted(unknown)}")
     if "price" in changes and changes["price"].amount < 0:
         raise NegativePrice(f"price must be >= 0, got {changes['price'].amount}")
 
-    product = txn.get_mut("products", product_id, UnknownProduct)
+    product = txn.get_mut("products", product_id)
 
     summary_parts = []
     for field_name in sorted(changes):
@@ -159,16 +155,15 @@ def _field_text(value) -> str:
 def link_similar(txn, a: EntityId, b: EntityId) -> None:
     if a == b:
         raise SelfLink(f"product {a} cannot be similar to itself")
-    product_a = txn.get_mut("products", a, UnknownProduct)
-    product_b = txn.get_mut("products", b, UnknownProduct)
+    product_a = txn.get_mut("products", a)
+    product_b = txn.get_mut("products", b)
     product_a.similar.add(b)
     product_b.similar.add(a)
 
 
 def subscribe(txn, customer_id: EntityId, product_id: EntityId) -> None:
-    if customer_id not in txn.state.stores["customers"]:
-        raise UnknownCustomer(f"no customer {customer_id}")
-    product = txn.get_mut("products", product_id, UnknownProduct)
+    txn.state.need("customers", customer_id)
+    product = txn.get_mut("products", product_id)
     product.subscribers.add(customer_id)
 
 
@@ -183,8 +178,7 @@ def search(state, catalog_id: EntityId, name_substring: str | None = None,
     Name matching is a case-insensitive substring test; empty criteria
     return the whole catalog.
     """
-    if catalog_id not in state.stores["catalogs"]:
-        raise UnknownCatalog(f"no catalog {catalog_id}")
+    state.need("catalogs", catalog_id)
     needle = name_substring.lower() if name_substring is not None else None
     matches = []
     for product in state.stores["products"].values():

@@ -198,12 +198,12 @@ class EntityId:
 _BY_KEY: dict[tuple[str, int], EntityId] = {}
 """(kind, serial) -> its id, for every id the process has built."""
 _IDS: dict[str, EntityId] = {}
-"""Every id text ``EntityId.parse`` has accepted, and every id's own text -> its id."""
+"""Every id's own text -> its id: a text such as ``kind:07`` is never a key."""
 
 
 def _parse_new(text) -> EntityId:
-    """The slow path of ``EntityId.parse``: validate text not seen before
-    and register it."""
+    """The slow path of ``EntityId.parse``: validate text not in ``_IDS``
+    and register it when it is the id's own text."""
     if not isinstance(text, str):
         raise SchemaError(f"malformed entity id: {text!r}")
     kind, sep, serial = text.partition(":")
@@ -211,7 +211,20 @@ def _parse_new(text) -> EntityId:
     if not sep or not kind or not (digits.isascii() and digits.isdigit()):
         raise SchemaError(f"malformed entity id: {text!r}")
     entity_id = EntityId(kind, int(serial))
-    _IDS[text] = entity_id  # a non-canonical text such as "kind:07" maps to "kind:7"
+    if entity_id._text == text:
+        _IDS[text] = entity_id
+    return entity_id
+
+
+def parse_written_id(text) -> EntityId:
+    """``EntityId.parse`` of an id as the engine writes it, its own text: a
+    ``SchemaError`` for other text of an id, such as ``kind:07``."""
+    try:
+        return _IDS[text]
+    except (KeyError, TypeError):
+        entity_id = _parse_new(text)
+    if entity_id._text != text:
+        raise SchemaError(f"entity id {text!r} is not written as {entity_id._text!r}")
     return entity_id
 
 
@@ -377,8 +390,9 @@ def derive_codec(cls: type) -> type:
     nested record inline (one call per record in a list or behind ``None``).
     Decoding requires each int,
     str, bool, list and object to be exactly that JSON type (``SchemaError``
-    otherwise) and goes back through each type's constructor (``EntityId.parse``, the
-    enum, ``Quantity``, the record's ``__post_init__``), so every
+    otherwise) and goes back through each type's constructor
+    (``parse_written_id``, which takes an id only in the text the log writes,
+    the enum, ``Quantity``, the record's ``__post_init__``), so every
     value-domain check runs. An enum member is read from the enum's value
     table; anything not in it goes through the enum call, which raises for
     a value that is not a member. ``clone`` sets the fields of a new instance
@@ -474,7 +488,7 @@ class _CodecSource:
     those expressions use."""
 
     def __init__(self):
-        self.names = {"Quantity": Quantity, "parse_id": EntityId.parse, "_wrong": _wrong,
+        self.names = {"Quantity": Quantity, "parse_id": parse_written_id, "_wrong": _wrong,
                       "_str": json.encoder.encode_basestring_ascii, "json_text": json_text,
                       "_undeclared": _undeclared}
         self._count = 0

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import bundled
-from .catalog import UnknownCustomer
 from .foundation import (
     SYSTEM,
-    CurrencyMismatch,
     DomainError,
     EntityId,
     Money,
@@ -108,7 +106,7 @@ class Employee(Record):
 @dataclass(frozen=True)
 class InvoiceItem(Record):
     description: str
-    product: EntityId | None
+    product: Ref("product") | None
     quantity: Quantity
     unit_price: Money
 
@@ -279,18 +277,10 @@ def create_employee(txn, name: str, roles: set[str] | None = None) -> EntityId:
     return employee_id
 
 
-def _require_invoice(state, invoice_id: EntityId) -> Invoice:
-    invoice = state.stores["invoices"].get(invoice_id)
-    if invoice is None:
-        raise UnknownInvoice(f"no invoice {invoice_id}")
-    return invoice
-
-
 def create_invoice(txn, creator: EntityId, customer_id: EntityId) -> EntityId:
-    if creator != SYSTEM and creator not in txn.state.stores["employees"]:
-        raise UnknownEmployee(f"no employee {creator}")
-    if customer_id not in txn.state.stores["customers"]:
-        raise UnknownCustomer(f"no customer {customer_id}")
+    if creator != SYSTEM:
+        txn.state.need("employees", creator)
+    txn.state.need("customers", customer_id)
     invoice_id = txn.next_id("invoice")
     txn.create("invoices", Invoice(id=invoice_id, customer=customer_id,
                                    created_by=creator))
@@ -332,16 +322,18 @@ def prepare_invoice(txn, invoice_id: EntityId, edits: list = (), policies: list[
     deletes remove the first item with that description. Returns the new
     total after the recorded adjustments.
     """
-    invoice = _require_invoice(txn.state, invoice_id)
+    invoice = txn.state.need("invoices", invoice_id)
     if invoice.state is not InvoiceState.DRAFT:
         raise NotDraft(f"invoice {invoice_id} is {invoice.state.value}")
     for name in policies:
         rulebook.policy(name)
 
-    invoice = txn.get_mut("invoices", invoice_id, UnknownInvoice)
+    invoice = txn.get_mut("invoices", invoice_id)
     for edit in edits:
         action, value = next(iter(edit.items()))
         if action == "add":
+            if value.product is not None:
+                txn.state.need("products", value.product)
             invoice.items.append(value)
         else:
             for item in invoice.items:
@@ -368,9 +360,8 @@ def validate_invoice(txn, validator: EntityId, invoice_id: EntityId, rules: list
     The creator may never validate their own invoice. System-created
     invoices may be validated by any employee.
     """
-    if validator not in txn.state.stores["employees"]:
-        raise UnknownEmployee(f"no employee {validator}")
-    invoice = _require_invoice(txn.state, invoice_id)
+    txn.state.need("employees", validator)
+    invoice = txn.state.need("invoices", invoice_id)
     if invoice.state is not InvoiceState.DRAFT:
         raise NotDraft(f"invoice {invoice_id} is {invoice.state.value}")
     rules = [rulebook.rule(name, "Invoice") for name in rules]
@@ -380,27 +371,24 @@ def validate_invoice(txn, validator: EntityId, invoice_id: EntityId, rules: list
 
     failed = [rule.name for rule in rules
               if not rule.check_invoice(invoice, currency)]
-    invoice = txn.get_mut("invoices", invoice_id, UnknownInvoice)
+    invoice = txn.get_mut("invoices", invoice_id)
     invoice.validated_by = validator
     invoice.state = InvoiceState.REJECTED if failed else InvoiceState.VALIDATED
     return invoice.state.value, failed
 
 
 def accepted_sum(state, invoice_id: EntityId, currency: str) -> Money:
-    return Money(_require_invoice(state, invoice_id).accepted, currency)
+    return Money(state.need("invoices", invoice_id).accepted, currency)
 
 
 def record_payment(txn, customer_id: EntityId, invoice_id: EntityId,
-                   amount: Money, method: PaymentMethod,
-                   currency: str) -> EntityId:
-    invoice = _require_invoice(txn.state, invoice_id)
+                   amount: Money, method: PaymentMethod) -> EntityId:
+    invoice = txn.state.need("invoices", invoice_id)
     if invoice.state not in (InvoiceState.VALIDATED, InvoiceState.PARTIALLY_PAID):
         raise InvoiceNotPayable(f"invoice {invoice_id} is {invoice.state.value}")
     if customer_id != invoice.customer:
         raise WrongCustomer(
             f"invoice {invoice_id} belongs to {invoice.customer}, not {customer_id}")
-    if amount.currency != currency:
-        raise CurrencyMismatch(f"payments must be in {currency}")
     if amount.amount <= 0:
         raise NonpositiveAmount(f"payment must be > 0, got {amount.amount}")
     payment_id = txn.next_id("payment")
@@ -418,16 +406,13 @@ def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list
     always rejected with reason ``overpayment``, whether or not the guard
     rule was named.
     """
-    if validator not in txn.state.stores["employees"]:
-        raise UnknownEmployee(f"no employee {validator}")
-    payment = txn.state.stores["payments"].get(payment_id)
-    if payment is None:
-        raise UnknownPayment(f"no payment {payment_id}")
+    txn.state.need("employees", validator)
+    payment = txn.state.need("payments", payment_id)
     if payment.state is not PaymentState.RECEIVED:
         raise AlreadyValidated(f"payment {payment_id} is {payment.state.value}")
     rules = [rulebook.rule(name, "Payment") for name in rules]
 
-    invoice = _require_invoice(txn.state, payment.invoice)
+    invoice = txn.state.need("invoices", payment.invoice)
     total = invoice.total(currency)
     accepted_before = accepted_sum(txn.state, invoice.id, currency)
 
@@ -440,7 +425,7 @@ def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list
     reasons = ["overpayment" if r == "overpayment-guard" else r for r in reasons]
     reasons = sorted(set(reasons))
 
-    payment = txn.get_mut("payments", payment_id, UnknownPayment)
+    payment = txn.get_mut("payments", payment_id)
     payment.validated_by = validator
     if reasons:
         payment.state = PaymentState.REJECTED
@@ -448,7 +433,7 @@ def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list
         return payment.state.value, reasons
 
     payment.state = PaymentState.ACCEPTED
-    invoice = txn.get_mut("invoices", invoice.id, UnknownInvoice)
+    invoice = txn.get_mut("invoices", invoice.id)
     accepted_now = accepted_before.add(payment.amount)
     invoice.accepted = accepted_now.amount
     if accepted_now.amount == total.amount:
@@ -459,5 +444,5 @@ def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list
 
 
 def invoice_balance(state, invoice_id: EntityId, currency: str) -> Money:
-    invoice = _require_invoice(state, invoice_id)
+    invoice = state.need("invoices", invoice_id)
     return invoice.total(currency).sub(accepted_sum(state, invoice_id, currency))

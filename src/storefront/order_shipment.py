@@ -14,7 +14,6 @@ from enum import Enum
 
 from . import invoice as invoice_mod
 from . import stock_manager
-from .catalog import UnknownCustomer, UnknownProduct
 from .foundation import DomainError, EntityId, Quantity, Record, Ref
 from .invoice import InvoiceItem
 from .shopping_cart import CartItem, ZeroQuantity
@@ -110,8 +109,7 @@ class Shipment(Record):
 def place_order_items(txn, customer_id: EntityId, items: list[CartItem],
                       source_cart: EntityId | None = None) -> EntityId:
     """Place an order from already-priced line items (checkout path)."""
-    if customer_id not in txn.state.stores["customers"]:
-        raise UnknownCustomer(f"no customer {customer_id}")
+    txn.state.need("customers", customer_id)
     if not items:
         raise EmptyOrder("an order needs at least one line item")
     order_id = txn.next_id("order")
@@ -123,17 +121,14 @@ def place_order_items(txn, customer_id: EntityId, items: list[CartItem],
 def place_order(txn, customer_id: EntityId,
                 lines: list[tuple[EntityId, Quantity]]) -> EntityId:
     """Place an order directly, pricing each line at the current catalog price."""
-    if customer_id not in txn.state.stores["customers"]:
-        raise UnknownCustomer(f"no customer {customer_id}")
+    txn.state.need("customers", customer_id)
     if not lines:
         raise EmptyOrder("an order needs at least one line item")
     items: list[CartItem] = []
     for product_id, qty in lines:
         if qty.value < 1:
             raise ZeroQuantity("order line quantities must be at least 1")
-        product = txn.state.stores["products"].get(product_id)
-        if product is None:
-            raise UnknownProduct(f"no product {product_id}")
+        product = txn.state.need("products", product_id)
         existing = next((i for i in items if i.product == product_id), None)
         if existing is None:
             items.append(CartItem(product_id, qty, product.price))
@@ -144,12 +139,10 @@ def place_order(txn, customer_id: EntityId,
 
 
 def cancel_order(txn, order_id: EntityId) -> None:
-    order = txn.state.stores["orders"].get(order_id)
-    if order is None:
-        raise UnknownOrder(f"no order {order_id}")
+    order = txn.state.need("orders", order_id)
     if order.state is not OrderState.PLACED:
         raise NotCancellable(f"order {order_id} is {order.state.value}")
-    order = txn.get_mut("orders", order_id, UnknownOrder)
+    order = txn.get_mut("orders", order_id)
     order.state = OrderState.CANCELLED
 
 
@@ -168,13 +161,10 @@ def create_shipment(txn, order_id: EntityId,
     bounds, and stock before any state changes; tracked goods are drained
     from stock in the same atomic command.
     """
-    order = txn.state.stores["orders"].get(order_id)
-    if order is None:
-        raise UnknownOrder(f"no order {order_id}")
+    order = txn.state.need("orders", order_id)
     if order.state not in (OrderState.PLACED, OrderState.PARTIALLY_SHIPPED):
         raise OrderNotShippable(f"order {order_id} is {order.state.value}")
-    if receiver_id not in txn.state.stores["customers"]:
-        raise UnknownCustomer(f"no customer {receiver_id}")
+    txn.state.need("customers", receiver_id)
     if not items:
         raise OverShipment("a shipment needs at least one item")
 
@@ -182,8 +172,7 @@ def create_shipment(txn, order_id: EntityId,
     for item in items:
         if item.quantity.value < 1:
             raise ZeroQuantity("shipped quantities must be at least 1")
-        if item.product not in txn.state.stores["products"]:
-            raise UnknownProduct(f"no product {item.product}")
+        txn.state.need("products", item.product)
         if item.substituted_for is not None:
             if item.substituted_for not in ordered:
                 raise UnknownSubstitutionTarget(
@@ -222,7 +211,7 @@ def create_shipment(txn, order_id: EntityId,
                                      items=list(items), receiver=receiver_id,
                                      invoice=invoice_id))
 
-    order = txn.get_mut("orders", order_id, UnknownOrder)
+    order = txn.get_mut("orders", order_id)
     for line, extra in adding.items():
         order.shipped[line] = covered[line] + extra
     fully_covered = all(order.shipped.get(line.product, 0) == line.quantity.value
@@ -232,13 +221,11 @@ def create_shipment(txn, order_id: EntityId,
 
 
 def record_receipt(txn, shipment_id: EntityId, receiver_id: EntityId) -> None:
-    shipment = txn.state.stores["shipments"].get(shipment_id)
-    if shipment is None:
-        raise UnknownShipment(f"no shipment {shipment_id}")
+    shipment = txn.state.need("shipments", shipment_id)
     if shipment.state is ShipmentState.RECEIVED:
         raise AlreadyReceived(f"shipment {shipment_id} was already received")
     if receiver_id != shipment.receiver:
         raise WrongReceiver(
             f"shipment {shipment_id} is addressed to {shipment.receiver}")
-    shipment = txn.get_mut("shipments", shipment_id, UnknownShipment)
+    shipment = txn.get_mut("shipments", shipment_id)
     shipment.state = ShipmentState.RECEIVED

@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
+from . import catalog, invoice, order_shipment, shopping_cart
 from .commands import COMMANDS, Fields, Id, compile_parser
 from .foundation import SchemaError
+from .state import KIND_TO_STORE
 
 
 def _product_name(state, product_id) -> str:
@@ -25,16 +26,9 @@ def _names(engine, product_ids) -> list[str]:
     return [_product_name(engine.state, p) for p in product_ids]
 
 
-def _read(store: str, error: type, noun: str, answer):
-    """A query that answers from the entity of ``store`` that its one arg
-    names, or raises ``error`` when there is none."""
-    def query(engine, args):
-        (entity_id,) = args.values()
-        entity = engine.state.stores[store].get(entity_id)
-        if entity is None:
-            raise error(f"no {noun} {entity_id}")
-        return answer(engine, entity)
-    return query
+def _value(attribute: str):
+    """The answer of a query that returns an enum field of its entity."""
+    return lambda engine, entity: getattr(entity, attribute).value
 
 
 def q_cart_items(engine, cart):
@@ -101,57 +95,47 @@ class Query:
                               payload=False)
 
 
-def _by_id(name: str, arg: str, kind: str, fn) -> Query:
-    return Query(name, Fields({arg: Id(kind)}), fn)
+def _by_id(name: str, arg: str, kind: str, answer) -> Query:
+    """A query that answers ``answer(engine, entity)`` from the entity its
+    one arg names, or raises its store's ``MISSING`` error."""
+    store = KIND_TO_STORE[kind]
+    return Query(name, Fields({arg: Id(kind)}),
+                 lambda engine, args: answer(engine, engine.state.need(store, args[arg])))
 
-
-_cart = functools.partial(_read, "carts", shopping_cart.UnknownCart, "cart")
-_invoice = functools.partial(_read, "invoices", invoice.UnknownInvoice, "invoice")
-_order = functools.partial(_read, "orders", order_shipment.UnknownOrder, "order")
-_shipment = functools.partial(_read, "shipments", order_shipment.UnknownShipment, "shipment")
-_product = functools.partial(_read, "products", catalog.UnknownProduct, "product")
 
 QUERIES = {query.name: query for query in [
     # cart_total, invoice_balance and search_products take the schema of their command
     Query("cart_total", COMMANDS["cart_total"].schema,
           lambda engine, args: shopping_cart.cart_total(
               engine.state, args["cart"], engine.currency).to_dict()),
-    _by_id("cart_state", "cart", "cart", _cart(lambda engine, cart: cart.state.value)),
-    _by_id("cart_items", "cart", "cart", _cart(q_cart_items)),
-    _by_id("invoice_state", "invoice", "invoice",
-           _invoice(lambda engine, inv: inv.state.value)),
+    _by_id("cart_state", "cart", "cart", _value("state")),
+    _by_id("cart_items", "cart", "cart", q_cart_items),
+    _by_id("invoice_state", "invoice", "invoice", _value("state")),
     _by_id("invoice_total", "invoice", "invoice",
-           _invoice(lambda engine, inv: inv.total(engine.currency).to_dict())),
+           lambda engine, inv: inv.total(engine.currency).to_dict()),
     Query("invoice_balance", COMMANDS["invoice_balance"].schema,
           lambda engine, args: invoice.invoice_balance(
               engine.state, args["invoice"], engine.currency).to_dict()),
-    _by_id("payment_state", "payment", "payment",
-           _read("payments", invoice.UnknownPayment, "payment",
-                 lambda engine, payment: payment.state.value)),
-    _by_id("order_state", "order", "order", _order(lambda engine, order: order.state.value)),
-    _by_id("order_coverage", "order", "order", _order(q_order_coverage)),
-    _by_id("shipment_state", "shipment", "shipment",
-           _shipment(lambda engine, shipment: shipment.state.value)),
-    _by_id("shipment_items", "shipment", "shipment", _shipment(q_shipment_items)),
+    _by_id("payment_state", "payment", "payment", _value("state")),
+    _by_id("order_state", "order", "order", _value("state")),
+    _by_id("order_coverage", "order", "order", q_order_coverage),
+    _by_id("shipment_state", "shipment", "shipment", _value("state")),
+    _by_id("shipment_items", "shipment", "shipment", q_shipment_items),
     _by_id("product_price", "product", "product",
-           _product(lambda engine, product: product.price.to_dict())),
-    _by_id("product_status", "product", "product",
-           _product(lambda engine, product: product.status.value)),
+           lambda engine, product: product.price.to_dict()),
+    _by_id("product_status", "product", "product", _value("status")),
     _by_id("similar_products", "product", "product",
-           _product(lambda engine, product: sorted(_names(engine, product.similar)))),
-    _by_id("new_products", "catalog", "catalog", lambda engine, args: _names(
-        engine, catalog.new_products(engine.state, args["catalog"]))),
+           lambda engine, product: sorted(_names(engine, product.similar))),
+    _by_id("new_products", "catalog", "catalog", lambda engine, cat: _names(
+        engine, catalog.new_products(engine.state, cat.id))),
     Query("search_products", COMMANDS["search"].schema, q_search_products),
     Query("notification_count",
           Fields({"product": Id("product"), "customer": Id("customer")},
                  {"product", "customer"}),
           q_notification_count),
-    _by_id("notified_customers", "product", "product", _product(q_notified_customers)),
-    _by_id("stock_level", "item", "stock_item",
-           _read("stock_items", stock_manager.UnknownStockItem, "stock item", q_stock_level)),
-    _by_id("shop_order_stage", "order", "shop_order",
-           _read("shop_orders", stock_manager.UnknownShopOrder, "shop order",
-                 lambda engine, order: order.stage.value)),
+    _by_id("notified_customers", "product", "product", q_notified_customers),
+    _by_id("stock_level", "item", "stock_item", q_stock_level),
+    _by_id("shop_order_stage", "order", "shop_order", _value("stage")),
     Query("event_count", Fields({}), lambda engine, args: len(engine.state.log)),
 ]}
 

@@ -16,7 +16,6 @@ from enum import Enum
 # reads it at call time
 from . import invoice as invoice_mod
 from . import order_shipment
-from .catalog import UnknownCustomer, UnknownProduct
 from .foundation import DomainError, EntityId, Money, Quantity, Record, Ref, priced_sum
 
 
@@ -91,29 +90,23 @@ def create_customer(txn, name: str, loyalty_member: bool = False,
 
 
 def create_cart(txn, customer_id: EntityId) -> EntityId:
-    if customer_id not in txn.state.stores["customers"]:
-        raise UnknownCustomer(f"no customer {customer_id}")
+    txn.state.need("customers", customer_id)
     cart_id = txn.next_id("cart")
     txn.create("carts", ShoppingCart(id=cart_id, customer=customer_id))
     return cart_id
 
 
 def _open_cart(txn, cart_id: EntityId) -> ShoppingCart:
-    cart = txn.state.stores["carts"].get(cart_id)
-    if cart is None:
-        raise UnknownCart(f"no cart {cart_id}")
-    if cart.state is not CartState.OPEN:
+    if txn.state.need("carts", cart_id).state is not CartState.OPEN:
         raise CartClosed(f"cart {cart_id} is already checked out")
-    return txn.get_mut("carts", cart_id, UnknownCart)
+    return txn.get_mut("carts", cart_id)
 
 
 def add_item(txn, cart_id: EntityId, product_id: EntityId, qty: Quantity) -> None:
     """Add qty of a product; repeated adds of one product merge quantities."""
     if qty.value < 1:
         raise ZeroQuantity("quantity must be at least 1")
-    product = txn.state.stores["products"].get(product_id)
-    if product is None:
-        raise UnknownProduct(f"no product {product_id}")
+    product = txn.state.need("products", product_id)
     cart = _open_cart(txn, cart_id)
     existing = cart.item_for(product_id)
     if existing is None:
@@ -134,10 +127,7 @@ def remove_item(txn, cart_id: EntityId, product_id: EntityId) -> None:
 
 
 def cart_total(state, cart_id: EntityId, currency: str) -> Money:
-    cart = state.stores["carts"].get(cart_id)
-    if cart is None:
-        raise UnknownCart(f"no cart {cart_id}")
-    return priced_sum(cart.items, currency)
+    return priced_sum(state.need("carts", cart_id).items, currency)
 
 
 def checkout(txn, cart_id: EntityId) -> tuple[EntityId, EntityId]:
@@ -147,15 +137,9 @@ def checkout(txn, cart_id: EntityId) -> tuple[EntityId, EntityId]:
     one item per cart line, described by the product's current name. Runs
     as one atomic command: either all three state changes land or none do.
     """
-    cart = txn.state.stores["carts"].get(cart_id)
-    if cart is None:
-        raise UnknownCart(f"no cart {cart_id}")
-    if cart.state is not CartState.OPEN:
-        raise CartClosed(f"cart {cart_id} is already checked out")
+    cart = _open_cart(txn, cart_id)
     if not cart.items:
         raise EmptyCart(f"cart {cart_id} has no items")
-
-    cart = txn.get_mut("carts", cart_id, UnknownCart)
     cart.state = CartState.CHECKED_OUT
 
     order_id = order_shipment.place_order_items(

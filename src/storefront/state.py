@@ -13,6 +13,10 @@ log file: a created entity whole, a changed one as the fields that differ
 from its pre-image. Replaying the facts alone (no business logic)
 reproduces the live state.
 
+Each store but ``notifications`` declares in ``MISSING`` the error it
+raises for an id it does not hold: ``EngineState.need`` and ``Txn.get_mut``
+raise it, as ``no <noun> <id>``.
+
 The rule for domain code: mutate an entity only through the object
 ``Txn.get_mut`` returned (or ``Txn.create`` stored) in the same
 transaction. Changing an entity read from a store rewrites the records
@@ -31,7 +35,7 @@ from types import MappingProxyType
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
 from .foundation import (_IDS, DomainError, EntityId, Quantity, Record, SchemaError,
-                         _undeclared, derive_codec, json_text)
+                         _undeclared, derive_codec, json_text, parse_written_id)
 
 # store name -> (entity kind, entity class)
 STORES = {
@@ -51,6 +55,14 @@ STORES = {
 }
 
 KIND_TO_STORE = {kind: store for store, (kind, _) in STORES.items()}
+# store name -> the error for an id it does not hold (see ``EngineState.need``)
+MISSING = {"catalogs": catalog.UnknownCatalog, "products": catalog.UnknownProduct,
+           "customers": catalog.UnknownCustomer, "carts": shopping_cart.UnknownCart,
+           "employees": invoice.UnknownEmployee, "invoices": invoice.UnknownInvoice,
+           "payments": invoice.UnknownPayment, "orders": order_shipment.UnknownOrder,
+           "shipments": order_shipment.UnknownShipment,
+           "stock_items": stock_manager.UnknownStockItem,
+           "stockrooms": stock_manager.UnknownRoom, "shop_orders": stock_manager.UnknownShopOrder}
 # the names a fact read back holds: store name -> (the STORES key, its kind,
 # its entity class), and kind -> the KIND_TO_STORE key
 _PUTS = {store: (store, kind, entity_class) for store, (kind, entity_class) in STORES.items()}
@@ -172,7 +184,7 @@ def _decode_fact(fact, memo: dict) -> dict:
             raise UnknownFactKind(f"no store named {store!r}")
         store, entity_kind, entity_class = put
         text = fact["id"]
-        entity_id = text.__class__ is str and _IDS.get(text) or EntityId.parse(text)
+        entity_id = text.__class__ is str and _IDS.get(text) or parse_written_id(text)
         if "id" not in data:
             return {"f": "put", "store": store, "id": entity_id._text,
                     "data": entity_class.decode_changes(data, memo), "old": None}
@@ -315,7 +327,7 @@ def _read_chunk(chunk: list, records: list, memo: dict, decisions: list) -> int:
                     deltas[number] = _decode_fact(fact, memo)
             actor = data["actor"]
             records.append(EventRecord(
-                seq, tick, actor.__class__ is str and _IDS.get(actor) or EntityId.parse(actor),
+                seq, tick, actor.__class__ is str and _IDS.get(actor) or parse_written_id(actor),
                 intern(command), payload, shared, intern(outcome), error and intern(error),
                 data["result"], deltas))
         except _BAD_LINE as exc:
@@ -334,11 +346,12 @@ class EngineState:
     clock: int = 0
     log: list = field(default_factory=list)
 
-    def entity(self, entity_id: EntityId):
-        store = KIND_TO_STORE.get(entity_id.kind)
-        if store is None:
-            return None
-        return self.stores[store].get(entity_id)
+    def need(self, store: str, entity_id: EntityId):
+        """The entity of ``store`` with ``entity_id``, else that store's ``MISSING`` error."""
+        entity = self.stores[store].get(entity_id)
+        if entity is None:
+            raise _missing(store, entity_id)
+        return entity
 
     def clone_without_log(self) -> EngineState:
         """A copy whose stores can change without touching these: the
@@ -358,6 +371,10 @@ class EngineState:
             "serials": {kind: serial for kind, serial in sorted(self.serials.items())},
             "clock": self.clock,
         }
+
+
+def _missing(store: str, entity_id: EntityId) -> DomainError:
+    return MISSING[store](f"no {store[:-1].replace('_', ' ')} {entity_id._text}")
 
 
 _UNWRITTEN = MappingProxyType({})  # a Txn's bookkeeping until its first write
@@ -390,13 +407,14 @@ class Txn:
             self._originals = {}
         self._originals[store, entity.id] = None
 
-    def get_mut(self, store: str, entity_id: EntityId, missing_error):
+    def get_mut(self, store: str, entity_id: EntityId):
         """The entity to mutate: on its first touch in this transaction, a
-        clone that replaces it in the store, the original kept for rollback."""
+        clone that replaces it in the store, the original kept for rollback;
+        the store's ``MISSING`` error for an id it does not hold."""
         entities = self.state.stores[store]
         entity = entities.get(entity_id)
         if entity is None:
-            raise missing_error(f"no {store[:-1].replace('_', ' ')} {entity_id._text}")
+            raise _missing(store, entity_id)
         key = (store, entity_id)
         if key not in self._originals:
             if self._originals is _UNWRITTEN:

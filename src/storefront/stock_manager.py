@@ -154,7 +154,7 @@ def create_stock_item(txn, name: str, kind: StockKind,
                                         product_link=product_link))
     # ids only grow, so the first item linked to a product is its lowest-id one
     if product_link is not None and txn.state.stores["products"][product_link].stock_item is None:
-        product = txn.get_mut("products", product_link, UnknownStockItem)
+        product = txn.get_mut("products", product_link)
         product.stock_item = item_id
     return item_id
 
@@ -165,13 +165,6 @@ def item_for_product(state, product_id: EntityId):
     if product is None or product.stock_item is None:
         return None
     return state.stores["stock_items"][product.stock_item]
-
-
-def _require_item(state, item_id: EntityId) -> StockItem:
-    item = state.stores["stock_items"].get(item_id)
-    if item is None:
-        raise UnknownStockItem(f"no stock item {item_id._text}")
-    return item
 
 
 def _rooms_ascending(state) -> list[EntityId]:
@@ -188,7 +181,7 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
     splits evenly with the remainder going to the earliest rooms. Returns
     the policy applied, None when an allocation was given.
     """
-    _require_item(txn.state, item_id)
+    txn.state.need("stock_items", item_id)
     amount = qty.value
     if allocation is not None:
         for room_id in allocation:
@@ -213,7 +206,7 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
 
     if not amount:  # changes nothing: no put
         return None if allocation is not None else add_policy
-    item = txn.get_mut("stock_items", item_id, UnknownStockItem)
+    item = txn.get_mut("stock_items", item_id)
     item.inventory.on_hand += amount
     for room_id, quantity in placement.items():
         item.inventory.shift(room_id, quantity)
@@ -235,7 +228,7 @@ def _drain_default(inventory: Inventory, amount: int) -> None:
 def remove_from_stock(txn, item_id: EntityId, qty: Quantity,
                       room_id: EntityId | None = None) -> None:
     """Take unreserved goods out of stock, from one room or by default drain."""
-    item = _require_item(txn.state, item_id)
+    item = txn.state.need("stock_items", item_id)
     amount = qty.value
     if amount > item.inventory.available():
         raise InsufficientStock(
@@ -249,7 +242,7 @@ def remove_from_stock(txn, item_id: EntityId, qty: Quantity,
                 f"need {amount}")
     if not amount:  # changes nothing: no put
         return
-    item = txn.get_mut("stock_items", item_id, UnknownStockItem)
+    item = txn.get_mut("stock_items", item_id)
     item.inventory.on_hand -= amount
     if room_id is not None:
         item.inventory.shift(room_id, -amount)
@@ -262,7 +255,7 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
     """Move goods between rooms; aggregate quantities never change."""
     if from_room == to_room:
         raise SameRoom(f"transfer within room {from_room._text} is meaningless")
-    item = _require_item(txn.state, item_id)
+    item = txn.state.need("stock_items", item_id)
     for room_id in (from_room, to_room):
         if room_id not in txn.state.stores["stockrooms"]:
             raise UnknownRoom(f"no stockroom {room_id._text}")
@@ -273,7 +266,7 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
             f"need {amount}")
     if not amount:  # changes nothing: no put
         return
-    item = txn.get_mut("stock_items", item_id, UnknownStockItem)
+    item = txn.get_mut("stock_items", item_id)
     item.inventory.shift(from_room, -amount)
     item.inventory.shift(to_room, amount)
 
@@ -281,7 +274,7 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
 def create_shop_order(txn, product_id: EntityId, output_qty: int,
                       bill_of_materials: dict[EntityId, Quantity]) -> EntityId:
     bill_of_materials = {item: qty.value for item, qty in bill_of_materials.items()}
-    product = _require_item(txn.state, product_id)
+    product = txn.state.need("stock_items", product_id)
     if product.kind is not StockKind.PRODUCT:
         raise WrongItemKind(f"{product.name} is a component, not a product")
     if output_qty < 1:
@@ -289,7 +282,7 @@ def create_shop_order(txn, product_id: EntityId, output_qty: int,
     if not bill_of_materials:
         raise AllocationMismatch("bill of materials cannot be empty")
     for component_id, quantity in bill_of_materials.items():
-        component = _require_item(txn.state, component_id)
+        component = txn.state.need("stock_items", component_id)
         if component.kind is not StockKind.COMPONENT:
             raise WrongItemKind(f"{component.name} is not a component")
         if quantity < 1:
@@ -301,30 +294,23 @@ def create_shop_order(txn, product_id: EntityId, output_qty: int,
     return order_id
 
 
-def _require_shop_order(state, order_id: EntityId) -> ShopOrder:
-    order = state.stores["shop_orders"].get(order_id)
-    if order is None:
-        raise UnknownShopOrder(f"no shop order {order_id._text}")
-    return order
-
-
 def cut_shop_order(txn, order_id: EntityId) -> None:
     """Earmark every component the order needs; all lines or none."""
-    order = _require_shop_order(txn.state, order_id)
+    order = txn.state.need("shop_orders", order_id)
     if order.stage is not ShopOrderStage.CREATED:
         raise WrongStage(f"shop order {order_id._text} is {order.stage._value_}")
     short = []
     for component_id in sorted(order.bill_of_materials):
-        component = _require_item(txn.state, component_id)
+        component = txn.state.need("stock_items", component_id)
         if component.inventory.reserved + order.need(component_id) > component.inventory.on_hand:
             short.append(component.name)
     if short:
         raise InsufficientStock(f"short components: {', '.join(short)}")
 
     for component_id in sorted(order.bill_of_materials):
-        component = txn.get_mut("stock_items", component_id, UnknownStockItem)
+        component = txn.get_mut("stock_items", component_id)
         component.inventory.reserved += order.need(component_id)
-    order = txn.get_mut("shop_orders", order_id, UnknownShopOrder)
+    order = txn.get_mut("shop_orders", order_id)
     order.stage = ShopOrderStage.CUT
 
 
@@ -335,7 +321,7 @@ def pick_components(txn, order_id: EntityId,
     ``room_drains`` maps component item to per-room amounts; omitted
     components fall back to the ascending-room default drain.
     """
-    order = _require_shop_order(txn.state, order_id)
+    order = txn.state.need("shop_orders", order_id)
     if order.stage is not ShopOrderStage.CUT:
         raise WrongStage(f"shop order {order_id._text} is {order.stage._value_}")
     drains = {item: {room: qty.value for room, qty in rooms.items()}
@@ -343,7 +329,7 @@ def pick_components(txn, order_id: EntityId,
     for component_id, rooms in drains.items():
         if component_id not in order.bill_of_materials:
             raise UnknownStockItem(f"{component_id._text} is not on the bill of materials")
-        component = _require_item(txn.state, component_id)
+        component = txn.state.need("stock_items", component_id)
         if sum(rooms.values()) != order.need(component_id):
             raise AllocationMismatch(
                 f"drain for {component.name} must total {order.need(component_id)}")
@@ -357,7 +343,7 @@ def pick_components(txn, order_id: EntityId,
 
     for component_id in sorted(order.bill_of_materials):
         need = order.need(component_id)
-        component = txn.get_mut("stock_items", component_id, UnknownStockItem)
+        component = txn.get_mut("stock_items", component_id)
         component.inventory.reserved -= need
         component.inventory.on_hand -= need
         if component_id in drains:
@@ -365,19 +351,19 @@ def pick_components(txn, order_id: EntityId,
                 component.inventory.shift(room_id, -quantity)
         else:
             _drain_default(component.inventory, need)
-    order = txn.get_mut("shop_orders", order_id, UnknownShopOrder)
+    order = txn.get_mut("shop_orders", order_id)
     order.stage = ShopOrderStage.PICKED
 
 
 def finish_fabrication(txn, order_id: EntityId, room_id: EntityId) -> None:
     """Book the finished units into stock, localized in one room."""
-    order = _require_shop_order(txn.state, order_id)
+    order = txn.state.need("shop_orders", order_id)
     if order.stage is not ShopOrderStage.PICKED:
         raise WrongStage(f"shop order {order_id._text} is {order.stage._value_}")
     if room_id not in txn.state.stores["stockrooms"]:
         raise UnknownRoom(f"no stockroom {room_id._text}")
-    product = txn.get_mut("stock_items", order.product, UnknownStockItem)
+    product = txn.get_mut("stock_items", order.product)
     product.inventory.on_hand += order.output_qty
     product.inventory.shift(room_id, order.output_qty)
-    order = txn.get_mut("shop_orders", order_id, UnknownShopOrder)
+    order = txn.get_mut("shop_orders", order_id)
     order.stage = ShopOrderStage.FABRICATED

@@ -371,6 +371,8 @@ class _Checker:
             refs.extend((sid, item.product, "products") for item in shipment.items)
         for iid, inv in stores["invoices"].items():
             refs.append((iid, inv.customer, "customers"))
+            refs.extend((iid, item.product, "products") for item in inv.items
+                        if item.product is not None)
             if inv.created_by.kind != "system":
                 refs.append((iid, inv.created_by, "employees"))
             if inv.validated_by is not None and inv.validated_by.kind != "system":

@@ -6,7 +6,7 @@ only as the oracle of the chunked reader: on every log of
 import json
 from sys import intern
 
-from storefront.foundation import DomainError, EntityId, SchemaError
+from storefront.foundation import DomainError, SchemaError, parse_written_id
 from storefront.state import _RAW_FIELD_TYPES, EventRecord, _decode_fact, _shared_access
 
 _DECODE_JSON = json.JSONDecoder().raw_decode
@@ -71,5 +71,5 @@ def from_dict(data: dict, memo: dict | None = None) -> EventRecord:
         decisions.append(shared := _shared_access(access))
     for number, fact in enumerate(deltas):
         deltas[number] = _decode_fact(fact, memo)
-    return EventRecord(seq, tick, EntityId.parse(data["actor"]), intern(command), payload,
+    return EventRecord(seq, tick, parse_written_id(data["actor"]), intern(command), payload,
                        shared, intern(outcome), error and intern(error), data["result"], deltas)

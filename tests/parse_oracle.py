@@ -317,7 +317,9 @@ def parse_args(command: str, raw_args: dict, ctx) -> tuple[dict, dict]:
 def input_form(command: str, name: str, payload):
     """The payload of an arg as log format 3 writes it, an input its parser
     accepts, from its format-2 form: an order line as an object, not a
-    pair; a shipped item under its input names, and no absent field."""
+    pair; a shipped item under its input names, and no absent field; an
+    invoice item's str field as its plain value, as ``to_jsonable`` writes
+    a str-mixin enum member (its ``Record`` branch keeps one)."""
     if (command, name) == ("place_order", "lines"):
         return [{"product": product, "qty": qty} for product, qty in payload]
     if (command, name) == ("create_shipment", "items"):
@@ -325,7 +327,8 @@ def input_form(command: str, name: str, payload):
                  **({} if item["substituted_for"] is None
                     else {"substituted_for": item["substituted_for"]})} for item in payload]
     if (command, name) == ("prepare_invoice", "edits"):
-        return [{"add": {key: value for key, value in edit["add"].items() if value is not None}}
+        return [{"add": {key: to_jsonable(value) for key, value in edit["add"].items()
+                         if value is not None}}
                 if "add" in edit else edit for edit in payload]
     return payload
 

@@ -96,6 +96,17 @@ def test_update_errors(eng):
     assert err_code(exc) == "UnknownProduct"
 
 
+def test_a_change_of_an_undeclared_field_is_refused_before_access(eng):
+    records = len(eng.state.log)
+    with pytest.raises(DomainError) as exc:
+        eng.execute(SYSTEM, "update_product", product=product_id(eng, "WidgetA"),
+                    changes={"color": 1})
+    assert err_code(exc) == "SchemaError"
+    (record,) = eng.state.log[records:]
+    assert (record.error, record.access, record.deltas) == (
+        "SchemaError", {"role": None, "verdict": None}, [])
+
+
 def test_link_similar_symmetry_and_idempotence(eng):
     a = product_id(eng, "WidgetA")
     b = product_id(eng, "Gadget")

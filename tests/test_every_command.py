@@ -1,15 +1,17 @@
 """Every command, dispatched to an ``ok`` outcome once with its optional
 args omitted and once with them given, writes one pinned log: its sha256
 fixes each command's parameter defaults and result encoding on paths that
-no bundled scenario takes."""
+no bundled scenario takes. Each id arg of a command or a query, naming an
+entity no store holds, gives its pinned error code."""
 
 import hashlib
 
 import pytest
 
 import log_v2_oracle
-from storefront import SYSTEM, read_log
-from storefront.commands import COMMANDS
+from storefront import SYSTEM, DomainError, read_log
+from storefront.commands import COMMANDS, Id
+from storefront.queries import QUERIES
 
 from conftest import fresh_engine
 
@@ -137,3 +139,55 @@ def test_every_command_writes_the_pinned_log(tmp_path, add_policy):
     records = read_log(tmp_path / "events.jsonl")
     format2 = log_v2_oracle.format2_text(fresh_engine(add_policy=add_policy), records)
     assert hashlib.sha256(format2.encode()).hexdigest() == FORMAT2_DIGESTS[add_policy]
+
+
+# the code of an id of each stored kind that no store holds
+UNKNOWN = {"catalog": "UnknownCatalog", "product": "UnknownProduct",
+           "customer": "UnknownCustomer", "cart": "UnknownCart", "employee": "UnknownEmployee",
+           "invoice": "UnknownInvoice", "payment": "UnknownPayment", "order": "UnknownOrder",
+           "shipment": "UnknownShipment", "stock_item": "UnknownItem",
+           "stockroom": "UnknownRoom", "shop_order": "UnknownShopOrder"}
+# the args whose unheld id gives another code: compared with the id another
+# entity holds, or (a product link) looked up under the stock item's code
+OTHER_CODE = {("create_stock_item", "product_link"): "UnknownItem",
+              ("record_payment", "customer"): "WrongCustomer",
+              ("record_receipt", "receiver"): "WrongReceiver",
+              ("remove_item", "product"): "ItemNotInCart"}
+# (command, the index in STEPS of its first step that gives the arg, arg, kind)
+ID_ARGS = sorted({(command, min(index for index, (name, args) in enumerate(STEPS)
+                                if name == command and arg in args), arg, decl.kinds[0])
+                  for command, spec in COMMANDS.items()
+                  for arg, decl in spec.schema.fields.items() if isinstance(decl, Id)})
+
+
+@pytest.mark.parametrize("command, step, arg, kind", ID_ARGS,
+                         ids=[f"{command}.{arg}" for command, _, arg, _ in ID_ARGS])
+def test_a_command_arg_naming_no_stored_entity_gives_its_code(command, step, arg, kind):
+    engine = fresh_engine()
+    for name, args in STEPS[:step]:
+        engine.dispatch(SYSTEM, name, args)
+    records = len(engine.state.log)
+    with pytest.raises(DomainError) as exc:
+        engine.dispatch(SYSTEM, command, {**STEPS[step][1], arg: f"{kind}:999"})
+    code = OTHER_CODE.get((command, arg), UNKNOWN[kind])
+    assert exc.value.code == code
+    if (command, arg) not in OTHER_CODE:
+        assert str(exc.value) == f"no {kind.replace('_', ' ')} {kind}:999"
+    (record,) = engine.state.log[records:]
+    assert (record.outcome, record.error, record.deltas) == ("error", code, [])
+
+
+QUERY_ID_ARGS = [(name, arg, decl.kinds[0]) for name, query in sorted(QUERIES.items())
+                 for arg, decl in query.schema.fields.items()
+                 if isinstance(decl, Id) and arg not in query.schema.optional]
+
+
+@pytest.mark.parametrize("query, arg, kind", QUERY_ID_ARGS,
+                         ids=[f"{query}.{arg}" for query, arg, _ in QUERY_ID_ARGS])
+def test_a_query_arg_naming_no_stored_entity_gives_its_code(query, arg, kind):
+    engine = fresh_engine()
+    with pytest.raises(DomainError) as exc:
+        engine.query(query, **{arg: f"{kind}:999"})
+    assert (exc.value.code, str(exc.value)) == (UNKNOWN[kind],
+                                                f"no {kind.replace('_', ' ')} {kind}:999")
+    assert engine.state.log == []

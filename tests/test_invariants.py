@@ -395,6 +395,22 @@ def test_the_source_cart_of_an_invoice_no_checkout_made_must_resolve():
         ("referential-integrity", invoice, "reference cart:999 does not resolve")]
 
 
+def test_the_product_of_an_invoice_item_must_resolve():
+    engine = fresh_engine()
+    customer, clerk = new_customer(engine), new_employee(engine, roles=["InvoiceClerk"])
+    invoice = engine.execute(clerk, "create_invoice", creator=clerk, customer=customer)["invoice"]
+    engine.execute(clerk, "prepare_invoice", invoice=invoice, edits=[{"add": {
+        "description": "part", "product": product_id(engine, "WidgetA"), "quantity": 1,
+        "unit_price": 300}}])
+    invoices = engine.state.stores["invoices"]
+    invoice_id = EntityId.parse(invoice)
+    item = dataclasses.replace(invoices[invoice_id].items[0], product=EntityId("product", 999))
+    invoices[invoice_id] = dataclasses.replace(invoices[invoice_id], items=[item])
+    assert violations(engine) == [
+        ("referential-integrity", invoice, "reference product:999 does not resolve")]
+    same_as_oracle(engine)
+
+
 # -- the checker against its oracle ---------------------------------------------
 
 def same_as_oracle(engine) -> None:
@@ -532,7 +548,7 @@ _REFERENCES = {"carts": ("customer",), "orders": ("customer", "source_cart"),
                "payments": ("invoice", "customer", "validated_by"),
                "stock_items": ("product_link",)}
 # store -> its field listing records that each hold a product id
-_LINES = {"carts": "items", "orders": "line_items", "shipments": "items"}
+_LINES = {"carts": "items", "orders": "line_items", "shipments": "items", "invoices": "items"}
 
 
 def _elsewhere(data) -> EntityId:
@@ -551,8 +567,8 @@ def _repoint(data, stores, products):
 
 
 def _repoint_line(data, stores, products):
-    """Point the product of a cart item, an order line or a shipped item
-    elsewhere."""
+    """Point the product of a cart item, an order line, a shipped item or an
+    invoice item elsewhere."""
     store = data.draw(st.sampled_from(sorted(_LINES)))
     entity_id, entity = _entity(data, stores, store)
     lines = list(getattr(entity, _LINES[store]))
@@ -594,7 +610,6 @@ NOT_A_REF = {
     "Notification.customer": ("catalog-references", "resolved in customers"),
     "Notification.product": ("catalog-references", "resolved in products"),
     "Invoice.source_shipment": ("shipment-invoice", "an invoice of a missing shipment"),
-    "InvoiceItem.product": (None, "compared with cart or shipped lines, never resolved"),
     "Payment.invoice": ("payment-conservation", "resolved in invoices"),
     "Order.shipped": ("shipment-coverage", "equal to what the shipments hold"),
     "Shipment.order": ("shipment-coverage", "resolved in orders"),
@@ -630,6 +645,7 @@ def test_every_reference_field_is_a_ref_or_names_its_check():
     assert sorted(NOT_A_REF.keys() - others) == []
     assert refs == {"ShoppingCart.customer", "CartItem.product", "Order.customer",
                     "Order.source_cart", "Shipment.receiver", "Shipment.invoice",
-                    "ShippedItem.product", "Invoice.customer", "Invoice.created_by",
+                    "ShippedItem.product", "Invoice.customer", "InvoiceItem.product",
+                    "Invoice.created_by",
                     "Invoice.validated_by", "Invoice.source_cart", "Payment.customer",
                     "Payment.validated_by", "StockItem.product_link"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import new_customer, new_employee, product_id, validated_invoice
-from storefront import DomainError, EntityId, bundled
+from storefront import DomainError, EntityId, Money, bundled
 from storefront.invoice import RuleBook, default_rulebook
 
 from conftest import fresh_engine
@@ -143,6 +143,21 @@ def test_prepare_errors(eng):
     assert exc.value.code == "NotDraft"
 
 
+def test_an_added_item_of_an_unstored_product_is_refused(eng):
+    clerk = new_employee(eng)
+    invoice = eng.execute(clerk, "create_invoice", creator=clerk,
+                          customer=new_customer(eng))["invoice"]
+    records = len(eng.state.log)
+    with pytest.raises(DomainError) as exc:
+        eng.execute(clerk, "prepare_invoice", invoice=invoice,
+                    edits=[{"add": {"description": "A", "product": "product:999",
+                                    "quantity": 1, "unit_price": 100}}])
+    assert (exc.value.code, str(exc.value)) == ("UnknownProduct", "no product product:999")
+    (record,) = eng.state.log[records:]
+    assert (record.error, record.deltas) == ("UnknownProduct", [])
+    assert eng.state.stores["invoices"][EntityId.parse(invoice)].items == []
+
+
 def test_creator_cannot_validate_own_invoice(eng):
     customer = new_customer(eng)
     clerk = new_employee(eng)
@@ -237,6 +252,21 @@ def test_record_payment_rules(eng):
         eng.execute(customer, "record_payment", customer=customer, invoice=draft,
                     amount=100, method="Card")
     assert exc.value.code == "InvoiceNotPayable"
+
+
+@pytest.mark.parametrize("amount", [Money(5, "EUR"), {"amount": 5, "currency": "EUR"}],
+                         ids=["money", "object"])
+def test_a_payment_in_another_currency_is_refused_before_access(eng, amount):
+    customer = new_customer(eng, loyalty=True)
+    invoice = validated_invoice(eng, customer)
+    records = len(eng.state.log)
+    with pytest.raises(DomainError) as exc:
+        eng.execute(customer, "record_payment", customer=customer, invoice=invoice,
+                    amount=amount, method="Card")
+    assert exc.value.code == "CurrencyMismatch"
+    (record,) = eng.state.log[records:]
+    assert (record.error, record.access, record.deltas) == (
+        "CurrencyMismatch", {"role": None, "verdict": None}, [])
 
 
 def test_payment_settlement_to_paid(eng):

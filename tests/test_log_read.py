@@ -163,6 +163,19 @@ def test_a_last_line_without_its_newline_is_refused_alike(lines, tmp_path, count
     assert f"events.jsonl:{count}: bad event record" in same_as_oracle(path)
 
 
+@pytest.mark.parametrize("text, forged", [
+    ('"id":"cart:1"', '"id":"cart:01"'),  # first in the put's data
+    ('"f":"put","id":"cart:1"', '"f":"put","id":"cart:01"'),
+    ('"actor":"customer:1"', '"actor":"customer:01"'),
+], ids=["data-id", "fact-id", "actor"])
+def test_an_id_written_in_another_text_is_refused_alike(tmp_path, text, forged):
+    lines = list(_full_purchase_lines())
+    index = next(index for index, line in enumerate(lines) if text in line)
+    lines[index] = lines[index].replace(text, forged, 1)
+    assert f"events.jsonl:{index + 1}: bad event record: SchemaError: entity id " in (
+        same_as_oracle(_write(tmp_path / "events.jsonl", lines)))
+
+
 def _forged_lines() -> list[str]:
     """The full-purchase log with line 1 split after its first fact, the comma
     after it dropped, and lines 3 and 4 joined by a comma: as lines joined

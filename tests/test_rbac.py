@@ -19,6 +19,7 @@ from storefront.rbac import (
     permissive_matrix,
     reason_text,
 )
+from storefront.state import KIND_TO_STORE
 
 from conftest import fresh_engine
 
@@ -429,7 +430,7 @@ def _reference_owner(engine, command: str, args: dict) -> tuple:
     target = EntityId.parse(args[OWNING_ARG[command]])
     if target.kind == "customer":
         return target, False
-    entity = engine.state.entity(target)
+    entity = engine.state.stores[KIND_TO_STORE[target.kind]].get(target)
     return (None, True) if entity is None else (getattr(entity, OWNER_ATTRIBUTE[target.kind]),
                                                 False)
 

@@ -642,6 +642,8 @@ MISFRAMED_IDS = ["leading-nbsp", "trailing-unit-separator", "crlf-ending", "raw-
     lambda log: _edit_last_put(log, "customers", lambda d: d.update(id="customer:2"), "id"),
     lambda log: _edit_first_fact(log, "put", lambda f: (f.update(id="cart:1"),
                                                         f["data"].update(id="cart:1"))),
+    # an id in a text the engine never writes for it, though it parses to the id
+    lambda log: log.write_text(log.read_text().replace('"id":"cart:1"', '"id":"cart:01"', 1)),
     # the later occurrence of a frozen value that earlier puts hold intact
     lambda log: _edit_last_put(log, "carts", lambda d: d["items"][1].update(quantity=True),
                                 "items"),
@@ -660,7 +662,7 @@ MISFRAMED_IDS = ["leading-nbsp", "trailing-unit-separator", "crlf-ending", "raw-
         "payload-not-an-object", "outcome-not-a-string", "float-in-int-field",
         "string-in-int-field", "bool-seq", "string-tick", "string-for-a-list",
         "string-serial", "bool-serial", "int-serial-kind", "unstored-serial-kind",
-        "put-of-another-id", "put-of-another-kind", "bool-quantity-repeat",
+        "put-of-another-id", "put-of-another-kind", "id-not-canonical", "bool-quantity-repeat",
         "float-amount-repeat", "list-description-repeat", "enum-not-a-member",
         "enum-not-a-string", "text-after-record", *MISFRAMED_IDS[:3], "nested-too-deep"])
 def test_verify_rejects_malformed_log_with_exit_two(tmp_path, malform):
