@@ -61,16 +61,13 @@ def parse_json(data: bytes, path, what: str):
         raise SchemaError(f"cannot read {what} {path}: {exc}") from None
 
 
-def read_json(path, what: str):
-    """The JSON value in file ``path``, or a ``SchemaError`` naming ``what``."""
-    return parse_json(read_bytes(path, what), path, what)
-
-
 # What this process built from input files, keyed on what was built and on
 # the bytes it was built from, never on a path: the least recently used of
 # at most MEMO_SIZE values goes first. A value here is shared by every
-# caller, so none may change it.
-MEMO_SIZE = 8
+# caller, so none may change it. MEMO_SIZE holds the 13 bundled scenarios
+# with the access matrix, the policies and a seeded baseline: a cycle
+# through more values than it holds would never find one.
+MEMO_SIZE = 32
 _MEMO: dict = {}
 _MISSING = object()
 
@@ -89,6 +86,7 @@ def memoized(key, build):
 
 def load(path, what: str, build):
     """``build`` of the JSON value in file ``path``, called once per distinct
-    content of a ``what`` file in this process; errors as ``read_json``."""
+    content of a ``what`` file in this process; a ``SchemaError`` naming
+    ``what`` for a file it cannot read or decode."""
     data = read_bytes(path, what)
     return memoized((what, data), lambda: build(parse_json(data, path, what)))

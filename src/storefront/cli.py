@@ -13,10 +13,10 @@ from pathlib import Path
 
 from . import bundled
 from .engine import Engine, read_log
-from .foundation import DomainError, SchemaError, json_indented, json_spaced
+from .foundation import DomainError, SchemaError, json_spaced
 from .invoice import RuleBook
 from .rbac import RbacMatrix, load_rbac_config, permissive_matrix
-from .scenario import ParseError, load_scenario, run_scenario
+from .scenario import ParseError, load_scenario, report_json, run_scenario
 from .state import EngineState, GapInSequence, replay
 
 
@@ -54,7 +54,7 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         engine.write_log(out_dir / "events.jsonl")
-        (out_dir / "report.json").write_text(json_indented(report.to_dict()) + "\n",
+        (out_dir / "report.json").write_text(report_json(report) + "\n",
                                              encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",

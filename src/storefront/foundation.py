@@ -310,16 +310,16 @@ _SCALARS = {str: _ascii, int: int.__repr__,
             type(None): {None: "null"}.__getitem__}
 
 
-def json_indented(value) -> str:
-    """``json.dumps(value, sort_keys=True)`` with an indent of two spaces,
-    the form of ``report.json``. An indent sends ``json.dumps`` through the
-    pure-Python encoder; this walks dicts, lists and tuples itself, writes an
-    exact str, int, bool or None from ``_SCALARS`` and leaves any other value
-    to ``json_text``, which writes it as ``json.dumps`` does. A key that is
-    not a str is written as ``json.dumps`` writes it. Unlike ``json.dumps``,
-    it does not look for cycles."""
+def json_indented(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True)`` with an indent of two spaces, each
+    inner line after ``newline``: the values nested in ``report.json``. An
+    indent sends ``json.dumps`` through the pure-Python encoder; this walks
+    dicts, lists and tuples itself, writes an exact str, int, bool or None
+    from ``_SCALARS`` and leaves any other value to ``json_text``, which
+    writes it as ``json.dumps`` does. A key that is not a str is written as
+    ``json.dumps`` writes it. Unlike ``json.dumps``, it does not look for cycles."""
     parts: list[str] = []
-    _indented(value, "\n", parts.append)
+    _indented(value, newline, parts.append)
     return "".join(parts)
 
 

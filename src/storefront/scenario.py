@@ -7,14 +7,16 @@ seeded or created entities by name. Reports are pure functions of the
 inputs — the only timestamps anywhere are logical ticks.
 """
 
-from __future__ import annotations
+# no ``from __future__ import annotations``: the report writer reads the
+# field types of the outcome records, which stay evaluated
+import json
+import typing
+from dataclasses import dataclass, field, fields
 
-from dataclasses import dataclass, field
-
-from .bundled import read_json
+from . import bundled
 from .commands import parse_input
 from .engine import Engine
-from .foundation import DomainError, SchemaError
+from .foundation import DomainError, SchemaError, json_indented, run_generated
 from .queries import run_query
 from .state import STORES
 
@@ -55,7 +57,9 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(read_json(path, "scenario"), source=str(path))
+    """The scenario in file ``path``, parsed once per distinct content in
+    this process (``bundled.load``) and shared: no run changes it."""
+    return bundled.load(path, "scenario", lambda data: parse_scenario(data, source=str(path)))
 
 
 def parse_scenario(data, source: str = "<memory>") -> Scenario:
@@ -90,14 +94,11 @@ class _Resolver:
                 return self._resolve_name(value[1:])
             return value
         if isinstance(value, dict):
-            return {self._resolve_key(k): self.resolve(v) for k, v in value.items()}
+            return {self.resolve(k) if isinstance(k, str) else k: self.resolve(v)
+                    for k, v in value.items()}
         if isinstance(value, list):
             return [self.resolve(v) for v in value]
         return value
-
-    def _resolve_key(self, key):
-        resolved = self.resolve(key) if isinstance(key, str) else key
-        return resolved
 
     def _resolve_binding(self, ref: str):
         name, _, attr = ref.partition(".")
@@ -147,11 +148,6 @@ class StepOutcome:
     expect_error: str | None = None
     result: object = None
 
-    def to_dict(self) -> dict:
-        return {"seq": self.seq, "op": self.op, "actor": self.actor,
-                "outcome": self.outcome, "ok": self.ok, "error": self.error,
-                "expect_error": self.expect_error, "result": self.result}
-
 
 @dataclass
 class ExpectationOutcome:
@@ -159,10 +155,6 @@ class ExpectationOutcome:
     ok: bool
     expect: object
     actual: object
-
-    def to_dict(self) -> dict:
-        return {"query": self.query, "ok": self.ok, "expect": self.expect,
-                "actual": self.actual}
 
 
 @dataclass
@@ -173,14 +165,47 @@ class ScenarioReport:
     invariants: dict = field(default_factory=dict)
     ok: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "ok": self.ok,
-            "steps": [s.to_dict() for s in self.steps],
-            "expectations": [e.to_dict() for e in self.expectations],
-            "invariants": self.invariants,
-        }
+
+def _items(values: list, write, newline: str) -> str:
+    """``values`` as ``json_indented`` writes a list after ``newline``,
+    each through ``write``."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(map(write, values))}{newline}]" if values else "[]"
+
+
+# the text of a field of each scalar type; json_indented writes any other
+_SCALAR_TEXT = {str: "_str({0})", int: "str({0})", bool: "('true' if {0} else 'false')",
+                str | None: "('null' if {0} is None else _str({0}))"}
+
+
+def _writer_source(cls: type, depth: int, names: dict) -> str:
+    """The source of ``<cls>_json(self)``, which writes a ``cls`` record
+    ``depth`` levels in as ``json_indented`` writes the dict of its fields:
+    one join of its keys in sorted order, each on its line at a fixed
+    indentation, and of its values written by their declared types; the
+    writers of the records it lists come first. ``names`` gains the
+    indentations it uses."""
+    newline, parts, nl, before = "\n" + "  " * depth, [], f"_nl{depth + 1}", ""
+    inner = names[nl] = newline + "  "
+    for f in sorted(fields(cls), key=lambda f: f.name):
+        value = f"self.{f.name}"
+        if typing.get_origin(f.type) is list:
+            item = typing.get_args(f.type)[0]
+            before += _writer_source(item, depth + 2, names)
+            text = f"_items({value}, {item.__name__}_json, {nl})"
+        else:
+            text = _SCALAR_TEXT.get(f.type, "json_indented({0}, {1})").format(value, nl)
+        parts += [repr(f'{"," if parts else "{"}{inner}"{f.name}": '), text]
+    parts.append(repr(newline + "}"))
+    return f"{before}def {cls.__name__}_json(self):\n    return ''.join(({', '.join(parts)}))\n"
+
+
+_NAMES = {"_str": json.encoder.encode_basestring_ascii, "_items": _items,
+          "json_indented": json_indented}
+run_generated(_writer_source(ScenarioReport, 0, _NAMES), "<report writer>", _NAMES)
+# report_json(report): report.json but its final newline, json_indented of
+# the report's fields as a dict, each outcome in it the dict of its fields
+report_json = _NAMES["ScenarioReport_json"]
 
 
 def run_scenario(engine: Engine, scenario: Scenario) -> ScenarioReport:

@@ -147,8 +147,7 @@ def create_stock_item(txn, name: str, kind: StockKind,
     if product_link is not None:
         if kind is not StockKind.PRODUCT:
             raise WrongItemKind("only product items can link to catalog products")
-        if product_link not in txn.state.stores["products"]:
-            raise UnknownStockItem(f"no catalog product {product_link._text}")
+        txn.state.need("products", product_link)
     item_id = txn.next_id("stock_item")
     txn.create("stock_items", StockItem(id=item_id, name=name, kind=kind,
                                         product_link=product_link))

@@ -147,10 +147,9 @@ UNKNOWN = {"catalog": "UnknownCatalog", "product": "UnknownProduct",
            "invoice": "UnknownInvoice", "payment": "UnknownPayment", "order": "UnknownOrder",
            "shipment": "UnknownShipment", "stock_item": "UnknownItem",
            "stockroom": "UnknownRoom", "shop_order": "UnknownShopOrder"}
-# the args whose unheld id gives another code: compared with the id another
-# entity holds, or (a product link) looked up under the stock item's code
-OTHER_CODE = {("create_stock_item", "product_link"): "UnknownItem",
-              ("record_payment", "customer"): "WrongCustomer",
+# the args whose unheld id gives another code: each is compared with the id
+# another entity holds
+OTHER_CODE = {("record_payment", "customer"): "WrongCustomer",
               ("record_receipt", "receiver"): "WrongReceiver",
               ("remove_item", "product"): "ItemNotInCart"}
 # (command, the index in STEPS of its first step that gives the arg, arg, kind)

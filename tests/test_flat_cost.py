@@ -6,9 +6,10 @@ the log builds each distinct frozen value once and shares each decision's
 access, writing or reading a log holds about one line at a time beyond
 the records, a clean invariant check builds no ``Money``, a command's
 envelope is one generated frame, compiled once per process, and the CLI
-builds what it reads from the access config, the policy config and the
-seeds once per content of those files. Deterministic: it counts walks,
-calls, parses, constructions, compilations and traced bytes, not time."""
+builds what it reads from the scenario, the access config, the policy
+config and the seeds once per content of those files. Deterministic: it
+counts walks, calls, parses, constructions, compilations and traced
+bytes, not time."""
 
 import contextlib
 import io
@@ -22,8 +23,9 @@ import pytest
 from conftest import fresh_engine
 from helpers import bench_engines
 from storefront import (SYSTEM, Engine, bundled, cli, default_matrix, foundation, invariants,
-                        load_scenario, permissive_matrix, rbac, run_scenario)
+                        load_scenario, parse_scenario, permissive_matrix, rbac, run_scenario)
 from storefront import commands as commands_module
+from storefront import scenario as scenario_module
 from storefront.catalog import ProductInfo
 from storefront.engine import read_log
 from storefront.foundation import AccessDenied, DomainError, EntityId, Money
@@ -553,11 +555,24 @@ def test_a_second_engine_or_matrix_compiles_no_envelope(monkeypatch):
     assert compiled == []
 
 
+def _count_calls(monkeypatch, calls: Counter, owner, name: str, wrap=lambda f: f):
+    """Count in ``calls`` each call of ``owner.name`` until the test ends."""
+    original = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrap(call))
+
+
 def test_a_second_run_and_its_verify_build_nothing_from_their_input_files(tmp_path, monkeypatch):
-    """Once the access matrix, the rule book and the seeded baseline are built
-    from their files' content, another run and a verify build none of them;
-    a seed file rewritten in place is read again by its content."""
-    scenario = bundled.scenario_dir() / "cart-checkout.json"
+    """Once the scenario, the access matrix, the rule book and the seeded
+    baseline are built from their files' content, another run and a verify
+    build none of them, and the run writes the same bytes; a scenario or a
+    seed file rewritten in place is read again by its content, and a
+    scenario that fails to parse is never kept."""
+    scenario = tmp_path / "cart-checkout.json"
+    scenario.write_bytes((bundled.scenario_dir() / "cart-checkout.json").read_bytes())
     catalog, stock = tmp_path / "catalog.json", tmp_path / "stock.json"
     catalog.write_bytes(bundled.catalog_seed().read_bytes())
     stock.write_bytes(bundled.stock_seed().read_bytes())
@@ -567,38 +582,76 @@ def test_a_second_run_and_its_verify_build_nothing_from_their_input_files(tmp_pa
            "--policies", str(bundled.policies_config()), *seeds, "--out", str(out)]
 
     def main(argv, code=0):
-        with contextlib.redirect_stdout(io.StringIO()):
+        """The stdout of ``argv`` and the events.jsonl and report.json it wrote."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
             assert cli.main(argv) == code
-        return (out / "events.jsonl").read_bytes()
+        return (stdout.getvalue(), *((out / name).read_bytes()
+                                     for name in ("events.jsonl", "report.json")))
     first = main(run)
 
     calls = Counter()
-
-    def counted(owner, name, wrap=lambda f: f):
-        original = getattr(owner, name)
-
-        def call(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(owner, name, wrap(call))
-    counted(cli, "load_rbac_config")
-    counted(rbac, "load_rbac_config")
-    counted(RuleBook, "from_config", lambda f: classmethod(lambda cls, data: f(data)))
-    counted(Engine, "seed_catalog")
-    counted(Engine, "seed_stock")
+    _count_calls(monkeypatch, calls, scenario_module, "parse_scenario")
+    _count_calls(monkeypatch, calls, cli, "load_rbac_config")
+    _count_calls(monkeypatch, calls, rbac, "load_rbac_config")
+    _count_calls(monkeypatch, calls, RuleBook, "from_config",
+                 lambda f: classmethod(lambda cls, data: f(data)))
+    _count_calls(monkeypatch, calls, Engine, "seed_catalog")
+    _count_calls(monkeypatch, calls, Engine, "seed_stock")
     assert main(run) == first
     main(["verify", str(out / "events.jsonl"), *seeds])
     assert calls == Counter()
+
+    scenario.write_text(json.dumps(json.loads(scenario.read_text()), indent=1))
+    assert main(run) == first
+    assert calls == Counter(parse_scenario=1)
+
+    nameless = [tmp_path / "nameless.json", tmp_path / "copy" / "nameless.json"]
+    nameless[1].parent.mkdir()
+    for path in nameless:
+        path.write_text(json.dumps({"name": "", "commands": []}))
+    for path in [*nameless, nameless[0]]:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert stderr.getvalue() == f"error: {path}: scenario needs a name\n"
+    assert calls == Counter(parse_scenario=4)
+    calls.clear()
 
     entries = json.loads(catalog.read_text())
     assert entries[0]["name"] == "WidgetA"
     entries[0]["price"] += 1
     catalog.write_text(json.dumps(entries))
-    changed = main(run, code=1)  # the scenario expects the old price
+    changed = main(run, code=1)[1]  # the scenario expects the old price
     assert calls == Counter(seed_catalog=1, seed_stock=1)
     engine = Engine(rbac_matrix=default_matrix())
     engine.seed_catalog(entries)
     engine.seed_stock(json.loads(stock.read_text()))
     assert not run_scenario(engine, load_scenario(scenario)).ok
     engine.write_log(tmp_path / "expected.jsonl")
-    assert changed == (tmp_path / "expected.jsonl").read_bytes() != first
+    assert changed == (tmp_path / "expected.jsonl").read_bytes() != first[1]
+
+
+def test_a_second_pass_over_the_bundled_scenarios_builds_nothing(tmp_path, monkeypatch):
+    """The memo holds the 13 bundled scenarios beside the access matrix and
+    the seeded baseline, so a second pass over them in one process builds
+    none of them: under the least-recently-used rule, a cycle through more
+    values than the memo holds would find none. No run changes the scenario
+    it shares: each memoized one equals a fresh parse of its file."""
+    calls = Counter()
+    _count_calls(monkeypatch, calls, scenario_module, "parse_scenario")
+    _count_calls(monkeypatch, calls, cli, "load_rbac_config")
+    _count_calls(monkeypatch, calls, Engine, "seed_catalog")
+    _count_calls(monkeypatch, calls, Engine, "seed_stock")
+    paths = bundled.scenario_files()
+    for _ in range(2):
+        calls.clear()
+        for path in paths:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", str(path), "--rbac", str(bundled.rbac_config()),
+                                 "--out", str(tmp_path / path.stem)]) == 0
+    assert calls == Counter()
+    for path in paths:
+        fresh = parse_scenario(json.loads(path.read_text(encoding="utf-8")), source=str(path))
+        assert load_scenario(path) == fresh, path.stem
+    assert calls == Counter()

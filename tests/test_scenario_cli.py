@@ -18,9 +18,10 @@ import log_v2_oracle
 from storefront import (Engine, bundled, cli, default_matrix, load_scenario, permissive_matrix,
                         read_log, run_scenario)
 from storefront.cli import main
-from storefront.foundation import SchemaError
+from storefront.foundation import SchemaError, json_indented
 from storefront.invoice import RuleBook
-from storefront.scenario import ParseError, parse_scenario
+from storefront.scenario import (ExpectationOutcome, ParseError, ScenarioReport, StepOutcome,
+                                 parse_scenario, report_json)
 
 RBAC = str(bundled.rbac_config())
 
@@ -171,6 +172,49 @@ def test_bundled_scenario_stdout_matches_golden_digests(tmp_path):
     assert digests == STDOUT_DIGESTS
 
 
+
+def _report_dict(report: ScenarioReport) -> dict:
+    """The plain-dict form of ``report``: each field a key, each outcome in
+    it the dict of its fields."""
+    return {"scenario": report.scenario, "ok": report.ok, "invariants": report.invariants,
+            "steps": [{"seq": s.seq, "op": s.op, "actor": s.actor, "outcome": s.outcome,
+                       "ok": s.ok, "error": s.error, "expect_error": s.expect_error,
+                       "result": s.result} for s in report.steps],
+            "expectations": [{"query": e.query, "ok": e.ok, "expect": e.expect,
+                              "actual": e.actual} for e in report.expectations]}
+
+
+_NAME = st.text(max_size=8)  # any code point but a surrogate: ASCII, non-ASCII, controls
+_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _NAME,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAME, inner, max_size=3),
+    max_leaves=8)
+_STEP = st.builds(StepOutcome, seq=st.integers(min_value=1), op=_NAME, actor=_NAME,
+                  outcome=st.sampled_from(["ok", "denied", "error", "unresolved"]),
+                  ok=st.booleans(), error=st.none() | _NAME,
+                  expect_error=st.none() | _NAME, result=_VALUE)
+_EXPECTATION = st.builds(ExpectationOutcome, query=_NAME, ok=st.booleans(),
+                         expect=_VALUE, actual=_VALUE)
+_VIOLATION = st.fixed_dictionaries({"invariant": _NAME, "entity": _NAME, "detail": _NAME})
+_REPORT = st.builds(ScenarioReport, scenario=_NAME, steps=st.lists(_STEP, max_size=3),
+                    expectations=st.lists(_EXPECTATION, max_size=3),
+                    invariants=st.fixed_dictionaries({"checked": st.integers(0, 20),
+                                                      "violations": st.lists(_VIOLATION,
+                                                                             max_size=2)}),
+                    ok=st.booleans())
+
+
+@settings(max_examples=200)
+@given(_REPORT)
+def test_report_writer_equals_the_indented_plain_dict(report):
+    """The writer generated from the outcome records writes what
+    ``json_indented`` writes for the report's plain-dict form, and so what
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes."""
+    expected = json_indented(_report_dict(report))
+    assert report_json(report) == expected
+    assert expected == json.dumps(_report_dict(report), indent=2, sort_keys=True)
+
+
 def test_runs_sharing_one_seeded_baseline_write_the_golden_bytes(tmp_path):
     """Every run and verify in one process starts from one memoized seeded
     baseline, whose entities they share: in either order, each run writes
@@ -196,8 +240,8 @@ def test_runs_sharing_one_seeded_baseline_write_the_golden_bytes(tmp_path):
         assert reports == REPORT_DIGESTS
     assert shared_baseline() is baseline
     fresh = Engine()
-    fresh.seed_catalog(bundled.read_json(bundled.catalog_seed(), "catalog seed"))
-    fresh.seed_stock(bundled.read_json(bundled.stock_seed(), "stock seed"))
+    fresh.seed_catalog(json.loads(bundled.catalog_seed().read_text(encoding="utf-8")))
+    fresh.seed_stock(json.loads(bundled.stock_seed().read_text(encoding="utf-8")))
     assert baseline.to_dict() == fresh.baseline().to_dict()
 
 
