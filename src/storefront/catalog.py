@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .foundation import DomainError, EntityId, Money, Record
+from .foundation import DomainError, EntityId, Money, Record, Ref
 
 
 class UnknownCatalog(DomainError):
@@ -55,14 +55,14 @@ class ProductInfo(Record):
 @dataclass
 class Product(Record):
     id: EntityId
-    catalog: EntityId
+    catalog: Ref("catalog")
     name: str
     price: Money
     status: ProductStatus
-    similar: set[EntityId] = field(default_factory=set)
+    similar: set[Ref("product")] = field(default_factory=set)
     info: ProductInfo | None = None
     # customers notified of each change to this product
-    subscribers: set[EntityId] = field(default_factory=set)
+    subscribers: set[Ref("customer")] = field(default_factory=set)
     # the lowest-id stock item tracking this product; None for services
     stock_item: EntityId | None = None
 
@@ -79,8 +79,8 @@ class Notification(Record):
     """One recorded product-change message to one subscriber. Append-only."""
 
     id: EntityId
-    customer: EntityId
-    product: EntityId
+    customer: Ref("customer")
+    product: Ref("product")
     change_summary: str
     at: int
 

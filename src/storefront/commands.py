@@ -47,15 +47,9 @@ class ParseContext:
 # --- argument declarations ----------------------------------------------------
 # The args of a command or a query are the ``Fields`` of one object; an input
 # file is one declaration (see ``INPUT_FILES``). A value is declared as ``str``,
-# ``bool``, ``int``, ``Money``, ``Quantity``, an enum class, ``Id``, ``list[X]``,
-# ``dict[Id(kind) or str, X]``, ``Fields``, ``EDIT``, ``JSON_OBJECT`` or ``JSON_VALUE``.
-
-
-class Id:
-    """An entity id of one of ``kinds``: an ``EntityId`` or its text."""
-
-    def __init__(self, *kinds: str):
-        self.kinds = kinds
+# ``bool``, ``int``, ``Money``, ``Quantity``, an enum class, ``Ref(kind, ...)``
+# (an ``EntityId`` or its text), ``list[X]``, ``dict[Ref(kind) or str, X]``,
+# ``Fields``, ``EDIT``, ``JSON_OBJECT`` or ``JSON_VALUE``.
 
 
 @dataclass(eq=False)
@@ -69,10 +63,10 @@ class Fields:
     into: type | None = None
 
 
-ORDER_LINE = Fields({"product": Id("product"), "qty": Quantity}, into=tuple)
-SHIPPED_ITEM = Fields({"product": Id("product"), "qty": Quantity,
-                       "substituted_for": Id("product")}, {"substituted_for"}, ShippedItem)
-INVOICE_ITEM = Fields({"description": str, "product": Id("product"), "quantity": Quantity,
+ORDER_LINE = Fields({"product": Ref("product"), "qty": Quantity}, into=tuple)
+SHIPPED_ITEM = Fields({"product": Ref("product"), "qty": Quantity,
+                       "substituted_for": Ref("product")}, {"substituted_for"}, ShippedItem)
+INVOICE_ITEM = Fields({"description": str, "product": Ref("product"), "quantity": Quantity,
                        "unit_price": Money}, {"product"}, InvoiceItem)
 EDIT = "edit"  # {"add": INVOICE_ITEM, quantity at least 1} or {"delete": description}
 JSON_OBJECT = "json object"  # any object, kept as it is
@@ -100,9 +94,9 @@ _TEMPLATES = {
                "    if {v}.__class__ is not int or {v} < 0: {v} = _qty({v})\n"
                "    else: {v}_q = _new(Quantity); _set({v}_q, 'value', {v}); {v} = {v}_q",
                "{v}.value"),
-    Id: ("if {v}.__class__ is not EntityId: {v} = ({v}.__class__ is str and ids_get({v})) "
-         "or ({v} if isinstance({v}, EntityId) else parse_id({v}))\n"
-         "if {v}.kind not in {kinds!r}: _wrong({v}._text, {expected!r})", "{v}._text"),
+    Ref: ("if {v}.__class__ is not EntityId: {v} = ({v}.__class__ is str and ids_get({v})) "
+          "or ({v} if isinstance({v}, EntityId) else parse_id({v}))\n"
+          "if {v}.kind not in {kinds!r}: _wrong({v}._text, {expected!r})", "{v}._text"),
     Enum: ("if {v}.__class__ is not {cls}: {v} = {get}({v}) or _enum({cls}, {v}) "
            "if {v}.__class__ is str else _enum({cls}, {v})", "{v}._value_"),
     JSON_OBJECT: ("if not isinstance({v}, dict): _wrong({v}, 'object')", "{v}"),
@@ -221,9 +215,9 @@ class _ParserSource:
             template, fill = _TEMPLATES[Enum], {
                 "cls": self.name(decl, decl.__name__),
                 "get": self.name({member.value: member for member in decl}.get, "values")}
-        elif isinstance(decl, Id):
-            template = _TEMPLATES[Id]
-            fill = {"kinds": decl.kinds, "expected": f"{' or '.join(decl.kinds)} id"}
+        elif (ref := Ref.of(decl)) is not None:
+            template = _TEMPLATES[Ref]
+            fill = {"kinds": ref.kinds, "expected": f"{' or '.join(ref.kinds)} id"}
         elif decl in _TEMPLATES:
             template, fill = _TEMPLATES[decl], {}
         else:
@@ -243,7 +237,7 @@ class _ParserSource:
                      f"    {parsed}.append({w})",
                      *self.also(f"    {payload}.append({item_payload})"), f"{v} = {parsed}"],
                     payload)
-        if origin is dict and (isinstance(args[0], Id) or args[0] is str):
+        if origin is dict and (Ref.of(args[0]) is not None or args[0] is str):
             key, key_payload = self.lines(args[0], k)
             value, value_payload = self.lines(args[1], w)
             return ([f"if not isinstance({v}, dict): _wrong({v}, 'object')",
@@ -345,7 +339,7 @@ def _foreign(name: str, schema: Fields, arg: str) -> str:
     """The condition, on ``state``, ``args`` and ``actor``, that the target
     the owner arg ``arg`` names is not the actor's own. An arg that resolves
     to no single owner raises ``TypeError``."""
-    kinds = getattr(schema.fields.get(arg), "kinds", ())
+    kinds = getattr(Ref.of(schema.fields.get(arg)), "kinds", ())
     if kinds == ("customer",):
         return f"args[{arg!r}] is not actor"
     store = KIND_TO_STORE.get(kinds[0]) if len(kinds) == 1 else None
@@ -562,98 +556,98 @@ COMMANDS = {spec.name: spec for spec in [
 
     # catalog
     _spec("add_product", "product",
-          {"catalog": Id("catalog"), "name": str, "price": Money, "status": ProductStatus},
+          {"catalog": Ref("catalog"), "name": str, "price": Money, "status": ProductStatus},
           catalog.add_product, "product"),
     _spec("set_product_info", "product",
-          {"product": Id("product"), "description": str, "comparison_notes": str},
+          {"product": Ref("product"), "description": str, "comparison_notes": str},
           catalog.set_product_info, optional={"comparison_notes"}),
     _spec("update_product", "product",
-          {"product": Id("product"),
+          {"product": Ref("product"),
            "changes": Fields({"name": str, "price": Money, "status": ProductStatus},
                              {"name", "price", "status"})},
           catalog.update_product, "notifications"),
-    _spec("link_similar", "product", {"a": Id("product"), "b": Id("product")},
+    _spec("link_similar", "product", {"a": Ref("product"), "b": Ref("product")},
           catalog.link_similar),
-    _spec("subscribe", "product", {"customer": Id("customer"), "product": Id("product")},
+    _spec("subscribe", "product", {"customer": Ref("customer"), "product": Ref("product")},
           catalog.subscribe, owner="customer"),
     _spec("search", "catalog",
-          {"catalog": Id("catalog"), "name_substring": str, "status": ProductStatus,
+          {"catalog": Ref("catalog"), "name_substring": str, "status": ProductStatus,
            "max_price": Money},
           catalog.search, "products", optional={"name_substring", "status", "max_price"}),
 
     # shopping cart
-    _spec("create_cart", "cart", {"customer": Id("customer")},
+    _spec("create_cart", "cart", {"customer": Ref("customer")},
           shopping_cart.create_cart, "cart", owner="customer"),
-    _spec("add_item", "cart", {"cart": Id("cart"), "product": Id("product"), "qty": Quantity},
+    _spec("add_item", "cart", {"cart": Ref("cart"), "product": Ref("product"), "qty": Quantity},
           shopping_cart.add_item, owner="cart"),
-    _spec("remove_item", "cart", {"cart": Id("cart"), "product": Id("product")},
+    _spec("remove_item", "cart", {"cart": Ref("cart"), "product": Ref("product")},
           shopping_cart.remove_item, owner="cart"),
-    _spec("cart_total", "cart", {"cart": Id("cart")},
+    _spec("cart_total", "cart", {"cart": Ref("cart")},
           shopping_cart.cart_total, "total", owner="cart"),
-    _spec("checkout", "cart", {"cart": Id("cart")},
+    _spec("checkout", "cart", {"cart": Ref("cart")},
           shopping_cart.checkout, "order", "invoice", owner="cart"),
 
     # invoice
     _spec("create_invoice", "invoice",
-          {"creator": Id("employee", "system"), "customer": Id("customer")},
+          {"creator": Ref("employee", "system"), "customer": Ref("customer")},
           invoice.create_invoice, "invoice"),
     _spec("prepare_invoice", "invoice",
-          {"invoice": Id("invoice"), "edits": list[EDIT], "policies": list[str]},
+          {"invoice": Ref("invoice"), "edits": list[EDIT], "policies": list[str]},
           invoice.prepare_invoice, "total", optional={"edits", "policies"}),
     _spec("validate_invoice", "invoice",
-          {"validator": Id("employee"), "invoice": Id("invoice"), "rules": list[str]},
+          {"validator": Ref("employee"), "invoice": Ref("invoice"), "rules": list[str]},
           invoice.validate_invoice, "verdict", "reasons", optional={"rules"}),
     _spec("record_payment", "payment",
-          {"customer": Id("customer"), "invoice": Id("invoice"), "amount": Money,
+          {"customer": Ref("customer"), "invoice": Ref("invoice"), "amount": Money,
            "method": PaymentMethod},
           invoice.record_payment, "payment", owner="invoice"),
     _spec("validate_payment", "payment",
-          {"validator": Id("employee"), "payment": Id("payment"), "rules": list[str]},
+          {"validator": Ref("employee"), "payment": Ref("payment"), "rules": list[str]},
           invoice.validate_payment, "verdict", "reasons", optional={"rules"}),
-    _spec("invoice_balance", "invoice", {"invoice": Id("invoice")},
+    _spec("invoice_balance", "invoice", {"invoice": Ref("invoice")},
           invoice.invoice_balance, "balance", owner="invoice"),
 
     # order and shipment
-    _spec("place_order", "order", {"customer": Id("customer"), "lines": list[ORDER_LINE]},
+    _spec("place_order", "order", {"customer": Ref("customer"), "lines": list[ORDER_LINE]},
           order_shipment.place_order, "order", owner="customer"),
-    _spec("cancel_order", "order", {"order": Id("order")},
+    _spec("cancel_order", "order", {"order": Ref("order")},
           order_shipment.cancel_order, owner="order"),
     _spec("create_shipment", "shipment",
-          {"order": Id("order"), "items": list[SHIPPED_ITEM], "receiver": Id("customer")},
+          {"order": Ref("order"), "items": list[SHIPPED_ITEM], "receiver": Ref("customer")},
           order_shipment.create_shipment, "shipment", "invoice"),
     _spec("record_receipt", "shipment",
-          {"shipment": Id("shipment"), "receiver": Id("customer")},
+          {"shipment": Ref("shipment"), "receiver": Ref("customer")},
           order_shipment.record_receipt, owner="shipment"),
 
     # stock manager
     _spec("create_stockroom", "stockroom", {"name": str},
           stock_manager.create_stockroom, "stockroom"),
     _spec("create_stock_item", "stock_item",
-          {"name": str, "kind": StockKind, "product_link": Id("product")},
+          {"name": str, "kind": StockKind, "product_link": Ref("product")},
           stock_manager.create_stock_item, "stock_item", optional={"product_link"}),
     _spec("add_to_stock", "stock_item",
-          {"item": Id("stock_item"), "qty": Quantity,
-           "allocation": dict[Id("stockroom"), int]},
+          {"item": Ref("stock_item"), "qty": Quantity,
+           "allocation": dict[Ref("stockroom"), int]},
           stock_manager.add_to_stock, "policy", optional={"allocation"}),
     _spec("remove_from_stock", "stock_item",
-          {"item": Id("stock_item"), "qty": Quantity, "room": Id("stockroom")},
+          {"item": Ref("stock_item"), "qty": Quantity, "room": Ref("stockroom")},
           stock_manager.remove_from_stock, optional={"room"}),
     _spec("transfer", "stock_item",
-          {"item": Id("stock_item"), "qty": Quantity, "from_room": Id("stockroom"),
-           "to_room": Id("stockroom")},
+          {"item": Ref("stock_item"), "qty": Quantity, "from_room": Ref("stockroom"),
+           "to_room": Ref("stockroom")},
           stock_manager.transfer),
     _spec("create_shop_order", "shop_order",
-          {"product": Id("stock_item"), "output_qty": int,
-           "bill_of_materials": dict[Id("stock_item"), Quantity]},
+          {"product": Ref("stock_item"), "output_qty": int,
+           "bill_of_materials": dict[Ref("stock_item"), Quantity]},
           stock_manager.create_shop_order, "shop_order"),
-    _spec("cut_shop_order", "shop_order", {"order": Id("shop_order")},
+    _spec("cut_shop_order", "shop_order", {"order": Ref("shop_order")},
           stock_manager.cut_shop_order),
     _spec("pick_components", "shop_order",
-          {"order": Id("shop_order"),
-           "room_drains": dict[Id("stock_item"), dict[Id("stockroom"), Quantity]]},
+          {"order": Ref("shop_order"),
+           "room_drains": dict[Ref("stock_item"), dict[Ref("stockroom"), Quantity]]},
           stock_manager.pick_components, optional={"room_drains"}),
     _spec("finish_fabrication", "shop_order",
-          {"order": Id("shop_order"), "room": Id("stockroom")},
+          {"order": Ref("shop_order"), "room": Ref("stockroom")},
           stock_manager.finish_fabrication),
 ]}
 
@@ -681,7 +675,7 @@ INPUT_FILES = {
     "access config": Fields({
         "roles": list[Fields({"name": str, "rights": list[list[str]], "owner_only": bool},
                              {"rights", "owner_only"})],
-        "assignments": list[Fields({"user": Id("customer", "employee"), "roles": list[str]})],
+        "assignments": list[Fields({"user": Ref("customer", "employee"), "roles": list[str]})],
     }, {"roles", "assignments"}),
     "policy config": Fields({
         "billing_policies": list[Fields(

@@ -233,8 +233,8 @@ SYSTEM = EntityId("system", 0)
 
 
 class Ref:
-    """An entity field holding the id of an entity of one of ``kinds``, as
-    ``Id(kind, ...)`` declares a command's arg: ``Ref(kind, ...)`` is the
+    """The id of an entity of one of ``kinds``, as an entity field and a
+    command's or a query's arg declare it: ``Ref(kind, ...)`` is the
     annotation ``Annotated[EntityId, ref]``, an ``EntityId`` to the codec, and
     one per ``kinds``, so typing's caches keep one. The kind ``system`` admits
     ``SYSTEM``, which no store holds."""

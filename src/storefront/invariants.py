@@ -72,24 +72,29 @@ def _per_line(quantities: dict) -> str:
 
 
 def _reference_lines(cls: type, x: str, depth: int = 1) -> list[str]:
-    """Lines that flag each id in a ``Ref`` field of ``x``, a ``cls`` record,
-    or of a record ``x`` lists, that no store of a kind the ``Ref`` declares
+    """Lines that flag each id that no store of a kind its ``Ref`` declares
     holds, unless it is a ``system`` id the ``Ref`` admits: an id of another
-    kind is flagged even where its own kind's store holds it."""
+    kind is flagged even where its own kind's store holds it. The ids are
+    those of ``x``, a ``cls`` record: a ``Ref`` field, or ``Ref | None``; each
+    element of a ``set`` or ``list`` of ``Ref``, each key of a ``dict`` keyed
+    by ``Ref``; and those of a record it holds or lists, at any depth."""
     lines = []
     for name, hint in typing.get_type_hints(cls, include_extras=True).items():
-        ref, args = Ref.of(hint), typing.get_args(hint)
-        if ref is not None:
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        each = origin in (set, list, dict) and Ref.of(args[0])  # a Ref per element or key
+        ref = each or Ref.of(hint)
+        if ref:
             tests = [f"v not in {KIND_TO_STORE[kind]}" if kind != SYSTEM.kind
                      else f"v.kind != {kind!r}" for kind in ref.kinds]
             if optional_of(hint) is not None:
                 tests.insert(0, "v is not None")
-            lines += [f"v = {x}.{name}",
-                      f"if {' and '.join(tests)}:",
-                      "    flag('referential-integrity', holder,"
-                      " f'reference {v} does not resolve')"]
-        elif typing.get_origin(hint) is list and isinstance(args[0], type) \
-                and issubclass(args[0], Record):
+            flag = [f"if {' and '.join(tests)}:",
+                    "    flag('referential-integrity', holder, f'reference {v} does not resolve')"]
+            lines += ([f"for v in {x}.{name}:", *("    " + line for line in flag)] if each
+                      else [f"v = {x}.{name}", *flag])
+        elif isinstance(hint, type) and issubclass(hint, Record):
+            lines += _reference_lines(hint, f"{x}.{name}", depth)
+        elif origin is list and isinstance(args[0], type) and issubclass(args[0], Record):
             inside = _reference_lines(args[0], f"r{depth}", depth + 1)
             if inside:
                 lines += [f"for r{depth} in {x}.{name}:", *("    " + line for line in inside)]
@@ -140,28 +145,16 @@ class _Checker:
     def check_catalog_references(self):
         name = "catalog-references"
         stores = self.state.stores
-        products, customers = stores["products"], stores["customers"]
-        catalogs = stores["catalogs"]
         # the lowest-id stock item linked to each product, recomputed
         first_item: dict = {}
         for item_id, item in stores["stock_items"].items():
             link = item.product_link
             if link is not None and (link not in first_item or item_id < first_item[link]):
                 first_item[link] = item_id
-        for pid, product in products.items():
-            if product.catalog not in catalogs:
-                self.flag(name, pid, f"catalog {product.catalog} does not resolve")
-            for customer in product.subscribers:
-                if customer not in customers:
-                    self.flag(name, pid, f"subscriber {customer} does not resolve")
+        for pid, product in stores["products"].items():
             if product.stock_item != first_item.get(pid):
                 self.flag(name, pid, f"stored stock item {product.stock_item}, "
                                      f"first linked item {first_item.get(pid)}")
-        for nid, note in stores["notifications"].items():
-            if note.customer not in customers:
-                self.flag(name, nid, f"customer {note.customer} does not resolve")
-            if note.product not in products:
-                self.flag(name, nid, f"product {note.product} does not resolve")
 
     def check_product_similarity(self):
         name = "product-similarity"
@@ -173,9 +166,7 @@ class _Checker:
                 self.flag(name, pid, f"negative price {product.price.amount}")
             for other_id in product.similar:
                 other = products.get(other_id)
-                if other is None:
-                    self.flag(name, pid, f"similar product {other_id} does not resolve")
-                elif pid not in other.similar:
+                if other is not None and pid not in other.similar:
                     self.flag(name, pid, f"link to {other_id} is not symmetric")
 
     # -- carts and checkout ----------------------------------------------
@@ -275,9 +266,6 @@ class _Checker:
             foreign = payment.amount.currency != currency
             if foreign:
                 self.flag(name, pid, f"amount in {payment.amount.currency}, not {currency}")
-            if payment.invoice not in invoices:
-                self.flag(name, pid, f"invoice {payment.invoice} does not resolve")
-                continue
             if payment.state is accepted_state and not foreign:
                 accepted[payment.invoice] = accepted.get(payment.invoice, 0) + amount
         for iid, inv in invoices.items():
@@ -313,7 +301,6 @@ class _Checker:
         for sid, shipment in self.state.stores["shipments"].items():
             order = orders.get(shipment.order)
             if order is None:
-                self.flag(name, sid, f"order {shipment.order} does not resolve")
                 continue
             if order.state is cancelled:
                 self.flag(name, sid, "shipment against a cancelled order")
@@ -358,7 +345,7 @@ class _Checker:
             if inv.source_shipment is not None:
                 by_shipment.setdefault(inv.source_shipment, []).append(inv)
         for sid, shipment in self.state.stores["shipments"].items():
-            invoices = by_shipment.pop(sid, [])
+            invoices = by_shipment.get(sid, [])
             if len(invoices) != 1:
                 self.flag(name, sid, f"{len(invoices)} invoices for one shipment")
                 continue
@@ -385,14 +372,11 @@ class _Checker:
                                 prices.get(ship.charged_line(), -1)) for ship in shipped)
             if _item_keys(items) != expected:
                 self.flag(name, sid, "invoice items do not match shipped items")
-        for sid, invoices in sorted(by_shipment.items()):
-            self.flag(name, sid, "invoice references a missing shipment")
 
     # -- stock ---------------------------------------------------------------
 
     def check_stock_conservation(self):
         name = "stock-conservation"
-        stockrooms = self.state.stores["stockrooms"]
         for item_id, item in self.state.stores["stock_items"].items():
             inv = item.inventory
             local_sum = sum(inv.by_room.values())
@@ -405,8 +389,6 @@ class _Checker:
             for room_id, qty in inv.by_room.items():
                 if qty < 0:
                     self.flag(name, item_id, f"room {room_id} holds {qty}")
-                if room_id not in stockrooms:
-                    self.flag(name, item_id, f"room {room_id} does not resolve")
 
     def check_shop_orders(self):
         name = "shop-order-structure"
@@ -414,7 +396,7 @@ class _Checker:
         product_kind, component_kind = StockKind.PRODUCT, StockKind.COMPONENT
         for oid, order in self.state.stores["shop_orders"].items():
             product = stock_items.get(order.product)
-            if product is None or product.kind is not product_kind:
+            if product is not None and product.kind is not product_kind:
                 self.flag(name, oid, f"output item {order.product} is not a product")
             if order.output_qty < 1:
                 self.flag(name, oid, f"output quantity {order.output_qty} < 1")
@@ -423,7 +405,7 @@ class _Checker:
                 self.flag(name, oid, "empty bill of materials")
             for component_id, qty in bill.items():
                 component = stock_items.get(component_id)
-                if component is None or component.kind is not component_kind:
+                if component is not None and component.kind is not component_kind:
                     self.flag(name, oid, f"{component_id} is not a component")
                 if qty < 1:
                     self.flag(name, oid, f"bill quantity {qty} < 1 for {component_id}")

@@ -123,7 +123,7 @@ class Invoice(Record):
     adjustments: list[tuple[str, Money]] = field(default_factory=list)
     # provenance back-references for cross-subsystem audits
     source_cart: Ref("cart") | None = None
-    source_shipment: EntityId | None = None
+    source_shipment: Ref("shipment") | None = None
     # sum of accepted payments, in minor units of the engine currency
     accepted: int = 0
 
@@ -140,7 +140,7 @@ class Invoice(Record):
 @dataclass
 class Payment(Record):
     id: EntityId
-    invoice: EntityId
+    invoice: Ref("invoice")
     customer: Ref("customer")
     amount: Money
     method: PaymentMethod

@@ -99,7 +99,7 @@ class ShippedItem(Record):
 @dataclass
 class Shipment(Record):
     id: EntityId
-    order: EntityId
+    order: Ref("order")
     items: list[ShippedItem]
     receiver: Ref("customer")
     invoice: Ref("invoice")

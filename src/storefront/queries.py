@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass
 
 from . import catalog, invoice, order_shipment, shopping_cart
-from .commands import COMMANDS, Fields, Id, compile_parser
-from .foundation import SchemaError
+from .commands import COMMANDS, Fields, compile_parser
+from .foundation import Ref, SchemaError
 from .state import KIND_TO_STORE
 
 
@@ -99,7 +99,7 @@ def _by_id(name: str, arg: str, kind: str, answer) -> Query:
     """A query that answers ``answer(engine, entity)`` from the entity its
     one arg names, or raises its store's ``MISSING`` error."""
     store = KIND_TO_STORE[kind]
-    return Query(name, Fields({arg: Id(kind)}),
+    return Query(name, Fields({arg: Ref(kind)}),
                  lambda engine, args: answer(engine, engine.state.need(store, args[arg])))
 
 
@@ -130,7 +130,7 @@ QUERIES = {query.name: query for query in [
         engine, catalog.new_products(engine.state, cat.id))),
     Query("search_products", COMMANDS["search"].schema, q_search_products),
     Query("notification_count",
-          Fields({"product": Id("product"), "customer": Id("customer")},
+          Fields({"product": Ref("product"), "customer": Ref("customer")},
                  {"product", "customer"}),
           q_notification_count),
     _by_id("notified_customers", "product", "product", q_notified_customers),

@@ -80,7 +80,7 @@ class Inventory(Record):
 
     on_hand: int = 0
     reserved: int = 0
-    by_room: dict[EntityId, int] = field(default_factory=dict)
+    by_room: dict[Ref("stockroom"), int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.on_hand < 0 or self.reserved < 0 or any(q < 0 for q in self.by_room.values()):
@@ -121,9 +121,9 @@ class ShopOrder(Record):
     """A work order: which components, in what amounts, make how many units."""
 
     id: EntityId
-    product: EntityId
+    product: Ref("stock_item")
     output_qty: int
-    bill_of_materials: dict[EntityId, int]
+    bill_of_materials: dict[Ref("stock_item"), int]
     stage: ShopOrderStage = ShopOrderStage.CREATED
 
     def need(self, component_id: EntityId) -> int:
@@ -166,10 +166,6 @@ def item_for_product(state, product_id: EntityId):
     return state.stores["stock_items"][product.stock_item]
 
 
-def _rooms_ascending(state) -> list[EntityId]:
-    return sorted(state.stores["stockrooms"])
-
-
 def add_to_stock(txn, item_id: EntityId, qty: Quantity,
                  allocation: dict[EntityId, int] | None = None,
                  add_policy: str = "first-room") -> str | None:
@@ -193,12 +189,13 @@ def add_to_stock(txn, item_id: EntityId, qty: Quantity,
                 f"allocation sums to {sum(allocation.values())}, expected {amount}")
         placement = allocation
     else:
-        rooms = _rooms_ascending(txn.state)
+        rooms = txn.state.stores["stockrooms"]
         if not rooms:
             raise UnknownRoom("no stockrooms exist to receive stock")
         if add_policy == "first-room":
-            placement = {rooms[0]: amount}
+            placement = {min(rooms): amount}
         else:
+            rooms = sorted(rooms)
             base, remainder = divmod(amount, len(rooms))
             placement = {room: base + (1 if index < remainder else 0)
                          for index, room in enumerate(rooms)}

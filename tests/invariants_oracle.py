@@ -71,28 +71,16 @@ class _Checker:
     def check_catalog_references(self):
         name = "catalog-references"
         stores = self.state.stores
-        products, customers = stores["products"], stores["customers"]
-        catalogs = stores["catalogs"]
         # the lowest-id stock item linked to each product, recomputed
         first_item: dict = {}
         for item_id, item in stores["stock_items"].items():
             link = item.product_link
             if link is not None and (link not in first_item or item_id < first_item[link]):
                 first_item[link] = item_id
-        for pid, product in products.items():
-            if product.catalog not in catalogs:
-                self.flag(name, pid, f"catalog {product.catalog} does not resolve")
-            for customer in product.subscribers:
-                if customer not in customers:
-                    self.flag(name, pid, f"subscriber {customer} does not resolve")
+        for pid, product in stores["products"].items():
             if product.stock_item != first_item.get(pid):
                 self.flag(name, pid, f"stored stock item {product.stock_item}, "
                                      f"first linked item {first_item.get(pid)}")
-        for nid, note in stores["notifications"].items():
-            if note.customer not in customers:
-                self.flag(name, nid, f"customer {note.customer} does not resolve")
-            if note.product not in products:
-                self.flag(name, nid, f"product {note.product} does not resolve")
 
     def check_product_similarity(self):
         name = "product-similarity"
@@ -104,9 +92,7 @@ class _Checker:
                 self.flag(name, pid, f"negative price {product.price.amount}")
             for other_id in product.similar:
                 other = products.get(other_id)
-                if other is None:
-                    self.flag(name, pid, f"similar product {other_id} does not resolve")
-                elif pid not in other.similar:
+                if other is not None and pid not in other.similar:
                     self.flag(name, pid, f"link to {other_id} is not symmetric")
 
     # -- carts and checkout ----------------------------------------------
@@ -203,9 +189,6 @@ class _Checker:
             foreign = payment.amount.currency != currency
             if foreign:
                 self.flag(name, pid, f"amount in {payment.amount.currency}, not {currency}")
-            if payment.invoice not in invoices:
-                self.flag(name, pid, f"invoice {payment.invoice} does not resolve")
-                continue
             if payment.state is accepted_state and not foreign:
                 accepted[payment.invoice] = accepted.get(payment.invoice, 0) + amount
         for iid, inv in invoices.items():
@@ -242,7 +225,6 @@ class _Checker:
         for sid, shipment in self.state.stores["shipments"].items():
             order = orders.get(shipment.order)
             if order is None:
-                self.flag(name, sid, f"order {shipment.order} does not resolve")
                 continue
             if order.state is cancelled:
                 self.flag(name, sid, "shipment against a cancelled order")
@@ -306,14 +288,11 @@ class _Checker:
                 expected.append((item.product, item.quantity.value, price))
             if not _same_multiset(_item_keys(inv.items), expected):
                 self.flag(name, sid, "invoice items do not match shipped items")
-        for sid, invoices in sorted(by_shipment.items()):
-            self.flag(name, sid, "invoice references a missing shipment")
 
     # -- stock ---------------------------------------------------------------
 
     def check_stock_conservation(self):
         name = "stock-conservation"
-        stockrooms = self.state.stores["stockrooms"]
         for item_id, item in self.state.stores["stock_items"].items():
             inv = item.inventory
             local_sum = sum(inv.by_room.values())
@@ -326,8 +305,6 @@ class _Checker:
             for room_id, qty in inv.by_room.items():
                 if qty < 0:
                     self.flag(name, item_id, f"room {room_id} holds {qty}")
-                if room_id not in stockrooms:
-                    self.flag(name, item_id, f"room {room_id} does not resolve")
 
     def check_shop_orders(self):
         name = "shop-order-structure"
@@ -335,7 +312,7 @@ class _Checker:
         product_kind, component_kind = StockKind.PRODUCT, StockKind.COMPONENT
         for oid, order in self.state.stores["shop_orders"].items():
             product = stock_items.get(order.product)
-            if product is None or product.kind is not product_kind:
+            if product is not None and product.kind is not product_kind:
                 self.flag(name, oid, f"output item {order.product} is not a product")
             if order.output_qty < 1:
                 self.flag(name, oid, f"output quantity {order.output_qty} < 1")
@@ -344,7 +321,7 @@ class _Checker:
                 self.flag(name, oid, "empty bill of materials")
             for component_id, qty in bill.items():
                 component = stock_items.get(component_id)
-                if component is None or component.kind is not component_kind:
+                if component is not None and component.kind is not component_kind:
                     self.flag(name, oid, f"{component_id} is not a component")
                 if qty < 1:
                     self.flag(name, oid, f"bill quantity {qty} < 1 for {component_id}")
@@ -357,6 +334,12 @@ class _Checker:
         name = "referential-integrity"
         stores = self.state.stores
         refs = []  # (holder, target, the store of the declared kind)
+        for pid, product in stores["products"].items():
+            refs.append((pid, product.catalog, "catalogs"))
+            refs.extend((pid, other, "products") for other in product.similar)
+            refs.extend((pid, customer, "customers") for customer in product.subscribers)
+        for nid, note in stores["notifications"].items():
+            refs.extend([(nid, note.customer, "customers"), (nid, note.product, "products")])
         for cid, cart in stores["carts"].items():
             refs.append((cid, cart.customer, "customers"))
             refs.extend((cid, item.product, "products") for item in cart.items)
@@ -366,7 +349,7 @@ class _Checker:
             if order.source_cart is not None:
                 refs.append((oid, order.source_cart, "carts"))
         for sid, shipment in stores["shipments"].items():
-            refs.extend([(sid, shipment.receiver, "customers"),
+            refs.extend([(sid, shipment.order, "orders"), (sid, shipment.receiver, "customers"),
                          (sid, shipment.invoice, "invoices")])
             refs.extend((sid, item.product, "products") for item in shipment.items)
         for iid, inv in stores["invoices"].items():
@@ -379,13 +362,19 @@ class _Checker:
                 refs.append((iid, inv.validated_by, "employees"))
             if inv.source_cart is not None:
                 refs.append((iid, inv.source_cart, "carts"))
+            if inv.source_shipment is not None:
+                refs.append((iid, inv.source_shipment, "shipments"))
         for pid, payment in stores["payments"].items():
-            refs.append((pid, payment.customer, "customers"))
+            refs.extend([(pid, payment.invoice, "invoices"), (pid, payment.customer, "customers")])
             if payment.validated_by is not None and payment.validated_by.kind != "system":
                 refs.append((pid, payment.validated_by, "employees"))
         for item_id, item in stores["stock_items"].items():
             if item.product_link is not None:
                 refs.append((item_id, item.product_link, "products"))
+            refs.extend((item_id, room, "stockrooms") for room in item.inventory.by_room)
+        for oid, order in stores["shop_orders"].items():
+            refs.append((oid, order.product, "stock_items"))
+            refs.extend((oid, component, "stock_items") for component in order.bill_of_materials)
         for holder, target, store in refs:
             if target not in stores[store]:
                 self.flag(name, holder, f"reference {target} does not resolve")

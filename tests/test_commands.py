@@ -14,7 +14,8 @@ import pytest
 from parse_oracle import input_form
 from storefront import SYSTEM, Engine, EntityId, Money, Quantity, permissive_matrix
 from storefront.catalog import ProductStatus
-from storefront.commands import COMMANDS, Id, ParseContext, _spec, canonical_payload, parse_args
+from storefront.commands import COMMANDS, ParseContext, _spec, canonical_payload, parse_args
+from storefront.foundation import Ref
 from storefront.invoice import PaymentMethod
 from storefront.stock_manager import StockKind
 
@@ -184,7 +185,7 @@ def op_count(txn, name: str) -> int:
 @pytest.mark.parametrize("args, fn, keys, optional, named", [
     ({"name": str, "extra": int}, op_name, ("id",), set(), "'extra'"),  # dropped arg
     ({}, op_room, (), set(), "'room_id'"),  # no arg at all
-    ({"room": Id("stockroom")}, op_room, (), {"room"}, "'room_id'"),  # optional, no default
+    ({"room": Ref("stockroom")}, op_room, (), {"room"}, "'room_id'"),  # optional, no default
     ({"name": str}, op_count, ("count",), set(), "int"),  # no result encoding
     ({"name": str}, op_name, (), set(), "EntityId"),  # one result, no key
 ])
@@ -205,6 +206,6 @@ def op_named_room(txn, room_id: EntityId, name: str, validator_id: EntityId) -> 
     "absent",  # no arg
 ])
 def test_an_owner_arg_that_resolves_to_no_owner_is_a_type_error(owner):
-    args = {"room": Id("stockroom"), "name": str, "validator": Id("employee", "system")}
+    args = {"room": Ref("stockroom"), "name": str, "validator": Ref("employee", "system")}
     with pytest.raises(TypeError, match=f"^demo: owner arg '{owner}'"):
         _spec("demo", "stockroom", args, op_named_room, owner=owner)

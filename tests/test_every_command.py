@@ -10,7 +10,8 @@ import pytest
 
 import log_v2_oracle
 from storefront import SYSTEM, DomainError, read_log
-from storefront.commands import COMMANDS, Id
+from storefront.commands import COMMANDS
+from storefront.foundation import Ref
 from storefront.queries import QUERIES
 
 from conftest import fresh_engine
@@ -154,9 +155,9 @@ OTHER_CODE = {("record_payment", "customer"): "WrongCustomer",
               ("remove_item", "product"): "ItemNotInCart"}
 # (command, the index in STEPS of its first step that gives the arg, arg, kind)
 ID_ARGS = sorted({(command, min(index for index, (name, args) in enumerate(STEPS)
-                                if name == command and arg in args), arg, decl.kinds[0])
+                                if name == command and arg in args), arg, Ref.of(decl).kinds[0])
                   for command, spec in COMMANDS.items()
-                  for arg, decl in spec.schema.fields.items() if isinstance(decl, Id)})
+                  for arg, decl in spec.schema.fields.items() if Ref.of(decl)})
 
 
 @pytest.mark.parametrize("command, step, arg, kind", ID_ARGS,
@@ -176,9 +177,9 @@ def test_a_command_arg_naming_no_stored_entity_gives_its_code(command, step, arg
     assert (record.outcome, record.error, record.deltas) == ("error", code, [])
 
 
-QUERY_ID_ARGS = [(name, arg, decl.kinds[0]) for name, query in sorted(QUERIES.items())
+QUERY_ID_ARGS = [(name, arg, Ref.of(decl).kinds[0]) for name, query in sorted(QUERIES.items())
                  for arg, decl in query.schema.fields.items()
-                 if isinstance(decl, Id) and arg not in query.schema.optional]
+                 if Ref.of(decl) and arg not in query.schema.optional]
 
 
 @pytest.mark.parametrize("query, arg, kind", QUERY_ID_ARGS,

@@ -157,7 +157,8 @@ def test_session_commands_walk_no_growing_store():
 # ROADMAP item 2 plans name indexes for the first two, which scan every room or
 # item for a duplicate name (``stock_manager.create_stockroom``, ``create_stock_item``).
 # ``search`` filters every product of every catalog (``catalog.search``), and
-# ``add_to_stock`` with no allocation sorts every room (``_rooms_ascending``).
+# ``add_to_stock`` with no allocation finds the lowest-id room (``first-room``)
+# or sorts every room (``round-robin``).
 STORE_WALKERS = {"create_stockroom": {"stockrooms"}, "create_stock_item": {"stock_items"},
                  "search": {"products"}, "add_to_stock": {"stockrooms"}}
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import invariants_oracle
-from helpers import bench_engines, new_customer, new_employee, product_id, validated_invoice
+from helpers import (bench_engines, new_customer, new_employee, product_id, stock_item_id,
+                     validated_invoice)
 from storefront import (SYSTEM, EntityId, Money, Quantity, bundled, default_matrix,
                         load_scenario, run_scenario)
 from storefront.foundation import Record, Ref
@@ -411,6 +412,76 @@ def test_the_product_of_an_invoice_item_must_resolve():
     same_as_oracle(engine)
 
 
+def every_reference_engine():
+    """Each entity a reference below is tampered in, at the lowest id of its
+    store: a product with a subscriber and a notification of its change, a
+    shipped order, the shipment's invoice and a payment against it (not
+    validated, so it changes no accepted sum), stock in rooms, and a shop order."""
+    engine = fresh_engine()
+    customer = new_customer(engine)
+    widget = product_id(engine, "WidgetA")
+    engine.execute(customer, "subscribe", customer=customer, product=widget)
+    engine.execute(SYSTEM, "update_product", product=widget, changes={"price": 999})
+    order = engine.execute(customer, "place_order", customer=customer,
+                           lines=[{"product": widget, "qty": 2}])["order"]
+    shipped = engine.execute(SYSTEM, "create_shipment", order=order, receiver=customer,
+                             items=[{"product": widget, "qty": 2}])
+    engine.execute(customer, "record_payment", customer=customer, invoice=shipped["invoice"],
+                   amount=100, method="Card")
+    engine.execute(SYSTEM, "create_shop_order", product=stock_item_id(engine, "WidgetA"),
+                   output_qty=1, bill_of_materials={stock_item_id(engine, "widget-frame"): 2})
+    assert violations(engine) == []
+    return engine
+
+
+def _first_room_elsewhere(item, missing):
+    by_room = dict(item.inventory.by_room)
+    by_room[missing] = by_room.pop(min(by_room))  # the same sum, in a room no store holds
+    return {"inventory": dataclasses.replace(item.inventory, by_room=by_room)}
+
+
+# (the invariant and the text a resolution was reported under before it became
+# a Ref, the store of the entity that holds it, the kind of the id, the change)
+MOVED = [
+    ("catalog-references: catalog {} does not resolve", "products", "catalog",
+     lambda product, missing: {"catalog": missing}),
+    ("catalog-references: subscriber {} does not resolve", "products", "customer",
+     lambda product, missing: {"subscribers": product.subscribers | {missing}}),
+    ("catalog-references: customer {} does not resolve", "notifications", "customer",
+     lambda note, missing: {"customer": missing}),
+    ("catalog-references: product {} does not resolve", "notifications", "product",
+     lambda note, missing: {"product": missing}),
+    ("product-similarity: similar product {} does not resolve", "products", "product",
+     lambda product, missing: {"similar": product.similar | {missing}}),
+    ("payment-conservation: invoice {} does not resolve", "payments", "invoice",
+     lambda payment, missing: {"invoice": missing}),
+    ("shipment-coverage: order {} does not resolve", "shipments", "order",
+     lambda shipment, missing: {"order": missing}),
+    # was flagged on the missing shipment's id, not on the invoice
+    ("shipment-invoice: invoice references a missing shipment", "invoices", "shipment",
+     lambda invoice, missing: {"source_shipment": missing}),
+    ("stock-conservation: room {} does not resolve", "stock_items", "stockroom",
+     _first_room_elsewhere),
+    ("shop-order-structure: output item {} is not a product", "shop_orders", "stock_item",
+     lambda order, missing: {"product": missing}),
+    ("shop-order-structure: {} is not a component", "shop_orders", "stock_item",
+     lambda order, missing: {"bill_of_materials": {**order.bill_of_materials, missing: 1}}),
+]
+
+
+@pytest.mark.parametrize("was, store, kind, change", MOVED, ids=[was for was, *_ in MOVED])
+def test_an_id_that_was_resolved_by_hand_is_a_referential_integrity_violation(
+        was, store, kind, change):
+    engine = every_reference_engine()
+    entities, missing = engine.state.stores[store], EntityId(kind, 999_999)
+    holder = min(entities)
+    entities[holder] = dataclasses.replace(entities[holder], **change(entities[holder], missing))
+    # the only violation that names the id, the holder's: a check that reads
+    # through the reference may still flag what it no longer finds
+    assert [v for v in violations(engine) if str(missing) in v[1] + v[2]] == [
+        ("referential-integrity", str(holder), f"reference {missing} does not resolve")]
+
+
 # -- the checker against its oracle ---------------------------------------------
 
 def same_as_oracle(engine) -> None:
@@ -432,8 +503,20 @@ def test_oracle_agrees_on_short_benchmark_runs(seed):
 
 @pytest.fixture(scope="module")
 def shop_mix():
+    """A shop-mix state, with the notifications of a changed product and the
+    shop orders that the workload does not make."""
     engine = bench_engines(seed=5, scale=0.05)[0]
-    assert engine.state.stores["shipments"] and engine.state.stores["payments"]
+    stores = engine.state.stores
+    subscribed = min(pid for pid, product in stores["products"].items() if product.subscribers)
+    engine.execute(SYSTEM, "update_product", product=subscribed, changes={"price": 1})
+    component = engine.execute(SYSTEM, "create_stock_item", name="part",
+                               kind="Component")["stock_item"]
+    for item in sorted(stores["stock_items"])[:2]:
+        engine.execute(SYSTEM, "create_shop_order", product=item, output_qty=1,
+                       bill_of_materials={component: 2})
+    assert all(stores[name] for name in ("shipments", "payments", "notifications",
+                                         "shop_orders"))
+    assert engine.check_invariants().ok()
     return engine
 
 
@@ -541,12 +624,13 @@ def _drop(data, stores, products):
 
 
 # store -> its fields that hold one id
-_REFERENCES = {"carts": ("customer",), "orders": ("customer", "source_cart"),
+_REFERENCES = {"products": ("catalog",), "notifications": ("customer", "product"),
+               "carts": ("customer",), "orders": ("customer", "source_cart"),
                "shipments": ("order", "receiver", "invoice"),
                "invoices": ("customer", "created_by", "validated_by", "source_cart",
                             "source_shipment"),
                "payments": ("invoice", "customer", "validated_by"),
-               "stock_items": ("product_link",)}
+               "stock_items": ("product_link",), "shop_orders": ("product",)}
 # store -> its field listing records that each hold a product id
 _LINES = {"carts": "items", "orders": "line_items", "shipments": "items", "invoices": "items"}
 
@@ -554,7 +638,7 @@ _LINES = {"carts": "items", "orders": "line_items", "shipments": "items", "invoi
 def _elsewhere(data) -> EntityId:
     """An id no store holds, an id of another kind, or the system actor."""
     kind = data.draw(st.sampled_from(["customer", "cart", "order", "invoice", "employee",
-                                      "product", "ghost"]))
+                                      "product", "stock_item", "stockroom", "ghost"]))
     return data.draw(st.sampled_from([EntityId(kind, 1), EntityId(kind, 10**6), SYSTEM]))
 
 
@@ -578,8 +662,28 @@ def _repoint_line(data, stores, products):
         stores[store][entity_id] = dataclasses.replace(entity, **{_LINES[store]: lines})
 
 
+def _add_member(data, stores, products):
+    """Add an id elsewhere to a product's similar products or subscribers, or
+    as a key to a stock item's rooms or a shop order's bill of materials."""
+    where = data.draw(st.sampled_from(["similar", "subscribers", "by_room", "bill"]))
+    if where in ("similar", "subscribers"):
+        pid, product = _entity(data, stores, "products")
+        stores["products"][pid] = dataclasses.replace(
+            product, **{where: getattr(product, where) | {_elsewhere(data)}})
+    elif where == "by_room":
+        item_id, item = _entity(data, stores, "stock_items")
+        by_room = {**item.inventory.by_room, _elsewhere(data): data.draw(st.integers(0, 5))}
+        stores["stock_items"][item_id] = dataclasses.replace(
+            item, inventory=dataclasses.replace(item.inventory, by_room=by_room))
+    else:
+        oid, order = _entity(data, stores, "shop_orders")
+        bill = {**order.bill_of_materials, _elsewhere(data): data.draw(st.integers(0, 3))}
+        stores["shop_orders"][oid] = dataclasses.replace(order, bill_of_materials=bill)
+
+
 _CORRUPTIONS = [_corrupt_invoice, _corrupt_cart, _corrupt_order, _repeat_shipped_line,
-                _corrupt_shipment, _corrupt_payment, _drop, _repoint, _repoint_line]
+                _corrupt_shipment, _corrupt_payment, _drop, _repoint, _repoint_line,
+                _add_member]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -603,21 +707,10 @@ def test_oracle_agrees_on_drawn_corruptions(shop_mix, data):
 # that is no ``Ref`` (so referential-integrity does not resolve it): the
 # invariant that does, or None, and how
 NOT_A_REF = {
-    "Product.catalog": ("catalog-references", "resolved in catalogs"),
-    "Product.similar": ("product-similarity", "resolved in products"),
-    "Product.subscribers": ("catalog-references", "resolved in customers"),
     "Product.stock_item": ("catalog-references", "equal to the first stock item linked"),
-    "Notification.customer": ("catalog-references", "resolved in customers"),
-    "Notification.product": ("catalog-references", "resolved in products"),
-    "Invoice.source_shipment": ("shipment-invoice", "an invoice of a missing shipment"),
-    "Payment.invoice": ("payment-conservation", "resolved in invoices"),
     "Order.shipped": ("shipment-coverage", "equal to what the shipments hold"),
-    "Shipment.order": ("shipment-coverage", "resolved in orders"),
     "ShippedItem.substituted_for": (None, "shipment-coverage requires a line of the order, "
                                           "never a product that resolves"),
-    "Inventory.by_room": ("stock-conservation", "resolved in stockrooms"),
-    "ShopOrder.product": ("shop-order-structure", "a stock item of the product kind"),
-    "ShopOrder.bill_of_materials": ("shop-order-structure", "stock items of component kind"),
 }
 
 
@@ -626,9 +719,18 @@ def _types_in(hint) -> set:
     return {hint}.union(*map(_types_in, typing.get_args(hint)))
 
 
+def _is_ref(hint) -> bool:
+    """Whether ``hint`` is a ``Ref`` or ``Ref | None``, or a ``set``, ``list``
+    or ``dict`` whose element or key is a ``Ref``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    return Ref.of(hint) is not None or (origin in (set, list, dict)
+                                        and Ref.of(args[0]) is not None)
+
+
 def test_every_reference_field_is_a_ref_or_names_its_check():
     """A field added to the model that holds an id fails here, by name,
-    until it is declared a ``Ref`` or given its entry in ``NOT_A_REF``."""
+    until it is declared a ``Ref`` or given its entry in ``NOT_A_REF``. A
+    record nested in an entity (``StockItem.inventory``) is searched too."""
     refs, others, todo, seen = set(), set(), [cls for _, cls in STORES.values()], set()
     while todo:
         cls = todo.pop()
@@ -640,12 +742,16 @@ def test_every_reference_field_is_a_ref_or_names_its_check():
             types = _types_in(hints[f.name])
             todo += [t for t in types if isinstance(t, type) and issubclass(t, Record)]
             if EntityId in types and f.name != "id":  # an entity's own id keys its store
-                (refs if Ref.of(hints[f.name]) else others).add(f"{cls.__name__}.{f.name}")
+                (refs if _is_ref(hints[f.name]) else others).add(f"{cls.__name__}.{f.name}")
     assert sorted(others - NOT_A_REF.keys()) == [], "declare a Ref, or name its check"
     assert sorted(NOT_A_REF.keys() - others) == []
-    assert refs == {"ShoppingCart.customer", "CartItem.product", "Order.customer",
-                    "Order.source_cart", "Shipment.receiver", "Shipment.invoice",
-                    "ShippedItem.product", "Invoice.customer", "InvoiceItem.product",
-                    "Invoice.created_by",
-                    "Invoice.validated_by", "Invoice.source_cart", "Payment.customer",
-                    "Payment.validated_by", "StockItem.product_link"}
+    assert len(NOT_A_REF) == 3
+    assert refs == {"Product.catalog", "Product.similar", "Product.subscribers",
+                    "Notification.customer", "Notification.product",
+                    "ShoppingCart.customer", "CartItem.product", "Order.customer",
+                    "Order.source_cart", "Shipment.order", "Shipment.receiver",
+                    "Shipment.invoice", "ShippedItem.product", "Invoice.customer",
+                    "InvoiceItem.product", "Invoice.created_by", "Invoice.validated_by",
+                    "Invoice.source_cart", "Invoice.source_shipment", "Payment.invoice",
+                    "Payment.customer", "Payment.validated_by", "StockItem.product_link",
+                    "Inventory.by_room", "ShopOrder.product", "ShopOrder.bill_of_materials"}

@@ -19,9 +19,9 @@ from storefront import (
 )
 from storefront.catalog import ProductStatus
 from storefront.commands import (
-    COMMANDS, EDIT, INVOICE_ITEM, Fields, Id, ParseContext, best_effort, compile_parser,
+    COMMANDS, EDIT, INVOICE_ITEM, Fields, ParseContext, best_effort, compile_parser,
 )
-from storefront.foundation import DomainError, NegativeQuantity, SchemaError
+from storefront.foundation import DomainError, NegativeQuantity, Ref, SchemaError
 from storefront.invoice import RULE_KINDS, Invoice, InvoiceItem, PaymentMethod, RuleBook
 from storefront.order_shipment import ShippedItem
 from storefront.queries import QUERIES
@@ -94,14 +94,14 @@ def right(decl) -> st.SearchStrategy:
     if isinstance(decl, type) and issubclass(decl, Enum):
         return st.one_of(st.sampled_from(list(decl)),
                          st.sampled_from([member.value for member in decl]))
-    if isinstance(decl, Id):
-        return ids(decl.kinds)
+    if Ref.of(decl) is not None:
+        return ids(Ref.of(decl).kinds)
     origin, args = typing.get_origin(decl), typing.get_args(decl)
     if origin is list:
         items = st.lists(value(args[0]), max_size=3)
         return st.one_of(items, items.map(tuple))
     if origin is dict:
-        return st.dictionaries(ids(args[0].kinds), value(args[1]), max_size=3)
+        return st.dictionaries(ids(Ref.of(args[0]).kinds), value(args[1]), max_size=3)
     if isinstance(decl, Fields):
         return fields(decl)
     if decl == EDIT:

@@ -790,6 +790,15 @@ def test_verify_rejects_a_payment_in_another_currency(tmp_path):
     assert "VIOLATION payment-conservation @ payment:1: amount in EUR, not USD" in output
 
 
+def test_verify_flags_a_payment_whose_invoice_does_not_resolve(tmp_path):
+    log = _full_purchase_log(tmp_path)
+    _edit_last_put(log, "payments", lambda d: d.update(invoice="invoice:999"), "invoice")
+    code, output = run_cli("verify", str(log))
+    assert code == 1, output
+    assert ("VIOLATION referential-integrity @ payment:1: reference invoice:999 does not resolve"
+            in output)
+
+
 @pytest.mark.parametrize("store, edit, violation, holding", [
     ("invoices", lambda d: d.update(accepted=d["accepted"] + 1), "payment-conservation",
      "accepted"),
