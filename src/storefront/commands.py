@@ -26,6 +26,7 @@ from .foundation import (
     CurrencyMismatch,
     DomainError,
     EntityId,
+    GeneratedSource,
     Money,
     Quantity,
     Ref,
@@ -174,37 +175,17 @@ def _located(lines: list[str], step: str) -> list[str]:
             f"    _at(exc, {step})"] if lines else lines
 
 
-class _ParserSource:
-    """The lines of one generated parser, and the names those lines use; in
-    the ``payload`` form, also the lines that build the payload."""
+class _ParserSource(GeneratedSource):
+    """The lines of one generated parser, which parse the raw args and build
+    their payload in the same pass, and the names those lines use."""
 
-    def __init__(self, payload: bool):
-        self.payload = payload
-        self.names = {"EntityId": EntityId, "Money": Money, "Quantity": Quantity,
-                      "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
-                      "to_jsonable": to_jsonable, "_wrong": _wrong, "_text": _text,
-                      "_names": _names, "_at": _at, "_money": _money, "_qty": _qty, "_enum": _enum,
-                      "_new": object.__new__, "_set": object.__setattr__}
-        self._count = 0
-
-    def name(self, value, label: str) -> str:
-        name = f"{label}_{len(self.names)}"
-        self.names[name] = value
-        return name
-
-    def var(self) -> str:
-        self._count += 1
-        return f"v{self._count}"
-
-    def assign(self, target: str, value: str, payload: str, payload_value: str) -> str:
-        """``target = value``, and in the payload form ``payload = payload_value``."""
-        if self.payload:
-            return f"{target}, {payload} = {value}, {payload_value}"
-        return f"{target} = {value}"
-
-    def also(self, line: str) -> list[str]:
-        """``line`` in the payload form only."""
-        return [line] if self.payload else []
+    def __init__(self):
+        super().__init__({
+            "EntityId": EntityId, "Money": Money, "Quantity": Quantity,
+            "SchemaError": SchemaError, "ids_get": _IDS.get, "parse_id": EntityId.parse,
+            "to_jsonable": to_jsonable, "_wrong": _wrong, "_text": _text, "_names": _names,
+            "_at": _at, "_money": _money, "_qty": _qty, "_enum": _enum,
+            "_new": object.__new__, "_set": object.__setattr__})
 
     def lines(self, decl, v: str) -> tuple[list[str], str]:
         """Lines that parse the raw value in local ``v`` as ``decl`` into
@@ -232,19 +213,17 @@ class _ParserSource:
         if origin is list:
             item, item_payload = self.lines(args[0], w)
             return ([f"if not isinstance({v}, (list, tuple)): _wrong({v}, 'list')",
-                     self.assign(parsed, "[]", payload, "[]"), f"for {w} in {v}:",
+                     f"{parsed}, {payload} = [], []", f"for {w} in {v}:",
                      *_indent(_located(item, f"'[%d]' % len({parsed})")),
-                     f"    {parsed}.append({w})",
-                     *self.also(f"    {payload}.append({item_payload})"), f"{v} = {parsed}"],
-                    payload)
+                     f"    {parsed}.append({w})", f"    {payload}.append({item_payload})",
+                     f"{v} = {parsed}"], payload)
         if origin is dict and (Ref.of(args[0]) is not None or args[0] is str):
             key, key_payload = self.lines(args[0], k)
             value, value_payload = self.lines(args[1], w)
             return ([f"if not isinstance({v}, dict): _wrong({v}, 'object')",
-                     self.assign(parsed, "{}", payload, "{}"), f"for {k}, {w} in {v}.items():",
+                     f"{parsed}, {payload} = {{}}, {{}}", f"for {k}, {w} in {v}.items():",
                      *_indent(_located(key + value, f"'[%s]' % ({k},)")),
-                     f"    {parsed}[{k}] = {w}",
-                     *self.also(f"    {payload}[{key_payload}] = {value_payload}"),
+                     f"    {parsed}[{k}] = {w}", f"    {payload}[{key_payload}] = {value_payload}",
                      f"{v} = {parsed}"], payload)
         if decl != EDIT:
             raise TypeError(decl)
@@ -257,10 +236,9 @@ class _ParserSource:
                      f"if {w}.quantity.value < 1: "
                      f"raise SchemaError('invoice item quantity must be at least 1')"],
                      "'.add'")),
-                 "    " + self.assign(v, f"{{'add': {w}}}", payload, f"{{'add': {add_payload}}}"),
+                 f"    {v}, {payload} = {{'add': {w}}}, {{'add': {add_payload}}}",
                  f"elif {k} == 'delete':", *_indent(delete),
-                 "    " + self.assign(v, f"{{'delete': {w}}}",
-                                      payload, f"{{'delete': {delete_payload}}}"),
+                 f"    {v}, {payload} = {{'delete': {w}}}, {{'delete': {delete_payload}}}",
                  "else:", f"    _wrong({k}, 'edit action add or delete')"], payload)
 
     def fields(self, decl: Fields, v: str, label: str = "") -> tuple[list[str], str]:
@@ -279,8 +257,8 @@ class _ParserSource:
             lines.append(f"if not {v}.keys() >= {required}: "
                          f"_names('missing fields:', {required}, {v}.keys())")
         parsed, payload = self.var(), self.var()
-        lines += ([self.assign(parsed, "{}", payload, "{}")] if decl.into is None
-                  else self.also(f"{payload} = {{}}"))
+        lines.append(f"{parsed}, {payload} = {{}}, {{}}" if decl.into is None
+                     else f"{payload} = {{}}")
         fields = []
         for name, field_decl in decl.fields.items():
             f = self.var()
@@ -289,9 +267,8 @@ class _ParserSource:
             except TypeError:
                 raise TypeError(f"{label}: arg {name!r}: no kind parses {field_decl!r}") from None
             fields.append(f)
-            field += ([self.assign(f"{parsed}[{name!r}]", f, f"{payload}[{name!r}]",
-                                   field_payload)] if decl.into is None
-                      else self.also(f"{payload}[{name!r}] = {field_payload}"))
+            field.append(f"{parsed}[{name!r}], {payload}[{name!r}] = {f}, {field_payload}"
+                         if decl.into is None else f"{payload}[{name!r}] = {field_payload}")
             field = _located(field, repr(f".{name}"))
             if name in decl.optional:
                 lines += ([f"{f} = None"] if decl.into else []) + [
@@ -316,17 +293,16 @@ class _ParserSource:
 
 
 @functools.cache
-def compile_parser(name: str, schema, filename: str, payload: bool = True):
+def compile_parser(name: str, schema, filename: str):
     """Generate ``parse(raw, ctx) -> (parsed, payload)`` for ``schema``: the
     ``Fields`` of the args of the command or query ``name``, taken in
     declaration order, or with no name any declaration (such as an input
-    file's). It builds the payload the event log records in the same pass;
-    a caller that writes no record asks for the form without ``payload``,
-    ``parse(raw, ctx) -> parsed``. An undeclared kind raises ``TypeError``
-    naming the arg. Cached, so a copy of a spec reuses its parser."""
-    source = _ParserSource(payload)
+    file's). It builds the payload the event log records in the same pass,
+    which a caller that writes no record drops. An undeclared kind raises
+    ``TypeError`` naming the arg. Cached, so a copy of a spec reuses its parser."""
+    source = _ParserSource()
     lines, expr = source.fields(schema, "raw", name) if name else source.lines(schema, "raw")
-    body = [*lines, f"return raw, {expr}" if payload else "return raw"]
+    body = [*lines, f"return raw, {expr}"]
     run_generated("def parse(raw, ctx):\n" + "\n".join(_indent(body)), filename, source.names)
     return source.names["parse"]
 
@@ -377,8 +353,9 @@ class CommandSpec:
 
     @functools.cached_property
     def decide(self):
-        """``decide(engine, actor, args) -> AccessDecision``: the decision
-        the envelope takes for ``actor`` on the parsed ``args``."""
+        """``decide(engine, actor, args) -> access``: the decision the
+        envelope takes for ``actor`` on the parsed ``args``, as the very
+        ``access`` dict its record holds (shared, so never mutate it)."""
         access, names = _access(self)
         run_generated(f"def decide(engine, actor, args):\n    state = engine.state\n{access}\n"
                       "            return denied\n    return allow\n",
@@ -415,7 +392,7 @@ def _access(spec: CommandSpec) -> tuple[str, dict]:
             {"KIND_TO_STORE": KIND_TO_STORE, "NO_ROLES": frozenset(),
              "right": (spec.kind, spec.name), "system": rbac.SYSTEM_ALLOW,
              "permissive": rbac.PERMISSIVE_ALLOW, "no_role": rbac.NO_ROLE,
-             "not_owner": rbac.NOT_OWNER})
+             "not_owner": rbac.NOT_OWNER, "denials": rbac.DENIALS})
 
 
 # the source of an envelope: {parse} and {payload} are a parser's lines and the
@@ -429,17 +406,16 @@ def envelope(engine, actor, raw, seq, tick):
         state.log.append({record}best_effort(raw), NOT_EVALUATED, 'error', exc.code))
         raise
 {access}
-            state.log.append({record}{payload}, denied.as_dict, 'denied', 'AccessDenied'))
-            raise AccessDenied(denied.reason)
-    access = allow.as_dict
+            state.log.append({record}{payload}, denied, 'denied', 'AccessDenied'))
+            raise AccessDenied(denials[denied['reason']])
     txn = Txn(state)
     try:
 {operation}
     except DomainError as exc:
         txn.rollback()
-        state.log.append({record}{payload}, access, 'error', exc.code))
+        state.log.append({record}{payload}, allow, 'error', exc.code))
         raise
-    record = {record}{payload}, access, 'ok', None, result, txn.facts())
+    record = {record}{payload}, allow, 'ok', None, result, txn.facts())
     state.log.append(record)
     return record
 """
@@ -449,7 +425,7 @@ def _envelope(spec: CommandSpec):
     """The parser's lines, the access decision (the owner resolved only for
     an owner-only role), and a ``Txn`` around ``run``'s source while ``run``
     is the runner generated from it, else around a call of ``run``."""
-    parser = _ParserSource(payload=True)
+    parser = _ParserSource()
     parse, payload = parser.fields(spec.schema, "args", spec.name)
     statement, result, names = spec.source
     if names.get("run") is spec.run:
@@ -705,11 +681,11 @@ INPUT_FILES = {
 
 
 def parse_input(name: str, raw, ctx: ParseContext | None = None):
-    """``raw`` parsed as the input file ``name`` by the payload-free form of
-    its generated parser (``ctx`` is needed only for money); a wrong type, a
+    """``raw`` parsed as the input file ``name`` by its generated parser, the
+    payload dropped (``ctx`` is needed only for money); a wrong type, a
     missing or an unknown field, at any level, is a ``SchemaError``."""
-    parse = compile_parser("", INPUT_FILES[name], f"<input parser {name}>", payload=False)
+    parse = compile_parser("", INPUT_FILES[name], f"<input parser {name}>")
     try:
-        return parse(raw, ctx)
+        return parse(raw, ctx)[0]
     except SchemaError as exc:
         raise SchemaError(f"{name}: {exc}") from None

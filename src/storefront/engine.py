@@ -129,7 +129,8 @@ class Engine:
 
     def access_decision(self, actor: EntityId, command: str, args: dict):
         """The decision the envelope of ``command`` takes for ``actor`` on
-        the parsed ``args``, made by the same generated lines."""
+        the parsed ``args``, made by the same generated lines: the ``access``
+        dict that the record of a dispatch holds, the same object."""
         return COMMANDS[command].decide(self, actor, args)
 
     # -- dispatch ------------------------------------------------------------

@@ -467,6 +467,24 @@ def run_generated(source: str, filename: str, namespace: dict) -> None:
     exec(compile(source, filename, "exec"), namespace)
 
 
+class GeneratedSource:
+    """The names that the lines of one generated source use, and its locals."""
+
+    def __init__(self, names: dict):
+        self.names = names
+        self._count = 0
+
+    def name(self, value, label: str = "") -> str:
+        """A new name for ``value``: ``label`` (else the value's own name) and a number."""
+        name = f"{label or value.__name__}_{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def var(self) -> str:
+        self._count += 1
+        return f"v{self._count}"
+
+
 def _wrong(value, expected: type):
     raise SchemaError(f"expected {expected.__name__}, got {value!r}")
 
@@ -483,24 +501,14 @@ class _Int(str):
     """A writer part whose value is an int; any other expression's is text."""
 
 
-class _CodecSource:
+class _CodecSource(GeneratedSource):
     """The expressions of one class's generated methods, and the names
     those expressions use."""
 
     def __init__(self):
-        self.names = {"Quantity": Quantity, "parse_id": parse_written_id, "_wrong": _wrong,
-                      "_str": json.encoder.encode_basestring_ascii, "json_text": json_text,
-                      "_undeclared": _undeclared}
-        self._count = 0
-
-    def _name(self, value, label: str = "") -> str:
-        name = f"{label or value.__name__}_{len(self.names)}"
-        self.names[name] = value
-        return name
-
-    def _var(self) -> str:
-        self._count += 1
-        return f"v{self._count}"
+        super().__init__({"Quantity": Quantity, "parse_id": parse_written_id, "_wrong": _wrong,
+                          "_str": json.encoder.encode_basestring_ascii, "json_text": json_text,
+                          "_undeclared": _undeclared})
 
     def record(self, cls: type, x: str, d: str) -> tuple[str, list[str], list[str]]:
         """The dict literal that encodes ``x``, a ``cls`` record, and the
@@ -534,17 +542,17 @@ class _CodecSource:
         if hint is Quantity:
             return f"{x}.value", f"Quantity({self._exact(int, d)})", x
         if isinstance(hint, type) and issubclass(hint, Enum):
-            enum = self._name(hint)
-            table = self._name(hint._value2member_map_, f"{hint.__name__}_members")
+            enum = self.name(hint)
+            table = self.name(hint._value2member_map_, f"{hint.__name__}_members")
             return (f"{x}._value_",
                     f"({d}.__class__ is str and {table}.get({d}) or {enum}({d}))", x)
         if isinstance(hint, type) and issubclass(hint, Record):
             derive_codec(hint)
             if _SHARED[hint] is None:  # still being derived: no decode to bind yet
-                enc, decode = f"{x}.to_dict()", f"{self._name(hint)}.decode"
+                enc, decode = f"{x}.to_dict()", f"{self.name(hint)}.decode"
             else:
                 enc = self.record(hint, x, d)[0]
-                decode = self._name(hint.decode, f"{hint.__name__}_decode")
+                decode = self.name(hint.decode, f"{hint.__name__}_decode")
             return enc, f"{decode}({d}, memo)", x if _SHARED[hint] else f"{x}.clone()"
         if origin in (list, set):
             v, target, (enc, dec, copy) = self._element(args[0])
@@ -569,7 +577,7 @@ class _CodecSource:
         """The source of ``changes_json``, ``changes_text`` and ``decode_changes``."""
         hints = typing.get_type_hints(cls)
         names = sorted(f.name for f in dataclasses.fields(cls) if f.name != "id")
-        declared = self._name(frozenset(names), "declared")
+        declared = self.name(frozenset(names), "declared")
         written = ["def changes_json(self, old):", "parts = []"]
         texts = ["def changes_text(changes):", "parts = []"]
         decoded = ["def decode_changes(data, memo):", "changes = {}",
@@ -610,7 +618,7 @@ class _CodecSource:
             return [f"_str({x})" if hint is str else f"_str({x}._text)"]
         if isinstance(hint, type) and issubclass(hint, Enum):
             table = {member: json_text(member._value_) for member in hint}
-            return [f"{self._name(table, f'{hint.__name__}_json')}[{x}]"]
+            return [f"{self.name(table, f'{hint.__name__}_json')}[{x}]"]
         if isinstance(hint, type) and issubclass(hint, Record):
             derive_codec(hint)
             return [f"{x}.to_json()"] if _SHARED[hint] is None else self.record_text(hint, x)
@@ -625,7 +633,7 @@ class _CodecSource:
         """An expression whose value is the JSON text of ``x``, a value of
         type ``hint``: a record's is a call of its ``to_json``."""
         if isinstance(hint, type) and issubclass(hint, Record) and _SHARED[derive_codec(hint)] is not None:
-            return f"{self._name(hint.to_json, f'{hint.__name__}_json')}({x})"
+            return f"{self.name(hint.to_json, f'{hint.__name__}_json')}({x})"
         return " + ".join(f"'{part}'" if isinstance(part, _Lit) else
                           f"str({part})" if isinstance(part, _Int) else part
                           for part in self.text(hint, x))
@@ -681,10 +689,10 @@ class _CodecSource:
         """Loop variable, decode loop target, and expressions of one
         container element. A tuple element unpacks in the target, which
         rejects a list of the wrong length."""
-        v = self._var()
+        v = self.var()
         if typing.get_origin(hint) is not tuple or ... in typing.get_args(hint):
             return v, v, self.expressions(hint, v, v)
-        names = [self._var() for _ in typing.get_args(hint)]
+        names = [self.var() for _ in typing.get_args(hint)]
         parts = [self.expressions(a, f"{v}[{i}]", n)
                  for i, (a, n) in enumerate(zip(typing.get_args(hint), names))]
         shared = all(copy == f"{v}[{i}]" for i, (_, _, copy) in enumerate(parts))

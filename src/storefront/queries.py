@@ -90,9 +90,9 @@ class Query:
 
     @functools.cached_property
     def parse(self):
-        """``parse(raw, ctx) -> parsed`` (a query logs no payload), generated on first use."""
-        return compile_parser(self.name, self.schema, f"<query parser {self.name}>",
-                              payload=False)
+        """``parse(raw, ctx) -> (parsed, payload)``, a command's form, generated on
+        first use; a query logs nothing, so ``run_query`` drops the payload."""
+        return compile_parser(self.name, self.schema, f"<query parser {self.name}>")
 
 
 def _by_id(name: str, arg: str, kind: str, answer) -> Query:
@@ -144,5 +144,5 @@ def run_query(engine, name: str, raw_args: dict):
     query = QUERIES.get(name)
     if query is None:
         raise SchemaError(f"unknown query {name!r}")
-    args = query.parse(raw_args, engine.parse_context)
+    args, _ = query.parse(raw_args, engine.parse_context)
     return query.fn(engine, args)

@@ -10,13 +10,12 @@ command's envelope decides from the grants here (``commands._ACCESS``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from . import bundled
 from .commands import COMMANDS, parse_input
 from .foundation import DomainError, EntityId, SchemaError
-from .state import ALLOW, DENIED_ACCESS, DENY
+from .state import ALLOW, DENIED_ACCESS
 
 
 class DuplicateRole(DomainError):
@@ -38,22 +37,6 @@ class RoleDef:
     owner_only: bool = False
 
 
-@dataclass(frozen=True)
-class AccessDecision:
-    verdict: str
-    matched_role: str | None
-    reason: str
-
-    @functools.cached_property
-    def as_dict(self) -> dict:
-        """The ``access`` of the records of this decision, built once per
-        grant: one dict, shared by them all, so never mutate it. A Deny's
-        holds its reason code; ``reason_text`` gives the reason back."""
-        if self.verdict == DENY:
-            return DENIED_ACCESS[_DENY_CODES[self.reason]]
-        return {"role": self.matched_role, "verdict": self.verdict}
-
-
 @dataclass
 class RbacMatrix:
     """The loaded access matrix; immutable once active.
@@ -61,8 +44,9 @@ class RbacMatrix:
     ``roles`` is the declaration. ``grants`` is compiled from it, once per
     right ``(kind, operation)``, the first time a check asks for that
     right: the roles that grant it, in name order, as ``(role name,
-    owner_only, Allow decision)``. So loading a matrix costs nothing per
-    declared right, and a run pays only for the rights it checks.
+    owner_only, access)``: ``access`` is the one dict that all the records
+    of the role's Allow hold, so never mutate it. So loading a matrix costs
+    nothing per declared right, and a run pays only for the rights it checks.
     ``permissive`` is the no-config fallback used by pattern-module unit
     tests: every check allows.
     """
@@ -77,8 +61,7 @@ class RbacMatrix:
         """Compile and keep the ``grants`` entry of one right."""
         right = (kind, operation)
         self.grants[right] = granting = tuple(
-            (name, role.owner_only,
-             AccessDecision(ALLOW, name, f"role {name} grants {operation} on {kind}"))
+            (name, role.owner_only, {"role": name, "verdict": ALLOW})
             for name, role in sorted(self.roles.items()) if right in role.rights)
         return granting
 
@@ -119,21 +102,20 @@ def load_rbac_config(config) -> RbacMatrix:
     return RbacMatrix(roles=roles, assignments=assignments)
 
 
-SYSTEM_ALLOW = AccessDecision(ALLOW, "system", "system actor")
-PERMISSIVE_ALLOW = AccessDecision(ALLOW, "*", "permissive mode, no matrix loaded")
-NOT_OWNER = AccessDecision(DENY, None, "not owner")
-NO_ROLE = AccessDecision(DENY, None, "no role grants operation")
-_DENY_CODES = {NOT_OWNER.reason: "not-owner", NO_ROLE.reason: "no-role"}
-# reason code -> reason, of a Deny and (None) of a command that did not parse
-_DENIALS = {None: "not evaluated", **{code: reason for reason, code in _DENY_CODES.items()}}
-_ALLOWS = {decision.matched_role: decision.reason for decision in (SYSTEM_ALLOW, PERMISSIVE_ALLOW)}
+# role -> reason, of an Allow that no declared role grants
+_ALLOWS = {"system": "system actor", "*": "permissive mode, no matrix loaded"}
+SYSTEM_ALLOW, PERMISSIVE_ALLOW = ({"role": role, "verdict": ALLOW} for role in _ALLOWS)
+NOT_OWNER, NO_ROLE = DENIED_ACCESS["not-owner"], DENIED_ACCESS["no-role"]
+# reason code -> reason, of a Deny (the text its AccessDenied carries) and
+# (None) of a command that did not parse
+DENIALS = {None: "not evaluated", "not-owner": "not owner", "no-role": "no role grants operation"}
 
 
 def reason_text(access: dict, command: str) -> str:
     """The ``reason`` of the decision a record of ``command`` holds as its
     ``access``: a Deny's from its code, an Allow's from its role."""
     if access["verdict"] != ALLOW:
-        return _DENIALS[access.get("reason")]
+        return DENIALS[access.get("reason")]
     role = access["role"]
     return _ALLOWS.get(role) or f"role {role} grants {command} on {COMMANDS[command].kind}"
 

@@ -130,8 +130,8 @@ ALLOW, DENY = "Allow", "Deny"
 NOT_EVALUATED = {"role": None, "verdict": None}
 DENIED_ACCESS = {code: {"role": None, "verdict": DENY, "reason": code}
            for code in ("not-owner", "no-role")}
-# id(access dict) -> (the dict, its text): a decision's dict is shared by
-# its records (``AccessDecision.as_dict``) and never mutated
+# id(access dict) -> (the dict, its text): a decision is the dict that all
+# its records share (a grant's, or one of ``rbac``'s), never mutated
 _ACCESS_TEXT: dict[int, tuple[dict, str]] = {}
 
 

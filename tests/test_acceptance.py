@@ -457,7 +457,7 @@ def test_c7_rbac_need_to_know():
             for args, expected in variants:
                 decision = engine.access_decision(actor, command, args)
                 checked += 1
-                if (decision.verdict == "Allow") != expected:
+                if (decision["verdict"] == "Allow") != expected:
                     bad.append((role_name, command, args))
 
     _verdict(7, "need-to-know matrix (exhaustive)", not bad,

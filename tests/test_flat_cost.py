@@ -327,7 +327,7 @@ def test_the_records_read_of_one_decision_share_its_access_and_names(tmp_path):
     for _ in range(2):  # two records of a command that did not parse
         with pytest.raises(DomainError):
             denials.dispatch(SYSTEM, "no_such_command", {})
-    ungranted = {id(NOT_EVALUATED), id(rbac.NOT_OWNER.as_dict), id(rbac.NO_ROLE.as_dict)}
+    ungranted = {id(NOT_EVALUATED), id(rbac.NOT_OWNER), id(rbac.NO_ROLE)}
     verdicts = set()
     for engine in [denials, *bench_engines()]:
         engine.write_log(tmp_path / "events.jsonl")

@@ -1,8 +1,7 @@
 """The generated parsers against the closure parsers they replaced
 (``parse_oracle``), on inputs drawn from each command's and query's own
-declarations: JSON forms and Python API values, right and wrong. Each
-parser's payload-free form against its payload form, and the loader of
-each input file against the hand-written loader it replaced."""
+declarations: JSON forms and Python API values, right and wrong; and the
+loader of each input file against the hand-written loader it replaced."""
 
 import dataclasses
 import sys
@@ -183,9 +182,12 @@ def test_generated_query_parser_matches_the_query_validation(query, data):
     # run_query took the values in the order given, the generated parser
     # takes them in schema order: given in that order, the two agree
     in_schema_order = {**{name: raw[name] for name in schema.fields if name in raw}, **raw}
-    new = outcome(lambda raw: QUERIES[query].parse(raw, CTX), raw)
+    new = outcome(lambda raw: QUERIES[query].parse(raw, CTX)[0], raw)
     old = outcome(lambda raw: parse_oracle.query_args(query, raw, CTX), in_schema_order)
     assert same_outcome(new, old), (raw, new, old)
+    if new[0] == "ok":  # the payload a query builds parses back to the same args
+        parsed, payload = QUERIES[query].parse(raw, CTX)
+        assert QUERIES[query].parse(payload, CTX)[0] == parsed, (raw, payload)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -271,24 +273,6 @@ def test_generated_code_is_compiled_under_a_name_that_says_what_it_is():
     assert Invoice.to_dict.__code__.co_filename == "<codec Invoice>"
     assert COMMANDS["create_shipment"].parse.__code__.co_filename == "<parser create_shipment>"
     assert QUERIES["cart_total"].parse.__code__.co_filename == "<query parser cart_total>"
-
-
-SCHEMAS = {**{f"command {name}": (spec.parse, name, spec.schema, True)
-              for name, spec in COMMANDS.items()},
-           **{f"query {name}": (query.parse, name, query.schema, False)
-              for name, query in QUERIES.items()}}
-
-
-@pytest.mark.parametrize("schema", sorted(SCHEMAS))
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_payload_free_parser_parses_as_the_payload_form(schema, data):
-    live, name, fields_decl, payload = SCHEMAS[schema]
-    other = compile_parser(name, fields_decl, f"<other form {schema}>", payload=not payload)
-    with_payload, free = (live, other) if payload else (other, live)
-    raw = data.draw(raw_args(fields_decl))
-    assert outcome(lambda raw: free(raw, CTX), raw) == \
-        outcome(lambda raw: with_payload(raw, CTX)[0], raw), raw
 
 
 # --- input files ---------------------------------------------------------------

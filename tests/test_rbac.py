@@ -153,7 +153,7 @@ def test_owner_allowed_other_denied(rbac_eng):
     decision = rbac_eng.access_decision(
         EntityId.parse(ana), "add_item",
         {"cart": EntityId.parse(cart), "product": EntityId.parse(widget)})
-    assert decision.verdict == "Allow" and decision.matched_role == "Shopper"
+    assert decision["verdict"] == "Allow" and decision["role"] == "Shopper"
 
     with pytest.raises(AccessDenied) as exc:
         rbac_eng.execute(ben, "add_item", cart=cart, product=widget, qty=1)
@@ -178,7 +178,7 @@ def test_permissive_mode_allows_everything(eng):
     stranger = EntityId.parse("customer:77")  # does not even exist
     for command in COMMANDS:
         decision = eng.access_decision(stranger, command, {})
-        assert decision.verdict == "Allow" and decision.matched_role == "*", command
+        assert decision["verdict"] == "Allow" and decision["role"] == "*", command
 
 
 def test_decision_recorded_in_log(rbac_eng):
@@ -199,9 +199,34 @@ def test_decision_recorded_in_log(rbac_eng):
 def test_decision_determinism(rbac_eng):
     ana = new_customer(rbac_eng, name="Ana")
     args = {"customer": EntityId.parse(ana)}
-    decisions = {rbac_eng.access_decision(EntityId.parse(ana), "create_cart", args)
+    decisions = {id(rbac_eng.access_decision(EntityId.parse(ana), "create_cart", args))
                  for _ in range(25)}
     assert len(decisions) == 1
+
+
+def test_a_decision_is_the_access_its_record_holds(rbac_eng, eng):
+    """``access_decision`` returns the very dict that the record of a
+    dispatch of the same command and args holds, for each kind of decision."""
+    ana, ben, nia = (EntityId.parse(new_customer(rbac_eng, name=name, roles=roles))
+                     for name, roles in [("Ana", ("Shopper",)), ("Ben", ("Shopper",)),
+                                         ("Nia", ())])
+    cart = EntityId.parse(rbac_eng.execute(ana, "create_cart", customer=ana)["cart"])
+    add_item = {"cart": cart, "product": EntityId.parse(product_id(rbac_eng, "WidgetA")),
+                "qty": 1}
+    cases = [(rbac_eng, ana, "add_item", add_item, ("Allow", "Shopper", None)),
+             (rbac_eng, ben, "add_item", add_item, ("Deny", None, "not-owner")),
+             (rbac_eng, nia, "create_cart", {"customer": nia}, ("Deny", None, "no-role")),
+             (rbac_eng, SYSTEM, "create_catalog", {"name": "Spare"}, ("Allow", "system", None)),
+             (eng, EntityId.parse("customer:77"), "create_catalog", {"name": "Any"},
+              ("Allow", "*", None))]
+    for engine, actor, command, args, expected in cases:
+        decision = engine.access_decision(actor, command, args)
+        try:
+            record = engine.dispatch(actor, command, args)
+        except AccessDenied:
+            record = engine.state.log[-1]
+        assert decision is record.access, (command, expected)
+        assert (decision["verdict"], decision["role"], decision.get("reason")) == expected
 
 
 def _args_for(engine, command, own, actor):
@@ -287,7 +312,7 @@ def test_need_to_know_exhaustive():
             has_right = (spec.kind, command) in declared[role_name]
             own_args = _args_for(engine, command, own=True, actor=actor)
             decision = engine.access_decision(actor, command, own_args)
-            assert (decision.verdict == "Allow") == has_right, \
+            assert (decision["verdict"] == "Allow") == has_right, \
                 f"{role_name} x {command} (own): expected {has_right}"
             checked += 1
 
@@ -298,7 +323,7 @@ def test_need_to_know_exhaustive():
                     engine, command, {key: str(value) for key, value in other_args.items()})
                 decision = engine.access_decision(actor, command, other_args)
                 expect_deny = owner is not None or missing
-                assert (decision.verdict == "Allow") == (not expect_deny), \
+                assert (decision["verdict"] == "Allow") == (not expect_deny), \
                     f"{role_name} x {command} (other): unexpected verdict"
                 checked += 1
     assert checked >= 6 * len(COMMANDS)
