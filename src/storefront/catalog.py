@@ -6,8 +6,6 @@ modules. Notifications are append-only records — the observable stand-in
 for outbound customer messaging.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from enum import Enum
 

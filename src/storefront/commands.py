@@ -319,9 +319,8 @@ def _foreign(name: str, schema: Fields, arg: str) -> str:
     if kinds == ("customer",):
         return f"args[{arg!r}] is not actor"
     store = KIND_TO_STORE.get(kinds[0]) if len(kinds) == 1 else None
-    hints = typing.get_type_hints(STORES[store][1], include_extras=True) if store else {}
-    owners = [attribute for attribute, hint in hints.items()
-              if "customer" in getattr(Ref.of(hint), "kinds", ())]
+    fields = dataclasses.fields(STORES[store][1]) if store else ()
+    owners = [f.name for f in fields if "customer" in getattr(Ref.of(f.type), "kinds", ())]
     if len(owners) != 1:
         raise TypeError(f"{name}: owner arg {arg!r} names no entity with one customer Ref")
     return (f"(target := state.stores[{store!r}].get(args[{arg!r}])) is None"
@@ -481,7 +480,8 @@ def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> Comm
     parameter or arg, a result with no encoding, or an owner arg that
     resolves to no owner raises ``TypeError`` naming the command."""
     schema = Fields(args, optional)
-    params = list(inspect.signature(fn).parameters.values())
+    signature = inspect.signature(fn)
+    params = list(signature.parameters.values())
     names, taken = {fn.__name__: fn}, set()
     call = ["txn.state" if params[0].name == "state" else "txn"]
     for param in params[1:]:
@@ -501,9 +501,9 @@ def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> Comm
         call.append(f"{param.name}={value}" if param.kind is param.KEYWORD_ONLY else value)
     for arg in sorted(schema.fields.keys() - taken):
         raise TypeError(f"{name}: no parameter of {fn.__qualname__} takes arg {arg!r}")
-    returns = typing.get_type_hints(fn).get("return")
+    returns = signature.return_annotation
     hints = (typing.get_args(returns) if typing.get_origin(returns) is tuple
-             else () if returns is type(None) else (returns,))
+             else () if returns is None else (returns,))
     try:
         results = [_RESULTS[hint].format(f"r{i}") for i, hint in enumerate(hints)]
     except (KeyError, TypeError):  # TypeError: an unhashable annotation

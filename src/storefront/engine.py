@@ -23,7 +23,7 @@ from . import stock_manager
 # envelope inlines; the names stay here, where the bench's tracer hooks them
 from .commands import COMMANDS, ParseContext, canonical_payload, parse_args  # noqa: F401
 from .commands import best_effort, parse_input
-from .foundation import _IDS, EntityId, Quantity, SchemaError
+from .foundation import _IDS, EntityId, Quantity, Ref, SchemaError
 from .invoice import RuleBook, default_rulebook
 from .queries import run_query
 from .rbac import RbacMatrix, permissive_matrix
@@ -127,11 +127,17 @@ class Engine:
 
     # -- access ------------------------------------------------------------
 
-    def access_decision(self, actor: EntityId, command: str, args: dict):
+    def access_decision(self, actor, command: str, args: dict):
         """The decision the envelope of ``command`` takes for ``actor`` on
-        the parsed ``args``, made by the same generated lines: the ``access``
-        dict that the record of a dispatch holds, the same object."""
-        return COMMANDS[command].decide(self, actor, args)
+        ``args``, in the forms ``dispatch`` takes (an id may be its text), made
+        by the same generated lines: the very ``access`` dict of the record.
+        ``args`` may hold only the owner arg, which is all the decision reads."""
+        spec = COMMANDS[command]
+        actor = actor if actor.__class__ is EntityId else EntityId.parse(actor)
+        declared = spec.schema.fields
+        args = {name: EntityId.parse(value) if value.__class__ is str and Ref.of(declared.get(name))
+                else value for name, value in args.items()}
+        return spec.decide(self, actor, args)
 
     # -- dispatch ------------------------------------------------------------
 

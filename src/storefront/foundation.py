@@ -5,8 +5,6 @@ The values here are immutable and freely shareable. Mutation happens only
 in the engine's entity stores, never inside these values.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import functools
 import json
@@ -55,7 +53,7 @@ class Record:
     inverse, with every value-domain check), ``decode`` (``from_dict``
     within one read of a log, sharing frozen values through the read's
     memo) and ``clone`` (a copy whose containers can change without
-    touching the original), generated from the field declarations.
+    touching the original), generated from the evaluated field declarations.
     The engine derives every stored entity class, and the records nested in
     it, when ``state`` is imported.
     """
@@ -74,14 +72,14 @@ class Money(Record):
     amount: int
     currency: str
 
-    def add(self, other: Money) -> Money:
+    def add(self, other: "Money") -> "Money":
         if self.currency != other.currency:
             raise CurrencyMismatch(
                 f"cannot add {other.currency} to {self.currency}"
             )
         return Money(self.amount + other.amount, self.currency)
 
-    def sub(self, other: Money) -> Money:
+    def sub(self, other: "Money") -> "Money":
         if self.currency != other.currency:
             raise CurrencyMismatch(
                 f"cannot subtract {other.currency} from {self.currency}"
@@ -89,7 +87,7 @@ class Money(Record):
         return Money(self.amount - other.amount, self.currency)
 
     @staticmethod
-    def zero(currency: str) -> Money:
+    def zero(currency: str) -> "Money":
         return Money(0, currency)
 
 
@@ -136,7 +134,7 @@ class Quantity:
             raise NegativeQuantity(f"quantity cannot be negative: {value}")
         _set(self, "value", value)
 
-    def add(self, other: Quantity) -> Quantity:
+    def add(self, other: "Quantity") -> "Quantity":
         return Quantity(self.value + other.value)
 
 
@@ -184,7 +182,7 @@ class EntityId:
         return EntityId, self._key
 
     @classmethod
-    def parse(cls, text: str) -> EntityId:
+    def parse(cls, text: str) -> "EntityId":
         """The id of ``kind:serial`` text; ``SchemaError`` for anything
         else, a non-string included."""
         try:
@@ -246,9 +244,9 @@ class Ref:
         return typing.Annotated[EntityId, ref]
 
     @staticmethod
-    def of(hint) -> Ref | None:
-        """The ``Ref`` of a field annotated ``Ref(...)`` or ``Ref(...) | None``
-        (read with ``include_extras``), else None."""
+    def of(hint) -> "Ref | None":
+        """The ``Ref`` of a field annotated ``Ref(...)`` or ``Ref(...) | None``,
+        read from the evaluated annotation, else None."""
         metadata = getattr(optional_of(hint) or hint, "__metadata__", ())
         return next((ref for ref in metadata if isinstance(ref, Ref)), None)
 
@@ -368,27 +366,27 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-_SHARED: dict[type, bool | None] = {}
+_SHARED: dict[type, bool] = {}
 """Every derived Record class -> whether its ``clone`` returns the record
-itself (a frozen record with no mutable field); None while it is derived."""
+itself (a frozen record with no mutable field)."""
 
 
 def derive_codec(cls: type) -> type:
     """Generate ``to_dict``, ``to_json``, ``from_dict`` and ``clone`` for a
-    Record dataclass from its field types, install them, and return the class.
+    Record dataclass from its evaluated field types (``dataclasses.fields``,
+    where a ``Ref`` is an ``EntityId``), install them, and return the class.
 
     Encoding per field type: ``EntityId`` -> ``kind:serial`` string;
     ``Quantity`` -> bare int; enum -> its value; ``set`` -> list sorted by
     encoded element; ``tuple`` (as a container element) -> list; ``list``
     and ``dict`` -> element-wise; nested Record -> dict; ``X | None`` ->
-    ``null``; int, str and bool as they are. ``to_dict`` is one flat dict literal
-    (only a record nested in itself calls its ``to_dict``). ``to_json`` is
-    one f-string that writes the text ``json.dumps(to_dict(), sort_keys=True,
-    separators=(",", ":"))`` gives, byte for byte, with no dict in between
-    but a ``set``'s, a ``dict``'s or a tuple's form, which ``json_text``
-    writes: fields in name order, strings through the C string encoder, a
-    nested record inline (one call per record in a list or behind ``None``).
-    Decoding requires each int,
+    ``null``; int, str and bool as they are. ``to_dict`` is one flat dict
+    literal. ``to_json`` is one f-string that writes the text
+    ``json.dumps(to_dict(), sort_keys=True, separators=(",", ":"))`` gives,
+    byte for byte, with no dict in between but a ``set``'s, a ``dict``'s or
+    a tuple's form, which ``json_text`` writes: fields in name order,
+    strings through the C string encoder, a nested record inline (one call
+    per record in a list or behind ``None``). Decoding requires each int,
     str, bool, list and object to be exactly that JSON type (``SchemaError``
     otherwise) and goes back through each type's constructor
     (``parse_written_id``, which takes an id only in the text the log writes,
@@ -398,7 +396,8 @@ def derive_codec(cls: type) -> type:
     a value that is not a member. ``clone`` sets the fields of a new instance
     directly: its source is already valid, so no ``__init__`` or
     ``__post_init__`` runs.
-    Any other field type raises ``TypeError`` naming the field.
+    Any other field type, a string annotation too (the only way a record
+    could nest itself), raises ``TypeError`` naming the field.
 
     A put of a stored entity writes ``changes_json(old)``: the fields but
     ``id`` that differ from the pre-image ``old``. ``decode_changes`` decodes
@@ -422,7 +421,6 @@ def derive_codec(cls: type) -> type:
     """
     if cls in _SHARED:
         return cls
-    _SHARED[cls] = None  # a record nested in itself is encoded by a call and cloned
     source = _CodecSource()
     encoded, decoded, copied = source.record(cls, "self", "data")
     written = source.f_string(source.record_text(cls, "self"))
@@ -485,6 +483,11 @@ class GeneratedSource:
         return f"v{self._count}"
 
 
+def _plain(hint):
+    """``hint``, or the ``EntityId`` a ``Ref`` annotates: the type the codec encodes."""
+    return hint.__origin__ if typing.get_origin(hint) is typing.Annotated else hint
+
+
 def _wrong(value, expected: type):
     raise SchemaError(f"expected {expected.__name__}, got {value!r}")
 
@@ -513,14 +516,13 @@ class _CodecSource(GeneratedSource):
     def record(self, cls: type, x: str, d: str) -> tuple[str, list[str], list[str]]:
         """The dict literal that encodes ``x``, a ``cls`` record, and the
         decode and copy expressions of each of its fields, read from ``d``."""
-        hints, encoded, decoded, copied = typing.get_type_hints(cls), [], [], []
+        encoded, decoded, copied = [], [], []
         for f in dataclasses.fields(cls):
             try:
-                enc, dec, copy = self.expressions(hints[f.name], f"{x}.{f.name}",
-                                                  f"{d}[{f.name!r}]")
+                enc, dec, copy = self.expressions(f.type, f"{x}.{f.name}", f"{d}[{f.name!r}]")
             except TypeError:
                 raise TypeError(f"{cls.__qualname__}.{f.name}: the record codec cannot "
-                                f"encode {hints[f.name]!r}") from None
+                                f"encode {f.type!r}") from None
             encoded.append(f"{f.name!r}: {enc}")
             decoded.append(dec)
             copied.append(copy)
@@ -529,6 +531,7 @@ class _CodecSource(GeneratedSource):
     def expressions(self, hint, x: str, d: str) -> tuple[str, str, str]:
         """Encode ``x``, decode ``d`` and copy ``x``, a value of type
         ``hint``; the copy is ``x`` itself when the value is immutable."""
+        hint = _plain(hint)
         origin, args, inner = typing.get_origin(hint), typing.get_args(hint), optional_of(hint)
         if inner is not None:
             enc, dec, copy = self.expressions(inner, x, d)
@@ -548,11 +551,8 @@ class _CodecSource(GeneratedSource):
                     f"({d}.__class__ is str and {table}.get({d}) or {enum}({d}))", x)
         if isinstance(hint, type) and issubclass(hint, Record):
             derive_codec(hint)
-            if _SHARED[hint] is None:  # still being derived: no decode to bind yet
-                enc, decode = f"{x}.to_dict()", f"{self.name(hint)}.decode"
-            else:
-                enc = self.record(hint, x, d)[0]
-                decode = self.name(hint.decode, f"{hint.__name__}_decode")
+            enc = self.record(hint, x, d)[0]
+            decode = self.name(hint.decode, f"{hint.__name__}_decode")
             return enc, f"{decode}({d}, memo)", x if _SHARED[hint] else f"{x}.clone()"
         if origin in (list, set):
             v, target, (enc, dec, copy) = self._element(args[0])
@@ -575,8 +575,8 @@ class _CodecSource(GeneratedSource):
 
     def changes(self, cls: type) -> str:
         """The source of ``changes_json``, ``changes_text`` and ``decode_changes``."""
-        hints = typing.get_type_hints(cls)
-        names = sorted(f.name for f in dataclasses.fields(cls) if f.name != "id")
+        hints = {f.name: f.type for f in dataclasses.fields(cls) if f.name != "id"}
+        names = sorted(hints)
         declared = self.name(frozenset(names), "declared")
         written = ["def changes_json(self, old):", "parts = []"]
         texts = ["def changes_text(changes):", "parts = []"]
@@ -599,14 +599,15 @@ class _CodecSource(GeneratedSource):
         """The parts of the JSON text of ``x``, a ``cls`` record, its
         fields in name order, as ``json.dumps(..., sort_keys=True)`` writes
         them."""
-        hints, parts = typing.get_type_hints(cls), [_Lit("{")]
+        parts = [_Lit("{")]
         for f in sorted(dataclasses.fields(cls), key=lambda f: f.name):
             parts += [_Lit(f'{"," if len(parts) > 1 else ""}"{f.name}":'),
-                      *self.text(hints[f.name], f"{x}.{f.name}")]
+                      *self.text(f.type, f"{x}.{f.name}")]
         return parts + [_Lit("}")]
 
     def text(self, hint, x: str) -> list[str]:
         """The parts of the JSON text of ``x``, a value of type ``hint``."""
+        hint = _plain(hint)
         origin, args, inner = typing.get_origin(hint), typing.get_args(hint), optional_of(hint)
         if inner is not None:
             return [f"('null' if {x} is None else {self.expr(inner, x)})"]
@@ -621,7 +622,7 @@ class _CodecSource(GeneratedSource):
             return [f"{self.name(table, f'{hint.__name__}_json')}[{x}]"]
         if isinstance(hint, type) and issubclass(hint, Record):
             derive_codec(hint)
-            return [f"{x}.to_json()"] if _SHARED[hint] is None else self.record_text(hint, x)
+            return self.record_text(hint, x)
         if origin is list:
             v, _, (enc, _, _) = self._element(args[0])
             item = (f"json_text({enc})" if typing.get_origin(args[0]) is tuple
@@ -632,8 +633,8 @@ class _CodecSource(GeneratedSource):
     def expr(self, hint, x: str) -> str:
         """An expression whose value is the JSON text of ``x``, a value of
         type ``hint``: a record's is a call of its ``to_json``."""
-        if isinstance(hint, type) and issubclass(hint, Record) and _SHARED[derive_codec(hint)] is not None:
-            return f"{self.name(hint.to_json, f'{hint.__name__}_json')}({x})"
+        if isinstance(hint, type) and issubclass(hint, Record):
+            return f"{self.name(derive_codec(hint).to_json, f'{hint.__name__}_json')}({x})"
         return " + ".join(f"'{part}'" if isinstance(part, _Lit) else
                           f"str({part})" if isinstance(part, _Int) else part
                           for part in self.text(hint, x))
@@ -650,15 +651,16 @@ class _CodecSource(GeneratedSource):
     def leaves(self, cls: type, d: str) -> list[str] | None:
         """The memo key leaves of ``d``, a ``cls`` record (see ``derive_codec``),
         or None when a field cannot enter a key."""
-        hints, leaves = typing.get_type_hints(cls), []
+        leaves = []
         for f in dataclasses.fields(cls):
-            field_leaves = self._key(hints[f.name], f"{d}[{f.name!r}]")
+            field_leaves = self._key(f.type, f"{d}[{f.name!r}]")
             if field_leaves is None:
                 return None
             leaves += field_leaves
         return leaves
 
     def _key(self, hint, d: str) -> list[str] | None:
+        hint = _plain(hint)
         inner = optional_of(hint)
         if inner is not None:
             if isinstance(inner, type) and issubclass(inner, Record):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .foundation import (SYSTEM, CurrencyMismatch, Record, Ref, money_amount, optional_of,
@@ -79,7 +79,7 @@ def _reference_lines(cls: type, x: str, depth: int = 1) -> list[str]:
     element of a ``set`` or ``list`` of ``Ref``, each key of a ``dict`` keyed
     by ``Ref``; and those of a record it holds or lists, at any depth."""
     lines = []
-    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+    for name, hint in ((f.name, f.type) for f in fields(cls)):
         origin, args = typing.get_origin(hint), typing.get_args(hint)
         each = origin in (set, list, dict) and Ref.of(args[0])  # a Ref per element or key
         ref = each or Ref.of(hint)

@@ -6,8 +6,6 @@ name, so scenario scripts never embed rule logic. Who created, validated,
 and accepted what is recorded on the documents themselves.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -217,7 +215,7 @@ class RuleBook:
     rules: dict[str, ValidationRule]
 
     @classmethod
-    def from_config(cls, data) -> RuleBook:
+    def from_config(cls, data) -> "RuleBook":
         """The rule book of a policy config, whose shape is declared in
         ``commands.INPUT_FILES``."""
         from .commands import parse_input  # commands imports this module

@@ -7,8 +7,6 @@ Substituted goods are charged against the order line they replace, at that
 line's snapshot price.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from enum import Enum
 

@@ -7,8 +7,8 @@ seeded or created entities by name. Reports are pure functions of the
 inputs — the only timestamps anywhere are logical ticks.
 """
 
-# no ``from __future__ import annotations``: the report writer reads the
-# field types of the outcome records, which stay evaluated
+# no ``from __future__ import annotations``, as in every module that declares
+# records: the report writer reads the outcome records' evaluated field types
 import json
 import typing
 from dataclasses import dataclass, field, fields

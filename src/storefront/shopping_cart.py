@@ -6,8 +6,6 @@ order plus one draft invoice whose line items mirror the cart exactly.
 exists anywhere.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from enum import Enum
 

@@ -7,8 +7,6 @@ count never exceeds on-hand. Reservations are aggregate-only; rooms track
 physical placement.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -323,9 +321,9 @@ def pick_components(txn, order_id: EntityId,
     drains = {item: {room: qty.value for room, qty in rooms.items()}
               for item, rooms in (room_drains or {}).items()}
     for component_id, rooms in drains.items():
-        if component_id not in order.bill_of_materials:
-            raise UnknownStockItem(f"{component_id._text} is not on the bill of materials")
         component = txn.state.need("stock_items", component_id)
+        if component_id not in order.bill_of_materials:
+            raise AllocationMismatch(f"{component_id._text} is not on the bill of materials")
         if sum(rooms.values()) != order.need(component_id):
             raise AllocationMismatch(
                 f"drain for {component.name} must total {order.need(component_id)}")

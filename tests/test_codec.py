@@ -2,15 +2,20 @@
 the flat generated encoder builds as a reference nested encoder does, the
 generated writer writes that form's sorted compact JSON text byte for
 byte, a clone shares no mutable container with its original, a decode
-shares each frozen value through its memo, and a field type the codec
-cannot encode is refused when the codec is derived."""
+shares each frozen value through its memo, a field type the codec
+cannot encode is refused when the codec is derived, and the generators
+read the declarations as written, resolving no string annotation."""
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -295,21 +300,26 @@ class _Tree(Record):
     price: Money | None = None
 
 
-def test_a_record_nested_in_itself_derives_and_round_trips():
-    derive_codec(_Tree)
-    leaf = _Tree("leaf", EntityId("customer", 2), price=Money(5, "USD"))
-    tree = _Tree("root", EntityId("customer", 1), [leaf, _Tree("bare", EntityId("customer", 3))],
-                 parent=_Tree("up", EntityId("customer", 4)))
-    encoded = tree.to_dict()
-    assert encoded == _reference(tree, _Tree)
-    assert tree.to_json() == _dumps(encoded)
-    assert encoded["children"][0] == {"label": "leaf", "owner": "customer:2", "children": [],
-                                      "parent": None, "price": {"amount": 5, "currency": "USD"}}
-    assert_plain_json(encoded)
-    assert _Tree.from_dict(encoded) == tree
-    copy = tree.clone()
-    copy.children[0].children.append(_Tree("new", EntityId("customer", 5)))
-    assert tree.to_dict() == encoded
+def test_a_record_nested_in_itself_is_refused_naming_the_field():
+    """A record can nest itself only through a string annotation, which the
+    codec does not resolve: it refuses the first such field by name, and
+    derives nothing, so a second call refuses it again."""
+    for _ in range(2):
+        with pytest.raises(TypeError, match=r"^_Tree\.children: the record codec cannot encode"):
+            derive_codec(_Tree)
+    assert not hasattr(_Tree, "to_dict")
+
+
+def test_an_import_of_the_cli_resolves_no_string_annotation():
+    """A fresh ``import storefront.cli`` calls no ``typing.get_type_hints``
+    and evaluates no ``ForwardRef``: every generator reads the evaluated
+    field types and signatures of the model modules."""
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
+    out = subprocess.run([sys.executable, str(tests / "import_counts.py")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    counts = json.loads(out)
+    assert (counts["get_type_hints"], counts["forward_ref_evaluations"]) == (0, 0), counts
 
 
 def test_decode_shares_each_frozen_value_through_one_memo():

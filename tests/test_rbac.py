@@ -229,6 +229,25 @@ def test_a_decision_is_the_access_its_record_holds(rbac_eng, eng):
         assert (decision["verdict"], decision["role"], decision.get("reason")) == expected
 
 
+def test_a_decision_reads_text_ids_as_dispatch_does(rbac_eng):
+    """Given a text actor and text id args, the forms ``dispatch`` takes,
+    ``access_decision`` decides as the envelope does: for Ana's own cart it
+    returns the ``Shopper`` Allow that her record holds, the same object,
+    and for Ben, given only the owner arg, the ``not-owner`` Deny."""
+    ana, ben = (new_customer(rbac_eng, name=name) for name in ("Ana", "Ben"))
+    cart = rbac_eng.execute(ana, "create_cart", customer=ana)["cart"]
+    args = {"cart": cart, "product": product_id(rbac_eng, "WidgetA"), "qty": 1}
+    assert all(value.__class__ is not EntityId for value in [ana, *args.values()])
+    decision = rbac_eng.access_decision(ana, "add_item", args)
+    assert decision is rbac_eng.dispatch(ana, "add_item", args).access
+    assert (decision["verdict"], decision["role"]) == ("Allow", "Shopper")
+    denied = rbac_eng.access_decision(ben, "add_item", {"cart": cart})
+    with pytest.raises(AccessDenied):
+        rbac_eng.dispatch(ben, "add_item", args)
+    assert denied is rbac_eng.state.log[-1].access
+    assert denied["reason"] == "not-owner"
+
+
 def _args_for(engine, command, own, actor):
     """Minimal args for each command's ownership resolver.
 

@@ -278,6 +278,25 @@ def test_pick_drain_validation(eng):
     assert exc.value.code == "AllocationMismatch"
 
 
+def test_pick_drain_for_an_item_off_the_bill_of_materials(eng):
+    """A drain for a stored item that is not on the bill of materials is an
+    ``AllocationMismatch``; a drain for an id no store holds is the stock
+    items' missing-entity error. Both leave an error record and no change."""
+    widget, frame, motor = (stock_item_id(eng, name) for name in ("WidgetA", FRAME, MOTOR))
+    order = eng.execute(SYSTEM, "create_shop_order", product=widget, output_qty=5,
+                        bill_of_materials={frame: 2})["shop_order"]
+    eng.execute(SYSTEM, "cut_shop_order", order=order)
+    main = room_id(eng, "Main")
+    for item, expected in [(motor, ("AllocationMismatch",
+                                    f"{motor} is not on the bill of materials")),
+                           ("stock_item:999", ("UnknownItem", "no stock item stock_item:999"))]:
+        with pytest.raises(DomainError) as exc:
+            eng.execute(SYSTEM, "pick_components", order=order,
+                        room_drains={frame: {main: 10}, item: {main: 1}})
+        assert (exc.value.code, str(exc.value)) == expected
+        assert (eng.state.log[-1].error, eng.state.log[-1].deltas) == (expected[0], [])
+
+
 def test_pick_zero_drain_from_room_the_component_is_not_in(eng):
     """A zero drain from an empty room is a no-op, not a crash mid-command."""
     widget = stock_item_id(eng, "WidgetA")
