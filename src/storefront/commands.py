@@ -36,13 +36,9 @@ from .foundation import (
 )
 from .invoice import InvoiceItem, PaymentMethod, PolicyKind
 from .order_shipment import ShippedItem
-from .state import KIND_TO_STORE, NOT_EVALUATED, STORES, EventRecord, Txn, to_jsonable
+from .state import (DENIALS, DENIED_ACCESS, KIND_TO_STORE, NOT_EVALUATED, PERMISSIVE_ALLOW,
+                    STORES, SYSTEM_ALLOW, EventRecord, Txn, to_jsonable)
 from .stock_manager import StockKind
-
-
-@dataclass(frozen=True)
-class ParseContext:
-    currency: str
 
 
 # --- argument declarations ----------------------------------------------------
@@ -87,9 +83,9 @@ _TEMPLATES = {
     int: ("if {v}.__class__ is not int and ({v}.__class__ is bool or not isinstance({v}, int)):"
           " _wrong({v}, 'integer')", "{v} if {v}.__class__ is int else to_jsonable({v})"),
     bool: ("if {v}.__class__ is not bool: _wrong({v}, 'boolean')", "{v}"),
-    Money: ("if {v}.__class__ is not int: {v} = _money({v}, ctx.currency)\n"
+    Money: ("if {v}.__class__ is not int: {v} = _money({v}, currency)\n"
             "else: {v}_m = _new(Money); _set({v}_m, 'amount', {v}); "
-            "_set({v}_m, 'currency', ctx.currency); {v} = {v}_m",
+            "_set({v}_m, 'currency', currency); {v} = {v}_m",
             "{{'amount': {v}.amount, 'currency': {v}.currency}}"),
     Quantity: ("if {v}.__class__ is not Quantity:\n"
                "    if {v}.__class__ is not int or {v} < 0: {v} = _qty({v})\n"
@@ -294,7 +290,7 @@ class _ParserSource(GeneratedSource):
 
 @functools.cache
 def compile_parser(name: str, schema, filename: str):
-    """Generate ``parse(raw, ctx) -> (parsed, payload)`` for ``schema``: the
+    """Generate ``parse(raw, currency) -> (parsed, payload)`` for ``schema``: the
     ``Fields`` of the args of the command or query ``name``, taken in
     declaration order, or with no name any declaration (such as an input
     file's). It builds the payload the event log records in the same pass,
@@ -303,7 +299,7 @@ def compile_parser(name: str, schema, filename: str):
     source = _ParserSource()
     lines, expr = source.fields(schema, "raw", name) if name else source.lines(schema, "raw")
     body = [*lines, f"return raw, {expr}"]
-    run_generated("def parse(raw, ctx):\n" + "\n".join(_indent(body)), filename, source.names)
+    run_generated("def parse(raw, currency):\n" + "\n".join(_indent(body)), filename, source.names)
     return source.names["parse"]
 
 
@@ -341,7 +337,7 @@ class CommandSpec:
 
     @functools.cached_property
     def parse(self):
-        """``parse(raw, ctx) -> (parsed, payload)``, generated on first use."""
+        """``parse(raw, currency) -> (parsed, payload)``, generated on first use."""
         return compile_parser(self.name, self.schema, f"<parser {self.name}>")
 
     @functools.cached_property
@@ -386,19 +382,18 @@ _ACCESS = """\
 def _access(spec: CommandSpec) -> tuple[str, dict]:
     """The access decision of ``spec``'s envelope and its ``decide``: ``allow``,
     or ``denied`` in the ``else`` it ends in, which the caller fills; and its names."""
-    from . import rbac  # rbac imports this module
     return (_ACCESS.format(foreign=spec.foreign),
             {"KIND_TO_STORE": KIND_TO_STORE, "NO_ROLES": frozenset(),
-             "right": (spec.kind, spec.name), "system": rbac.SYSTEM_ALLOW,
-             "permissive": rbac.PERMISSIVE_ALLOW, "no_role": rbac.NO_ROLE,
-             "not_owner": rbac.NOT_OWNER, "denials": rbac.DENIALS})
+             "right": (spec.kind, spec.name), "system": SYSTEM_ALLOW,
+             "permissive": PERMISSIVE_ALLOW, "no_role": DENIED_ACCESS["no-role"],
+             "not_owner": DENIED_ACCESS["not-owner"], "denials": DENIALS})
 
 
 # the source of an envelope: {parse} and {payload} are a parser's lines and the
 # name of its payload, {access} the access decision, {operation} the domain call
 _ENVELOPE = """\
 def envelope(engine, actor, raw, seq, tick):
-    state, args, ctx = engine.state, raw, engine.parse_context
+    state, args, currency = engine.state, raw, engine.currency
     try:
 {parse}
     except DomainError as exc:
@@ -628,9 +623,9 @@ COMMANDS = {spec.name: spec for spec in [
 ]}
 
 
-def parse_args(spec: CommandSpec, raw_args: dict, ctx: ParseContext) -> tuple[dict, dict]:
+def parse_args(spec: CommandSpec, raw_args: dict, currency: str) -> tuple[dict, dict]:
     """The parsed args and their payload, as the command's envelope parses them."""
-    return spec.parse(raw_args, ctx)
+    return spec.parse(raw_args, currency)
 
 
 def canonical_payload(args: dict) -> dict:
@@ -680,12 +675,12 @@ INPUT_FILES = {
 }
 
 
-def parse_input(name: str, raw, ctx: ParseContext | None = None):
+def parse_input(name: str, raw, currency: str | None = None):
     """``raw`` parsed as the input file ``name`` by its generated parser, the
-    payload dropped (``ctx`` is needed only for money); a wrong type, a
+    payload dropped (``currency`` is needed only for money); a wrong type, a
     missing or an unknown field, at any level, is a ``SchemaError``."""
     parse = compile_parser("", INPUT_FILES[name], f"<input parser {name}>")
     try:
-        return parse(raw, ctx)[0]
+        return parse(raw, currency)[0]
     except SchemaError as exc:
         raise SchemaError(f"{name}: {exc}") from None

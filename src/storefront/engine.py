@@ -21,7 +21,7 @@ from . import invariants as invariants_mod
 from . import stock_manager
 # dispatch calls neither parse_args nor canonical_payload, which each
 # envelope inlines; the names stay here, where the bench's tracer hooks them
-from .commands import COMMANDS, ParseContext, canonical_payload, parse_args  # noqa: F401
+from .commands import COMMANDS, canonical_payload, parse_args  # noqa: F401
 from .commands import best_effort, parse_input
 from .foundation import _IDS, EntityId, Quantity, Ref, SchemaError
 from .invoice import RuleBook, default_rulebook
@@ -48,7 +48,6 @@ class Engine:
         self.rbac = rbac_matrix
         self.add_policy = add_policy
         self.state = EngineState()
-        self.parse_context = ParseContext(currency=currency)
         self._baseline: EngineState | None = None
 
     # -- seeding -----------------------------------------------------------
@@ -62,7 +61,7 @@ class Engine:
     def seed_catalog(self, entries: list[dict], catalog_name: str = "main") -> EntityId:
         """Load the catalog seed, declared in ``commands.INPUT_FILES``:
         [{name, price, status?, info?, similar?}], status ``Regular`` when absent."""
-        entries = parse_input("catalog seed", entries, self.parse_context)
+        entries = parse_input("catalog seed", entries, self.currency)
         txn = self._seed_txn()
         catalog_id = catalog_mod.create_catalog(txn, catalog_name)
         by_name: dict[str, EntityId] = {}
@@ -91,7 +90,7 @@ class Engine:
         kind, rooms?: {room name: qty}}]. Stockrooms are created in order of
         first mention; product items link to the catalog product of the same
         name when one exists."""
-        entries = parse_input("stock seed", entries, self.parse_context)
+        entries = parse_input("stock seed", entries, self.currency)
         txn = self._seed_txn()
         rooms: dict[str, EntityId] = {
             room.name: rid for rid, room in self.state.stores["stockrooms"].items()}
@@ -132,7 +131,9 @@ class Engine:
         ``args``, in the forms ``dispatch`` takes (an id may be its text), made
         by the same generated lines: the very ``access`` dict of the record.
         ``args`` may hold only the owner arg, which is all the decision reads."""
-        spec = COMMANDS[command]
+        spec = COMMANDS.get(command)
+        if spec is None:
+            raise SchemaError(f"unknown command {command!r}")
         actor = actor if actor.__class__ is EntityId else EntityId.parse(actor)
         declared = spec.schema.fields
         args = {name: EntityId.parse(value) if value.__class__ is str and Ref.of(declared.get(name))

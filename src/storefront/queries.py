@@ -90,7 +90,7 @@ class Query:
 
     @functools.cached_property
     def parse(self):
-        """``parse(raw, ctx) -> (parsed, payload)``, a command's form, generated on
+        """``parse(raw, currency) -> (parsed, payload)``, a command's form, generated on
         first use; a query logs nothing, so ``run_query`` drops the payload."""
         return compile_parser(self.name, self.schema, f"<query parser {self.name}>")
 
@@ -144,5 +144,5 @@ def run_query(engine, name: str, raw_args: dict):
     query = QUERIES.get(name)
     if query is None:
         raise SchemaError(f"unknown query {name!r}")
-    args, _ = query.parse(raw_args, engine.parse_context)
+    args, _ = query.parse(raw_args, engine.currency)
     return query.fn(engine, args)

@@ -5,7 +5,8 @@ Rights are (entity-kind, operation) pairs and roles hold exactly what the
 config declares — nothing implicit. Customer-facing roles additionally
 carry an ownership constraint: they act only on entities owned by the
 acting customer, because a right alone cannot express "own cart". Each
-command's envelope decides from the grants here (``commands._ACCESS``).
+command's envelope decides from the grants here (``commands._ACCESS``); a
+decision is the process's one dict for it, ``state.decision``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from . import bundled
 from .commands import COMMANDS, parse_input
 from .foundation import DomainError, EntityId, SchemaError
-from .state import ALLOW, DENIED_ACCESS
+from .state import ALLOW, DENIALS, decision
 
 
 class DuplicateRole(DomainError):
@@ -44,9 +45,9 @@ class RbacMatrix:
     ``roles`` is the declaration. ``grants`` is compiled from it, once per
     right ``(kind, operation)``, the first time a check asks for that
     right: the roles that grant it, in name order, as ``(role name,
-    owner_only, access)``: ``access`` is the one dict that all the records
-    of the role's Allow hold, so never mutate it. So loading a matrix costs
-    nothing per declared right, and a run pays only for the rights it checks.
+    owner_only, access)``: ``access`` is the role's Allow, its
+    ``state.decision``. So loading a matrix costs nothing per declared
+    right, and a run pays only for the rights it checks.
     ``permissive`` is the no-config fallback used by pattern-module unit
     tests: every check allows.
     """
@@ -61,7 +62,7 @@ class RbacMatrix:
         """Compile and keep the ``grants`` entry of one right."""
         right = (kind, operation)
         self.grants[right] = granting = tuple(
-            (name, role.owner_only, {"role": name, "verdict": ALLOW})
+            (name, role.owner_only, decision(name))
             for name, role in sorted(self.roles.items()) if right in role.rights)
         return granting
 
@@ -104,11 +105,6 @@ def load_rbac_config(config) -> RbacMatrix:
 
 # role -> reason, of an Allow that no declared role grants
 _ALLOWS = {"system": "system actor", "*": "permissive mode, no matrix loaded"}
-SYSTEM_ALLOW, PERMISSIVE_ALLOW = ({"role": role, "verdict": ALLOW} for role in _ALLOWS)
-NOT_OWNER, NO_ROLE = DENIED_ACCESS["not-owner"], DENIED_ACCESS["no-role"]
-# reason code -> reason, of a Deny (the text its AccessDenied carries) and
-# (None) of a command that did not parse
-DENIALS = {None: "not evaluated", "not-owner": "not owner", "no-role": "no role grants operation"}
 
 
 def reason_text(access: dict, command: str) -> str:

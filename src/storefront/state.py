@@ -17,6 +17,9 @@ Each store but ``notifications`` declares in ``MISSING`` the error it
 raises for an id it does not hold: ``EngineState.need`` and ``Txn.get_mut``
 raise it, as ``no <noun> <id>``.
 
+A record's ``access`` is interned as an id is: ``decision`` keeps one dict
+per decision in the process.
+
 The rule for domain code: mutate an entity only through the object
 ``Txn.get_mut`` returned (or ``Txn.create`` stored) in the same
 transaction. Changing an entity read from a store rewrites the records
@@ -125,32 +128,38 @@ _SCAN = json.JSONDecoder().scan_once  # the C scanner raw_decode calls: (value, 
 _BAD_LINE = (ValueError, KeyError, TypeError, AttributeError, RecursionError, StopIteration,
              DomainError)
 ALLOW, DENY = "Allow", "Deny"
-# the access of a record whose command failed before the check, and of a Deny by its
-# reason code: one dict each, shared by all their records, live and read back
-NOT_EVALUATED = {"role": None, "verdict": None}
-DENIED_ACCESS = {code: {"role": None, "verdict": DENY, "reason": code}
-           for code in ("not-owner", "no-role")}
-# id(access dict) -> (the dict, its text): a decision is the dict that all
-# its records share (a grant's, or one of ``rbac``'s), never mutated
-_ACCESS_TEXT: dict[int, tuple[dict, str]] = {}
+# (role, verdict, reason) -> the process's one dict of that decision, and
+# id(that dict) -> its text; like ``_IDS``, one entry per decision seen, never dropped
+_DECISIONS: dict[tuple, dict] = {}
+_ACCESS_TEXT: dict[int, str] = {}
 
 
-def _access_text(access: dict) -> str:
-    hit = _ACCESS_TEXT.get(id(access))
-    if hit is not None and hit[0] is access:
-        return hit[1]
-    if len(_ACCESS_TEXT) >= 1024:  # each read of a log holds its own Allow dicts
-        _ACCESS_TEXT.clear()
-    text = json_text(access)
-    _ACCESS_TEXT[id(access)] = (access, text)
-    return text
+def decision(role, verdict=ALLOW, reason=None) -> dict:
+    """The ``access`` of a decision: one dict per process, shared by all the
+    records that hold it, live and read back, so never mutate it."""
+    access = _DECISIONS.get((role, verdict, reason))
+    if access is None:
+        access = {"role": role, "verdict": verdict}
+        if reason is not None:
+            access["reason"] = reason
+        _DECISIONS[role, verdict, reason] = access
+        _ACCESS_TEXT[id(access)] = json_text(access)
+    return access
+
+
+# reason code -> reason, of a Deny (the text its AccessDenied carries) and
+# (None) of a command that did not parse
+DENIALS = {None: "not evaluated", "not-owner": "not owner", "no-role": "no role grants operation"}
+NOT_EVALUATED = decision(None, None)
+DENIED_ACCESS = {code: decision(None, DENY, code) for code in DENIALS if code}
+SYSTEM_ALLOW, PERMISSIVE_ALLOW = decision("system"), decision("*")
 
 
 def _shared_access(access: dict) -> dict:
-    """The ``access`` that a decision's records read back share: an Allow's own
-    dict, the engine's for any other; a form no decision writes is refused."""
+    """The ``access`` that a decision's records read back share: its
+    ``decision``; a form no decision writes is refused."""
     if len(access) == 2 and access.get("verdict") == ALLOW and access.get("role").__class__ is str:
-        return access
+        return decision(access["role"])
     for shared in (NOT_EVALUATED, *DENIED_ACCESS.values()):
         if access == shared:
             return shared
@@ -243,9 +252,9 @@ class EventRecord:
     def to_json_line(self) -> str:
         """The log line: ``to_dict()`` as sorted compact JSON, each put
         written by its entity's ``to_json``, with no dict built."""
-        deltas, error, result = self.deltas, self.error, self.result
-        return (f'{{"access":{_access_text(self.access)},"actor":{_str(self.actor._text)},'
-                f'"command":{_str(self.command)},'
+        deltas, error, result, access = self.deltas, self.error, self.result, self.access
+        return (f'{{"access":{_ACCESS_TEXT.get(id(access)) or json_text(access)},'
+                f'"actor":{_str(self.actor._text)},"command":{_str(self.command)},'
                 f'"deltas":[{",".join([_fact_text(fact) for fact in deltas]) if deltas else ""}],'
                 f'"error":{"null" if error is None else _str(error)},'
                 f'"outcome":{_str(self.outcome)},"payload":{json_text(self.payload)},'
@@ -261,13 +270,13 @@ def read_records(lines, source) -> list[EventRecord]:
     skipped. A line its chunk cannot read, and the rest of the chunk, are read
     one at a time, so a fault is the ``SchemaError`` that reading its line
     alone gives, naming ``source`` and the line."""
-    records, memo, decisions, read, last = [], {}, [], 0, b"\n"
+    records, memo, read, last = [], {}, 0, b"\n"
     lines = iter(lines)
     while chunk := list(islice(lines, 64)):
-        done = _read_chunk(chunk, records, memo, decisions) if len(chunk) > 1 else 0
+        done = _read_chunk(chunk, records, memo) if len(chunk) > 1 else 0
         for number, line in enumerate(chunk[done:], read + done + 1):
             try:
-                _read_chunk([line], records, memo, decisions)
+                _read_chunk([line], records, memo)
             except _BAD_LINE as exc:
                 raise SchemaError(f"{source}:{number}: bad event record: "
                                   f"{type(exc).__name__}: {exc}") from None
@@ -277,14 +286,13 @@ def read_records(lines, source) -> list[EventRecord]:
     return records
 
 
-def _read_chunk(chunk: list, records: list, memo: dict, decisions: list) -> int:
+def _read_chunk(chunk: list, records: list, memo: dict) -> int:
     """Append the record of each line of ``chunk`` to ``records``, and return
     how many lines were read. The chunk is decoded from ASCII once, and the C
     scanner reads each line's object in place, which must end at the line's
     newline (or, on a last line with none, at its end). Reading stops at the
     first line that is not such a record; a chunk of one line raises its
-    fault, as ``raw_decode`` of the line would. The records of one decision
-    share its ``access``: ``decisions`` holds each one checked so far."""
+    fault, as ``raw_decode`` of the line would."""
     single, newline = len(chunk) == 1, chunk[-1][-1:] == b"\n"
     try:
         text = b"".join(chunk).decode("ascii")
@@ -317,18 +325,14 @@ def _read_chunk(chunk: list, records: list, memo: dict, decisions: list) -> int:
                 raise SchemaError(f"record seq and tick must be integers: {seq!r}, {tick!r}")
             if outcome not in ("ok", "error", "denied"):
                 raise SchemaError(f"record outcome {outcome!r} is none of ok, error, denied")
-            for shared in decisions:
-                if access == shared:
-                    break
-            else:
-                decisions.append(shared := _shared_access(access))
+            access = _shared_access(access)
             if deltas:
                 for number, fact in enumerate(deltas):
                     deltas[number] = _decode_fact(fact, memo)
             actor = data["actor"]
             records.append(EventRecord(
                 seq, tick, actor.__class__ is str and _IDS.get(actor) or parse_written_id(actor),
-                intern(command), payload, shared, intern(outcome), error and intern(error),
+                intern(command), payload, access, intern(outcome), error and intern(error),
                 data["result"], deltas))
         except _BAD_LINE as exc:
             if not single:

@@ -23,7 +23,7 @@ def format2_record(engine, record) -> dict:
     access, command = record.access, record.command
     payload = record.payload
     if access["verdict"] is not None:  # the args parsed: their format-2 form
-        payload = canonical_payload(COMMANDS[command].parse(payload, engine.parse_context)[0])
+        payload = canonical_payload(COMMANDS[command].parse(payload, engine.currency)[0])
     return {
         "seq": record.seq, "tick": record.tick, "actor": record.actor._text,
         "command": command, "payload": payload,

@@ -78,15 +78,15 @@ def p_money(value, ctx):
     elif isinstance(value, bool):
         raise SchemaError(f"expected money, got {value!r}")
     elif isinstance(value, int):
-        money = Money(value, ctx.currency)
+        money = Money(value, ctx)
     elif (isinstance(value, dict) and set(value) == {"amount", "currency"}
           and type(value["amount"]) is int and isinstance(value["currency"], str)):
         money = Money(value["amount"], value["currency"])
     else:
         raise SchemaError(f"expected money, got {value!r}")
-    if money.currency != ctx.currency:
+    if money.currency != ctx:
         raise CurrencyMismatch(
-            f"engine currency is {ctx.currency}, got {money.currency}")
+            f"engine currency is {ctx}, got {money.currency}")
     return money
 
 
@@ -487,7 +487,7 @@ def parse_scenario(data: dict, source: str = "<memory>") -> Scenario:
 def _seed_args(engine, what: str, command: str, raw) -> dict:
     """Seed values parsed as the args of ``command``, by its parser."""
     try:
-        return COMMANDS[command].parse(raw, engine.parse_context)[0]
+        return COMMANDS[command].parse(raw, engine.currency)[0]
     except SchemaError as exc:
         raise SchemaError(f"{what}: {exc}") from None
 

@@ -14,12 +14,12 @@ import pytest
 from parse_oracle import input_form
 from storefront import SYSTEM, Engine, EntityId, Money, Quantity, permissive_matrix
 from storefront.catalog import ProductStatus
-from storefront.commands import COMMANDS, ParseContext, _spec, canonical_payload, parse_args
+from storefront.commands import COMMANDS, _spec, canonical_payload, parse_args
 from storefront.foundation import Ref
 from storefront.invoice import PaymentMethod
 from storefront.stock_manager import StockKind
 
-CTX = ParseContext(currency="USD")
+CTX = "USD"  # the engine currency a parser takes
 
 # (command, args): every command at least once, every parser kind in each of
 # its input forms; no bundled scenario reaches most of these forms

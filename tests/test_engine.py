@@ -1,9 +1,11 @@
 """Dispatch mechanics, the event log, the replay oracle, and the
 invariant checker."""
 
+import ast
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -421,3 +423,38 @@ def test_store_layout_is_deduplicated(eng):
     cart_item = eng.state.stores["carts"][EntityId.parse(cart)].items[0]
     line_item = eng.state.stores["orders"][EntityId.parse(order)].line_items[0]
     assert type(cart_item) is type(line_item)
+
+
+def _imported(node) -> list[str]:
+    """The modules an import statement names, a relative one as ``.``; none
+    for any other node."""
+    if isinstance(node, ast.ImportFrom):
+        return ["." if node.level else node.module]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def _function_imports(node, qualname=(), in_function=False):
+    """The qualified name of each function under ``node`` that imports a
+    module of the ``storefront`` package, once per such import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _function_imports(child, (*qualname, child.name),
+                                         in_function or not isinstance(child, ast.ClassDef))
+            continue
+        if in_function and any(name == "." or name.split(".")[0] == "storefront"
+                               for name in _imported(child)):
+            yield ".".join(qualname)
+        yield from _function_imports(child, qualname, in_function)
+
+
+def test_no_function_imports_a_sibling_module_but_the_rule_book_loader():
+    """Each module imports its siblings at its top, so the module graph is
+    what the tops of the files say. One cycle is left: ``commands`` imports
+    ``invoice``, whose ``RuleBook.from_config`` imports ``commands.parse_input``."""
+    found = set()
+    for path in sorted(Path(bundled.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.update(f"{path.stem}.{name}" for name in _function_imports(tree))
+    assert found == {"invoice.RuleBook.from_config"}

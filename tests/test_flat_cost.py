@@ -32,7 +32,7 @@ from storefront.foundation import AccessDenied, DomainError, EntityId, Money
 from storefront.invoice import InvoiceItem, RuleBook
 from storefront.order_shipment import ShippedItem
 from storefront.shopping_cart import CartItem
-from storefront.state import _UNWRITTEN, KIND_TO_STORE, NOT_EVALUATED, STORES
+from storefront.state import _UNWRITTEN, DENIED_ACCESS, KIND_TO_STORE, NOT_EVALUATED, STORES
 from storefront.stock_manager import UnknownRoom
 from test_every_command import STEPS
 
@@ -327,7 +327,7 @@ def test_the_records_read_of_one_decision_share_its_access_and_names(tmp_path):
     for _ in range(2):  # two records of a command that did not parse
         with pytest.raises(DomainError):
             denials.dispatch(SYSTEM, "no_such_command", {})
-    ungranted = {id(NOT_EVALUATED), id(rbac.NOT_OWNER), id(rbac.NO_ROLE)}
+    ungranted = {id(NOT_EVALUATED), *map(id, DENIED_ACCESS.values())}
     verdicts = set()
     for engine in [denials, *bench_engines()]:
         engine.write_log(tmp_path / "events.jsonl")

@@ -116,6 +116,19 @@ def test_replaying_the_same_records_twice_gives_equal_states(engines, tmp_path):
         assert engine.replayed_state(engine.state.log).to_dict() == first, name
 
 
+def test_a_read_record_holds_the_very_access_of_its_live_record(engines, tmp_path):
+    """A decision is one dict in the process: each record read back from a
+    written log holds the object its live record holds, in every bundled
+    scenario and every other test log."""
+    assert {name for name, _ in engines} >= {path.stem for path in bundled.scenario_files()}
+    for name, engine in engines:
+        engine.write_log(tmp_path / "events.jsonl")
+        records = read_log(tmp_path / "events.jsonl")
+        assert len(records) == len(engine.state.log), name
+        for record, live in zip(records, engine.state.log):
+            assert record.access is live.access, (name, record.seq)
+
+
 def test_a_read_record_writes_its_own_line_back_before_and_after_replay(engines, tmp_path):
     for name, engine in engines:
         engine.write_log(tmp_path / "events.jsonl")
@@ -140,9 +153,9 @@ def test_every_logged_payload_parses_back_to_the_args_it_was_written_from(engine
             if record.access["verdict"] is None:  # the args did not parse
                 continue
             spec = COMMANDS[command]
-            args, payload = spec.parse(raw, engine.parse_context)
+            args, payload = spec.parse(raw, engine.currency)
             assert record.payload == payload, (name, record.seq)
-            assert spec.parse(payload, engine.parse_context) == (args, payload), (
+            assert spec.parse(payload, engine.currency) == (args, payload), (
                 name, record.seq)
             checked += 1
     assert checked > 500

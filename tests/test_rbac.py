@@ -571,3 +571,38 @@ def test_dispatch_access_of_the_system_actor_a_permissive_engine_and_an_actor_wi
     # an owner-only role is refused a target that does not exist
     assert "not owner" in refused_missing
     assert checked == 11 * 3 + 22
+
+
+def test_two_matrices_parsed_apart_log_one_allow_object():
+    """A role's Allow is one dict in the process, whichever matrix grants it:
+    engines over two separately parsed copies of the bundled matrix (no
+    memo between them) log the same ``Shopper`` Allow object."""
+    text = bundled.rbac_config().read_text(encoding="utf-8")
+    matrices = [load_rbac_config(json.loads(text)) for _ in range(2)]
+    assert matrices[0] is not matrices[1]
+    records = []
+    for matrix in matrices:
+        engine = fresh_engine(rbac=matrix)
+        ana = new_customer(engine, name="Ana")
+        records.append(engine.dispatch(ana, "create_cart", {"customer": ana}))
+    first, second = records
+    assert first.access is second.access
+    assert (first.access["verdict"], first.access["role"]) == ("Allow", "Shopper")
+
+
+def test_a_decision_on_an_unknown_command_is_the_error_dispatch_raises(rbac_eng):
+    with pytest.raises(SchemaError) as decided:
+        rbac_eng.access_decision(SYSTEM, "no_such_command", {})
+    with pytest.raises(SchemaError) as dispatched:
+        rbac_eng.dispatch(SYSTEM, "no_such_command", {})
+    assert str(decided.value) == str(dispatched.value) == "unknown command 'no_such_command'"
+
+
+def test_a_record_whose_access_is_no_decision_writes_that_dict(rbac_eng):
+    """``to_json_line`` looks a decision's text up by the dict's ``id``; a dict
+    that replaces a record's ``access``, as a tampering test does, is written
+    from its own JSON."""
+    ana = new_customer(rbac_eng, name="Ana")
+    record = rbac_eng.dispatch(ana, "create_cart", {"customer": ana})
+    record.access = tampered = {"role": "Shopper", "verdict": "Deny", "reason": "tampered"}
+    assert json.loads(record.to_json_line())["access"] == tampered
