@@ -9,7 +9,7 @@ for outbound customer messaging.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .foundation import DomainError, EntityId, Money, Record, Ref
+from .foundation import DomainError, EntityId, Fields, Money, Record, Ref
 
 
 class UnknownCatalog(DomainError):
@@ -89,7 +89,7 @@ def create_catalog(txn, name: str) -> EntityId:
     return catalog_id
 
 
-def add_product(txn, catalog_id: EntityId, name: str, price: Money,
+def add_product(txn, catalog_id: Ref("catalog"), name: str, price: Money,
                 status: ProductStatus) -> EntityId:
     txn.state.need("catalogs", catalog_id)
     if price.amount < 0:
@@ -100,17 +100,21 @@ def add_product(txn, catalog_id: EntityId, name: str, price: Money,
     return product_id
 
 
-def set_product_info(txn, product_id: EntityId, description: str,
+def set_product_info(txn, product_id: Ref("product"), description: str,
                      comparison_notes: str = "") -> None:
     product = txn.get_mut("products", product_id)
     product.info = ProductInfo(description, comparison_notes)
 
 
-def update_product(txn, product_id: EntityId, changes: dict) -> list[EntityId]:
+PRODUCT_CHANGES = Fields({"name": str, "price": Money, "status": ProductStatus},
+                         {"name", "price", "status"})
+
+
+def update_product(txn, product_id: Ref("product"), changes: PRODUCT_CHANGES) -> list[EntityId]:
     """Apply field changes and record one Notification per subscriber.
 
-    ``changes`` may set ``name``, ``price``, or ``status``. Returns the ids
-    of the notifications recorded for this update, in subscriber-id order.
+    Returns the ids of the notifications recorded for this update, in
+    subscriber-id order.
     """
     if not changes:
         raise EmptyChange("update requires at least one field change")
@@ -150,7 +154,7 @@ def _field_text(value) -> str:
     return str(value)
 
 
-def link_similar(txn, a: EntityId, b: EntityId) -> None:
+def link_similar(txn, a: Ref("product"), b: Ref("product")) -> None:
     if a == b:
         raise SelfLink(f"product {a} cannot be similar to itself")
     product_a = txn.get_mut("products", a)
@@ -159,13 +163,13 @@ def link_similar(txn, a: EntityId, b: EntityId) -> None:
     product_b.similar.add(a)
 
 
-def subscribe(txn, customer_id: EntityId, product_id: EntityId) -> None:
+def subscribe(txn, customer_id: Ref("customer"), product_id: Ref("product")) -> None:
     txn.state.need("customers", customer_id)
     product = txn.get_mut("products", product_id)
     product.subscribers.add(customer_id)
 
 
-def search(state, catalog_id: EntityId, name_substring: str | None = None,
+def search(state, catalog_id: Ref("catalog"), name_substring: str | None = None,
            status: ProductStatus | None = None,
            max_price: Money | None = None) -> list[EntityId]:
     """Products matching every given criterion, ordered by (name, id).

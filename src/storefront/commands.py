@@ -1,6 +1,7 @@
-"""The finite command vocabulary: argument schemas, rights metadata,
-ownership, and the handler and the envelope of every engine operation, each
-generated from these declarations and the domain function it calls.
+"""The finite command vocabulary: each command's target kind, owner arg and
+domain operation, whose annotated signature declares the command's args; and
+the parser, the handler and the envelope of every command, each generated
+from these declarations.
 
 Scenario files and the Python API meet here: argument values may arrive as
 JSON primitives (ids as ``kind:serial`` strings, money as minor-unit ints)
@@ -19,53 +20,37 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import catalog, invoice, order_shipment, shopping_cart, stock_manager
-from .catalog import ProductStatus
 from .foundation import (
     _IDS,
     AccessDenied,
     CurrencyMismatch,
     DomainError,
     EntityId,
+    Fields,
     GeneratedSource,
     Money,
     Quantity,
     Ref,
     SchemaError,
     json_text,
+    optional_of,
     run_generated,
 )
-from .invoice import InvoiceItem, PaymentMethod, PolicyKind
-from .order_shipment import ShippedItem
+from .invoice import EDIT, INVOICE_ITEM, PaymentMethod, PolicyKind
+from .order_shipment import ORDER_LINE, SHIPPED_ITEM  # noqa: F401  (re-exported)
 from .state import (DENIALS, DENIED_ACCESS, KIND_TO_STORE, NOT_EVALUATED, PERMISSIVE_ALLOW,
                     STORES, SYSTEM_ALLOW, EventRecord, Txn, to_jsonable)
-from .stock_manager import StockKind
 
 
 # --- argument declarations ----------------------------------------------------
-# The args of a command or a query are the ``Fields`` of one object; an input
-# file is one declaration (see ``INPUT_FILES``). A value is declared as ``str``,
+# The args of a command are the annotated parameters of its domain operation
+# (see ``_spec``), those of a query the ``Fields`` of one object; an input file
+# is one declaration (see ``INPUT_FILES``). A value is declared as ``str``,
 # ``bool``, ``int``, ``Money``, ``Quantity``, an enum class, ``Ref(kind, ...)``
 # (an ``EntityId`` or its text), ``list[X]``, ``dict[Ref(kind) or str, X]``,
-# ``Fields``, ``EDIT``, ``JSON_OBJECT`` or ``JSON_VALUE``.
+# ``Fields``, ``EDIT``, ``JSON_OBJECT`` or ``JSON_VALUE``; the structured ones
+# (``ORDER_LINE``, ``INVOICE_ITEM``, ...) sit beside the records they build.
 
-
-@dataclass(eq=False)
-class Fields:
-    """An object of the declared fields, each required unless ``optional``,
-    parsed to a dict of those present or to ``into(*fields)`` (None for an
-    absent one); its payload, the object of those present, parses back."""
-
-    fields: dict
-    optional: set | frozenset = frozenset()
-    into: type | None = None
-
-
-ORDER_LINE = Fields({"product": Ref("product"), "qty": Quantity}, into=tuple)
-SHIPPED_ITEM = Fields({"product": Ref("product"), "qty": Quantity,
-                       "substituted_for": Ref("product")}, {"substituted_for"}, ShippedItem)
-INVOICE_ITEM = Fields({"description": str, "product": Ref("product"), "quantity": Quantity,
-                       "unit_price": Money}, {"product"}, InvoiceItem)
-EDIT = "edit"  # {"add": INVOICE_ITEM, quantity at least 1} or {"delete": description}
 JSON_OBJECT = "json object"  # any object, kept as it is
 JSON_VALUE = "json value"  # any value, kept as it is
 
@@ -329,7 +314,7 @@ def _foreign(name: str, schema: Fields, arg: str) -> str:
 class CommandSpec:
     name: str
     kind: str  # target entity kind, the first element of the required right
-    schema: Fields  # the args, declared as the fields of an object
+    schema: Fields  # the args: the parameters of its domain operation, as an object's fields
     foreign: str  # when the target is not the actor's own (see "ownership"); "False": no owner
     run: object  # callable(engine, txn, actor, args) -> its result, as plain JSON
     # (call statement, result expression, names): what ``_spec`` generated ``run`` from
@@ -460,42 +445,41 @@ _RESULTS = {EntityId: "{}._text", Money: "{}.to_dict()", list[EntityId]: "[v._te
             str: "{}", list[str]: "{}", str | None: "{}"}
 
 
-def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> CommandSpec:
-    """The spec of command ``name``, whose ``run(engine, txn, actor, args)``
-    is generated under the filename ``<command name>``: one call of the
-    domain operation ``fn``, and a dict of its result under ``keys``.
+def _spec(name, kind, fn, *keys, owner=None) -> CommandSpec:
+    """The spec of command ``name``, whose args are declared by the signature
+    of its domain operation ``fn``, and whose ``run(engine, txn, actor, args)``
+    is generated under the filename ``<command name>``: one call of ``fn``,
+    and a dict of its result under ``keys``.
 
     ``fn`` takes ``txn`` (``txn.state`` when its first parameter is
-    ``state``), then in signature order: for a parameter named ``x`` or
-    ``x_id`` the arg ``x`` (an optional one defaults to the parameter's
-    default), else the engine attribute of its name. The return annotation
-    picks the encoding in ``_RESULTS``; a ``tuple`` gives one key per
-    element, ``None`` none. ``owner`` is the arg naming the target whose
-    owner an owner-only role must be (see "ownership"). An unmatched
-    parameter or arg, a result with no encoding, or an owner arg that
-    resolves to no owner raises ``TypeError`` naming the command."""
-    schema = Fields(args, optional)
+    ``state``), then in signature order: the engine attribute of its name,
+    else the arg ``x`` of a parameter named ``x`` or ``x_id``, declared by its
+    annotation (``X`` by ``X | None``), and optional when the parameter has a
+    default, which an absent arg takes. The return annotation picks the
+    encoding in ``_RESULTS``; a ``tuple`` gives one key per element, ``None``
+    none. ``owner`` is the arg naming the target whose owner an owner-only
+    role must be (see "ownership"). A parameter with no annotation, a result
+    with no encoding, or an owner arg that resolves to no owner raises
+    ``TypeError`` naming the command."""
     signature = inspect.signature(fn)
     params = list(signature.parameters.values())
-    names, taken = {fn.__name__: fn}, set()
+    schema, names = Fields({}, set()), {fn.__name__: fn}
     call = ["txn.state" if params[0].name == "state" else "txn"]
     for param in params[1:]:
-        arg = param.name if param.name in schema.fields else param.name.removesuffix("_id")
-        if arg in schema.fields.keys() - schema.optional:
-            value = f"args[{arg!r}]"
-            taken.add(arg)
-        elif arg in schema.optional and param.default is not param.empty:
-            value = f"args.get({arg!r}, {param.name}_default)"
-            names[f"{param.name}_default"] = param.default
-            taken.add(arg)
-        elif param.name in _ENGINE_ATTRS:
+        if param.name in _ENGINE_ATTRS:
             value = f"engine.{param.name}"
+        elif param.annotation is param.empty:
+            raise TypeError(f"{name}: parameter {param.name!r} of {fn.__qualname__} "
+                            "has no annotation")
         else:
-            raise TypeError(f"{name}: parameter {param.name!r} of {fn.__qualname__} takes "
-                            "neither a required arg nor an engine attribute")
+            arg = param.name.removesuffix("_id")
+            schema.fields[arg] = optional_of(param.annotation) or param.annotation
+            value = f"args[{arg!r}]"
+            if param.default is not param.empty:
+                value = f"args.get({arg!r}, {param.name}_default)"
+                names[f"{param.name}_default"] = param.default
+                schema.optional.add(arg)
         call.append(f"{param.name}={value}" if param.kind is param.KEYWORD_ONLY else value)
-    for arg in sorted(schema.fields.keys() - taken):
-        raise TypeError(f"{name}: no parameter of {fn.__qualname__} takes arg {arg!r}")
     returns = signature.return_annotation
     hints = (typing.get_args(returns) if typing.get_origin(returns) is tuple
              else () if returns is None else (returns,))
@@ -518,108 +502,49 @@ def _spec(name, kind, args, fn, *keys, owner=None, optional=frozenset()) -> Comm
 
 COMMANDS = {spec.name: spec for spec in [
     # bootstrap / registry plumbing
-    _spec("create_customer", "customer",
-          {"name": str, "loyalty_member": bool, "roles": list[str]},
-          shopping_cart.create_customer, "customer", optional={"loyalty_member", "roles"}),
-    _spec("create_employee", "employee", {"name": str, "roles": list[str]},
-          invoice.create_employee, "employee", optional={"roles"}),
-    _spec("create_catalog", "catalog", {"name": str}, catalog.create_catalog, "catalog"),
+    _spec("create_customer", "customer", shopping_cart.create_customer, "customer"),
+    _spec("create_employee", "employee", invoice.create_employee, "employee"),
+    _spec("create_catalog", "catalog", catalog.create_catalog, "catalog"),
 
     # catalog
-    _spec("add_product", "product",
-          {"catalog": Ref("catalog"), "name": str, "price": Money, "status": ProductStatus},
-          catalog.add_product, "product"),
-    _spec("set_product_info", "product",
-          {"product": Ref("product"), "description": str, "comparison_notes": str},
-          catalog.set_product_info, optional={"comparison_notes"}),
-    _spec("update_product", "product",
-          {"product": Ref("product"),
-           "changes": Fields({"name": str, "price": Money, "status": ProductStatus},
-                             {"name", "price", "status"})},
-          catalog.update_product, "notifications"),
-    _spec("link_similar", "product", {"a": Ref("product"), "b": Ref("product")},
-          catalog.link_similar),
-    _spec("subscribe", "product", {"customer": Ref("customer"), "product": Ref("product")},
-          catalog.subscribe, owner="customer"),
-    _spec("search", "catalog",
-          {"catalog": Ref("catalog"), "name_substring": str, "status": ProductStatus,
-           "max_price": Money},
-          catalog.search, "products", optional={"name_substring", "status", "max_price"}),
+    _spec("add_product", "product", catalog.add_product, "product"),
+    _spec("set_product_info", "product", catalog.set_product_info),
+    _spec("update_product", "product", catalog.update_product, "notifications"),
+    _spec("link_similar", "product", catalog.link_similar),
+    _spec("subscribe", "product", catalog.subscribe, owner="customer"),
+    _spec("search", "catalog", catalog.search, "products"),
 
     # shopping cart
-    _spec("create_cart", "cart", {"customer": Ref("customer")},
-          shopping_cart.create_cart, "cart", owner="customer"),
-    _spec("add_item", "cart", {"cart": Ref("cart"), "product": Ref("product"), "qty": Quantity},
-          shopping_cart.add_item, owner="cart"),
-    _spec("remove_item", "cart", {"cart": Ref("cart"), "product": Ref("product")},
-          shopping_cart.remove_item, owner="cart"),
-    _spec("cart_total", "cart", {"cart": Ref("cart")},
-          shopping_cart.cart_total, "total", owner="cart"),
-    _spec("checkout", "cart", {"cart": Ref("cart")},
-          shopping_cart.checkout, "order", "invoice", owner="cart"),
+    _spec("create_cart", "cart", shopping_cart.create_cart, "cart", owner="customer"),
+    _spec("add_item", "cart", shopping_cart.add_item, owner="cart"),
+    _spec("remove_item", "cart", shopping_cart.remove_item, owner="cart"),
+    _spec("cart_total", "cart", shopping_cart.cart_total, "total", owner="cart"),
+    _spec("checkout", "cart", shopping_cart.checkout, "order", "invoice", owner="cart"),
 
     # invoice
-    _spec("create_invoice", "invoice",
-          {"creator": Ref("employee", "system"), "customer": Ref("customer")},
-          invoice.create_invoice, "invoice"),
-    _spec("prepare_invoice", "invoice",
-          {"invoice": Ref("invoice"), "edits": list[EDIT], "policies": list[str]},
-          invoice.prepare_invoice, "total", optional={"edits", "policies"}),
-    _spec("validate_invoice", "invoice",
-          {"validator": Ref("employee"), "invoice": Ref("invoice"), "rules": list[str]},
-          invoice.validate_invoice, "verdict", "reasons", optional={"rules"}),
-    _spec("record_payment", "payment",
-          {"customer": Ref("customer"), "invoice": Ref("invoice"), "amount": Money,
-           "method": PaymentMethod},
-          invoice.record_payment, "payment", owner="invoice"),
-    _spec("validate_payment", "payment",
-          {"validator": Ref("employee"), "payment": Ref("payment"), "rules": list[str]},
-          invoice.validate_payment, "verdict", "reasons", optional={"rules"}),
-    _spec("invoice_balance", "invoice", {"invoice": Ref("invoice")},
-          invoice.invoice_balance, "balance", owner="invoice"),
+    _spec("create_invoice", "invoice", invoice.create_invoice, "invoice"),
+    _spec("prepare_invoice", "invoice", invoice.prepare_invoice, "total"),
+    _spec("validate_invoice", "invoice", invoice.validate_invoice, "verdict", "reasons"),
+    _spec("record_payment", "payment", invoice.record_payment, "payment", owner="invoice"),
+    _spec("validate_payment", "payment", invoice.validate_payment, "verdict", "reasons"),
+    _spec("invoice_balance", "invoice", invoice.invoice_balance, "balance", owner="invoice"),
 
     # order and shipment
-    _spec("place_order", "order", {"customer": Ref("customer"), "lines": list[ORDER_LINE]},
-          order_shipment.place_order, "order", owner="customer"),
-    _spec("cancel_order", "order", {"order": Ref("order")},
-          order_shipment.cancel_order, owner="order"),
-    _spec("create_shipment", "shipment",
-          {"order": Ref("order"), "items": list[SHIPPED_ITEM], "receiver": Ref("customer")},
-          order_shipment.create_shipment, "shipment", "invoice"),
-    _spec("record_receipt", "shipment",
-          {"shipment": Ref("shipment"), "receiver": Ref("customer")},
-          order_shipment.record_receipt, owner="shipment"),
+    _spec("place_order", "order", order_shipment.place_order, "order", owner="customer"),
+    _spec("cancel_order", "order", order_shipment.cancel_order, owner="order"),
+    _spec("create_shipment", "shipment", order_shipment.create_shipment, "shipment", "invoice"),
+    _spec("record_receipt", "shipment", order_shipment.record_receipt, owner="shipment"),
 
     # stock manager
-    _spec("create_stockroom", "stockroom", {"name": str},
-          stock_manager.create_stockroom, "stockroom"),
-    _spec("create_stock_item", "stock_item",
-          {"name": str, "kind": StockKind, "product_link": Ref("product")},
-          stock_manager.create_stock_item, "stock_item", optional={"product_link"}),
-    _spec("add_to_stock", "stock_item",
-          {"item": Ref("stock_item"), "qty": Quantity,
-           "allocation": dict[Ref("stockroom"), int]},
-          stock_manager.add_to_stock, "policy", optional={"allocation"}),
-    _spec("remove_from_stock", "stock_item",
-          {"item": Ref("stock_item"), "qty": Quantity, "room": Ref("stockroom")},
-          stock_manager.remove_from_stock, optional={"room"}),
-    _spec("transfer", "stock_item",
-          {"item": Ref("stock_item"), "qty": Quantity, "from_room": Ref("stockroom"),
-           "to_room": Ref("stockroom")},
-          stock_manager.transfer),
-    _spec("create_shop_order", "shop_order",
-          {"product": Ref("stock_item"), "output_qty": int,
-           "bill_of_materials": dict[Ref("stock_item"), Quantity]},
-          stock_manager.create_shop_order, "shop_order"),
-    _spec("cut_shop_order", "shop_order", {"order": Ref("shop_order")},
-          stock_manager.cut_shop_order),
-    _spec("pick_components", "shop_order",
-          {"order": Ref("shop_order"),
-           "room_drains": dict[Ref("stock_item"), dict[Ref("stockroom"), Quantity]]},
-          stock_manager.pick_components, optional={"room_drains"}),
-    _spec("finish_fabrication", "shop_order",
-          {"order": Ref("shop_order"), "room": Ref("stockroom")},
-          stock_manager.finish_fabrication),
+    _spec("create_stockroom", "stockroom", stock_manager.create_stockroom, "stockroom"),
+    _spec("create_stock_item", "stock_item", stock_manager.create_stock_item, "stock_item"),
+    _spec("add_to_stock", "stock_item", stock_manager.add_to_stock, "policy"),
+    _spec("remove_from_stock", "stock_item", stock_manager.remove_from_stock),
+    _spec("transfer", "stock_item", stock_manager.transfer),
+    _spec("create_shop_order", "shop_order", stock_manager.create_shop_order, "shop_order"),
+    _spec("cut_shop_order", "shop_order", stock_manager.cut_shop_order),
+    _spec("pick_components", "shop_order", stock_manager.pick_components),
+    _spec("finish_fabrication", "shop_order", stock_manager.finish_fabrication),
 ]}
 
 

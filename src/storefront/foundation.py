@@ -1,5 +1,6 @@
 """Shared value types: money, discrete quantities, entity ids, the error
-base, and the ``Record`` codec every entity and value dataclass derives.
+base, the ``Ref`` and ``Fields`` declarations, and the ``Record`` codec
+every entity and value dataclass derives.
 
 The values here are immutable and freely shareable. Mutation happens only
 in the engine's entity stores, never inside these values.
@@ -258,6 +259,17 @@ def optional_of(hint):
             and type(None) in args:
         return args[args[0] is type(None)]
     return None
+
+
+@dataclass(eq=False)
+class Fields:
+    """An object of the declared fields, each required unless ``optional``,
+    parsed to a dict of those present or to ``into(*fields)`` (None for an
+    absent one); its payload, the object of those present, parses back."""
+
+    fields: dict
+    optional: set | frozenset = frozenset()
+    into: type | None = None
 
 
 def round_half_away(numerator: int, denominator: int) -> int:

@@ -14,6 +14,7 @@ from .foundation import (
     SYSTEM,
     DomainError,
     EntityId,
+    Fields,
     Money,
     Quantity,
     Record,
@@ -107,6 +108,11 @@ class InvoiceItem(Record):
     product: Ref("product") | None
     quantity: Quantity
     unit_price: Money
+
+
+INVOICE_ITEM = Fields({"description": str, "product": Ref("product"), "quantity": Quantity,
+                       "unit_price": Money}, {"product"}, InvoiceItem)
+EDIT = "edit"  # {"add": INVOICE_ITEM, quantity at least 1} or {"delete": description}
 
 
 @dataclass
@@ -268,14 +274,15 @@ def default_rulebook() -> RuleBook:
 
 # --- operations --------------------------------------------------------------
 
-def create_employee(txn, name: str, roles: set[str] | None = None) -> EntityId:
+def create_employee(txn, name: str, roles: list[str] | None = None) -> EntityId:
     employee_id = txn.next_id("employee")
     txn.create("employees", Employee(id=employee_id, name=name,
                                      roles=set(roles or ())))
     return employee_id
 
 
-def create_invoice(txn, creator: EntityId, customer_id: EntityId) -> EntityId:
+def create_invoice(txn, creator: Ref("employee", "system"),
+                   customer_id: Ref("customer")) -> EntityId:
     if creator != SYSTEM:
         txn.state.need("employees", creator)
     txn.state.need("customers", customer_id)
@@ -312,8 +319,8 @@ def create_invoice_for_shipment(txn, customer_id: EntityId,
     return invoice_id
 
 
-def prepare_invoice(txn, invoice_id: EntityId, edits: list = (), policies: list[str] = (), *,
-                    rulebook: RuleBook, currency: str) -> Money:
+def prepare_invoice(txn, invoice_id: Ref("invoice"), edits: list[EDIT] = (),
+                    policies: list[str] = (), *, rulebook: RuleBook, currency: str) -> Money:
     """Apply item edits in order, then the named policies once each.
 
     Each edit is ``{"add": InvoiceItem}`` or ``{"delete": description}``;
@@ -351,7 +358,8 @@ def prepare_invoice(txn, invoice_id: EntityId, edits: list = (), policies: list[
     return invoice.total(currency)
 
 
-def validate_invoice(txn, validator: EntityId, invoice_id: EntityId, rules: list[str] = (),
+def validate_invoice(txn, validator: Ref("employee"), invoice_id: Ref("invoice"),
+                     rules: list[str] = (),
                      *, rulebook: RuleBook, currency: str) -> tuple[str, list[str]]:
     """Run the named invoice rules; all-pass validates, any-fail rejects.
 
@@ -379,7 +387,7 @@ def accepted_sum(state, invoice_id: EntityId, currency: str) -> Money:
     return Money(state.need("invoices", invoice_id).accepted, currency)
 
 
-def record_payment(txn, customer_id: EntityId, invoice_id: EntityId,
+def record_payment(txn, customer_id: Ref("customer"), invoice_id: Ref("invoice"),
                    amount: Money, method: PaymentMethod) -> EntityId:
     invoice = txn.state.need("invoices", invoice_id)
     if invoice.state not in (InvoiceState.VALIDATED, InvoiceState.PARTIALLY_PAID):
@@ -396,7 +404,8 @@ def record_payment(txn, customer_id: EntityId, invoice_id: EntityId,
     return payment_id
 
 
-def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list[str] = (),
+def validate_payment(txn, validator: Ref("employee"), payment_id: Ref("payment"),
+                     rules: list[str] = (),
                      *, rulebook: RuleBook, currency: str) -> tuple[str, list[str]]:
     """Accept or reject a received payment and advance the invoice.
 
@@ -441,6 +450,6 @@ def validate_payment(txn, validator: EntityId, payment_id: EntityId, rules: list
     return payment.state.value, []
 
 
-def invoice_balance(state, invoice_id: EntityId, currency: str) -> Money:
+def invoice_balance(state, invoice_id: Ref("invoice"), currency: str) -> Money:
     invoice = state.need("invoices", invoice_id)
     return invoice.total(currency).sub(accepted_sum(state, invoice_id, currency))

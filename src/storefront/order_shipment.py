@@ -12,7 +12,7 @@ from enum import Enum
 
 from . import invoice as invoice_mod
 from . import stock_manager
-from .foundation import DomainError, EntityId, Quantity, Record, Ref
+from .foundation import DomainError, EntityId, Fields, Quantity, Record, Ref
 from .invoice import InvoiceItem
 from .shopping_cart import CartItem, ZeroQuantity
 
@@ -94,6 +94,11 @@ class ShippedItem(Record):
         return self.substituted_for or self.product
 
 
+SHIPPED_ITEM = Fields({"product": Ref("product"), "qty": Quantity,
+                       "substituted_for": Ref("product")}, {"substituted_for"}, ShippedItem)
+ORDER_LINE = Fields({"product": Ref("product"), "qty": Quantity}, into=tuple)  # place_order's
+
+
 @dataclass
 class Shipment(Record):
     id: EntityId
@@ -116,8 +121,7 @@ def place_order_items(txn, customer_id: EntityId, items: list[CartItem],
     return order_id
 
 
-def place_order(txn, customer_id: EntityId,
-                lines: list[tuple[EntityId, Quantity]]) -> EntityId:
+def place_order(txn, customer_id: Ref("customer"), lines: list[ORDER_LINE]) -> EntityId:
     """Place an order directly, pricing each line at the current catalog price."""
     txn.state.need("customers", customer_id)
     if not lines:
@@ -136,7 +140,7 @@ def place_order(txn, customer_id: EntityId,
     return place_order_items(txn, customer_id, items)
 
 
-def cancel_order(txn, order_id: EntityId) -> None:
+def cancel_order(txn, order_id: Ref("order")) -> None:
     order = txn.state.need("orders", order_id)
     if order.state is not OrderState.PLACED:
         raise NotCancellable(f"order {order_id} is {order.state.value}")
@@ -150,9 +154,8 @@ def shipped_coverage(state, order: Order) -> dict[EntityId, int]:
             for line in order.line_items}
 
 
-def create_shipment(txn, order_id: EntityId,
-                    items: list[ShippedItem],
-                    receiver_id: EntityId, currency: str) -> tuple[EntityId, EntityId]:
+def create_shipment(txn, order_id: Ref("order"), items: list[SHIPPED_ITEM],
+                    receiver_id: Ref("customer"), currency: str) -> tuple[EntityId, EntityId]:
     """Dispatch goods against an order and bill them on a fresh invoice.
 
     Validates line membership, substitution targets, remaining-quantity
@@ -218,7 +221,7 @@ def create_shipment(txn, order_id: EntityId,
     return shipment_id, invoice_id
 
 
-def record_receipt(txn, shipment_id: EntityId, receiver_id: EntityId) -> None:
+def record_receipt(txn, shipment_id: Ref("shipment"), receiver_id: Ref("customer")) -> None:
     shipment = txn.state.need("shipments", shipment_id)
     if shipment.state is ShipmentState.RECEIVED:
         raise AlreadyReceived(f"shipment {shipment_id} was already received")

@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass
 
 from . import catalog, invoice, order_shipment, shopping_cart
-from .commands import COMMANDS, Fields, compile_parser
-from .foundation import Ref, SchemaError
+from .commands import COMMANDS, compile_parser
+from .foundation import Fields, Ref, SchemaError
 from .state import KIND_TO_STORE
 
 

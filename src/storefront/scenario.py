@@ -94,8 +94,11 @@ class _Resolver:
                 return self._resolve_name(value[1:])
             return value
         if isinstance(value, dict):
-            return {self.resolve(k) if isinstance(k, str) else k: self.resolve(v)
-                    for k, v in value.items()}
+            try:
+                return {self.resolve(k) if isinstance(k, str) else k: self.resolve(v)
+                        for k, v in value.items()}
+            except TypeError:  # an unhashable key: one bound to a list or an object
+                raise UnresolvedReference("an object key bound to a list or an object") from None
         if isinstance(value, list):
             return [self.resolve(v) for v in value]
         return value

@@ -79,7 +79,7 @@ class ShoppingCart(Record):
 
 
 def create_customer(txn, name: str, loyalty_member: bool = False,
-                    roles: set[str] | None = None) -> EntityId:
+                    roles: list[str] | None = None) -> EntityId:
     customer_id = txn.next_id("customer")
     txn.create("customers", Customer(id=customer_id, name=name,
                                      loyalty_member=loyalty_member,
@@ -87,7 +87,7 @@ def create_customer(txn, name: str, loyalty_member: bool = False,
     return customer_id
 
 
-def create_cart(txn, customer_id: EntityId) -> EntityId:
+def create_cart(txn, customer_id: Ref("customer")) -> EntityId:
     txn.state.need("customers", customer_id)
     cart_id = txn.next_id("cart")
     txn.create("carts", ShoppingCart(id=cart_id, customer=customer_id))
@@ -100,7 +100,7 @@ def _open_cart(txn, cart_id: EntityId) -> ShoppingCart:
     return txn.get_mut("carts", cart_id)
 
 
-def add_item(txn, cart_id: EntityId, product_id: EntityId, qty: Quantity) -> None:
+def add_item(txn, cart_id: Ref("cart"), product_id: Ref("product"), qty: Quantity) -> None:
     """Add qty of a product; repeated adds of one product merge quantities."""
     if qty.value < 1:
         raise ZeroQuantity("quantity must be at least 1")
@@ -116,7 +116,7 @@ def add_item(txn, cart_id: EntityId, product_id: EntityId, qty: Quantity) -> Non
         cart.items[cart.items.index(existing)] = merged
 
 
-def remove_item(txn, cart_id: EntityId, product_id: EntityId) -> None:
+def remove_item(txn, cart_id: Ref("cart"), product_id: Ref("product")) -> None:
     cart = _open_cart(txn, cart_id)
     existing = cart.item_for(product_id)
     if existing is None:
@@ -124,11 +124,11 @@ def remove_item(txn, cart_id: EntityId, product_id: EntityId) -> None:
     cart.items.remove(existing)
 
 
-def cart_total(state, cart_id: EntityId, currency: str) -> Money:
+def cart_total(state, cart_id: Ref("cart"), currency: str) -> Money:
     return priced_sum(state.need("carts", cart_id).items, currency)
 
 
-def checkout(txn, cart_id: EntityId) -> tuple[EntityId, EntityId]:
+def checkout(txn, cart_id: Ref("cart")) -> tuple[EntityId, EntityId]:
     """Close the cart and generate its order and draft invoice.
 
     The order's line items are the cart's items verbatim; the invoice gets

@@ -138,7 +138,7 @@ def create_stockroom(txn, name: str) -> EntityId:
 
 
 def create_stock_item(txn, name: str, kind: StockKind,
-                      product_link: EntityId | None = None) -> EntityId:
+                      product_link: Ref("product") | None = None) -> EntityId:
     for item in txn.state.stores["stock_items"].values():
         if item.name == name:
             raise DuplicateName(f"stock item {name!r} already exists")
@@ -164,8 +164,8 @@ def item_for_product(state, product_id: EntityId):
     return state.stores["stock_items"][product.stock_item]
 
 
-def add_to_stock(txn, item_id: EntityId, qty: Quantity,
-                 allocation: dict[EntityId, int] | None = None,
+def add_to_stock(txn, item_id: Ref("stock_item"), qty: Quantity,
+                 allocation: dict[Ref("stockroom"), int] | None = None,
                  add_policy: str = "first-room") -> str | None:
     """Raise aggregate on-hand and place the goods into rooms.
 
@@ -219,8 +219,8 @@ def _drain_default(inventory: Inventory, amount: int) -> None:
         remaining -= take
 
 
-def remove_from_stock(txn, item_id: EntityId, qty: Quantity,
-                      room_id: EntityId | None = None) -> None:
+def remove_from_stock(txn, item_id: Ref("stock_item"), qty: Quantity,
+                      room_id: Ref("stockroom") | None = None) -> None:
     """Take unreserved goods out of stock, from one room or by default drain."""
     item = txn.state.need("stock_items", item_id)
     amount = qty.value
@@ -244,8 +244,8 @@ def remove_from_stock(txn, item_id: EntityId, qty: Quantity,
         _drain_default(item.inventory, amount)
 
 
-def transfer(txn, item_id: EntityId, qty: Quantity,
-             from_room: EntityId, to_room: EntityId) -> None:
+def transfer(txn, item_id: Ref("stock_item"), qty: Quantity,
+             from_room: Ref("stockroom"), to_room: Ref("stockroom")) -> None:
     """Move goods between rooms; aggregate quantities never change."""
     if from_room == to_room:
         raise SameRoom(f"transfer within room {from_room._text} is meaningless")
@@ -265,8 +265,8 @@ def transfer(txn, item_id: EntityId, qty: Quantity,
     item.inventory.shift(to_room, amount)
 
 
-def create_shop_order(txn, product_id: EntityId, output_qty: int,
-                      bill_of_materials: dict[EntityId, Quantity]) -> EntityId:
+def create_shop_order(txn, product_id: Ref("stock_item"), output_qty: int,
+                      bill_of_materials: dict[Ref("stock_item"), Quantity]) -> EntityId:
     bill_of_materials = {item: qty.value for item, qty in bill_of_materials.items()}
     product = txn.state.need("stock_items", product_id)
     if product.kind is not StockKind.PRODUCT:
@@ -288,7 +288,7 @@ def create_shop_order(txn, product_id: EntityId, output_qty: int,
     return order_id
 
 
-def cut_shop_order(txn, order_id: EntityId) -> None:
+def cut_shop_order(txn, order_id: Ref("shop_order")) -> None:
     """Earmark every component the order needs; all lines or none."""
     order = txn.state.need("shop_orders", order_id)
     if order.stage is not ShopOrderStage.CREATED:
@@ -308,8 +308,8 @@ def cut_shop_order(txn, order_id: EntityId) -> None:
     order.stage = ShopOrderStage.CUT
 
 
-def pick_components(txn, order_id: EntityId,
-                    room_drains: dict[EntityId, dict[EntityId, Quantity]] | None = None) -> None:
+def pick_components(txn, order_id: Ref("shop_order"), room_drains: dict[
+        Ref("stock_item"), dict[Ref("stockroom"), Quantity]] | None = None) -> None:
     """Withdraw the reserved components from their rooms.
 
     ``room_drains`` maps component item to per-room amounts; omitted
@@ -349,7 +349,7 @@ def pick_components(txn, order_id: EntityId,
     order.stage = ShopOrderStage.PICKED
 
 
-def finish_fabrication(txn, order_id: EntityId, room_id: EntityId) -> None:
+def finish_fabrication(txn, order_id: Ref("shop_order"), room_id: Ref("stockroom")) -> None:
     """Book the finished units into stock, localized in one room."""
     order = txn.state.need("shop_orders", order_id)
     if order.stage is not ShopOrderStage.PICKED:

@@ -174,28 +174,39 @@ def op_name(txn, name: str) -> EntityId:
     """A stand-in domain operation for the generation checks."""
 
 
-def op_room(txn, room_id: EntityId) -> None:
-    """A stand-in domain operation that needs a room."""
-
-
 def op_count(txn, name: str) -> int:
     """A stand-in domain operation whose result has no encoding."""
 
 
-@pytest.mark.parametrize("args, fn, keys, optional, named", [
-    ({"name": str, "extra": int}, op_name, ("id",), set(), "'extra'"),  # dropped arg
-    ({}, op_room, (), set(), "'room_id'"),  # no arg at all
-    ({"room": Ref("stockroom")}, op_room, (), {"room"}, "'room_id'"),  # optional, no default
-    ({"name": str}, op_count, ("count",), set(), "int"),  # no result encoding
-    ({"name": str}, op_name, (), set(), "EntityId"),  # one result, no key
-])
-def test_a_declaration_the_runner_cannot_serve_is_a_type_error(args, fn, keys, optional,
-                                                                 named):
+def op_untyped(txn, name: str, room_id) -> None:
+    """A stand-in domain operation with a parameter that declares no arg."""
+
+
+def op_maybe_room(txn, room_id: Ref("stockroom") | None = None) -> None:
+    """A stand-in domain operation with an optional room."""
+
+
+@pytest.mark.parametrize("fn, keys, named", [
+    (op_count, ("count",), "int"),  # no result encoding
+    (op_name, (), "EntityId"),  # one result, no key
+    (op_untyped, (), "parameter 'room_id' of op_untyped has no annotation"),
+], ids=["no-result-encoding", "one-result-no-key", "no-annotation"])
+def test_a_declaration_the_runner_cannot_serve_is_a_type_error(fn, keys, named):
     with pytest.raises(TypeError, match=f"^demo: .*{named}"):
-        _spec("demo", "customer", args, fn, *keys, optional=optional)
+        _spec("demo", "customer", fn, *keys)
 
 
-def op_named_room(txn, room_id: EntityId, name: str, validator_id: EntityId) -> None:
+def test_the_signature_declares_the_args_and_a_default_makes_one_optional():
+    """``X | None`` declares ``X``; the arg is named for the parameter
+    without its ``_id``, and its default is what an absent arg takes."""
+    spec = _spec("demo", "stockroom", op_maybe_room)
+    assert spec.schema.fields == {"room": Ref("stockroom")}
+    assert spec.schema.optional == {"room"}
+    assert spec.source[0] == "_ = op_maybe_room(txn, args.get('room', room_id_default))"
+
+
+def op_named_room(txn, room_id: Ref("stockroom"), name: str,
+                  validator_id: Ref("employee", "system")) -> None:
     """A stand-in domain operation whose args name no owner."""
 
 
@@ -206,6 +217,5 @@ def op_named_room(txn, room_id: EntityId, name: str, validator_id: EntityId) -> 
     "absent",  # no arg
 ])
 def test_an_owner_arg_that_resolves_to_no_owner_is_a_type_error(owner):
-    args = {"room": Ref("stockroom"), "name": str, "validator": Ref("employee", "system")}
     with pytest.raises(TypeError, match=f"^demo: owner arg '{owner}'"):
-        _spec("demo", "stockroom", args, op_named_room, owner=owner)
+        _spec("demo", "stockroom", op_named_room, owner=owner)

@@ -435,6 +435,30 @@ def test_unresolved_reference_fails_step(tmp_path):
     assert "UnresolvedReference" in output
 
 
+def test_a_key_bound_to_a_list_is_an_unresolved_step_and_the_run_goes_on(tmp_path):
+    """A ``$binding`` used as an object key whose value is a list (a search
+    result) has no key form: the step is unresolved, and the next one runs."""
+    scenario = {
+        "name": "list-key",
+        "commands": [
+            {"op": "create_catalog", "args": {"name": "main"}, "as": "cat"},
+            {"op": "search", "args": {"catalog": "$cat"}, "as": "s"},
+            {"op": "create_stock_item", "args": {"name": "bolt", "kind": "Component"},
+             "as": "bolt"},
+            {"op": "add_to_stock", "args": {"item": "$bolt", "qty": 1,
+                                            "allocation": {"$s": 1}}},
+            {"op": "create_stockroom", "args": {"name": "Back"}},
+        ],
+    }
+    path = tmp_path / "list-key.json"
+    path.write_text(json.dumps(scenario))
+    code, _ = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    steps = json.loads((tmp_path / "out" / "report.json").read_text())["steps"]
+    assert [(step["outcome"], step["error"]) for step in steps[3:]] == [
+        ("unresolved", "UnresolvedReference"), ("ok", None)]
+
+
 def test_verify_rejects_negative_quantity_fact(tmp_path):
     """Negative quantities are outside the value domain; replay refuses them."""
     scenario = bundled.scenario_dir() / "stock-intake.json"
